@@ -14,16 +14,15 @@ Per connection, after the version handshake
 there with :class:`~repro.core.errors.ProtocolVersionError`, never inside
 message dispatch):
 
-* a ``task`` connection gets a thread running the worker task loop —
-  answer :class:`~repro.dist.wire.SyncMsg` clock probes, execute
-  :class:`~repro.dist.wire.TaskMsg`/:class:`~repro.dist.wire.ClusterTaskMsg`
-  via the *same* :func:`repro.dist.worker._run_task` a process worker uses
-  (regions run as real ``TargetRegion`` instances with working cancel
-  tokens), ship :class:`~repro.dist.wire.ResultMsg` back — with a
-  :class:`~repro.dist.wire.TagDoneMsg` first when the task carries a tag;
-* a ``ctrl`` connection gets a thread answering heartbeat pings and
-  applying cooperative cancellation to the slot's currently executing
-  region, exactly like a process worker's control thread.
+* a ``task`` connection gets a thread running
+  :func:`repro.dist.worker.task_loop` — the *same* loop a process worker's
+  main thread runs (clock probes, regions executed as real
+  ``TargetRegion`` instances with working cancel tokens,
+  :class:`~repro.dist.wire.ResultMsg` back — with a
+  :class:`~repro.dist.wire.TagDoneMsg` first when the task carries a tag);
+* a ``ctrl`` connection gets a thread running
+  :func:`repro.dist.worker.control_loop`: heartbeat pongs and cooperative
+  cancellation of the slot's currently executing region.
 
 Because slots are threads in one agent process, an agent is a *locality*
 unit, not an isolation unit — one agent dying takes all its slots with it,
@@ -48,8 +47,7 @@ from typing import Any
 
 from ..core.errors import ProtocolVersionError, RuntimeStateError
 from ..dist import wire
-from ..dist.worker import WorkerConfig, _Current, _run_task
-from ..obs.events import now_ns
+from ..dist.worker import WorkerConfig, _Current, control_loop, task_loop
 from . import transport as _transport
 
 __all__ = ["ClusterAgent", "AgentHandle", "spawn_agent_process", "announce_line"]
@@ -223,10 +221,15 @@ class ClusterAgent:
             threading.current_thread().name = (
                 f"repro-cluster-{hello.role}-{hello.target_name}-{hello.slot}"
             )
+            if self._stop.is_set():
+                return  # accepted while stop() was closing the others
             if hello.role == "task":
-                self._task_loop(tr, hello, current)
+                task_loop(
+                    tr, WorkerConfig(hello.target_name, hello.slot), current,
+                    executed=self._count_task,
+                )
             elif hello.role == "ctrl":
-                self._ctrl_loop(tr, current)
+                control_loop(tr, current)
             else:
                 _logger.warning("unknown connection role %r; closing", hello.role)
         finally:
@@ -244,61 +247,9 @@ class ClusterAgent:
         with self._lock:
             return self._currents.setdefault((target_name, slot), _Current())
 
-    # ----------------------------------------------------------- task / ctrl
-
-    def _task_loop(self, tr: Any, hello: wire.HelloMsg, current: _Current) -> None:
-        """The socket twin of ``worker_main``'s main loop."""
-        config = WorkerConfig(hello.target_name, hello.slot)
-        while not self._stop.is_set():
-            try:
-                msg = tr.recv()
-            except (EOFError, OSError):
-                return  # parent went away (or reclaimed the lane)
-            if isinstance(msg, wire.SyncMsg):
-                try:
-                    tr.send(wire.SyncAck(now_ns(), os.getpid()))
-                except (OSError, ValueError):
-                    return
-                continue
-            if isinstance(msg, wire.StopMsg):
-                return
-            if not isinstance(msg, (wire.TaskMsg, wire.ClusterTaskMsg)):
-                continue  # unknown message from a newer parent: skip, stay alive
-            tag = getattr(msg, "tag", None)
-            notify = None
-            if tag is not None:
-                def notify(region, _seq=msg.seq, _tag=tag):
-                    outcome = (
-                        "failed" if region.exception is not None else "completed"
-                    )
-                    try:
-                        tr.send(wire.TagDoneMsg(_seq, _tag, outcome))
-                    except (OSError, ValueError):
-                        pass  # the ResultMsg send below will surface the tear
-            result = _run_task(msg, config, current, on_body_done=notify)
-            with self._lock:
-                self.tasks_executed += 1
-            try:
-                tr.send(result)
-            except (OSError, ValueError, EOFError):
-                return  # parent tore the connection mid-result
-
-    def _ctrl_loop(self, tr: Any, current: _Current) -> None:
-        """The socket twin of ``worker._control_loop``."""
-        while not self._stop.is_set():
-            try:
-                msg = tr.recv()
-            except (EOFError, OSError):
-                return
-            if isinstance(msg, wire.PingMsg):
-                try:
-                    tr.send(wire.PongMsg(msg.sent_ns, os.getpid()))
-                except (OSError, ValueError):
-                    return
-            elif isinstance(msg, wire.CancelMsg):
-                current.cancel(msg.seq)
-            elif isinstance(msg, wire.StopMsg):
-                return
+    def _count_task(self) -> None:
+        with self._lock:
+            self.tasks_executed += 1
 
 
 # ------------------------------------------------------------- subprocess

@@ -44,6 +44,7 @@ import select
 import socket
 import struct
 import threading
+import time
 from typing import Any, Protocol, runtime_checkable
 
 from ..core.errors import RuntimeStateError
@@ -280,18 +281,20 @@ class TcpTransport:
 
     def poll(self, timeout: float = 0.0) -> bool:
         """True when :meth:`recv` would not block (data *or* a tear)."""
-        import time as _time
-
-        deadline = None if timeout is None else _time.monotonic() + timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             if self._frame_size() is not None or self._eof:
                 return True
             sock = self._sock
             if sock is None:
                 return True  # recv() raises EOFError immediately
-            remaining = None if deadline is None else deadline - _time.monotonic()
-            if remaining is not None and remaining < 0:
-                return False
+            # Clamped, not bailed out on: an expired deadline (always the
+            # case for poll(0)) still gets one zero-timeout look at the
+            # socket, or a frame or tear already in the kernel buffer would
+            # never be seen.
+            remaining = (
+                None if deadline is None else max(0.0, deadline - time.monotonic())
+            )
             try:
                 readable, _, _ = select.select([sock], [], [], remaining)
             except (OSError, ValueError):

@@ -178,6 +178,16 @@ class PjRuntime:
             ),
         }
 
+    def _register_new(self, target):
+        """Register a target this runtime just built; a name clash must not
+        leak the threads/processes its constructor already started."""
+        try:
+            self.register_target(target)
+        except TargetExistsError:
+            target.shutdown(wait=False)
+            raise
+        return target
+
     def create_worker(
         self,
         name: str,
@@ -211,12 +221,7 @@ class PjRuntime:
             autoscale_max=autoscale_max,
             **self._queue_options(queue_capacity, rejection_policy),
         )
-        try:
-            self.register_target(target)
-        except TargetExistsError:
-            target.shutdown(wait=False)
-            raise
-        return target
+        return self._register_new(target)
 
     def create_process_worker(
         self,
@@ -256,12 +261,7 @@ class PjRuntime:
             spawn_timeout=spawn_timeout,
             **self._queue_options(queue_capacity, rejection_policy),
         )
-        try:
-            self.register_target(target)
-        except TargetExistsError:
-            target.shutdown(wait=False)
-            raise
-        return target
+        return self._register_new(target)
 
     def create_cluster(
         self,
@@ -301,12 +301,7 @@ class PjRuntime:
             connect_timeout=connect_timeout,
             **self._queue_options(queue_capacity, rejection_policy),
         )
-        try:
-            self.register_target(target)
-        except TargetExistsError:
-            target.shutdown(wait=False)
-            raise
-        return target
+        return self._register_new(target)
 
     def register_edt(
         self,

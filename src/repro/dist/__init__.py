@@ -10,16 +10,19 @@ interpreter's GIL, so CPU-bound kernels scale with cores.
 
 Module map:
 
-* :mod:`~repro.dist.process_target` — the target itself: per-slot shipper
-  threads, crash-to-:class:`~repro.core.errors.WorkerCrashedError` conversion,
-  cross-process cancellation, shutdown semantics;
-* :mod:`~repro.dist.worker` — the child-process entry point (task loop +
-  control thread);
+* :mod:`~repro.dist.remote_target` — :class:`RemoteLaneTarget`, the one
+  parent-side core every remote backend shares: per-lane shipper threads,
+  crash-to-:class:`~repro.core.errors.WorkerCrashedError` conversion,
+  restart budgets, cross-boundary cancellation, shutdown semantics — written
+  against the :class:`RemoteLane` slot interface;
+* :mod:`~repro.dist.process_target` — the process backend: a lane is a
+  spawned child behind two pipes;
+* :mod:`~repro.dist.worker` — the remote end (task loop + control loop),
+  shared by child processes and cluster agents;
 * :mod:`~repro.dist.wire` — serialization (cloudpickle when available) and
   the message protocol;
-* :mod:`~repro.dist.supervisor` — heartbeats, restarts, restart budgets
-  (generalised over a slot interface, so :mod:`repro.cluster` reuses it
-  for socket-connected remote workers);
+* :mod:`~repro.dist.supervisor` — the heartbeat / idle-corpse sweep over
+  the same slot interface;
 * :mod:`~repro.dist.remote_obs` — worker-side event capture and re-stamping
   onto the parent's trace clock.
 
@@ -39,6 +42,7 @@ from .remote_obs import (
     merge_worker_events,
     worker_track,
 )
+from .remote_target import RemoteLane, RemoteLaneTarget
 from .supervisor import Supervisor
 from .wire import HAVE_CLOUDPICKLE, PROTOCOL_VERSION
 from .worker import WorkerConfig, worker_main
@@ -49,6 +53,8 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ProcessTarget",
     "ProtocolVersionError",
+    "RemoteLane",
+    "RemoteLaneTarget",
     "Supervisor",
     "WorkerConfig",
     "WorkerEventLog",

@@ -1,0 +1,722 @@
+"""`RemoteLaneTarget`: the one virtual target behind every remote backend.
+
+A remote-backed target keeps the name-based directive surface of
+:class:`~repro.core.targets.WorkerTarget` (``virtual(name)``, default/
+``nowait``/``name_as``+``wait``/``await``, ``timeout=``), the same
+bounded-queue backpressure policies and the same shutdown covenant
+(``wait=True`` drains, ``wait=False`` cancels, nothing is ever silently
+stranded) — but region bodies execute on **remote workers**, outside this
+interpreter's GIL.  That is the "device layer" move of the OpenMP-cluster
+line of work (arXiv:2207.05677, 2205.10656): a local and a remote device
+are one device abstraction with a pluggable transport.  Here the
+abstraction is this class and the transport is a :class:`RemoteLane`
+subclass: :class:`~repro.dist.process_target.ProcessTarget` plugs in a
+spawned child process behind two pipes,
+:class:`~repro.cluster.target.ClusterTarget` a slot on a TCP worker agent
+behind two framed sockets.
+
+Architecture (per target)::
+
+    poster threads ──post()──▶ _TargetQueue (inherited: capacity, policies)
+                                   │  (shared: pull = least-loaded routing)
+                 ┌─────────────────┼─────────────────┐
+        shipper thread 0   shipper thread 1   ...  (one per lane)
+                 │ SyncMsg / TaskMsg / ResultMsg over the lane's task channel
+        remote worker 0    remote worker 1    ...  (repro.dist.worker loops)
+                 ▲ PingMsg/PongMsg + CancelMsg over the lane's ctrl channel
+                 └──────────── Supervisor thread ────┘
+
+Each lane owns one remote worker and one parent-side *shipper* thread.
+The shipper pulls the next item off the shared queue, serializes the
+region's ``(body, args, kwargs)``, ships it, and waits for the result in a
+poll loop that simultaneously watches for: the result, worker death
+(→ :class:`~repro.core.errors.WorkerCrashedError` to the waiter, never a
+hang), a parent-side cancellation (→ forwarded as a
+:class:`~repro.dist.wire.CancelMsg`; a worker that ignores it past
+``cancel_grace`` seconds is terminated and the lane reclaimed), and hard
+shutdown.  Results and exceptions are delivered through
+:meth:`~repro.core.region.TargetRegion.fulfill`, i.e. the normal
+region-completion path, so waiters, tags, callbacks and the ``await``
+logical barrier cannot tell a remote region from a thread region.
+
+Inline elision (Algorithm 1 lines 6-7) **never** applies here:
+``supports_inline`` is False.  Elision is an optimization only when the
+encountering thread *is* the execution environment — it shares the target's
+address space and thread affinity, so running the block synchronously is
+indistinguishable from posting it.  A remote target's execution
+environment is a different address space (or host); eliding would silently
+move the block's side effects (and its GIL contention) back into the
+parent, so the affinity router in ``invoke_target_block`` always takes the
+posted path.
+
+Tracing: the parent records SUBMIT/ENQUEUE/DEQUEUE as usual; EXEC spans are
+recorded **in the worker**, shipped back with each result, re-stamped onto
+the parent's clock (:mod:`repro.dist.remote_obs`, offset from the two-round
+clock handshake run when a lane opens) and attributed to a
+``<target>[w<i>]`` track — Chrome/Perfetto shows one row per worker, with
+submit→exec flow arrows crossing tracks.
+"""
+
+from __future__ import annotations
+
+import logging
+import threading
+import time
+from typing import Any, Callable, Sequence
+
+from ..core.errors import (
+    RuntimeStateError,
+    SerializationError,
+    TargetShutdownError,
+    WorkerCrashedError,
+)
+from ..core.region import TargetRegion
+from ..core.targets import _SHUTDOWN, _WAKEUP, VirtualTarget, _item_identity
+from ..obs import EventKind
+from ..obs import recorder as _obs
+from ..obs.events import now_ns
+from . import wire
+from .remote_obs import estimate_offset_ns, merge_worker_events, worker_track
+from .supervisor import Supervisor
+
+__all__ = ["RemoteLane", "RemoteLaneTarget"]
+
+_logger = logging.getLogger(__name__)
+
+#: Poll tick of the result-wait loop: bounds crash/cancel/shutdown reaction
+#: latency without busy-waiting.
+_POLL_TICK = 0.05
+
+
+class RemoteLane:
+    """One lane of a remote-backed target: two channels + accounting.
+
+    ``task`` and ``ctrl`` are the parent-side ends of the lane's two
+    channels — anything with the ``send/recv/poll/close`` duck type of a
+    ``multiprocessing.Connection`` (pipes, or a
+    :class:`~repro.cluster.transport.Transport`); both are None while the
+    lane is down.  This base class owns the accounting and every
+    channel-generic operation; a subclass is a *strategy* for what sits
+    behind the channels.
+
+    Slot interface
+    --------------
+    What :class:`~repro.dist.supervisor.Supervisor` and
+    :class:`RemoteLaneTarget` consume (a subclass supplies the starred
+    ones): the flags ``index``/``disabled``/``busy``/``last_pong``/``pid``;
+    ``connected`` (a worker is attached, live or not yet reaped);
+    ``open()``\\* (attach a worker and set ``task``/``ctrl`` — on any
+    failure the caller runs ``terminate()`` + ``reap()``, so partial state
+    is fine); ``is_alive()``\\* (the worker is believed live);
+    ``exit_label()``\\* (human-readable cause of death for a log line);
+    ``terminate()``\\* (hard-kill the worker / tear the lane — crash
+    semantics follow); ``stop()`` (graceful :class:`~repro.dist.wire.StopMsg`
+    on both channels); ``reap()`` (drop a dead lane's channels, returning
+    the worker's exit code where one exists); ``drain_control()``,
+    ``send_ping()``, ``send_cancel(seq)``; and the text facts ``noun`` and
+    ``endpoint`` used in log, error and trace labels.
+
+    Locking
+    -------
+    Lifecycle fields are guarded by ``lock`` (an RLock: the supervisor
+    respawns while already holding it).  ``ctrl_lock`` serializes
+    parent-side *sends* on the ctrl channel, which both the shipper
+    (cancels) and the supervisor (pings) write to.  **Reads have one rule:
+    every ``poll``/``recv`` on the ctrl channel — ``drain_control()`` and
+    any ``is_alive()`` that probes it — happens under ``lock``.**  Channels
+    are single-consumer (a ``TcpTransport`` reassembles frames in an
+    unlocked buffer), and the supervisor and the lane's shipper both look
+    at ctrl.  The task channel needs no such rule: only the lane's shipper
+    thread ever reads it.
+    """
+
+    __slots__ = (
+        "index", "target_name", "open_timeout", "lock", "ctrl_lock", "task",
+        "ctrl", "pid", "clock_offset", "spawns", "disabled", "busy",
+        "last_pong", "thread",
+    )
+
+    #: What log and error text calls this lane.
+    noun = "worker"
+    #: ``host:port`` the worker lives at; empty for a local child process.
+    endpoint = ""
+
+    def __init__(self, index: int, target_name: str, open_timeout: float) -> None:
+        self.index = index
+        self.target_name = target_name
+        #: Budget for a fresh worker to come up and answer clock probe 1.
+        self.open_timeout = open_timeout
+        self.lock = threading.RLock()
+        self.ctrl_lock = threading.Lock()
+        self.task: Any = None
+        self.ctrl: Any = None
+        self.pid: int | None = None  # from the clock handshake
+        self.clock_offset = 0
+        self.spawns = 0          # total open attempts (first + restarts)
+        self.disabled = False
+        self.busy = False
+        self.last_pong = 0.0     # time.monotonic() of the last heartbeat
+        self.thread: threading.Thread | None = None
+
+    @property
+    def restarts(self) -> int:
+        """Open attempts beyond the lane's first."""
+        return max(0, self.spawns - 1)
+
+    @property
+    def where(self) -> str:
+        """`` (host:port)`` suffix for labels; empty for a local child."""
+        return f" ({self.endpoint})" if self.endpoint else ""
+
+    @property
+    def connected(self) -> bool:
+        """A worker is attached to this lane (live or not-yet-reaped)."""
+        return self.task is not None
+
+    # ------------------------------------------------------- strategy hooks
+
+    def open(self) -> None:
+        raise NotImplementedError
+
+    def is_alive(self) -> bool:
+        raise NotImplementedError
+
+    def exit_label(self) -> str:
+        raise NotImplementedError
+
+    def terminate(self) -> None:
+        raise NotImplementedError
+
+    # ----------------------------------------------------- channel-generic
+
+    def drain_control(self) -> None:
+        """Absorb pending ctrl-channel traffic; pongs refresh liveness."""
+        ctrl = self.ctrl
+        if ctrl is None:
+            return
+        try:
+            while ctrl.poll(0):
+                if isinstance(ctrl.recv(), wire.PongMsg):
+                    self.last_pong = time.monotonic()
+        except (EOFError, OSError):
+            pass  # torn: the supervisor's liveness checks handle the corpse
+
+    @staticmethod
+    def _send(chan: Any, msg: Any) -> None:
+        if chan is None:
+            return
+        try:
+            chan.send(msg)
+        except (OSError, ValueError):
+            pass  # dead channel: liveness checks will catch the corpse
+
+    def _send_ctrl(self, msg: Any) -> None:
+        with self.ctrl_lock:
+            self._send(self.ctrl, msg)
+
+    def send_ping(self) -> None:
+        self._send_ctrl(wire.PingMsg(now_ns()))
+
+    def send_cancel(self, seq: int) -> None:
+        self._send_ctrl(wire.CancelMsg(seq))
+
+    def stop(self) -> None:
+        """Graceful stop: drain sentinel on both channels, so the remote
+        loops exit instead of seeing an abrupt EOF."""
+        self._send(self.task, wire.StopMsg())
+        self._send_ctrl(wire.StopMsg())
+
+    def close_channels(self) -> None:
+        for chan in (self.task, self.ctrl):
+            if chan is not None:
+                try:
+                    chan.close()
+                except OSError:
+                    pass
+        self.task = self.ctrl = None
+
+    def reap(self) -> int | None:
+        """Drop a dead lane's channels; returns the worker's exit code
+        where the backend has one."""
+        self.close_channels()
+        self.busy = False
+        return None
+
+
+class RemoteLaneTarget(VirtualTarget):
+    """A worker virtual target whose pool members are remote lanes.
+
+    Owns everything a remote backend does on the parent side — shipping,
+    supervision, restart budgets, cancellation and ``timeout=`` reclaim,
+    result delivery, trace merge, shutdown — written once against the
+    :class:`RemoteLane` interface.  Subclasses build the lanes and set the
+    class-level facts below.  Parameters shared by every backend:
+
+    max_restarts:
+        Reopen budget *per lane*.  A lane whose worker keeps dying is
+        disabled once the budget is spent; when the last lane disables, the
+        backlog is failed (cancelled with the crash as reason) and the
+        target refuses further posts.
+    heartbeat_interval / heartbeat_misses:
+        Supervisor probe cadence and the silent-interval budget after which
+        an idle worker is declared wedged and replaced.
+    cancel_grace:
+        Seconds a worker may ignore a forwarded cancellation before it is
+        terminated and the lane reclaimed (this is what makes ``timeout=``
+        effective against a stuck worker).
+    """
+
+    supports_inline = False   # different address space: elision would lie
+    supports_pumping = False  # no parent thread is ever a member
+
+    #: The task message a region ships as.  Called with the six
+    #: ``ClusterTaskMsg`` fields; ``_Msg.__init__`` zips values against
+    #: ``__slots__``, so the five-field ``TaskMsg`` drops the trailing tag.
+    _task_msg: type = wire.TaskMsg
+    #: Trace instants for a lane coming up / dying unasked / being retired.
+    _EV_UP = EventKind.WORKER_SPAWN
+    _EV_LOST = EventKind.WORKER_CRASH
+    _EV_DOWN = EventKind.WORKER_EXIT
+
+    def __init__(
+        self,
+        name: str,
+        slots: Sequence[RemoteLane],
+        *,
+        queue_capacity: int | None,
+        rejection_policy: str,
+        max_restarts: int,
+        heartbeat_interval: float,
+        heartbeat_misses: int,
+        cancel_grace: float,
+    ) -> None:
+        if max_restarts < 0:
+            raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
+        if cancel_grace <= 0:
+            raise ValueError(f"cancel_grace must be > 0, got {cancel_grace}")
+        super().__init__(
+            name, queue_capacity=queue_capacity, rejection_policy=rejection_policy
+        )
+        self.max_restarts = max_restarts
+        self.cancel_grace = cancel_grace
+        self._hard_stop = threading.Event()
+        with self._stats_lock:
+            self._stats.update({"worker_crashes": 0, "worker_restarts": 0})
+        self._slots = list(slots)
+        self._supervisor = Supervisor(
+            self, interval=heartbeat_interval, misses=heartbeat_misses
+        )
+        for slot in self._slots:
+            slot.thread = threading.Thread(
+                target=self._shipper_loop,
+                args=(slot,),
+                name=f"repro-{self.kind}-{name}-ship-{slot.index}",
+                daemon=True,
+            )
+            slot.thread.start()
+        self._supervisor.start()
+
+    # ------------------------------------------------------------ taxonomy
+
+    @property
+    def pool_size(self) -> int:
+        return len(self._slots)
+
+    @property
+    def restart_count(self) -> int:
+        return sum(slot.restarts for slot in self._slots)
+
+    @property
+    def worker_pids(self) -> list[int | None]:
+        """Current worker pid of each lane (None while down) — diagnostics."""
+        return [slot.pid if slot.connected else None for slot in self._slots]
+
+    def process_one(self, timeout: float | None = None) -> bool:
+        """Remote targets cannot run queued regions in the calling thread —
+        the queue feeds *remote* workers, and executing a region here would
+        silently move it back into this address space."""
+        raise RuntimeStateError(
+            f"{self.kind} target {self.name!r} cannot be pumped: its queue is "
+            "drained by shipper threads feeding remote workers"
+        )
+
+    def drain(self) -> int:
+        """See :meth:`process_one` — draining in the caller is not allowed."""
+        raise RuntimeStateError(
+            f"{self.kind} target {self.name!r} cannot be drained in the calling "
+            "thread; use shutdown(wait=True) to run the backlog down"
+        )
+
+    def _lane_label(self, slot: RemoteLane) -> str:
+        return (
+            f"{slot.noun} {slot.index} of {self.kind} target "
+            f"{self.name!r}{slot.where}"
+        )
+
+    # ------------------------------------------------------------- lifecycle
+
+    def shutdown(self, wait: bool = True) -> None:
+        """Stop the pool.
+
+        ``wait=True`` drains: the backlog ships to the workers FIFO, shipper
+        threads are joined, each lane is stopped with a
+        :class:`~repro.dist.wire.StopMsg` and reaped.  ``wait=False``
+        cancels: the queued backlog is withdrawn (waiters fail fast with
+        ``RegionCancelledError``), in-flight regions are cancelled across
+        the channel and their lanes terminated, and nothing is joined —
+        mirroring :class:`~repro.core.targets.WorkerTarget`.
+        """
+        if self._shutdown.is_set():
+            return
+        self._shutdown.set()
+        self._supervisor.stop()
+        if not wait:
+            self._hard_stop.set()
+            self._queue.close()
+            self._cancel_pending()
+            # Nudge busy workers concurrently: forward a cancel for whatever
+            # they are running.  Their shippers notice _hard_stop within one
+            # poll tick, terminate them, and fail the in-flight regions.
+            for slot in self._slots:
+                if slot.busy:
+                    slot.send_cancel(-1)  # wakes the control loop; benign
+        for _ in self._slots:
+            self._queue.put_internal(_SHUTDOWN)
+        if wait:
+            for slot in self._slots:
+                if slot.thread is not None and slot.thread is not threading.current_thread():
+                    slot.thread.join()
+            self._supervisor.join()
+
+    def _on_all_slots_disabled(self, cause: WorkerCrashedError) -> None:
+        """Every lane exhausted its restart budget: fail the backlog.
+
+        The no-lost-work covenant: queued regions are cancelled with the
+        crash as reason (waiters see ``RegionCancelledError`` caused by
+        :class:`WorkerCrashedError`), the queue closes, and further posts
+        raise :class:`TargetShutdownError`.
+        """
+        if self._shutdown.is_set():
+            return
+        _logger.error(
+            "%s target %r lost all %d lanes beyond their restart budgets; "
+            "failing the backlog", self.kind, self.name, len(self._slots),
+        )
+        self._shutdown.set()
+        self._supervisor.stop()
+        self._queue.close()
+        cancelled = 0
+        for item in self._queue.drain_items():
+            if isinstance(item, TargetRegion) and item.cancel(cause):
+                cancelled += 1
+                self._bump("cancelled_on_shutdown")
+        if cancelled:
+            _logger.error(
+                "cancelled %d queued region(s) on dead %s target %r",
+                cancelled, self.kind, self.name,
+            )
+
+    # ------------------------------------------------------------ lane pool
+
+    def _open_lane(self, slot: RemoteLane) -> None:
+        """Attach a worker to the lane and run the clock-sync handshake.
+
+        Called under ``slot.lock``.  Raises on any failure (spawn error,
+        refused connect, version mismatch, handshake timeout); the caller
+        owns restart accounting.
+        """
+        try:
+            slot.open()
+            # Two-round clock handshake.  Round 1 absorbs worker start-up
+            # (interpreter + imports under spawn, connection/thread warm-up
+            # over TCP: its round trip is wildly asymmetric, so its midpoint
+            # would be tens of ms off); round 2 probes the warm worker,
+            # where the trip is pure channel latency, and sets the offset.
+            task = slot.task
+            for probe, budget in ((1, slot.open_timeout), (2, 5.0)):
+                t0 = now_ns()
+                task.send(wire.SyncMsg(t0))
+                if not task.poll(budget):
+                    raise RuntimeStateError(
+                        f"{self._lane_label(slot)} did not answer clock "
+                        f"probe {probe} within {budget}s"
+                    )
+                ack = task.recv()
+                t1 = now_ns()
+                if not isinstance(ack, wire.SyncAck):
+                    raise RuntimeStateError(
+                        f"{self._lane_label(slot)} sent {type(ack).__name__} "
+                        "instead of the handshake ack"
+                    )
+        except BaseException:
+            slot.terminate()
+            slot.reap()
+            raise
+        slot.pid = ack.pid
+        slot.clock_offset = estimate_offset_ns(t0, t1, ack.worker_ns)
+        slot.last_pong = time.monotonic()
+        self._emit_worker_event(slot, self._EV_UP, arg=slot.pid)
+
+    def _ensure_worker(self, slot: RemoteLane) -> bool:
+        """Make sure the lane has a live worker; (re)open within budget.
+
+        Returns False when the lane is disabled or the target is shutting
+        down — the shipper then stops consuming.
+        """
+        disabled_now = False
+        with slot.lock:
+            while True:
+                if slot.disabled:
+                    return False
+                # Gate on the *hard* stop, not _shutdown: a graceful
+                # shutdown(wait=True) sets _shutdown while the backlog still
+                # has to drain through live workers (reopening if needed).
+                if self._hard_stop.is_set():
+                    return False
+                if slot.connected:
+                    if slot.is_alive():
+                        return True
+                    # Died between regions (idle death found by us, not the
+                    # supervisor) — account and clean up.
+                    self._bump("worker_crashes")
+                    self._lane_down(slot, self._EV_LOST, "connection lost")
+                if slot.spawns > self.max_restarts:
+                    slot.disabled = True
+                    disabled_now = True
+                    break
+                slot.spawns += 1
+                if slot.spawns > 1:
+                    self._bump("worker_restarts")
+                try:
+                    self._open_lane(slot)
+                except Exception as exc:  # noqa: BLE001 - opening is best-effort
+                    _logger.warning(
+                        "open attempt %d for %s failed: %r",
+                        slot.spawns, self._lane_label(slot), exc,
+                    )
+                    continue
+                return True
+        if disabled_now:
+            _logger.error(
+                "%s exceeded its restart budget (%d); disabling the lane",
+                self._lane_label(slot), self.max_restarts,
+            )
+            if all(s.disabled for s in self._slots):
+                self._on_all_slots_disabled(
+                    WorkerCrashedError(
+                        self.name, slot.index,
+                        detail=f"all {len(self._slots)} {self.kind} lanes "
+                               f"exceeded max_restarts={self.max_restarts}",
+                    )
+                )
+        return False
+
+    def _respawn_slot(self, slot: RemoteLane) -> None:
+        """Supervisor entry point: replace a dead/wedged idle worker."""
+        self._ensure_worker(slot)
+
+    def _emit_worker_event(
+        self, slot: RemoteLane, kind: EventKind, arg: object = None
+    ) -> None:
+        session = _obs.session()
+        if session.enabled:
+            session.emit(
+                kind, target=worker_track(self.name, slot.index),
+                name=f"worker {slot.index}{slot.where}", arg=arg,
+            )
+
+    def _lane_down(self, slot: RemoteLane, kind: EventKind, reason: str) -> int | None:
+        """Reap the lane (under ``slot.lock``) and emit its going-down
+        instant: the exit code where the backend has one, else *reason*."""
+        exitcode = slot.reap()
+        self._emit_worker_event(
+            slot, kind, arg=reason if exitcode is None else exitcode
+        )
+        return exitcode
+
+    def _on_tag_done(self, msg: wire.TagDoneMsg) -> None:
+        """Sink for tag-progress notifications; only cluster agents send
+        them (tagged :class:`~repro.dist.wire.ClusterTaskMsg`)."""
+
+    # -------------------------------------------------------------- shipping
+
+    def _shipper_loop(self, slot: RemoteLane) -> None:
+        try:
+            while True:
+                if not self._ensure_worker(slot):
+                    return
+                item = self._queue.get()
+                if item is _SHUTDOWN:
+                    return
+                if item is _WAKEUP:
+                    continue
+                self._execute_remote(slot, item)
+        finally:
+            self._retire_slot(slot)
+
+    def _retire_slot(self, slot: RemoteLane) -> None:
+        """Stop the lane's worker on shipper exit (drain or hard stop)."""
+        with slot.lock:
+            if not slot.connected:
+                return
+            if self._hard_stop.is_set():
+                slot.terminate()
+            else:
+                slot.stop()
+            self._lane_down(slot, self._EV_DOWN, "stop")
+
+    def _wrap_item(self, item: TargetRegion | Callable[[], Any]) -> TargetRegion:
+        if isinstance(item, TargetRegion):
+            return item
+        # Plain callables (events posted by higher layers) ride as anonymous
+        # regions; failures are logged parent-side, same policy as the
+        # thread-backed dispatch loop.
+        _rid, label = _item_identity(item)
+        return TargetRegion(item, name=label)
+
+    def _execute_remote(self, slot: RemoteLane, item: Any) -> None:
+        session = _obs.session()
+        region = self._wrap_item(item)
+        if session.enabled:
+            session.emit(
+                EventKind.DEQUEUE, target=self.name, region=region.seq,
+                name=region.label,
+            )
+            self._trace_depth(session)
+        if region.done:
+            return  # withdrawn (cancelled) while queued: nothing to ship
+        try:
+            blob = wire.dumps(
+                (region.body, region.args, region.kwargs),
+                what=f"payload of region {region.name!r}",
+            )
+        except SerializationError as exc:
+            region.fulfill(exception=exc)
+            self._log_plain_failure(item, region)
+            return
+        if not region.mark_running():
+            return  # cancelled between dequeue and ship
+        with slot.lock:
+            if not slot.is_alive():
+                self._handle_worker_failure(slot, region, "died before dispatch")
+                return
+            task = slot.task
+            slot.busy = True
+        try:
+            try:
+                task.send(
+                    self._task_msg(
+                        region.seq, region.name, region.source, blob,
+                        session.enabled, region.tag,
+                    )
+                )
+            except (OSError, ValueError) as exc:
+                self._handle_worker_failure(
+                    slot, region, f"task send failed: {exc!r}"
+                )
+                return
+            self._await_result(slot, task, region)
+        finally:
+            with slot.lock:
+                slot.busy = False
+            self._log_plain_failure(item, region)
+
+    def _await_result(self, slot: RemoteLane, task: Any, region: TargetRegion) -> None:
+        """Wait for the worker's verdict while watching for crash/cancel/stop."""
+        cancel_sent_at: float | None = None
+        while True:
+            try:
+                if task.poll(_POLL_TICK):
+                    msg = task.recv()
+                    if isinstance(msg, wire.ResultMsg) and msg.seq == region.seq:
+                        self._deliver(slot, region, msg)
+                        return
+                    if isinstance(msg, wire.TagDoneMsg):
+                        self._on_tag_done(msg)
+                    continue  # stale or unknown: keep waiting for ours
+            except (EOFError, OSError):
+                self._handle_worker_failure(
+                    slot, region, "channel closed mid-region"
+                )
+                return
+            if self._hard_stop.is_set():
+                # shutdown(wait=False): fail the in-flight region fast.
+                slot.send_cancel(region.seq)
+                slot.terminate()
+                region.fulfill(exception=TargetShutdownError(self.name))
+                with slot.lock:
+                    slot.reap()
+                return
+            with slot.lock:  # is_alive() may read ctrl: one reader at a time
+                alive = slot.is_alive()
+            if not alive:
+                self._handle_worker_failure(slot, region, "found dead mid-region")
+                return
+            if region.cancel_token.cancelled:
+                now = time.monotonic()
+                if cancel_sent_at is None:
+                    # Parent-side cancellation (deadline watchdog, explicit
+                    # request_cancel): forward it so the worker-side token —
+                    # the one the body actually polls — flips too.
+                    slot.send_cancel(region.seq)
+                    cancel_sent_at = now
+                elif now - cancel_sent_at > self.cancel_grace:
+                    # The body ignored cooperative cancellation; reclaim the
+                    # lane.  The next loop iteration takes the crash path.
+                    _logger.warning(
+                        "%s ignored cancellation of region %r for %.1fs; "
+                        "terminating",
+                        self._lane_label(slot), region.name, self.cancel_grace,
+                    )
+                    slot.terminate()
+
+    def _deliver(self, slot: RemoteLane, region: TargetRegion, msg: wire.ResultMsg) -> None:
+        session = _obs.session()
+        if session.enabled and msg.events:
+            merge_worker_events(
+                session, msg.events,
+                offset_ns=slot.clock_offset,
+                track=worker_track(self.name, slot.index),
+                thread=f"{slot.endpoint} pid {slot.pid}".lstrip(),
+            )
+        if msg.ok:
+            try:
+                value = wire.loads(msg.blob, what=f"result of region {region.name!r}")
+            except SerializationError as exc:
+                region.fulfill(exception=exc)
+                return
+            region.fulfill(result=value)
+        else:
+            region.fulfill(
+                exception=wire.unpack_exception(msg.exc_blob, msg.exc_text, msg.exc_tb)
+            )
+
+    def _handle_worker_failure(
+        self, slot: RemoteLane, region: TargetRegion, detail: str
+    ) -> None:
+        """A worker died with *region* in flight: fail the waiter, account."""
+        with slot.lock:
+            self._bump("worker_crashes")
+            exitcode = self._lane_down(slot, self._EV_LOST, detail)
+        if self._hard_stop.is_set():
+            exc: Exception = TargetShutdownError(self.name)
+        else:
+            exc = WorkerCrashedError(
+                self.name, slot.index,
+                pid=slot.pid, exitcode=exitcode,
+                region_name=region.name, detail=detail,
+            )
+        region.fulfill(exception=exc)
+        _logger.error(
+            "%s (pid %s) crashed [%s] running region %r (exitcode %s)",
+            self._lane_label(slot), slot.pid, detail, region.name, exitcode,
+        )
+
+    def _log_plain_failure(self, item: Any, region: TargetRegion) -> None:
+        """Plain callables have no waiter; surface their failures in the log."""
+        if isinstance(item, TargetRegion) or region.exception is None:
+            return
+        _logger.error(
+            "unhandled exception in %r posted to %s: %r",
+            item, self.name, region.exception,
+        )

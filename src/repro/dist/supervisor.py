@@ -1,11 +1,12 @@
 """Worker-pool supervision: heartbeats, crash detection, restarts.
 
-A :class:`Supervisor` is one daemon thread per remote-backed target — the
-same sweep serves process targets (workers behind pipes,
-:mod:`repro.dist.process_target`) and cluster targets (workers behind
-sockets, :mod:`repro.cluster.target`), because it is written against the
-slot interface below rather than ``multiprocessing`` internals.  Division
-of labour with the per-slot shipper threads:
+A :class:`Supervisor` is one daemon thread per remote-backed target
+(:class:`~repro.dist.remote_target.RemoteLaneTarget`) — the same sweep
+serves process targets (workers behind pipes) and cluster targets (workers
+behind sockets), because it is written against the slot interface of
+:class:`~repro.dist.remote_target.RemoteLane` rather than
+``multiprocessing`` internals.  Division of labour with the per-slot
+shipper threads:
 
 * a worker that dies **mid-region** is caught by its shipper's result-wait
   loop within one poll tick (the shipper is already watching that worker) —
@@ -34,16 +35,11 @@ pong proves the process schedules threads even while its main thread grinds
 through a long region — ``Process.is_alive()`` alone cannot distinguish
 "computing" from "wedged".
 
-Slot interface
---------------
-Each entry of ``target._slots`` must provide: ``lock`` (RLock), the flags
-``disabled``/``busy``/``last_pong``/``index``, the properties/methods
-``connected`` (a worker is attached), ``is_alive()`` (it is believed live),
-``drain_control()`` (absorb pending control-channel messages, refreshing
-``last_pong`` on pongs), ``exit_label()`` (human-readable cause of death
-for the log line), ``terminate()`` and ``send_ping()`` — plus a
-``target._respawn_slot(slot)`` entry point.  ``_WorkerSlot`` implements it
-over a process + pipes; ``_ClusterSlot`` over two socket transports.
+The slot interface the sweep consumes (``lock``, ``disabled``/``busy``/
+``last_pong``/``index``, ``connected``, ``is_alive()``, ``drain_control()``,
+``exit_label()``, ``terminate()``, ``send_ping()``, plus a
+``target._respawn_slot(slot)`` entry point) and its locking rule are
+specified once, on :class:`~repro.dist.remote_target.RemoteLane`.
 """
 
 from __future__ import annotations
@@ -62,7 +58,7 @@ class Supervisor:
 
     def __init__(
         self,
-        target,  # ProcessTarget/ClusterTarget; untyped: circular import
+        target,  # a RemoteLaneTarget; untyped: circular import
         *,
         interval: float = 1.0,
         misses: int = 3,

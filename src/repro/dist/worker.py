@@ -1,15 +1,18 @@
-"""The worker-process side of a process-backed virtual target.
+"""The remote end of a remote-backed virtual target.
 
-:func:`worker_main` is the ``multiprocessing.Process`` entry point.  Each
-worker runs two threads:
+A worker serves one lane over two channels, with one loop each — the same
+two loops whether the channels are pipes into a child process
+(:func:`worker_main`, the ``multiprocessing.Process`` entry point) or
+accepted sockets on a cluster agent (:mod:`repro.cluster.agent`):
 
-* the **main thread** drives the task loop: clock-sync handshake, then
-  ``recv`` a :class:`~repro.dist.wire.TaskMsg`, rebuild the region, run it,
+* :func:`task_loop` drives the task channel: answer the clock-sync
+  handshake, then ``recv`` a :class:`~repro.dist.wire.TaskMsg` (or
+  :class:`~repro.dist.wire.ClusterTaskMsg`), rebuild the region, run it,
   ship a :class:`~repro.dist.wire.ResultMsg` (result *or* exception, plus
   the worker-side trace events), repeat until :class:`~repro.dist.wire.StopMsg`;
-* a daemon **control thread** answers heartbeat pings and applies
-  cooperative cancellation — it owns the control pipe, so both keep working
-  while the main thread is deep inside a region body.
+* :func:`control_loop`, on its own thread, answers heartbeat pings and
+  applies cooperative cancellation — it owns the ctrl channel, so both keep
+  working while the task loop is deep inside a region body.
 
 Regions execute as real :class:`~repro.core.region.TargetRegion` instances,
 so worker-side user code keeps the full in-process contract:
@@ -23,14 +26,15 @@ body does may kill the worker.  Exceptions are captured and shipped;
 unpicklable payloads/results/exceptions degrade to typed errors
 (:class:`~repro.core.errors.SerializationError`,
 :class:`~repro.core.errors.RemoteExecutionError`) rather than breaking the
-protocol.  Only a torn pipe (the parent died) exits the loop.
+protocol.  Only a torn channel (the parent died, or reclaimed the lane)
+exits the loops.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Any
+from typing import Any, Callable
 
 from ..core.region import TargetRegion
 from ..obs import EventKind
@@ -38,7 +42,7 @@ from ..obs.events import now_ns
 from . import wire
 from .remote_obs import WorkerEventLog
 
-__all__ = ["WorkerConfig", "worker_main"]
+__all__ = ["WorkerConfig", "control_loop", "task_loop", "worker_main"]
 
 
 class WorkerConfig:
@@ -80,16 +84,16 @@ class _Current:
                 self._region.cancel_token.set()
 
 
-def _control_loop(ctrl_conn: Any, current: _Current) -> None:
-    """Answer pings and deliver cancellations until the pipe tears."""
+def control_loop(ctrl: Any, current: _Current) -> None:
+    """Answer pings and deliver cancellations until the channel tears."""
     while True:
         try:
-            msg = ctrl_conn.recv()
+            msg = ctrl.recv()
         except (EOFError, OSError):
             return
         if isinstance(msg, wire.PingMsg):
             try:
-                ctrl_conn.send(wire.PongMsg(msg.sent_ns, os.getpid()))
+                ctrl.send(wire.PongMsg(msg.sent_ns, os.getpid()))
             except (OSError, ValueError):
                 return
         elif isinstance(msg, wire.CancelMsg):
@@ -153,42 +157,63 @@ def _run_task(
     return wire.ResultMsg(msg.seq, True, blob, None, None, None, log.drain(), log.dropped)
 
 
-def worker_main(config: WorkerConfig, task_conn: Any, ctrl_conn: Any) -> None:
-    """Entry point of one worker process (the ``Process`` target).
-
-    Protocol: answer the clock-sync handshake, then loop over tasks until a
+def task_loop(
+    task: Any,
+    config: WorkerConfig,
+    current: _Current,
+    executed: Callable[[], None] | None = None,
+) -> None:
+    """Serve one lane's task channel until a
     :class:`~repro.dist.wire.StopMsg` arrives or the parent disappears.
-    """
-    current = _Current()
-    ctrl = threading.Thread(
-        target=_control_loop,
-        args=(ctrl_conn, current),
-        name=f"repro-dist-ctrl-{config.target_name}-{config.worker_id}",
-        daemon=True,
-    )
-    ctrl.start()
 
+    ``executed()``, when given, fires after each task has run, before its
+    result is shipped (the cluster agent's ``tasks_executed`` counter).
+    """
     while True:
         try:
-            msg = task_conn.recv()
+            msg = task.recv()
         except (EOFError, OSError):
-            return  # parent went away: nothing left to serve
+            return  # parent went away (or reclaimed the lane)
         if isinstance(msg, wire.SyncMsg):
             # Clock-sync probe: answer as fast as possible so the parent's
             # round-trip midpoint estimate is tight.  The parent probes twice
-            # at spawn — the first round absorbs interpreter startup, only
-            # the second (warm, pure pipe latency) sets the offset.
+            # when a lane opens — the first round absorbs worker start-up,
+            # only the second (warm, pure channel latency) sets the offset.
             try:
-                task_conn.send(wire.SyncAck(now_ns(), os.getpid()))
+                task.send(wire.SyncAck(now_ns(), os.getpid()))
             except (OSError, ValueError):
                 return
             continue
         if isinstance(msg, wire.StopMsg):
             return
-        if not isinstance(msg, wire.TaskMsg):
+        if not isinstance(msg, (wire.TaskMsg, wire.ClusterTaskMsg)):
             continue  # unknown message from a newer parent: skip, stay alive
-        result = _run_task(msg, config, current)
+        notify = None
+        tag = getattr(msg, "tag", None)  # only ClusterTaskMsg carries one
+        if tag is not None:
+            def notify(region, _seq=msg.seq, _tag=tag):
+                outcome = "failed" if region.exception is not None else "completed"
+                try:
+                    task.send(wire.TagDoneMsg(_seq, _tag, outcome))
+                except (OSError, ValueError):
+                    pass  # the ResultMsg send below will surface the tear
+        result = _run_task(msg, config, current, on_body_done=notify)
+        if executed is not None:
+            executed()
         try:
-            task_conn.send(result)
+            task.send(result)
         except (OSError, ValueError, EOFError):
-            return  # parent tore the pipe mid-result
+            return  # parent tore the channel mid-result
+
+
+def worker_main(config: WorkerConfig, task_conn: Any, ctrl_conn: Any) -> None:
+    """Entry point of one worker process (the ``Process`` target): the
+    control loop on a daemon thread, the task loop on the main thread."""
+    current = _Current()
+    threading.Thread(
+        target=control_loop,
+        args=(ctrl_conn, current),
+        name=f"repro-dist-ctrl-{config.target_name}-{config.worker_id}",
+        daemon=True,
+    ).start()
+    task_loop(task_conn, config, current)

@@ -155,6 +155,39 @@ class TestFaults:
         assert region.result() == "cancelled" or region.exception is not None
 
 
+class TestHeartbeats:
+    """A healthy lane answers pings, so supervision must leave it alone."""
+
+    def test_idle_lanes_are_not_reconnected(self, agent):
+        rt = PjRuntime()
+        try:
+            target = rt.create_cluster(
+                "idle", [agent.endpoint], shards=2,
+                heartbeat_interval=0.1, heartbeat_misses=3,
+            )
+            assert _wait_until(lambda: target.connected_count == 2)
+            time.sleep(1.0)  # three miss budgets' worth of sweeps
+            assert target.restart_count == 0
+            assert target.stats["worker_crashes"] == 0
+            assert target.connected_count == 2
+        finally:
+            rt.shutdown(wait=False)
+
+    def test_busy_lanes_are_not_reconnected(self, cluster_rt):
+        # The fixture's heartbeat_interval=0.25 gives a 0.75 s miss budget;
+        # dispatch back to back for well over that.
+        target = cluster_rt.get_target("cw")
+        deadline = time.monotonic() + 2.0
+        n = 0
+        while time.monotonic() < deadline:
+            assert cluster_rt.invoke_target_block(
+                "cw", TargetRegion(bodies.square, n)
+            ).result() == n * n
+            n += 1
+        assert target.restart_count == 0
+        assert target.stats["worker_crashes"] == 0
+
+
 class TestTraceMerge:
     def test_remote_events_merge_with_connect_instants(self, cluster_rt):
         session = obs.enable()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -109,6 +110,30 @@ class TestTcp:
             client.recv()
         assert client.eof
         client.close()
+
+    def test_poll_zero_looks_at_the_socket(self):
+        # poll(0) is how the supervisor collects pongs and how is_alive()
+        # finds an idle tear; it must do one zero-timeout select, not give
+        # up because the (zero) deadline has already passed.
+        def soon(predicate, budget=5.0):
+            deadline = time.monotonic() + budget
+            while not predicate() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return predicate()
+
+        client, server = tcp_pair()
+        try:
+            assert not server.poll(0)  # nothing sent yet
+            client.send("x")
+            assert soon(lambda: server.poll(0)), "poll(0) never saw the frame"
+            assert server.recv() == "x"
+            assert not server.poll(0)
+            client.close()
+            assert soon(lambda: server.poll(0)), "poll(0) never saw the close"
+            assert server.eof
+        finally:
+            client.close()
+            server.close()
 
     def test_oversized_frame_header_tears_the_stream(self):
         listener = listen()
