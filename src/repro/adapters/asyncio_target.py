@@ -27,13 +27,10 @@ import logging
 import threading
 from typing import Any, Callable
 
-from ..core import injection as _inj
-from ..core.errors import QueueFullError, RuntimeStateError, TargetShutdownError
+from ..core.errors import RuntimeStateError, TargetShutdownError
 from ..core.region import TargetRegion
 from ..core.runtime import PjRuntime
 from ..core.targets import VirtualTarget, _item_identity
-from ..obs import EventKind
-from ..obs import recorder as _obs
 
 __all__ = ["AsyncioEdtTarget", "register_asyncio_edt", "as_future", "run_blocking_io"]
 
@@ -46,6 +43,13 @@ class AsyncioEdtTarget(VirtualTarget):
     The loop's callback thread becomes the single member, so widget-style
     code guarded by ``target virtual(<name>)`` executes on the loop exactly
     like EDT-confined code does under Swing.
+
+    The backlog lives on the inherited target queue — admission, rejection
+    policies, injection seams, depth telemetry and backlog cancellation are
+    the base class's — and the loop is merely its consumer: every admitted
+    post schedules one ``call_soon_threadsafe`` step that runs the oldest
+    queued item, so the loop's own callback queue stays the pacing and
+    fairness authority.
     """
 
     kind = "asyncio"
@@ -64,11 +68,6 @@ class AsyncioEdtTarget(VirtualTarget):
         )
         self.loop = loop
         self._bound = threading.Event()
-        # Regions handed to the loop but not yet run.  The loop's own queue
-        # is opaque to us, so this shadow set is what shutdown(wait=False)
-        # cancels and what the backpressure policies count against.
-        self._inflight: set[TargetRegion] = set()
-        self._inflight_cond = threading.Condition()
         loop.call_soon_threadsafe(self._bind)
 
     def _bind(self) -> None:
@@ -86,94 +85,18 @@ class AsyncioEdtTarget(VirtualTarget):
         item: TargetRegion | Callable[[], Any],
         *,
         timeout: float | None = None,
-    ) -> None:
-        if self._shutdown.is_set():
-            raise TargetShutdownError(self.name)
+    ) -> bool:
         if self.loop.is_closed():
             raise TargetShutdownError(self.name)
-        # Same seam point as VirtualTarget.post: this post path bypasses the
-        # base queue entirely, so without its own crossing the stress and
-        # exploration harnesses would silently under-test this backend.
-        hooks = _inj.hooks
-        if hooks is not None:
-            hooks.fire("post", self.name)
-        if isinstance(item, TargetRegion):
-            if not self._admit(item, timeout):
-                return  # caller_runs executed it synchronously
-            self.loop.call_soon_threadsafe(lambda: self._run_tracked(item))
-        else:
-            session = _obs.session()
-            if session.enabled:
-                region, label = _item_identity(item)
-                session.emit(
-                    EventKind.ENQUEUE, target=self.name, region=region, name=label
-                )
-            self.loop.call_soon_threadsafe(lambda: self._dispatch(item))
+        queued = super().post(item, timeout=timeout)
+        if queued:
+            # The guest primitive, one step per queued item: a step whose
+            # item was withdrawn meanwhile (backlog cancel) finds nothing.
+            self.loop.call_soon_threadsafe(VirtualTarget.process_one, self, 0)
+        return queued
 
-    def _admit(self, region: TargetRegion, timeout: float | None) -> bool:
-        """Apply the rejection policy against the in-flight shadow set.
-
-        Returns False when ``caller_runs`` already executed the region in the
-        posting thread (nothing left to hand to the loop).
-        """
-        hooks = _inj.hooks
-        if (
-            hooks is not None
-            and hooks.force_queue_full is not None
-            and self.queue_capacity is not None
-            and hooks.force_queue_full(self.name)
-        ):
-            # Fault injection: behave exactly as a bounded admission that
-            # found no space within its budget (mirrors _TargetQueue.put —
-            # and, like it, an unbounded target never consults the hook).
-            if self.rejection_policy == "caller_runs":
-                if region.done:
-                    return False  # cancelled before the handoff: a corpse
-                self._bump("caller_runs")
-                self._trace_reject(region, _obs.session(), "caller_runs")
-                self._warn_caller_runs_on_loop(region)
-                self._dispatch(region, dequeued=False)
-                return False
-            self._bump("rejected")
-            self._trace_reject(region, _obs.session(), self.rejection_policy)
-            raise QueueFullError(self.name, self.queue_capacity, self.rejection_policy)
-        with self._inflight_cond:
-            cap = self.queue_capacity
-            if cap is not None and len(self._inflight) >= cap:
-                if self.rejection_policy == "reject":
-                    self._bump("rejected")
-                    self._trace_reject(region, _obs.session(), "reject")
-                    raise QueueFullError(self.name, cap, "reject")
-                if self.rejection_policy == "caller_runs":
-                    pass  # dispatched below, outside the lock
-                else:  # block
-                    ok = self._inflight_cond.wait_for(
-                        lambda: self._shutdown.is_set() or len(self._inflight) < cap,
-                        timeout=timeout,
-                    )
-                    if self._shutdown.is_set():
-                        raise TargetShutdownError(self.name)
-                    if not ok:
-                        self._bump("rejected")
-                        self._trace_reject(region, _obs.session(), "block")
-                        raise QueueFullError(self.name, cap, "block")
-                    self._track(region)
-                    return True
-            else:
-                self._track(region)
-                return True
-        # caller_runs: the REJECT marker (arg: policy) tells trace verifiers
-        # this execution legitimately bypassed the queue.
-        if region.done:
-            return False  # cancelled while the admission verdict was made
-        self._bump("caller_runs")
-        self._trace_reject(region, _obs.session(), "caller_runs")
-        self._warn_caller_runs_on_loop(region)
-        self._dispatch(region, dequeued=False)
-        return False
-
-    def _warn_caller_runs_on_loop(self, region: TargetRegion) -> None:
-        """The ``caller_runs`` hazard this adapter is uniquely exposed to.
+    def _dispatch(self, item: Any, *, dequeued: bool = True) -> None:
+        """Adds the ``caller_runs`` hazard this adapter is uniquely exposed to.
 
         On a thread-backed target, caller_runs is backpressure: the posting
         thread pays for its own burst.  But when the poster *is* the event
@@ -181,93 +104,60 @@ class AsyncioEdtTarget(VirtualTarget):
         running CPU-bound work on the loop — every other connection stalls
         behind it.  The policy still honors its contract, so this warns
         rather than refuses; latency-sensitive loops should prefer ``reject``
-        (map it to a 503) or ``block`` with a timeout.
+        (map it to a 503) or ``block`` with a post timeout.
         """
-        if self.contains():
+        if not dequeued and self.contains():
             _logger.warning(
                 "caller_runs on asyncio target %r is executing region %r on "
                 "the event loop thread; CPU-bound work will stall every other "
                 "callback — prefer rejection_policy='reject' (surface a 503) "
                 "or 'block' with a post timeout",
-                self.name, region.label,
+                self.name, _item_identity(item)[1],
             )
-
-    def _track(self, region: TargetRegion) -> None:
-        # Caller holds _inflight_cond.
-        self._inflight.add(region)
-        self._queue.high_water = max(self._queue.high_water, len(self._inflight))
-        self._bump("posted")
-        session = _obs.session()
-        if session.enabled:
-            # The loop's internal callback queue is opaque; the in-flight
-            # shadow set is this adapter's queue for tracing purposes too.
-            session.emit(
-                EventKind.ENQUEUE, target=self.name, region=region.seq,
-                name=region.label,
-            )
-            self._trace_depth(session)
-
-    def _depth(self) -> int:
-        # Caller may hold _inflight_cond (from _track); len() is a single
-        # C-level read, so no re-acquisition is needed for a sample.
-        return len(self._inflight)
-
-    def _run_tracked(self, region: TargetRegion) -> None:
-        try:
-            self._dispatch(region)
-        finally:
-            with self._inflight_cond:
-                self._inflight.discard(region)
-                self._inflight_cond.notify_all()
+        super()._dispatch(item, dequeued=dequeued)
 
     def process_one(self, timeout: float | None = None) -> bool:
+        """Refused, and :meth:`drain` with it: the backlog is loop-confined
+        work, and a guest would run it on the calling thread."""
         raise RuntimeStateError(
             f"asyncio target {self.name!r} cannot be pumped; await regions "
             "with as_future() inside coroutines instead"
         )
 
-    #: How long ``shutdown(wait=True)`` waits for the in-flight shadow set to
-    #: drain before downgrading to cancel with a diagnostic (class-level so
-    #: tests can shrink it, mirroring ``EdtTarget._shutdown_ack_timeout``).
+    #: How long ``shutdown(wait=True)`` waits for the backlog to run down
+    #: before downgrading to cancel with a diagnostic (class-level so tests
+    #: can shrink it, mirroring ``EdtTarget._shutdown_ack_timeout``).
     _drain_grace = 5.0
 
     def shutdown(self, wait: bool = True) -> None:
         # The loop belongs to the application; we only detach from it.  But
-        # regions we already handed to the loop are ours: ``wait=False``
-        # cancels the not-yet-run ones so their waiters fail fast instead of
-        # hanging on callbacks a dying loop may never execute.  ``wait=True``
-        # honors the drain covenant *bounded by _drain_grace*: an in-flight
-        # keep-alive handler that never returns must not wedge the caller, so
-        # past the deadline the drain downgrades to cancel and says so.
-        if self._shutdown.is_set():
+        # items already queued for the loop are ours: ``wait=False`` cancels
+        # the not-yet-run ones so their waiters fail fast instead of hanging
+        # on callbacks a dying loop may never execute.  ``wait=True`` honors
+        # the drain covenant *bounded by _drain_grace*: a keep-alive handler
+        # that never returns must not wedge the caller, so past the deadline
+        # the drain downgrades to cancel and says so.
+        if not self._enter_shutdown():
             return
-        self._shutdown.set()
-        with self._inflight_cond:
-            self._inflight_cond.notify_all()  # release blocked posters
-        if wait and not self.contains() and not self.loop.is_closed():
+        if not self.loop.is_running():
+            wait = False  # stopped or closed: no step will ever run
+        elif wait and not self.contains():
             # Waiting *on* the loop thread would deadlock the very loop that
-            # has to run the callbacks being waited for — same self-thread
-            # rule as EdtTarget.shutdown.  Off-loop, give the backlog a
-            # bounded chance to run down before giving up on it.
-            with self._inflight_cond:
-                drained = self._inflight_cond.wait_for(
-                    lambda: not self._inflight, timeout=self._drain_grace
-                )
-            if not drained:
+            # has to run the steps being waited for — same self-thread rule
+            # as EdtTarget.shutdown.  Off-loop, a marker callback queues FIFO
+            # behind every step already scheduled (and the one running).
+            drained = threading.Event()
+            self.loop.call_soon_threadsafe(drained.set)
+            if not drained.wait(self._drain_grace):
                 wait = False  # downgrade: cancel whatever is still pending
                 _logger.warning(
-                    "asyncio target %r did not drain its in-flight regions "
+                    "asyncio target %r did not drain its queued regions "
                     "within %.1fs; downgrading shutdown to cancel: %s",
                     self.name, self._drain_grace, self.describe(),
                 )
-        with self._inflight_cond:
-            inflight = list(self._inflight)
         if not wait:
-            reason = TargetShutdownError(self.name)
-            for region in inflight:
-                if region.cancel(reason):
-                    self._bump("cancelled_on_shutdown")
-        thread = next(iter(self._members), None) if self._members else None
+            self._cancel_pending()
+        thread = next(iter(self._members), None)
         if thread is not None:
             self._exit_member(thread)
 

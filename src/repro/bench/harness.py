@@ -26,10 +26,11 @@ testable with a deterministic fake clock.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
+
+from ..obs.metrics import percentile
 
 __all__ = [
     "Benchmark",
@@ -152,22 +153,6 @@ class BenchResult:
             "p95_ns": round(self.p95_ns, 3),
             "max_ns": round(self.max_ns, 3),
         }
-
-
-def percentile(samples: Iterable[float], pct: float) -> float:
-    """Linear-interpolated percentile (numpy-free; deterministic)."""
-    xs = sorted(samples)
-    if not xs:
-        raise ValueError("percentile of empty sample set")
-    if len(xs) == 1:
-        return xs[0]
-    rank = (pct / 100.0) * (len(xs) - 1)
-    lo = math.floor(rank)
-    hi = math.ceil(rank)
-    if lo == hi:
-        return xs[lo]
-    frac = rank - lo
-    return xs[lo] * (1.0 - frac) + xs[hi] * frac
 
 
 # ------------------------------------------------------------------ registry

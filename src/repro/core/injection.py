@@ -11,8 +11,10 @@ harness (:mod:`repro.check`) has into the dispatch path: a process-global
 Seam points (the string passed to :attr:`InjectionHooks.jitter` and
 :attr:`InjectionHooks.decision`):
 
-* ``"post"`` — in :meth:`VirtualTarget.post`, before the enqueue (also in
-  the asyncio adapter's post path, which bypasses the base queue).
+* ``"post"`` — in :meth:`VirtualTarget.post`, before the enqueue.  Every
+  target kind (thread pool, EDT, asyncio adapter, process and cluster
+  lanes) admits through that one method, so the seam — and a shutdown
+  sealing the queue behind a poster parked at it — covers them all.
 * ``"dispatch"`` — in :meth:`VirtualTarget._dispatch`, after an item left
   the queue and before its body runs (the *delayed dequeue* fault: widens
   the window in which a cancel or shutdown can race the execution).

@@ -560,15 +560,9 @@ class PjRuntime:
                     # Barrier-mode steal: the awaiting thread worked its own
                     # target's queue, so victim and thief coincide (ring
                     # steals attribute a sibling target instead).
-                    session.emit(
-                        EventKind.PUMP_STEAL, target=mine.name, region=region.seq,
-                        name=region.label,
-                        arg={
-                            "victim": mine.name,
-                            "thief": mine.name,
-                            "lane": threading.current_thread().name,
-                            "mode": "barrier",
-                        },
+                    mine._trace_steal(
+                        session, mine, "barrier",
+                        region=region.seq, name=region.label,
                     )
         finally:
             if session.enabled:

@@ -25,6 +25,7 @@ import os
 import queue
 import threading
 import time
+from collections import deque
 from typing import Any, Callable
 
 from ..obs import EventKind
@@ -94,37 +95,35 @@ def current_target() -> "VirtualTarget | None":
     return getattr(_thread_target, "value", None)
 
 
-class _Wakeup:
-    """Sentinel posted to a queue purely to unblock a pumping thread."""
+class _Sentinel:
+    """A control marker riding a target queue uncounted: it bypasses
+    capacity and closure, never shows in ``work_count()`` and is a batch
+    barrier for ``get_batch``.
 
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<wakeup>"
-
-
-_WAKEUP = _Wakeup()
-
-
-class _Retire:
-    """Sentinel asking exactly one pool lane to exit (autoscaler shrink)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<retire>"
-
-
-_RETIRE = _Retire()
-
-
-def _is_control(item: Any) -> bool:
-    """True for queue control sentinels (wakeup/shutdown/retire).
-
-    Sentinels ride the queue uncounted: they bypass capacity, never appear in
-    ``work_count()`` and are invisible to dequeue batching and stealing.
+    ``loop_only`` is its *address*.  Shutdown and retire are for the loop
+    that owns the queue (:meth:`VirtualTarget._serve_queue`); a guest — a
+    member pumping an ``await`` barrier, ``drain``, the asyncio consumer
+    step — or a ring thief leaves them in place, because swallowing one
+    would leave the loop running forever once the barrier ends.  A wakeup
+    is for whoever is blocked on the queue.
     """
-    return isinstance(item, (_Wakeup, _Shutdown, _Retire))
+
+    __slots__ = ("label", "loop_only")
+
+    def __init__(self, label: str, *, loop_only: bool) -> None:
+        self.label = label
+        self.loop_only = loop_only
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<{self.label}>"
+
+
+#: Posted purely to unblock a pumping thread.
+_WAKEUP = _Sentinel("wakeup", loop_only=False)
+#: Asks exactly one pool lane to exit (autoscaler shrink).
+_RETIRE = _Sentinel("retire", loop_only=True)
+#: Ends one owner loop; shutdown queues one per loop, FIFO behind the backlog.
+_SHUTDOWN = _Sentinel("shutdown", loop_only=True)
 
 
 def _item_identity(item: Any) -> tuple[int | None, str]:
@@ -155,6 +154,13 @@ class _TargetQueue:
 
     Capacity counts *work* items only; sentinels ride along uncounted via
     :meth:`put_internal`.
+
+    Which consumer may take which item is decided here and nowhere else:
+    a loop owner (:meth:`get_batch`) takes the head whatever it is, a guest
+    (:meth:`get`) the oldest work item or wakeup, a ring thief
+    (:meth:`steal_work`) the oldest work item.  What a consumer may not
+    take keeps its place, so work queued before a shutdown sentinel always
+    runs before the loop that owns the sentinel exits.
     """
 
     def __init__(self, owner: str, capacity: int | None = None) -> None:
@@ -162,7 +168,7 @@ class _TargetQueue:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
         self._owner = owner
         self.capacity = capacity
-        self._items: list[Any] = []
+        self._items: deque[Any] = deque()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
@@ -172,151 +178,161 @@ class _TargetQueue:
         # at put/get so capacity checks and depth samples never rescan the
         # backlog.  Guarded by ``_lock``; read lock-free for telemetry.
         self._work = 0
+        # Loop-only sentinels currently queued: ``len(_items) - _parked`` is
+        # what a guest may take.  Guarded by ``_lock``.
+        self._parked = 0
 
     # ------------------------------------------------------------- producers
 
-    def _work_count(self) -> int:
-        return self._work
-
     def put(self, item: Any, *, block: bool = True, timeout: float | None = None) -> bool:
-        """Enqueue *item*; returns False if a bounded queue stayed full.
+        """Enqueue work *item*; returns False if a bounded queue stayed full.
 
-        With ``block=True`` waits for space (bounded by *timeout*); raises
-        :class:`TargetShutdownError` if the queue closes while waiting, so a
-        poster blocked on a full queue cannot outlive the target.
+        With ``block=True`` waits for space (bounded by *timeout*).  Raises
+        :class:`TargetShutdownError` once the queue is closed — also out of
+        the wait, so a poster blocked on a full queue cannot outlive the
+        target.
         """
-        hooks = _inj.hooks
-        if (
-            hooks is not None
-            and hooks.force_queue_full is not None
-            and self.capacity is not None
-            and hooks.force_queue_full(self._owner)
-        ):
-            # Fault injection: behave exactly as a bounded put that found no
-            # space within its budget, so every rejection policy is reachable
-            # without actually wedging the queue.
-            return False
+        cap = self.capacity
+        if cap is not None:
+            hooks = _inj.hooks
+            if (
+                hooks is not None
+                and hooks.force_queue_full is not None
+                and hooks.force_queue_full(self._owner)
+            ):
+                # Fault injection: behave exactly as a bounded put that found
+                # no space within its budget, so every rejection policy is
+                # reachable without actually wedging the queue.  An unbounded
+                # queue can never be full and never consults the hook.
+                return False
         with self._not_full:
-            if self.capacity is not None:
-                if block:
-                    ok = self._not_full.wait_for(
-                        lambda: self._closed or self._work < self.capacity,
-                        timeout=timeout,
-                    )
-                    if self._closed:
-                        raise TargetShutdownError(self._owner)
-                    if not ok:
-                        return False
-                elif self._work >= self.capacity:
+            if cap is not None and self._work >= cap:
+                if not block or not self._not_full.wait_for(
+                    lambda: self._closed or self._work < cap, timeout=timeout
+                ):
                     return False
             if self._closed:
                 raise TargetShutdownError(self._owner)
             self._items.append(item)
-            if not _is_control(item):
-                self._work += 1
-                if self._work > self.high_water:
-                    self.high_water = self._work
+            self._work += 1
+            if self._work > self.high_water:
+                self.high_water = self._work
             self._not_empty.notify()
         return True
 
-    def put_internal(self, item: Any) -> None:
+    def put_internal(self, sentinel: _Sentinel) -> None:
         """Enqueue a control sentinel, ignoring capacity and closure."""
         with self._not_empty:
-            self._items.append(item)
-            self._not_empty.notify()
+            self._items.append(sentinel)
+            self._parked += sentinel.loop_only
+            # Owners and guests wait on one condition and a guest cannot take
+            # a loop-only sentinel: one notify could be spent on it and lost.
+            self._not_empty.notify_all()
 
     # ------------------------------------------------------------- consumers
 
-    def get(self, timeout: float | None = None) -> Any:
-        with self._not_empty:
-            if not self._not_empty.wait_for(lambda: self._items, timeout=timeout):
-                raise queue.Empty
-            item = self._items.pop(0)
-            if not _is_control(item):
-                self._work -= 1
-            self._not_full.notify()
-            return item
+    def _pop(self, index: int = 0) -> Any:
+        """Remove and return item *index* — the one dequeue (lock held)."""
+        items = self._items
+        if index:
+            item = items[index]
+            del items[index]
+        else:
+            item = items.popleft()
+        if isinstance(item, _Sentinel):
+            self._parked -= item.loop_only
+        else:
+            self._work -= 1
+            if self.capacity is not None:
+                self._not_full.notify()
+        return item
 
-    def get_nowait(self) -> Any:
+    def _oldest(self, *, wakeups: bool) -> int:
+        """Index of the oldest work item — or wakeup, if *wakeups* — skipping
+        sentinels addressed to someone else (lock held; one must exist)."""
+        return next(
+            i for i, item in enumerate(self._items)
+            if not isinstance(item, _Sentinel) or (wakeups and not item.loop_only)
+        )
+
+    def get(self, timeout: float | None = None) -> Any:
+        """Guest dequeue: the oldest work item or wakeup.
+
+        Blocks on the queue condition up to *timeout* while only loop-only
+        sentinels (or nothing) are queued, then raises ``queue.Empty``.
+        """
         with self._not_empty:
-            if not self._items:
+            items = self._items
+            if len(items) <= self._parked and not self._not_empty.wait_for(
+                lambda: len(items) > self._parked, timeout=timeout
+            ):
                 raise queue.Empty
-            item = self._items.pop(0)
-            if not _is_control(item):
-                self._work -= 1
-            self._not_full.notify()
-            return item
+            return self._pop(self._oldest(wakeups=True) if self._parked else 0)
 
     def get_batch(self, max_items: int, timeout: float | None = None) -> list[Any]:
-        """Dequeue up to *max_items* head items in one lock acquisition.
+        """Owner dequeue: up to *max_items* head items in one acquisition.
 
         The dequeue-batching primitive: FIFO order is preserved exactly, and
         control sentinels stay batch barriers — a sentinel at the head is
         returned alone, and collection stops *before* any later sentinel, so
         shutdown/retire ordering semantics ("everything queued before the
-        sentinel still runs first") are identical to item-at-a-time ``get``.
+        sentinel still runs first") are identical to item-at-a-time dequeue.
         Raises ``queue.Empty`` if nothing arrived within *timeout*.
         """
         with self._not_empty:
-            if not self._not_empty.wait_for(lambda: self._items, timeout=timeout):
+            items = self._items
+            if not items and not self._not_empty.wait_for(
+                lambda: items, timeout=timeout
+            ):
                 raise queue.Empty
-            batch: list[Any] = []
-            freed = 0
-            while self._items and len(batch) < max_items:
-                head = self._items[0]
-                if _is_control(head):
-                    if batch:
-                        break  # the sentinel waits for the next acquisition
-                    batch.append(self._items.pop(0))
-                    break
-                batch.append(self._items.pop(0))
-                self._work -= 1
-                freed += 1
-            if freed:
-                self._not_full.notify(freed)
-            else:
-                self._not_full.notify()
+            batch = [self._pop()]
+            if not isinstance(batch[0], _Sentinel):
+                while (
+                    len(batch) < max_items
+                    and items
+                    and not isinstance(items[0], _Sentinel)
+                ):
+                    batch.append(self._pop())
             return batch
 
     def steal_work(self) -> Any | None:
         """Remove and return the oldest queued work item for a ring thief.
 
         Returns None when the queue is closed (teardown owns the backlog
-        then — ``drain_items`` and this method serialise on the queue lock,
+        then — ``drain_work`` and this method serialise on the queue lock,
         so an item is either stolen or cancelled, never both) or holds no
         work.  Sentinels are skipped: they address this target's own loops.
         """
         with self._lock:
-            if self._closed:
+            if self._closed or not self._work:
                 return None
-            for i, item in enumerate(self._items):
-                if not _is_control(item):
-                    del self._items[i]
-                    self._work -= 1
-                    self._not_full.notify()
-                    return item
-            return None
+            return self._pop(self._oldest(wakeups=False))
 
     # -------------------------------------------------------------- teardown
 
     def close(self) -> None:
-        """Refuse further posts; wake blocked posters so they fail fast."""
+        """Seal the queue: refuse further work, wake blocked posters so they
+        fail fast.  Already-queued items are untouched and still drain."""
         with self._lock:
             self._closed = True
             self._not_full.notify_all()
             self._not_empty.notify_all()
 
-    def drain_items(self) -> list[Any]:
-        """Atomically remove and return everything queued (teardown helper)."""
+    def drain_work(self) -> list[Any]:
+        """Atomically remove and return every queued work item (teardown
+        helper); sentinels keep their place."""
         with self._lock:
-            items, self._items = self._items, []
-            self._work = 0
-            self._not_full.notify_all()
-            return items
+            work = [i for i in self._items if not isinstance(i, _Sentinel)]
+            if work:
+                kept = [i for i in self._items if isinstance(i, _Sentinel)]
+                self._items.clear()
+                self._items.extend(kept)
+                self._work = 0
+                self._not_full.notify_all()
+            return work
 
     def qsize(self) -> int:
-        with self._lock:
-            return len(self._items)
+        return len(self._items)
 
     def work_count(self) -> int:
         """Queued *work* items (sentinels excluded) — the queue-depth sample.
@@ -417,25 +433,38 @@ class VirtualTarget(abc.ABC):
         """Stop accepting work; drain the backlog (``wait=True``) or cancel
         it (``wait=False``) so no queued region is ever silently stranded."""
 
-    def _cancel_pending(self) -> int:
-        """Atomically pull every queued item and cancel it.
+    def _enter_shutdown(self) -> bool:
+        """Flag the target shut down and seal its queue; False if it already
+        was.  Sealing happens in *both* shutdown modes, under the queue
+        lock: a poster past the ``_shutdown`` check and still at the
+        ``"post"`` seam raises :class:`TargetShutdownError` like every other
+        late post instead of landing behind the sentinels, where no loop
+        will ever look.  Work queued before the seal still drains.
+        """
+        if self._shutdown.is_set():
+            return False
+        self._shutdown.set()
+        self._queue.close()
+        return True
+
+    def _cancel_pending(self, reason: BaseException | None = None) -> int:
+        """Atomically pull every queued work item and cancel it.
 
         Queued :class:`TargetRegion` instances transition to ``CANCELLED``
-        with a :class:`TargetShutdownError` reason, so every waiter —
-        ``region.wait()/result()``, ``wait_tag``, ``await`` logical barriers —
-        unblocks promptly with a diagnosable error instead of deadlocking on
-        work that will never run.  Plain callables are dropped and logged.
-        Control sentinels are re-queued untouched.  Returns the number of
-        regions cancelled.
+        with *reason* (default: a :class:`TargetShutdownError`), so every
+        waiter — ``region.wait()/result()``, ``wait_tag``, ``await`` logical
+        barriers — unblocks promptly with a diagnosable error instead of
+        deadlocking on work that will never run.  Plain callables are
+        dropped and logged.  Control sentinels keep their place.  Returns
+        the number of regions cancelled.
         """
         cancelled = 0
         dropped = 0
-        reason = TargetShutdownError(self.name)
+        if reason is None:
+            reason = TargetShutdownError(self.name)
         session = _obs.session()
-        for item in self._queue.drain_items():
-            if _is_control(item):
-                self._queue.put_internal(item)
-            elif isinstance(item, TargetRegion):
+        for item in self._queue.drain_work():
+            if isinstance(item, TargetRegion):
                 if item.cancel(reason):
                     cancelled += 1
                     self._bump("cancelled_on_shutdown")
@@ -463,7 +492,7 @@ class VirtualTarget(abc.ABC):
         item: TargetRegion | Callable[[], Any],
         *,
         timeout: float | None = None,
-    ) -> None:
+    ) -> bool:
         """Enqueue a region or a plain callable for asynchronous execution
         (Algorithm 1 line 8: ``E.post(B)``).
 
@@ -471,7 +500,8 @@ class VirtualTarget(abc.ABC):
         :attr:`rejection_policy` decides: ``block`` parks the caller (up to
         *timeout* seconds, then :class:`QueueFullError`), ``reject`` raises
         :class:`QueueFullError` immediately, ``caller_runs`` executes *item*
-        synchronously in the posting thread.
+        synchronously in the posting thread.  Returns True if *item* was
+        queued, False if ``caller_runs`` already disposed of it here.
         """
         if self._shutdown.is_set():
             raise TargetShutdownError(self.name)
@@ -484,33 +514,30 @@ class VirtualTarget(abc.ABC):
         session = _obs.session()
         enq_ts = now_ns() if session.enabled else 0
         policy = self.rejection_policy
-        if policy == "block":
-            if not self._queue.put(item, block=True, timeout=timeout):
-                self._bump("rejected")
-                self._trace_reject(item, session, policy)
-                raise QueueFullError(self.name, self._queue.capacity, policy)
-        elif policy == "reject":
-            if not self._queue.put(item, block=False):
-                self._bump("rejected")
-                self._trace_reject(item, session, policy)
-                raise QueueFullError(self.name, self._queue.capacity, policy)
-        else:  # caller_runs
-            if not self._queue.put(item, block=False):
-                if isinstance(item, TargetRegion) and item.done:
-                    # A cancel (or shutdown) won the race while this poster
-                    # was between the seam point and the full-queue verdict:
-                    # the region is already terminal.  Emitting REJECT and
-                    # bumping caller_runs here would claim a queue bypass
-                    # for work that never ran — drop the corpse silently,
-                    # exactly as a dequeue of a withdrawn item does.
-                    return
-                self._bump("caller_runs")
+        if not self._queue.put(item, block=policy == "block", timeout=timeout):
+            runs_here = policy == "caller_runs"
+            if runs_here and isinstance(item, TargetRegion) and item.done:
+                # A cancel (or shutdown) won the race while this poster
+                # was between the seam point and the full-queue verdict:
+                # the region is already terminal.  Emitting REJECT and
+                # bumping caller_runs here would claim a queue bypass
+                # for work that never ran — drop the corpse silently,
+                # exactly as a dequeue of a withdrawn item does.
+                return False
+            self._bump("caller_runs" if runs_here else "rejected")
+            if session.enabled:
                 # The REJECT marker (arg: policy) is what lets a trace
-                # verifier tell this legitimate queue-less execution apart
-                # from a lost dequeue.
-                self._trace_reject(item, session, policy)
-                self._dispatch(item, dequeued=False)
-                return
+                # verifier tell a legitimate queue-less caller_runs
+                # execution apart from a lost dequeue.
+                region, label = _item_identity(item)
+                session.emit(
+                    EventKind.REJECT, target=self.name, region=region,
+                    name=label, arg=policy,
+                )
+            if not runs_here:
+                raise QueueFullError(self.name, self._queue.capacity, policy)
+            self._dispatch(item, dequeued=False)
+            return False
         self._bump("posted")
         if session.enabled:
             region, label = _item_identity(item)
@@ -519,17 +546,24 @@ class VirtualTarget(abc.ABC):
                 ts=enq_ts,
             )
             self._trace_depth(session)
+        return True
 
     def wakeup(self) -> None:
-        """Unblock one thread waiting on the queue without giving it work."""
-        self._queue.put_internal(_WAKEUP)
+        """Unblock one thread waiting on the queue without giving it work.
+
+        A no-op where members cannot pump: nothing then ever blocks on the
+        queue as a guest, and on the asyncio adapter a queued wakeup would
+        use up the consumer step of the item behind it.
+        """
+        if self.supports_pumping:
+            self._queue.put_internal(_WAKEUP)
 
     @property
     def pending(self) -> int:
         """Approximate number of queued items (sentinels included).
 
         Prefer :meth:`work_count` for diagnostics: control sentinels
-        (shutdown markers re-queued by ``drain``/``process_one``, barrier
+        (shutdown markers waiting for the loop that owns them, barrier
         wakeups) ride this figure, so an idle target can legitimately show
         ``pending > 0`` while owing no work to anyone.
         """
@@ -539,12 +573,11 @@ class VirtualTarget(abc.ABC):
         """Queued *work* items, control sentinels excluded.
 
         This is the honest backlog figure: zero means the target owes
-        nothing, even if re-posted shutdown sentinels or barrier wakeups are
-        still physically in the queue.  Adapters that keep their backlog
-        elsewhere (e.g. the asyncio in-flight shadow set) are covered because
-        this delegates to the same :meth:`_depth` their depth samples use.
+        nothing, even if shutdown sentinels or barrier wakeups are still
+        physically in the queue.  Every target kind keeps its backlog on
+        this one queue, so this is also the ``QUEUE_DEPTH`` trace sample.
         """
-        return self._depth()
+        return self._queue._work
 
     @property
     def queue_capacity(self) -> int | None:
@@ -601,40 +634,55 @@ class VirtualTarget(abc.ABC):
     def process_one(self, timeout: float | None = None) -> bool:
         """Run one queued item in the calling thread.
 
-        Returns True if an actual work item ran; False if the queue was empty
-        for *timeout* seconds or only a wakeup sentinel arrived.  This is the
-        primitive behind the ``await`` logical barrier: *"processing another
-        runnable task in Pyjama's task queue"* (paper §IV-B).
+        Returns True if an actual work item ran; False if nothing a guest may
+        take arrived within *timeout* seconds or only a wakeup sentinel did.
+        This is the primitive behind the ``await`` logical barrier:
+        *"processing another runnable task in Pyjama's task queue"* (paper
+        §IV-B).  The caller is a guest of the queue: a shutdown or retire
+        sentinel stays queued for the loop it addresses, and the guest
+        blocks on the queue condition behind it rather than spinning.
         """
         try:
-            item = self._queue.get(timeout=timeout)
+            item = self._queue.get(timeout)
         except queue.Empty:
             return False
-        if item is _SHUTDOWN:
-            # The sentinel is addressed to the *loop* (run_forever /
-            # _worker_loop), not to a thread pumping during an ``await``
-            # logical barrier.  Swallowing it here would leave the loop
-            # running forever once the barrier ends — re-post it.
-            self._queue.put_internal(_SHUTDOWN)
-            # Yield briefly: without this a pumping thread and its own
-            # re-post could spin get/put at full speed until the barrier
-            # region is cancelled or finishes.
-            time.sleep(0.001)
-            return False
         if item is _WAKEUP:
-            return False
-        if item is _RETIRE:
-            # Addressed to an idle pool lane, not to a pumping thread whose
-            # own region is still running — re-post for a lane to consume.
-            self._queue.put_internal(_RETIRE)
-            time.sleep(0.001)
             return False
         self._dispatch(item)
         return True
 
-    def _depth(self) -> int:
-        """Current queue-depth sample (work items only; adapters override)."""
-        return self._queue.work_count()
+    def _serve_queue(
+        self,
+        run: Callable[[Any], None],
+        *,
+        batch_max: int = 1,
+        poll: float | None = None,
+        idle: Callable[[], bool] | None = None,
+        ready: Callable[[], bool] | None = None,
+    ) -> None:
+        """The loop-owner side of the queue, and the one place sentinels are
+        triaged: dequeue FIFO and *run* each work item until a loop-only
+        sentinel (shutdown queues one per loop; retire) ends exactly the
+        loop that dequeued it.  ``get_batch`` returns a sentinel alone, so
+        everything queued before it has already run.  *ready* is consulted
+        before every dequeue (False ends the loop without taking an item);
+        with *poll*, an empty queue calls *idle* every *poll* seconds, and
+        a True result (it found work elsewhere) rechecks the queue at once.
+        """
+        get_batch = self._queue.get_batch
+        eager = False
+        while ready is None or ready():
+            try:
+                batch = get_batch(batch_max, 0.0 if eager else poll)
+            except queue.Empty:
+                eager = idle()
+                continue
+            eager = False
+            for item in batch:
+                if not isinstance(item, _Sentinel):
+                    run(item)
+                elif item.loop_only:
+                    return
 
     def _trace_depth(self, session: "_obs.TraceSession") -> None:
         """Emit a sampled ``QUEUE_DEPTH`` event (caller checked enabled).
@@ -657,17 +705,7 @@ class VirtualTarget(abc.ABC):
             # at worst re-emits one window-opening sample, never skews ticks.
             self._depth_tick = (gen, counter, stride)
         if next(counter) % stride == 0:
-            session.emit(EventKind.QUEUE_DEPTH, target=self.name, arg=self._depth())
-
-    def _trace_reject(
-        self, item: Any, session: "_obs.TraceSession", policy: str | None = None
-    ) -> None:
-        if session.enabled:
-            region, label = _item_identity(item)
-            session.emit(
-                EventKind.REJECT, target=self.name, region=region, name=label,
-                arg=policy,
-            )
+            session.emit(EventKind.QUEUE_DEPTH, target=self.name, arg=self._queue._work)
 
     def _dispatch(self, item: Any, *, dequeued: bool = True) -> None:
         hooks = _inj.hooks
@@ -675,12 +713,13 @@ class VirtualTarget(abc.ABC):
             hooks.fire("dispatch", self.name)
         session = _obs.session()
         enabled = session.enabled
-        if enabled and dequeued:
+        if enabled:
             region, label = _item_identity(item)
-            session.emit(
-                EventKind.DEQUEUE, target=self.name, region=region, name=label
-            )
-            self._trace_depth(session)
+            if dequeued:
+                session.emit(
+                    EventKind.DEQUEUE, target=self.name, region=region, name=label
+                )
+                self._trace_depth(session)
         if isinstance(item, TargetRegion) and item.done:
             # Withdrawn (cancelled) while queued, or cancelled mid
             # caller_runs handoff: discard the corpse without touching it.
@@ -690,7 +729,6 @@ class VirtualTarget(abc.ABC):
             # ``run()``'s internal state guard alone.
             return
         if enabled:
-            region, label = _item_identity(item)
             session.emit(
                 EventKind.EXEC_BEGIN, target=self.name, region=region, name=label
             )
@@ -783,20 +821,33 @@ class VirtualTarget(abc.ABC):
                     # Barrier-mode steal: the pumping thread took work from
                     # its own target, so victim and thief coincide (contrast
                     # ring stealing, where a sibling lane is the thief).
-                    session.emit(
-                        EventKind.PUMP_STEAL, target=self.name, name="pump_until",
-                        arg={
-                            "victim": self.name,
-                            "thief": self.name,
-                            "lane": threading.current_thread().name,
-                            "mode": "barrier",
-                        },
-                    )
+                    self._trace_steal(session, self, "barrier", name="pump_until")
         finally:
             if session.enabled:
                 session.emit(
                     EventKind.BARRIER_EXIT, target=self.name, name="pump_until"
                 )
+
+    def _trace_steal(
+        self,
+        session: "_obs.TraceSession",
+        thief: "VirtualTarget",
+        mode: str,
+        *,
+        region: int | None = None,
+        name: str | None = None,
+    ) -> None:
+        """Emit ``PUMP_STEAL``: the calling lane of *thief* ran work queued
+        on this target (*mode*: ``barrier`` or ``steal``)."""
+        session.emit(
+            EventKind.PUMP_STEAL, target=self.name, region=region, name=name,
+            arg={
+                "victim": self.name,
+                "thief": thief.name,
+                "lane": threading.current_thread().name,
+                "mode": mode,
+            },
+        )
 
     def describe(self) -> str:
         """One-line diagnostic: queue depth, capacity, members, counters."""
@@ -807,8 +858,8 @@ class VirtualTarget(abc.ABC):
         return (
             f"target {self.name!r} ({type(self).__name__}) kind={self.kind} "
             f"alive={self.alive} pool={self.pool_size} "
-            # work_count, not pending: re-posted control sentinels would
-            # otherwise show an idle target as queued=1 forever.
+            # work_count, not pending: a shutdown sentinel nobody consumes
+            # would otherwise show an idle target as queued=1 forever.
             f"restarts={self.restart_count} queued={self.work_count()} capacity={cap} "
             f"high_water={stats['high_water']} posted={stats['posted']} "
             f"rejected={stats['rejected']} caller_runs={stats['caller_runs']} "
@@ -830,33 +881,16 @@ class VirtualTarget(abc.ABC):
         """Process queued items in the calling thread until the queue is empty.
 
         Returns the number of real work items executed.  Intended for tests
-        and for single-threaded (manually pumped) EDT usage.
+        and for single-threaded (manually pumped) EDT usage.  It is
+        :meth:`process_one` repeated, so the caller is a guest — a shutdown
+        sentinel stays queued for the loop that owns it — and a target that
+        refuses pumping refuses this too.
         """
         count = 0
-        retires = 0
-        try:
-            while True:
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    return count
-                if item is _SHUTDOWN:
-                    # Leave the sentinel for the loop that owns it (re-queue
-                    # rather than swallow); everything before it has drained.
-                    self._queue.put_internal(_SHUTDOWN)
-                    return count
-                if item is _WAKEUP:
-                    continue
-                if item is _RETIRE:
-                    # Addressed to a pool lane; hold it aside (re-posting
-                    # inline would loop forever on our own re-post).
-                    retires += 1
-                    continue
-                self._dispatch(item)
-                count += 1
-        finally:
-            for _ in range(retires):
-                self._queue.put_internal(_RETIRE)
+        while True:
+            count += self.process_one(0)
+            if not self._queue._work:
+                return count
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r} members={self.member_count}>"
@@ -914,17 +948,11 @@ class WorkerTarget(VirtualTarget):
         self._steal_ring = None  # attached by PjRuntime.register_target
         self._daemon = daemon
         self._lanes_lock = threading.Lock()
-        self._lane_seq = itertools.count(max_threads)
+        self._lane_seq = itertools.count()
         self._desired = max_threads  # lane count after applied scale decisions
         self._threads: list[threading.Thread] = []
-        for i in range(max_threads):
-            t = threading.Thread(
-                target=self._worker_loop,
-                name=f"pyjama-{name}-{i}",
-                daemon=daemon,
-            )
-            self._threads.append(t)
-            t.start()
+        for _ in range(max_threads):
+            self._start_lane()
         self._autoscaler = None
         self.autoscale_min = autoscale_min if autoscale_min is not None else 1
         self.autoscale_max = (
@@ -966,9 +994,8 @@ class WorkerTarget(VirtualTarget):
             ring.unregister(self)
 
     def steal_item(self):
-        """One queued work item for a ring thief (None if nothing stealable)."""
-        if self._shutdown.is_set():
-            return None
+        """One queued work item for a ring thief (None if nothing stealable,
+        or once shutdown sealed the queue)."""
         return self._queue.steal_work()
 
     def _try_steal(self) -> bool:
@@ -989,19 +1016,20 @@ class WorkerTarget(VirtualTarget):
         session = _obs.session()
         if session.enabled:
             region, label = _item_identity(item)
-            session.emit(
-                EventKind.PUMP_STEAL, target=victim.name, region=region, name=label,
-                arg={
-                    "victim": victim.name,
-                    "thief": self.name,
-                    "lane": threading.current_thread().name,
-                    "mode": "steal",
-                },
-            )
+            victim._trace_steal(session, self, "steal", region=region, name=label)
         victim._dispatch(item)
         return True
 
     # ------------------------------------------------------------ autoscaling
+
+    def _start_lane(self) -> None:
+        t = threading.Thread(
+            target=self._worker_loop,
+            name=f"pyjama-{self.name}-{next(self._lane_seq)}",
+            daemon=self._daemon,
+        )
+        self._threads.append(t)
+        t.start()
 
     def _grow_lane(self) -> None:
         """Add one lane (the autoscaler's ``grow`` action)."""
@@ -1009,13 +1037,7 @@ class WorkerTarget(VirtualTarget):
             if self._shutdown.is_set():
                 return
             self._desired += 1
-            t = threading.Thread(
-                target=self._worker_loop,
-                name=f"pyjama-{self.name}-{next(self._lane_seq)}",
-                daemon=self._daemon,
-            )
-            self._threads.append(t)
-            t.start()
+            self._start_lane()
 
     def _retire_lane(self) -> None:
         """Ask one lane to exit (the autoscaler's ``shrink`` action).
@@ -1034,27 +1056,14 @@ class WorkerTarget(VirtualTarget):
     def _worker_loop(self) -> None:
         self._enter_member()
         try:
-            poll = self._steal_poll if self.steal_enabled else None
-            eager = False  # a steal just succeeded: recheck our queue at once
-            while True:
-                try:
-                    batch = self._queue.get_batch(
-                        self.batch_max, timeout=0.0 if eager else poll
-                    )
-                except queue.Empty:
-                    eager = self._try_steal()
-                    continue
-                eager = False
-                for item in batch:
-                    if item is _SHUTDOWN:
-                        # Propagate: every pool thread sees it exactly once
-                        # (get_batch returns a sentinel alone, never mid-batch).
-                        return
-                    if item is _RETIRE:
-                        return
-                    if item is _WAKEUP:
-                        continue
-                    self._dispatch(item)
+            # A stealing lane waits only ``_steal_poll`` on its own empty
+            # queue before scanning the ring for a victim; the others block.
+            self._serve_queue(
+                self._dispatch,
+                batch_max=self.batch_max,
+                poll=self._steal_poll if self.steal_enabled else None,
+                idle=self._try_steal,
+            )
         finally:
             self._exit_member()
 
@@ -1079,14 +1088,12 @@ class WorkerTarget(VirtualTarget):
         cannot change under the sentinel accounting, and the target leaves
         its steal ring so siblings stop considering it a victim.
         """
-        if self._shutdown.is_set():
+        if not self._enter_shutdown():
             return
-        self._shutdown.set()
         if self._autoscaler is not None:
             self._autoscaler.stop(wait=wait)
         self.leave_ring()
         if not wait:
-            self._queue.close()
             self._cancel_pending()
         with self._lanes_lock:
             lanes = list(self._threads)
@@ -1096,16 +1103,6 @@ class WorkerTarget(VirtualTarget):
             for t in lanes:
                 if t is not threading.current_thread():
                     t.join()
-
-
-class _Shutdown:
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<shutdown>"
-
-
-_SHUTDOWN = _Shutdown()
 
 
 class EdtTarget(VirtualTarget):
@@ -1191,14 +1188,8 @@ class EdtTarget(VirtualTarget):
         """
         self._require_edt()
         self._loop_started.set()
-        while True:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
-                self._stopped.set()
-                return
-            if item is _WAKEUP:
-                continue
-            self._dispatch(item)
+        self._serve_queue(self._dispatch)
+        self._stopped.set()
 
     def _require_edt(self) -> None:
         if threading.current_thread() is not self._edt_thread:
@@ -1216,11 +1207,9 @@ class EdtTarget(VirtualTarget):
         its liveness is the owning application's business, and blocking 5 s
         on a loop that never started was pure stall.
         """
-        if self._shutdown.is_set():
+        if not self._enter_shutdown():
             return
-        self._shutdown.set()
         if not wait:
-            self._queue.close()
             self._cancel_pending()
         self._queue.put_internal(_SHUTDOWN)
         if wait and self._edt_thread is not None:

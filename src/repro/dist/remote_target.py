@@ -62,6 +62,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from ..core.errors import (
@@ -71,7 +72,7 @@ from ..core.errors import (
     WorkerCrashedError,
 )
 from ..core.region import TargetRegion
-from ..core.targets import _SHUTDOWN, _WAKEUP, VirtualTarget, _item_identity
+from ..core.targets import _SHUTDOWN, VirtualTarget, _item_identity
 from ..obs import EventKind
 from ..obs import recorder as _obs
 from ..obs.events import now_ns
@@ -334,17 +335,11 @@ class RemoteLaneTarget(VirtualTarget):
     def process_one(self, timeout: float | None = None) -> bool:
         """Remote targets cannot run queued regions in the calling thread —
         the queue feeds *remote* workers, and executing a region here would
-        silently move it back into this address space."""
+        silently move it back into this address space.  :meth:`drain` is
+        refused with it; use ``shutdown(wait=True)`` to run a backlog down."""
         raise RuntimeStateError(
             f"{self.kind} target {self.name!r} cannot be pumped: its queue is "
             "drained by shipper threads feeding remote workers"
-        )
-
-    def drain(self) -> int:
-        """See :meth:`process_one` — draining in the caller is not allowed."""
-        raise RuntimeStateError(
-            f"{self.kind} target {self.name!r} cannot be drained in the calling "
-            "thread; use shutdown(wait=True) to run the backlog down"
         )
 
     def _lane_label(self, slot: RemoteLane) -> str:
@@ -366,13 +361,11 @@ class RemoteLaneTarget(VirtualTarget):
         the channel and their lanes terminated, and nothing is joined —
         mirroring :class:`~repro.core.targets.WorkerTarget`.
         """
-        if self._shutdown.is_set():
+        if not self._enter_shutdown():
             return
-        self._shutdown.set()
         self._supervisor.stop()
         if not wait:
             self._hard_stop.set()
-            self._queue.close()
             self._cancel_pending()
             # Nudge busy workers concurrently: forward a cancel for whatever
             # they are running.  Their shippers notice _hard_stop within one
@@ -396,20 +389,14 @@ class RemoteLaneTarget(VirtualTarget):
         :class:`WorkerCrashedError`), the queue closes, and further posts
         raise :class:`TargetShutdownError`.
         """
-        if self._shutdown.is_set():
+        if not self._enter_shutdown():
             return
         _logger.error(
             "%s target %r lost all %d lanes beyond their restart budgets; "
             "failing the backlog", self.kind, self.name, len(self._slots),
         )
-        self._shutdown.set()
         self._supervisor.stop()
-        self._queue.close()
-        cancelled = 0
-        for item in self._queue.drain_items():
-            if isinstance(item, TargetRegion) and item.cancel(cause):
-                cancelled += 1
-                self._bump("cancelled_on_shutdown")
+        cancelled = self._cancel_pending(cause)
         if cancelled:
             _logger.error(
                 "cancelled %d queued region(s) on dead %s target %r",
@@ -542,15 +529,12 @@ class RemoteLaneTarget(VirtualTarget):
 
     def _shipper_loop(self, slot: RemoteLane) -> None:
         try:
-            while True:
-                if not self._ensure_worker(slot):
-                    return
-                item = self._queue.get()
-                if item is _SHUTDOWN:
-                    return
-                if item is _WAKEUP:
-                    continue
-                self._execute_remote(slot, item)
+            # A lane whose worker cannot be brought up stops consuming
+            # *before* it takes an item it could not ship.
+            self._serve_queue(
+                partial(self._execute_remote, slot),
+                ready=partial(self._ensure_worker, slot),
+            )
         finally:
             self._retire_slot(slot)
 

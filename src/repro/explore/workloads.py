@@ -293,6 +293,7 @@ class ShutdownVsPost(Workload):
 
     name = "shutdown-vs-post"
     description = "shutdown(wait=False) races a poster's enqueue"
+    wait = False
 
     def setup(self, ctx: ExploreContext) -> None:
         self.t0 = EdtTarget("t0")
@@ -308,9 +309,12 @@ class ShutdownVsPost(Workload):
 
         def shutter() -> None:
             ctx.checkpoint("shutdown", "t0")
-            self.t0.shutdown(wait=False)
+            self.t0.shutdown(wait=self.wait)
 
         ctx.actor("shutdown", shutter)
+        self._enrol_consumer(ctx)
+
+    def _enrol_consumer(self, ctx: ExploreContext) -> None:
         ctx.actor("pump", self._pump(
             ctx, self.t0,
             lambda: self.r1.done and self.t0.work_count() == 0,
@@ -321,6 +325,31 @@ class ShutdownVsPost(Workload):
 
     def regions(self) -> list[tuple[str, TargetRegion]]:
         return [("r1", self.r1)]
+
+
+class ShutdownWaitVsPost(ShutdownVsPost):
+    """A *graceful* shutdown races a poster through the post seam.
+
+    The contract at stake is the loop owner's — it exits at the shutdown
+    sentinel, so a post landing behind the sentinel would sit on a queue
+    nobody drains, ``PENDING`` forever — so this model's consumer is the
+    real owner loop (``_serve_queue``), stepped through its ``ready`` hook
+    and enabled whenever anything, sentinel included, is queued.  Every
+    order must end with the region terminal: run before the sentinel, or
+    refused by the sealed queue and resolved by the poster."""
+
+    name = "shutdown-wait-vs-post"
+    description = "shutdown(wait=True) races a poster's enqueue (owner loop)"
+    wait = True
+
+    def _enrol_consumer(self, ctx: ExploreContext) -> None:
+        def queued() -> bool:
+            return self.t0.pending > 0
+
+        ctx.actor("loop", lambda: self.t0._serve_queue(
+            self.t0._dispatch,
+            ready=lambda: ctx.checkpoint("loop", "t0", enabled_when=queued),
+        ))
 
 
 class SlowBodyCancel(Workload):
@@ -372,6 +401,7 @@ WORKLOADS: dict[str, type[Workload]] = {
         CancelVsDispatch,
         CallerRunsCancel,
         ShutdownVsPost,
+        ShutdownWaitVsPost,
         SlowBodyCancel,
     )
 }

@@ -11,8 +11,9 @@ The paper's two metrics:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+
+from ..obs.metrics import percentile
 
 __all__ = ["ResponseStats", "ThroughputMeter", "Series"]
 
@@ -56,16 +57,7 @@ class ResponseStats:
             raise ValueError("no samples")
         if not 0.0 <= p <= 100.0:
             raise ValueError("percentile must be within [0, 100]")
-        data = sorted(self._samples)
-        if len(data) == 1:
-            return data[0]
-        rank = p / 100.0 * (len(data) - 1)
-        lo = math.floor(rank)
-        hi = math.ceil(rank)
-        if lo == hi:
-            return data[lo]
-        frac = rank - lo
-        return data[lo] * (1 - frac) + data[hi] * frac
+        return percentile(self._samples, p)
 
     @property
     def median(self) -> float:

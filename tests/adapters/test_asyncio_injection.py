@@ -1,10 +1,11 @@
 """Injection seam coverage for the asyncio adapter's post path.
 
-``AsyncioEdtTarget.post`` bypasses the base ``_TargetQueue`` entirely, so
-every seam the stress/exploration harnesses rely on has to be wired into
-the adapter by hand.  These tests pin that wiring: the ``"post"`` seam
-fires on this path, ``force_queue_full`` drives the rejection policies for
-bounded adapters, and an unbounded adapter never consults the hook.
+``AsyncioEdtTarget.post`` admits through ``VirtualTarget.post`` onto the
+base ``_TargetQueue`` (the loop is only the consumer), so it inherits every
+seam the stress/exploration harnesses rely on.  These tests pin that from
+inside a running loop: the ``"post"`` seam fires on this path,
+``force_queue_full`` drives the rejection policies for bounded adapters,
+and an unbounded adapter never consults the hook.
 """
 
 from __future__ import annotations

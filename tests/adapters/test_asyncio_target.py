@@ -7,7 +7,15 @@ import time
 import pytest
 
 from repro.adapters import as_future, register_asyncio_edt, run_blocking_io
-from repro.core import PjRuntime, RegionFailedError, RuntimeStateError, TargetShutdownError
+from repro.core import (
+    PjRuntime,
+    QueueFullError,
+    RegionFailedError,
+    RegionState,
+    RuntimeStateError,
+    TargetRegion,
+    TargetShutdownError,
+)
 
 
 @pytest.fixture()
@@ -92,6 +100,83 @@ class TestRegistration:
                 target.post(lambda: None)
 
         run_async(main())
+
+    def test_drain_rejected(self, rt):
+        # The backlog is loop-confined work: draining would run it here.
+        async def main():
+            target = register_asyncio_edt(rt, "aio")
+            await asyncio.sleep(0)
+            with pytest.raises(RuntimeStateError):
+                target.drain()
+
+        run_async(main())
+
+
+class TestBaseQueueAdmission:
+    """The adapter's backlog is the inherited target queue; the loop only
+    consumes it, one ``call_soon_threadsafe`` step per queued item."""
+
+    def test_callables_and_regions_share_the_counters(self, rt):
+        async def main():
+            target = register_asyncio_edt(rt, "aio")
+            await asyncio.sleep(0)
+            ran = []
+            region = TargetRegion(lambda: ran.append("region"))
+            target.post(lambda: ran.append("callable"))
+            target.post(region)
+            queued = target.work_count()
+            await as_future(region)
+            return ran, queued, target.work_count(), target.stats
+
+        ran, queued, after, stats = run_async(main())
+        assert ran == ["callable", "region"]  # FIFO, on the loop
+        assert (queued, after) == (2, 0)
+        assert stats["posted"] == 2 and stats["high_water"] == 2
+
+    def test_capacity_counts_queued_items_not_the_running_one(self, rt):
+        async def main():
+            target = register_asyncio_edt(
+                rt, "aio", queue_capacity=1, rejection_policy="reject"
+            )
+            await asyncio.sleep(0)
+            first = TargetRegion(lambda: target.work_count())
+            second = TargetRegion(lambda: "second")
+            target.post(first)
+            with pytest.raises(QueueFullError):
+                target.post(second)  # `first` is queued, not yet started
+            # While `first` runs it no longer holds the slot.
+            depth_while_running = await as_future(first)
+            target.post(second)
+            return depth_while_running, await as_future(second)
+
+        assert run_async(main()) == (0, "second")
+
+    def test_wakeup_does_not_eat_a_consumer_step(self, rt):
+        async def main():
+            target = register_asyncio_edt(rt, "aio")
+            await asyncio.sleep(0)
+            target.wakeup()
+            region = TargetRegion(lambda: "ran")
+            target.post(region)
+            return await asyncio.wait_for(as_future(region), timeout=5)
+
+        assert run_async(main()) == "ran"
+
+    def test_graceful_shutdown_of_a_stopped_loop_cancels_the_backlog(self, rt):
+        # Nothing will ever run the steps: wait=True must not strand the
+        # region PENDING (nor stall for the drain grace).
+        loop = asyncio.new_event_loop()
+        try:
+            target = register_asyncio_edt(rt, "aio", loop)
+            region = TargetRegion(lambda: "never")
+            target.post(region)
+            t0 = time.monotonic()
+            target.shutdown(wait=True)
+            assert time.monotonic() - t0 < 1.0
+            assert region.state is RegionState.CANCELLED
+            assert target.stats["cancelled_on_shutdown"] == 1
+        finally:
+            loop.close()
 
 
 class TestAsFuture:

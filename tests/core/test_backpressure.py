@@ -30,8 +30,20 @@ def _stalled_worker(name, capacity, policy):
 
 
 class TestRejectionPolicies:
+    """The policy matrix on a really-full queue, written against a
+    ``WorkerTarget`` and rerun by subclass on the other kinds — admission is
+    one code path (``VirtualTarget.post``), so it must read the same on all."""
+
+    kind = "worker"
+
+    @pytest.fixture(autouse=True)
+    def _factory(self, parked_target):
+        self._stalled = lambda name, capacity, policy: parked_target(
+            self.kind, name, queue_capacity=capacity, rejection_policy=policy
+        )
+
     def test_reject_raises_queue_full(self):
-        target, gate = _stalled_worker("rej", 2, "reject")
+        target, gate = self._stalled("rej", 2, "reject")
         try:
             target.post(TargetRegion(lambda: None))
             target.post(TargetRegion(lambda: None))
@@ -44,7 +56,7 @@ class TestRejectionPolicies:
             target.shutdown(wait=False)
 
     def test_block_waits_for_space(self):
-        target, gate = _stalled_worker("blk", 1, "block")
+        target, gate = self._stalled("blk", 1, "block")
         try:
             target.post(TargetRegion(lambda: None))
             posted = threading.Event()
@@ -62,7 +74,7 @@ class TestRejectionPolicies:
             target.shutdown(wait=False)
 
     def test_block_with_timeout_raises_queue_full(self):
-        target, gate = _stalled_worker("blkto", 1, "block")
+        target, gate = self._stalled("blkto", 1, "block")
         try:
             target.post(TargetRegion(lambda: None))
             t0 = time.monotonic()
@@ -74,7 +86,7 @@ class TestRejectionPolicies:
             target.shutdown(wait=False)
 
     def test_caller_runs_executes_in_posting_thread(self):
-        target, gate = _stalled_worker("cr", 1, "caller_runs")
+        target, gate = self._stalled("cr", 1, "caller_runs")
         try:
             target.post(TargetRegion(lambda: None))
             ran_in = []
@@ -87,6 +99,19 @@ class TestRejectionPolicies:
             gate.set()
             target.shutdown(wait=False)
 
+    def test_caller_runs_drops_a_cancelled_corpse(self):
+        target, gate = self._stalled("crc", 1, "caller_runs")
+        try:
+            target.post(TargetRegion(lambda: None))
+            region = TargetRegion(lambda: "never")
+            region.cancel()
+            assert target.post(region) is False  # full queue + corpse: no-op
+            assert target.stats["caller_runs"] == 0
+            assert target.work_count() == 1
+        finally:
+            gate.set()
+            target.shutdown(wait=False)
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="rejection policy"):
             WorkerTarget("bad", 1, rejection_policy="drop_oldest")
@@ -94,6 +119,14 @@ class TestRejectionPolicies:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError, match="capacity"):
             WorkerTarget("bad", 1, queue_capacity=0)
+
+
+class TestRejectionPoliciesOnEdt(TestRejectionPolicies):
+    kind = "edt"
+
+
+class TestRejectionPoliciesOnAsyncio(TestRejectionPolicies):
+    kind = "asyncio"
 
 
 class TestTelemetry:

@@ -2,10 +2,12 @@
 
 An unbounded queue can never be full, so the fault hook must never be
 consulted for one — a forced rejection there would fabricate a state the
-real runtime cannot reach.  These tests pin the contract for the base
-``_TargetQueue`` path (every thread-backed target) across all three
-rejection policies; the asyncio adapter's mirror of the same contract is
-covered in ``tests/adapters/test_asyncio_injection.py``.
+real runtime cannot reach.  The hook is consulted in exactly one place
+(``_TargetQueue.put``) that every target kind posts through, so the
+contract is pinned across all three rejection policies for each kind: the
+classes are written against ``EdtTarget`` and rerun by subclass on
+``WorkerTarget`` and ``AsyncioEdtTarget`` (consumer parked, see
+``conftest.parked_target``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from repro import obs
 from repro.core import injection
 from repro.core.errors import QueueFullError
 from repro.core.region import TargetRegion
-from repro.core.targets import EdtTarget
 
 
 @pytest.fixture(autouse=True)
@@ -42,12 +43,22 @@ class _Hook:
         return self.verdict
 
 
-class TestUnboundedNeverConsults:
+class _OnKind:
+    """Builds the target under test; subclasses pick another kind."""
+
+    kind = "edt"
+
+    @pytest.fixture(autouse=True)
+    def _factory(self, parked_target):
+        self._target = lambda **options: parked_target(self.kind, "t0", **options)[0]
+
+
+class TestUnboundedNeverConsults(_OnKind):
     @pytest.mark.parametrize("policy", ["block", "reject", "caller_runs"])
     def test_post_succeeds_and_hook_stays_cold(self, policy):
         hook = _Hook(verdict=True)  # would force "full" if ever consulted
         injection.install(injection.InjectionHooks(force_queue_full=hook))
-        target = EdtTarget("t0", rejection_policy=policy)
+        target = self._target(rejection_policy=policy)
         region = TargetRegion(lambda: "ok", name="r1")
         target.post(region)  # must enqueue: capacity is None
         assert hook.calls == []
@@ -58,11 +69,11 @@ class TestUnboundedNeverConsults:
         target.shutdown(wait=False)
 
 
-class TestBoundedConsults:
+class TestBoundedConsults(_OnKind):
     def test_reject_policy_forced_full(self):
         hook = _Hook(verdict=True)
         injection.install(injection.InjectionHooks(force_queue_full=hook))
-        target = EdtTarget("t0", queue_capacity=4, rejection_policy="reject")
+        target = self._target(queue_capacity=4, rejection_policy="reject")
         with pytest.raises(QueueFullError):
             target.post(TargetRegion(lambda: None, name="r1"))
         assert hook.calls == ["t0"]
@@ -73,7 +84,7 @@ class TestBoundedConsults:
     def test_caller_runs_policy_forced_full(self):
         hook = _Hook(verdict=True)
         injection.install(injection.InjectionHooks(force_queue_full=hook))
-        target = EdtTarget("t0", queue_capacity=4, rejection_policy="caller_runs")
+        target = self._target(queue_capacity=4, rejection_policy="caller_runs")
         region = TargetRegion(lambda: "inline", name="r1")
         target.post(region)
         assert hook.calls == ["t0"]
@@ -84,7 +95,7 @@ class TestBoundedConsults:
     def test_block_policy_forced_full(self):
         hook = _Hook(verdict=True)
         injection.install(injection.InjectionHooks(force_queue_full=hook))
-        target = EdtTarget("t0", queue_capacity=4, rejection_policy="block")
+        target = self._target(queue_capacity=4, rejection_policy="block")
         with pytest.raises(QueueFullError):
             target.post(TargetRegion(lambda: None, name="r1"), timeout=0.05)
         assert hook.calls == ["t0"]
@@ -93,8 +104,37 @@ class TestBoundedConsults:
     def test_false_verdict_lets_the_post_through(self):
         hook = _Hook(verdict=False)
         injection.install(injection.InjectionHooks(force_queue_full=hook))
-        target = EdtTarget("t0", queue_capacity=4, rejection_policy="reject")
+        target = self._target(queue_capacity=4, rejection_policy="reject")
         target.post(TargetRegion(lambda: None, name="r1"))
         assert hook.calls == ["t0"]  # consulted, said "not full"
         assert target.work_count() == 1
         target.shutdown(wait=False)
+
+    def test_caller_runs_forced_full_drops_a_cancelled_corpse(self):
+        # A region cancelled before the forced-full verdict must not take
+        # the caller_runs path: no stat, no execution.
+        hook = _Hook(verdict=True)
+        injection.install(injection.InjectionHooks(force_queue_full=hook))
+        target = self._target(queue_capacity=4, rejection_policy="caller_runs")
+        region = TargetRegion(lambda: "never", name="r1")
+        region.cancel()
+        assert target.post(region) is False  # corpse: silent no-op
+        assert hook.calls == ["t0"]
+        assert target.stats["caller_runs"] == 0
+        assert target.work_count() == 0
+
+
+class TestUnboundedNeverConsultsOnWorker(TestUnboundedNeverConsults):
+    kind = "worker"
+
+
+class TestBoundedConsultsOnWorker(TestBoundedConsults):
+    kind = "worker"
+
+
+class TestUnboundedNeverConsultsOnAsyncio(TestUnboundedNeverConsults):
+    kind = "asyncio"
+
+
+class TestBoundedConsultsOnAsyncio(TestBoundedConsults):
+    kind = "asyncio"

@@ -230,6 +230,79 @@ class TestSentinelRepost:
         assert target.pending >= 1
 
 
+    def test_pumping_edt_blocks_behind_the_sentinel_instead_of_spinning(self):
+        """An EDT pumping a barrier while shutdown's sentinel is queued is a
+        guest of its own queue: the sentinel stays where it is (``pending``
+        stays 1), each ``process_one`` blocks on the queue condition for its
+        whole timeout (no pop/re-post/``sleep(0.001)`` spin), and the
+        sentinel still reaches ``run_forever`` when the barrier ends."""
+        target = EdtTarget("pumper").start_in_thread()
+        pumping = threading.Event()
+        seen = {}
+
+        def barrier_body():
+            pumping.set()
+            while target.pending == 0:  # wait for shutdown's sentinel
+                time.sleep(0.005)
+            calls, pendings = 0, set()
+            cpu0, t0 = time.thread_time(), time.monotonic()
+            while time.monotonic() - t0 < 0.3:
+                assert target.process_one(timeout=0.1) is False
+                calls += 1
+                pendings.add(target.pending)
+            seen.update(calls=calls, pendings=pendings,
+                        cpu=time.thread_time() - cpu0)
+
+        target.post(TargetRegion(barrier_body))
+        assert pumping.wait(timeout=2)
+        target.shutdown(wait=True)  # returns once run_forever saw the sentinel
+        assert target._stopped.is_set()
+        assert seen["pendings"] == {1}
+        assert seen["calls"] <= 4, f"pump spun {seen['calls']}x in 0.3s"
+        assert seen["cpu"] < 0.1
+        assert target.pending == 0
+
+
+class TestPostRacingGracefulShutdown:
+    """A post that passed the ``_shutdown`` check and then loses the race to
+    ``shutdown(wait=True)`` must not land behind the shutdown sentinels,
+    where no loop will ever look: graceful shutdown seals the queue too, so
+    the post is refused like every other late post."""
+
+    @pytest.mark.parametrize("kind", ["worker", "edt", "asyncio", "process"])
+    def test_post_at_the_seam_is_refused_not_stranded(self, kind, parked_target):
+        from repro.core import injection
+
+        rt = PjRuntime()  # only the process kind lives in it
+        if kind == "process":
+            target = rt.create_process_worker("racer", 1)
+        else:
+            target, gate = parked_target(kind, "racer")
+            gate.set()  # consumer live: the loop owner really exits
+        fired = []
+
+        def shutdown_at_seam(point, name):
+            if point == "post" and not fired:
+                fired.append(name)
+                target.shutdown(wait=True)
+
+        region = TargetRegion(int, name="late")
+        injection.install(injection.InjectionHooks(decision=shutdown_at_seam))
+        try:
+            with pytest.raises(TargetShutdownError):
+                target.post(region)
+        finally:
+            injection.uninstall()
+            rt.shutdown(wait=False)
+        assert fired == ["racer"]
+        assert target.work_count() == 0
+        assert target.stats["posted"] == 0
+        # Nothing was queued, so nothing is left pending behind the
+        # sentinels for a later shutdown(wait=False) to (not) find.
+        target.shutdown(wait=False)
+        assert region.state is RegionState.PENDING
+
+
 class TestEdtShutdown:
     def test_registered_never_pumped_edt_shutdown_is_fast(self):
         """shutdown(wait=True) on a registered EDT whose loop never started

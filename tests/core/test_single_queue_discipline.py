@@ -1,0 +1,100 @@
+"""Structure gate: the queue discipline exists exactly once.
+
+Admission (rejection policies, ``force_queue_full``), consumption (which
+consumer may take which item, what a sentinel means to a loop) and backlog
+cancellation live in ``_TargetQueue`` + ``VirtualTarget``.  The asyncio
+adapter once carried a private copy of admission over a shadow in-flight
+set, and five dequeue loops each triaged the sentinels themselves, two of
+them with a pop/re-post/``sleep(0.001)`` spin.  This test keeps the copies
+from growing back.
+"""
+
+from __future__ import annotations
+
+import inspect
+import pathlib
+import re
+
+import pytest
+
+from repro.adapters import AsyncioEdtTarget
+from repro.core.targets import EdtTarget, VirtualTarget, WorkerTarget, _TargetQueue
+from repro.dist import RemoteLaneTarget
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+TARGETS = "core/targets.py"
+
+
+def _hits(pattern: str) -> dict[str, int]:
+    """Occurrences of *pattern* per file under ``src/repro`` (non-zero only)."""
+    rx = re.compile(pattern)
+    counts = {}
+    for path in sorted(SRC.rglob("*.py")):
+        n = len(rx.findall(path.read_text()))
+        if n:
+            counts[str(path.relative_to(SRC))] = n
+    return counts
+
+
+def test_asyncio_adapter_has_no_private_admission():
+    gone = ("_admit", "_track", "_run_tracked", "_depth", "_warn_caller_runs_on_loop")
+    assert not [m for m in gone if m in AsyncioEdtTarget.__dict__]
+    source = inspect.getsource(AsyncioEdtTarget)
+    for shadow in ("_inflight", "high_water", "force_queue_full", "QueueFullError"):
+        assert shadow not in source, shadow
+
+
+@pytest.mark.parametrize("decision", [
+    r'_bump\([^)]*"rejected"', r'_bump\("caller_runs"', r"\.force_queue_full\(",
+    r"emit\(\s*EventKind\.REJECT\b",
+])
+def test_rejection_policy_is_decided_once(decision):
+    assert _hits(decision) == {TARGETS: 1}
+
+
+def test_queue_full_error_is_raised_by_one_target_path():
+    hits = _hits(r"(?<!class )QueueFullError\(")
+    # ExecutorService is the paper's non-target baseline with its own list
+    # queue; among virtual targets only VirtualTarget.post may reject.
+    hits.pop("eventloop/executor_service.py", None)
+    assert hits == {TARGETS: 1}
+
+
+def test_sentinels_are_triaged_by_the_owner_loop_only():
+    # No identity triage anywhere: a sentinel's address is its flag...
+    assert _hits(r"\bis (not )?_(SHUTDOWN|RETIRE)\b") == {}
+    # ...and only the queue and the one owner loop read the flag.
+    assert set(_hits(r"\.loop_only\b")) == {TARGETS}
+    readers = [
+        name for name, fn in inspect.getmembers(VirtualTarget, inspect.isfunction)
+        if ".loop_only" in inspect.getsource(fn)
+    ]
+    assert readers == ["_serve_queue"]
+
+
+@pytest.mark.parametrize("loop", [
+    WorkerTarget._worker_loop, EdtTarget.run_forever, RemoteLaneTarget._shipper_loop,
+])
+def test_owner_loops_are_the_shared_loop(loop):
+    source = inspect.getsource(loop)
+    assert "_serve_queue(" in source
+    for name in ("_SHUTDOWN", "_WAKEUP", "_RETIRE", "_queue.get"):
+        assert name not in source, name
+
+
+@pytest.mark.parametrize("guest", [VirtualTarget.process_one, VirtualTarget.drain])
+def test_guests_neither_triage_nor_spin(guest):
+    source = inspect.getsource(guest)
+    for name in ("_SHUTDOWN", "_RETIRE", "put_internal", "sleep"):
+        assert name not in source, name
+
+
+def test_one_dequeue_and_one_backlog_cancel():
+    # Every consumer method funnels through the one locked pop...
+    for consumer in (_TargetQueue.get, _TargetQueue.get_batch, _TargetQueue.steal_work):
+        source = inspect.getsource(consumer)
+        assert "self._pop(" in source
+        assert "_work -=" not in source and "popleft" not in source
+    # ...and _cancel_pending is the only loop over a drained backlog.
+    assert _hits(r"\.drain_work\(") == {TARGETS: 1}
+    assert "drain_work()" in inspect.getsource(VirtualTarget._cancel_pending)

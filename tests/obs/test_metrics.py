@@ -43,6 +43,38 @@ class TestLatencyStats:
         assert stats.p50 <= stats.p95 <= stats.p99 <= stats.max
 
 
+class TestOnePercentile:
+    def test_bench_sim_and_obs_share_one_definition(self):
+        import repro.bench
+        import repro.bench.harness
+        from repro.obs.metrics import percentile
+        from repro.sim import ResponseStats
+
+        assert repro.bench.percentile is percentile
+        assert repro.bench.harness.percentile is percentile
+        samples = [0.4, 0.1, 0.35, 0.2, 0.9]
+        stats = ResponseStats()
+        for s in samples:
+            stats.record(0.0, s)
+        for pct in (0, 37.5, 50, 95, 100):
+            assert stats.percentile(pct) == percentile(samples, pct)
+        ramp = LatencyStats.from_ns([i * 1_000_000 for i in range(1, 8)])
+        assert ramp.p95 == percentile([float(i) for i in range(1, 8)], 95.0)
+
+    def test_empty_and_out_of_range_keep_their_errors(self):
+        from repro.obs.metrics import percentile
+        from repro.sim import ResponseStats
+
+        with pytest.raises(ValueError, match="empty"):
+            percentile([], 50)
+        with pytest.raises(ValueError, match="no samples"):
+            ResponseStats().percentile(50)
+        stats = ResponseStats()
+        stats.record(0.0, 1.0)
+        with pytest.raises(ValueError, match=r"\[0, 100\]"):
+            stats.percentile(101)
+
+
 class TestComputeMetrics:
     def test_full_lifecycle_intervals(self):
         ns = 1_000_000  # 1 ms
