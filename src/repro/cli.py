@@ -556,8 +556,9 @@ def cmd_dist_info(args: argparse.Namespace) -> int:
     import os
 
     from .cluster.transport import MAX_FRAME_BYTES
+    from .dist.arena import ARENA_MAX_BYTES
     from .dist.process_target import DEFAULT_START_METHOD
-    from .dist.wire import HAVE_CLOUDPICKLE, PROTOCOL_VERSION
+    from .dist.wire import ATTACH_MIN_BYTES, HAVE_CLOUDPICKLE, PROTOCOL_VERSION
 
     try:
         usable = len(os.sched_getaffinity(0))
@@ -573,8 +574,11 @@ def cmd_dist_info(args: argparse.Namespace) -> int:
         ("defaults", "max_restarts=3 heartbeat=1.0sx3 cancel_grace=5.0s"),
         ("cluster protocol", f"version {PROTOCOL_VERSION} "
          "(hello handshake on every connection)"),
-        ("cluster framing", "4-byte big-endian length prefix + pickled "
-         f"message, max frame {MAX_FRAME_BYTES // (1024 * 1024)} MiB"),
+        ("cluster framing", "length-prefixed pickled message, payload of "
+         f"{ATTACH_MIN_BYTES // 1024} KiB or more beside it; max frame "
+         f"{MAX_FRAME_BYTES // (1024 * 1024)} MiB"),
+        ("pipe lanes", f"payloads of {ATTACH_MIN_BYTES // 1024} KiB to "
+         f"{ARENA_MAX_BYTES // (1024 * 1024)} MiB cross in shared memory"),
         ("cluster agent", "python -m repro cluster-worker --listen HOST:PORT"),
     ]
     width = max(len(label) for label, _ in rows)

@@ -15,10 +15,26 @@ ride on, and the two concrete implementations the cluster layer uses:
   (:func:`loopback_pair`) backed by deques and condition variables.
   Messages still make a full pickle round trip, so tests exercise the real
   serialization constraints without opening sockets.
-* :class:`TcpTransport` — a TCP socket carrying length-prefixed frames:
-  a 4-byte big-endian length header followed by the pickled message.
-  ``TCP_NODELAY`` is set (one small frame per dispatch hop; Nagle would
-  serialize the protocol's ping-pongs at 40 ms each).
+* :class:`TcpTransport` — a TCP socket carrying length-prefixed frames
+  (layout below): the pickled message, then the serialized payload the
+  message carries, beside it rather than inside it.  ``TCP_NODELAY`` is
+  set (one small frame per dispatch hop; Nagle would serialize the
+  protocol's ping-pongs at 40 ms each).
+
+Frame layout (protocol version 2), integers unsigned 32-bit big-endian::
+
+    [ A<<31 | size ]  [ attachment ]?  envelope ...  attachment ...
+         word 1        word 2 iff A    size - attachment   attachment
+
+``size`` counts envelope plus attachment and is at most
+:data:`MAX_FRAME_BYTES`.  The envelope is the message pickled *without*
+its ``blob`` (:func:`repro.dist.wire.dump_frame`); the attachment is the
+blob's pickle stream, sent from the caller's own buffers by one
+``sendmsg`` and received by ``recv_into`` one pre-sized buffer, which the
+receiver's :func:`repro.dist.wire.loads` reads in place.  A frame without
+an attachment — every hello, ping and ack — has ``A`` clear and is
+byte-for-byte a version-1 frame, so a version-1 peer can read a
+version-2 hello (and the reverse) and fail on the number in it.
 
 Failure mapping mirrors pipes so existing error handling transfers: a send
 on a closed/torn transport raises :class:`OSError`, a recv past the peer's
@@ -47,7 +63,7 @@ import threading
 import time
 from typing import Any, Protocol, runtime_checkable
 
-from ..core.errors import RuntimeStateError
+from ..core.errors import RuntimeStateError, SerializationError
 from ..dist import wire
 
 __all__ = [
@@ -63,13 +79,26 @@ __all__ = [
     "parse_endpoint",
 ]
 
-#: Length-prefix header: frame payload size as an unsigned 32-bit big-endian.
-_HEADER = struct.Struct(">I")
+#: One header word, and both words of a frame that carries an attachment.
+_WORD = struct.Struct(">I")
+_WORDS = struct.Struct(">II")
+#: Bit 31 of word 1: an attachment-length word follows.
+_ATTACHED = 1 << 31
 
-#: Upper bound on a single frame (64 MiB).  A header above it means the
-#: stream desynchronized (or a hostile peer); tearing the connection beats
-#: allocating garbage.
+#: Upper bound on a single frame, envelope plus attachment (64 MiB).  A
+#: sender refuses a larger message with ``SerializationError`` before any
+#: byte is written; a header above it means the stream desynchronized (or
+#: a hostile peer), and tearing the connection beats allocating garbage.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: Size of the buffered read that collects headers and small frames.  A
+#: frame this large cannot arrive in one such read anyway, so its body is
+#: received straight into a buffer of its announced size instead.
+_READ_BYTES = 1 << 16
+
+#: Most buffers handed to one ``sendmsg`` (``IOV_MAX`` on Linux and the
+#: BSDs); a payload holding more large buffers goes out in several calls.
+_IOV_MAX = 1024
 
 #: Budget for the peer's half of the hello handshake.
 HELLO_TIMEOUT = 10.0
@@ -150,7 +179,7 @@ class LoopbackTransport:
     def send(self, msg: Any) -> None:
         if self._closed:
             raise OSError("transport is closed")
-        self._tx.put(pickle.dumps(msg))
+        self._tx.put(pickle.dumps(msg, wire.PICKLE_PROTOCOL))
 
     def recv(self) -> Any:
         with self._rx.cond:
@@ -196,6 +225,25 @@ def loopback_pair() -> tuple[LoopbackTransport, LoopbackTransport]:
 # ----------------------------------------------------------------------- TCP
 
 
+def _send_all(sock: socket.socket, buffers: list, size: int) -> None:
+    """``sendall`` of the *size* bytes in a buffer list: one ``sendmsg``
+    unless the kernel takes less than everything (or the list outgrows an
+    iovec), then more from wherever the last one stopped."""
+    sent = sock.sendmsg(buffers) if len(buffers) <= _IOV_MAX else 0
+    if sent == size:
+        return
+    i = 0
+    while True:
+        while i < len(buffers) and sent >= len(buffers[i]):
+            sent -= len(buffers[i])
+            i += 1
+        if i == len(buffers):
+            return
+        if sent:
+            buffers[i] = memoryview(buffers[i])[sent:]
+        sent = sock.sendmsg(buffers[i:i + _IOV_MAX])
+
+
 class TcpTransport:
     """A :class:`Transport` end over a connected TCP socket.
 
@@ -210,7 +258,15 @@ class TcpTransport:
         sock.setblocking(True)
         self._sock: socket.socket | None = sock
         self._send_lock = threading.Lock()
+        # Decoder state.  Bytes land in ``_buf`` until a header announces a
+        # body of _READ_BYTES or more; that body is received into ``_body``
+        # (``_got`` bytes so far).  ``_frame`` parks the next whole frame as
+        # (body, attachment length or None) between poll() and recv().
         self._buf = bytearray()
+        self._body: bytearray | None = None
+        self._got = 0
+        self._attached: int | None = None
+        self._frame: tuple[bytearray, int | None] | None = None
         self._eof = False
         self._closed = False
         try:
@@ -233,57 +289,108 @@ class TcpTransport:
 
     # -------------------------------------------------------------- framing
 
-    def _frame_size(self) -> int | None:
-        """Payload length of the buffered frame, or None if incomplete."""
-        if len(self._buf) < _HEADER.size:
-            return None
-        (size,) = _HEADER.unpack_from(self._buf)
-        if size > MAX_FRAME_BYTES:
-            raise OSError(
-                f"frame of {size} bytes from {self._peer} exceeds "
-                f"MAX_FRAME_BYTES={MAX_FRAME_BYTES}; stream desynchronized"
-            )
-        if len(self._buf) < _HEADER.size + size:
-            return None
-        return size
-
-    def _pop_frame(self) -> bytes:
-        size = self._frame_size()
-        assert size is not None
-        frame = bytes(self._buf[_HEADER.size:_HEADER.size + size])
-        del self._buf[:_HEADER.size + size]
-        return frame
-
     def send(self, msg: Any) -> None:
         sock = self._sock
         if sock is None:
             raise OSError("transport is closed")
-        blob = pickle.dumps(msg)
+        body, attached = wire.dump_frame(msg)
+        size = len(body[0]) if len(body) == 1 else sum(map(len, body))
+        if size > MAX_FRAME_BYTES:
+            # The message's fault, not the connection's: nothing was
+            # written, the stream stays in step and the lane stays up.
+            raise SerializationError(
+                f"message of {size} bytes for {self._peer}",
+                ValueError(f"a frame holds at most MAX_FRAME_BYTES={MAX_FRAME_BYTES}"),
+            )
+        if attached is None:
+            header = _WORD.pack(size)
+        else:
+            header = _WORDS.pack(_ATTACHED | size, attached)
         with self._send_lock:
-            # sendall under the lock: a ping racing a cancel must not
-            # interleave header and payload bytes on the stream.
-            sock.sendall(_HEADER.pack(len(blob)) + blob)
+            # One gather-send under the lock: a ping racing a cancel must
+            # not interleave header and payload bytes on the stream.
+            _send_all(sock, [header, *body], len(header) + size)
+
+    def _frame_ready(self) -> bool:
+        """Decode as far as the bytes read so far allow; True once a whole
+        frame is parked in ``_frame``."""
+        if self._frame is not None:
+            return True
+        if self._body is None:
+            buf = self._buf
+            start = _WORD.size
+            if len(buf) < start:
+                return False
+            (word,) = _WORD.unpack_from(buf)
+            size = word & ~_ATTACHED
+            if size > MAX_FRAME_BYTES:
+                raise OSError(
+                    f"frame of {size} bytes from {self._peer} exceeds "
+                    f"MAX_FRAME_BYTES={MAX_FRAME_BYTES}; stream desynchronized"
+                )
+            attached = None
+            if word & _ATTACHED:
+                start = _WORDS.size
+                if len(buf) < start:
+                    return False
+                (attached,) = _WORD.unpack_from(buf, _WORD.size)
+                if attached > size:
+                    raise OSError(
+                        f"frame of {size} bytes from {self._peer} announces "
+                        f"a {attached}-byte attachment; stream desynchronized"
+                    )
+            end = start + size
+            if size < _READ_BYTES:
+                if len(buf) < end:
+                    return False
+                self._frame = (buf[start:end], attached)
+                del buf[:end]
+                return True
+            end = min(end, len(buf))
+            body = bytearray(size)
+            body[:end - start] = buf[start:end]
+            del buf[:end]
+            self._body, self._got, self._attached = body, end - start, attached
+        if self._got < len(self._body):
+            return False
+        self._frame, self._body = (self._body, self._attached), None
+        return True
+
+    def _read(self, sock: socket.socket, flags: int = 0) -> bool:
+        """One read from the socket to where the decoder wants the bytes;
+        False at end of stream."""
+        if self._body is not None:
+            got = sock.recv_into(memoryview(self._body)[self._got:], 0, flags)
+            self._got += got
+        else:
+            chunk = sock.recv(_READ_BYTES)
+            got = len(chunk)
+            self._buf += chunk
+        if not got:
+            self._eof = True
+        return bool(got)
 
     def recv(self) -> Any:
-        while True:
-            if self._frame_size() is not None:
-                return pickle.loads(self._pop_frame())
+        while not self._frame_ready():
             sock = self._sock
             if sock is None:
                 raise EOFError("transport is closed")
-            if self._eof:
+            # Blocking is the point here, so a large body may as well be
+            # one syscall: MSG_WAITALL returns short only on a tear.
+            if self._eof or not self._read(sock, socket.MSG_WAITALL):
                 raise EOFError(f"peer {self._peer} closed the connection")
-            chunk = sock.recv(1 << 16)
-            if not chunk:
-                self._eof = True
-                raise EOFError(f"peer {self._peer} closed the connection")
-            self._buf += chunk
+        (body, attached), self._frame = self._frame, None
+        if attached is None:
+            return wire.load_frame(body, None)
+        view = memoryview(body)
+        split = len(body) - attached
+        return wire.load_frame(view[:split], view[split:])
 
     def poll(self, timeout: float = 0.0) -> bool:
         """True when :meth:`recv` would not block (data *or* a tear)."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            if self._frame_size() is not None or self._eof:
+            if self._frame_ready() or self._eof:
                 return True
             sock = self._sock
             if sock is None:
@@ -304,14 +411,11 @@ class TcpTransport:
             if not readable:
                 return False
             try:
-                chunk = sock.recv(1 << 16)
+                if not self._read(sock):
+                    return True
             except (OSError, ValueError):
                 self._eof = True
                 return True
-            if not chunk:
-                self._eof = True
-                return True
-            self._buf += chunk
 
     def close(self) -> None:
         sock, self._sock = self._sock, None

@@ -19,8 +19,10 @@ Module map:
   spawned child behind two pipes;
 * :mod:`~repro.dist.worker` — the remote end (task loop + control loop),
   shared by child processes and cluster agents;
-* :mod:`~repro.dist.wire` — serialization (cloudpickle when available) and
-  the message protocol;
+* :mod:`~repro.dist.wire` — serialization (cloudpickle when available, to
+  parts that travel beside their message) and the message protocol;
+* :mod:`~repro.dist.arena` — the shared-memory arenas large payloads cross
+  a pipe lane in, and the channel wrapper both ends of the pipe run;
 * :mod:`~repro.dist.supervisor` — the heartbeat / idle-corpse sweep over
   the same slot interface;
 * :mod:`~repro.dist.remote_obs` — worker-side event capture and re-stamping

@@ -7,7 +7,9 @@ a spawned child process running :func:`repro.dist.worker.worker_main`
 behind two ``multiprocessing`` pipes, so a dead worker has an *exit code*
 (surfaced on ``WORKER_CRASH``/``WORKER_EXIT`` instants and
 :class:`~repro.core.errors.WorkerCrashedError`), ``terminate()`` really
-kills the region body, and a graceful stop joins the child.
+kills the region body, and a graceful stop joins the child.  The task pipe
+is wrapped in an :class:`~repro.dist.arena.ArenaChannel`, so payloads too
+large for the pipe's buffer cross in shared memory the parent end owns.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import logging
 import multiprocessing
 
+from .arena import ArenaChannel
 from .remote_target import RemoteLane, RemoteLaneTarget
 from .worker import WorkerConfig, worker_main
 
@@ -41,7 +44,10 @@ class _WorkerSlot(RemoteLane):
         self._ctx = ctx
 
     def open(self) -> None:
-        self.task, child_task = self._ctx.Pipe()
+        task, child_task = self._ctx.Pipe()
+        self.task = ArenaChannel(
+            task, owner=True, label=f"worker {self.index} of {self.target_name!r}"
+        )
         self.ctrl, child_ctrl = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=worker_main,

@@ -28,8 +28,12 @@ Architecture (per target)::
 
 Each lane owns one remote worker and one parent-side *shipper* thread.
 The shipper pulls the next item off the shared queue, serializes the
-region's ``(body, args, kwargs)``, ships it, and waits for the result in a
-poll loop that simultaneously watches for: the result, worker death
+region's ``(body, args, kwargs)`` (:func:`~repro.dist.wire.dumps_parts`: a
+large payload becomes :class:`~repro.dist.wire.Parts`, an attachment the
+channel moves beside the task message, in shared memory or by
+scatter/gather, not a pickle inside the message's pickle), ships it, and
+waits for the result in a poll loop that simultaneously watches for: the
+result, worker death
 (→ :class:`~repro.core.errors.WorkerCrashedError` to the waiter, never a
 hang), a parent-side cancellation (→ forwarded as a
 :class:`~repro.dist.wire.CancelMsg`; a worker that ignores it past
@@ -129,6 +133,18 @@ class RemoteLane:
     unlocked buffer), and the supervisor and the lane's shipper both look
     at ctrl.  The task channel needs no such rule: only the lane's shipper
     thread ever reads it.
+
+    One attachment in flight
+    ------------------------
+    The task channel strictly alternates one task message and its result
+    (tag notices aside), and a lane ships its next region only after the
+    last one's result was delivered.  So at most **one attachment per
+    direction per lane** exists at a time, and a received ``blob`` is read
+    (:func:`~repro.dist.wire.loads`) before the next ``send`` or ``recv``
+    on the channel.  The shared-memory arenas of a pipe lane
+    (:mod:`repro.dist.arena`) hold exactly one payload each and lend the
+    receiver a view of it on that footing; a change that pipelines regions
+    on a lane must first give them a ring or a free list.
     """
 
     __slots__ = (
@@ -570,7 +586,7 @@ class RemoteLaneTarget(VirtualTarget):
         if region.done:
             return  # withdrawn (cancelled) while queued: nothing to ship
         try:
-            blob = wire.dumps(
+            blob = wire.dumps_parts(
                 (region.body, region.args, region.kwargs),
                 what=f"payload of region {region.name!r}",
             )
@@ -594,6 +610,11 @@ class RemoteLaneTarget(VirtualTarget):
                         session.enabled, region.tag,
                     )
                 )
+            except SerializationError as exc:
+                # The channel refused the payload (too large for a frame)
+                # before writing any of it: the region fails, the lane lives.
+                region.fulfill(exception=exc)
+                return
             except (OSError, ValueError) as exc:
                 self._handle_worker_failure(
                     slot, region, f"task send failed: {exc!r}"

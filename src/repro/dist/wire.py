@@ -3,13 +3,14 @@
 Everything that crosses the parent↔worker boundary is defined here, so the
 protocol reads in one place:
 
-* **Payload serialization** — :func:`dumps`/:func:`loads`.  Region bodies
-  are arbitrary Python callables; the standard pickler refuses lambdas,
-  closures and locally defined functions, so we prefer `cloudpickle
-  <https://github.com/cloudpipe/cloudpickle>`_ when the interpreter ships it
-  and fall back to plain :mod:`pickle` otherwise.  Serialization failures
-  are wrapped in :class:`~repro.core.errors.SerializationError` with
-  guidance, never surfaced as a raw ``TypeError`` from pickler internals.
+* **Payload serialization** — :func:`dumps`/:func:`dumps_parts`/
+  :func:`loads`.  Region bodies are arbitrary Python callables; the standard
+  pickler refuses lambdas, closures and locally defined functions, so we
+  prefer `cloudpickle <https://github.com/cloudpipe/cloudpickle>`_ when the
+  interpreter ships it and fall back to plain :mod:`pickle` otherwise, both
+  at :data:`PICKLE_PROTOCOL`.  Serialization failures are wrapped in
+  :class:`~repro.core.errors.SerializationError` with guidance, never
+  surfaced as a raw ``TypeError`` from pickler internals.
 * **Messages** — small slotted classes (not dataclasses: they are pickled
   on every hop and the fixed ``__reduce__`` below keeps them stable across
   interpreter versions).  Two channels per worker:
@@ -24,19 +25,35 @@ protocol reads in one place:
     deliverable *while the worker's main thread is busy executing a region*
     — the reason control rides a separate pipe.
 
-The payload of a task is the tuple ``(body, args, kwargs)`` serialized as
-one blob: serializing eagerly in the parent (rather than letting
-``Connection.send`` pickle lazily) means an unpicklable payload is rejected
-at dispatch with a clear error instead of killing the channel mid-protocol.
-Results come back the same way — the *worker* serializes eagerly so an
-unpicklable return value becomes an error result, not a dead worker.
+The payload of a task is the tuple ``(body, args, kwargs)``, serialized
+eagerly in the parent (rather than letting ``Connection.send`` pickle
+lazily), so an unpicklable payload is rejected at dispatch with a clear
+error instead of killing the channel mid-protocol.  Results come back the
+same way — the *worker* serializes eagerly so an unpicklable return value
+becomes an error result, not a dead worker.
+
+A large serialized payload is an **attachment that travels beside its
+message**, not a pickle nested in the message's pickle.  Below
+:data:`ATTACH_MIN_BYTES` :func:`dumps_parts` gives the sender one ``bytes``
+for the message's ``blob`` field and everything is as it always was.  From
+there up it gives :class:`Parts` — the buffers the pickler wrote, where
+every ``bytes``/``bytearray``/contiguous array of 64 KiB or more is *the
+caller's own object*, not a copy — and the channel decides how the parts
+cross: a pipe lane writes them into a shared-memory arena and ships an
+:class:`ArenaRef` in their place (:mod:`repro.dist.arena`), a TCP lane
+hands them to ``sendmsg`` after the pickled envelope
+(:mod:`repro.cluster.transport`), and a channel that simply pickles the
+message delivers them in-band as one ``bytes`` after all
+(:meth:`Parts.__reduce__`).  The receiver finds ``bytes`` or a
+``memoryview`` in ``blob`` and gives it to :func:`loads` — the one copy on
+its end of the hop, into the final object.
 """
 
 from __future__ import annotations
 
 import pickle
 import traceback
-from typing import Any
+from typing import Any, Union
 
 from ..core.errors import ProtocolVersionError, RemoteExecutionError, SerializationError
 
@@ -46,13 +63,26 @@ try:  # cloudpickle widens what can cross the wire (lambdas, closures, ...)
 except ImportError:  # pragma: no cover - environment-dependent
     _pickler = pickle
     HAVE_CLOUDPICKLE = False
+    _Pickler = pickle.Pickler
+else:
+    _Pickler = _pickler.CloudPickler
 
 __all__ = [
     "HAVE_CLOUDPICKLE",
+    "PICKLE_PROTOCOL",
     "PROTOCOL_VERSION",
     "ProtocolVersionError",
     "check_protocol_version",
+    "ATTACH_MIN_BYTES",
+    "ArenaOffer",
+    "ArenaRef",
+    "Blob",
+    "Parts",
+    "dump_frame",
+    "dump_without_blob",
     "dumps",
+    "dumps_parts",
+    "load_frame",
     "loads",
     "pack_exception",
     "unpack_exception",
@@ -77,7 +107,30 @@ __all__ = [
 #: :class:`HelloMsg` carrying this number, and a mismatch raises a
 #: structured :class:`ProtocolVersionError` instead of undefined behaviour
 #: deep inside message dispatch.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
+
+#: Pickle protocol of every payload and envelope.  Pinned, not "highest":
+#: 5 is what makes the pickler hand a large buffer to its sink whole
+#: (``bytearray`` and ``PickleBuffer`` need it; ``bytes`` since 4), and both
+#: ends of a cluster connection must agree on it.
+PICKLE_PROTOCOL = 5
+
+#: Smallest serialized payload that travels beside its message; a smaller
+#: one rides inside it, in-band, as payloads did before there were
+#: attachments.  64 KiB is where the pickler starts handing buffers to
+#: :class:`Parts` uncopied and where a TCP frame stops fitting one buffered
+#: read, and it is the smallest size at which the shared-memory path of a
+#: pipe lane is not the slower one.  Measured on the 2-core benchmark host
+#: in a quiet spell, parent and worker pinned apart, p50 µs of 500 echoes
+#: through one pipe channel (median of four alternating runs, ±10 µs from
+#: run to run), in-band vs arena: 16 KiB 138 vs 140, 32 KiB 156 vs 163,
+#: 48 KiB 183 vs 187, 64 KiB 178 vs 179, 96 KiB 198 vs 194, 128 KiB 230 vs
+#: 208, 256 KiB 1190 vs 273, 1 MiB 3444 vs 855.  The in-band cliff past
+#: 128 KiB is the pipe's socket buffer (an ``AF_UNIX`` pair, 208 KiB here):
+#: a message that does not fit it costs a context switch per refill.  On
+#: TCP, three small buffers in one ``sendmsg`` cost 1.3 µs more than one,
+#: so a 64 B region is also cheapest in-band.
+ATTACH_MIN_BYTES = 64 * 1024
 
 
 def check_protocol_version(theirs: int, *, peer: str | None = None) -> None:
@@ -86,17 +139,78 @@ def check_protocol_version(theirs: int, *, peer: str | None = None) -> None:
         raise ProtocolVersionError(PROTOCOL_VERSION, theirs, peer=peer)
 
 
-def dumps(obj: Any, *, what: str = "payload") -> bytes:
-    """Serialize *obj*; raise :class:`SerializationError` naming *what*."""
+class Parts(list):
+    """A large serialized object as the buffers its pickler wrote, in order.
+
+    The concatenation of the parts is the pickle stream, of at least
+    :data:`ATTACH_MIN_BYTES`.  A pickler flushes to its file whenever 64 KiB
+    have accumulated and hands any ``bytes``/``bytearray`` of that size
+    over unbuffered, so such a buffer is a part of its own and *is the
+    object that was pickled* (a contiguous array arrives as a flat
+    ``memoryview`` of its memory): a channel can move the payload without
+    ever building the stream.  The parts must be sent, or written out,
+    before their owner can mutate them.  ``len()`` of every part is its
+    size in bytes.
+    """
+
+    __slots__ = ()
+
+    write = list.append  # the pickler's file protocol, at C speed
+
+    @property
+    def nbytes(self) -> int:
+        return sum(map(len, self))
+
+    def __reduce__(self):
+        # In-band after all: a channel that pickles the whole message (a
+        # pipe lane without shared memory, a loopback pair) delivers the
+        # plain ``bytes`` a small payload would have been.
+        return (bytes, (b"".join(self),))
+
+
+#: What a receiver finds in a message's ``blob`` field.
+Blob = Union[bytes, memoryview]
+
+
+def _dump_parts(pickler: type, obj: Any) -> "bytes | Parts":
+    parts = Parts()
+    pickler(parts, PICKLE_PROTOCOL).dump(obj)
+    if len(parts) == 1:
+        return parts[0]
+    # An out-of-band array is a PickleBuffer (any shape): flatten it so
+    # every part has a byte length and is sendmsg/slice-assignable.
+    for i, part in enumerate(parts):
+        if type(part) is pickle.PickleBuffer:
+            parts[i] = part.raw()
+    if parts.nbytes < ATTACH_MIN_BYTES:  # only a pickler that writes eagerly
+        return b"".join(parts)
+    return parts
+
+
+def dumps_parts(obj: Any, *, what: str = "payload") -> "bytes | Parts":
+    """Serialize *obj* completely — nothing is left to fail at send time —
+    for a message's ``blob``: one ``bytes`` below :data:`ATTACH_MIN_BYTES`
+    (the in-band payload there has always been), :class:`Parts` from there
+    up; raise :class:`SerializationError` naming *what*."""
     try:
-        return _pickler.dumps(obj)
+        return _dump_parts(_Pickler, obj)
     except Exception as exc:  # noqa: BLE001 - picklers raise a zoo of types
         raise SerializationError(what, exc) from exc
 
 
-def loads(blob: bytes, *, what: str = "payload") -> Any:
-    """Deserialize a :func:`dumps` blob; failures (e.g. a module importable
-    in the parent but not in the worker) become :class:`SerializationError`."""
+def dumps(obj: Any, *, what: str = "payload") -> bytes:
+    """Serialize *obj* to one ``bytes``; raise :class:`SerializationError`
+    naming *what*."""
+    try:
+        return _pickler.dumps(obj, PICKLE_PROTOCOL)
+    except Exception as exc:  # noqa: BLE001 - picklers raise a zoo of types
+        raise SerializationError(what, exc) from exc
+
+
+def loads(blob: Blob, *, what: str = "payload") -> Any:
+    """Deserialize a pickle stream, copying out of *blob* (the result never
+    aliases it); failures (e.g. a module importable in the parent but not
+    in the worker) become :class:`SerializationError`."""
     try:
         return _pickler.loads(blob)
     except Exception as exc:  # noqa: BLE001
@@ -112,7 +226,7 @@ def pack_exception(exc: BaseException) -> tuple[bytes | None, str, str]:
     """
     tb = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
     try:
-        blob = _pickler.dumps(exc)
+        blob = _pickler.dumps(exc, PICKLE_PROTOCOL)
     except Exception:  # noqa: BLE001 - unpicklable exception: ship text only
         blob = None
     return blob, repr(exc), tb
@@ -139,6 +253,9 @@ class _Msg:
 
     __slots__: tuple[str, ...] = ()
 
+    #: What a message without a ``blob`` field carries as attachment.
+    blob = None
+
     def __init__(self, *values: Any) -> None:
         for field, value in zip(self.__slots__, values):
             setattr(self, field, value)
@@ -149,6 +266,68 @@ class _Msg:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"<{type(self).__name__} {fields}>"
+
+
+def dump_without_blob(msg: "_Msg", dump: Any, stand_in: Any = None) -> Any:
+    """``dump(msg)`` while *stand_in* sits in the message's ``blob`` field:
+    how a channel ships an envelope apart from its attachment.  The caller
+    owns *msg* for the duration, as it does for any send."""
+    blob, msg.blob = msg.blob, stand_in
+    try:
+        return dump(msg)
+    finally:
+        msg.blob = blob
+
+
+def _dump_envelope(msg: "_Msg") -> bytes:
+    return pickle.dumps(msg, PICKLE_PROTOCOL)
+
+
+def dump_frame(msg: Any) -> tuple[list, int | None]:
+    """``(body, attached)`` for a channel that frames bytes itself: the
+    buffers to send, in order, and how many bytes at their end are the
+    attachment (None without one).  A message whose ``blob`` is
+    :class:`Parts` is pickled without it and the parts follow; any other
+    message is pickled whole, as ever.  A bare object (no message, so no
+    telling how large) is all envelope, in parts if large so that it is not
+    copied either."""
+    if isinstance(msg, _Msg):
+        blob = msg.blob
+        if type(blob) is Parts:
+            return [dump_without_blob(msg, _dump_envelope), *blob], blob.nbytes
+        return [_dump_envelope(msg)], None
+    body = _dump_parts(pickle.Pickler, msg)
+    return (body if type(body) is Parts else [body]), None
+
+
+def load_frame(envelope: Blob, attachment: Blob | None) -> Any:
+    """Inverse of :func:`dump_frame`: the message, with *attachment* (still
+    serialized — :func:`loads` is the consumer's one copy) as its blob."""
+    msg = pickle.loads(envelope)
+    if attachment is not None:
+        if not isinstance(msg, _Msg) or "blob" not in msg.__slots__:
+            raise OSError(
+                f"attachment on a {type(msg).__name__}, which has no blob; "
+                "stream desynchronized"
+            )
+        msg.blob = attachment
+    return msg
+
+
+class ArenaRef(_Msg):
+    """In a ``blob`` field on a pipe lane: the attachment is the first
+    ``nbytes`` of shared-memory segment ``segment``
+    (:mod:`repro.dist.arena`), valid until the receiver's next ``recv``."""
+
+    __slots__ = ("segment", "nbytes")
+
+
+class ArenaOffer(_Msg):
+    """Parent → worker on a pipe lane's task channel, absorbed by the
+    worker's channel end: write large results into ``segment`` from now on
+    (the parent created it and will unlink it; the worker only attaches)."""
+
+    __slots__ = ("segment",)
 
 
 class HelloMsg(_Msg):
@@ -191,7 +370,9 @@ class TaskMsg(_Msg):
     ``seq`` is the parent-side ``TargetRegion.seq`` (the trace correlation
     id); ``name``/``source`` reproduce the region's identity worker-side so
     traces and error messages carry the user's labels; ``blob`` is the
-    :func:`dumps` of ``(body, args, kwargs)``; ``trace`` tells the worker
+    serialized ``(body, args, kwargs)`` — what :func:`dumps_parts` gave
+    when sent, ``bytes`` or a ``memoryview`` when received; ``trace`` tells
+    the worker
     whether to record (and ship back) execution events.
     """
 
@@ -217,9 +398,9 @@ class ClusterTaskMsg(_Msg):
 class ResultMsg(_Msg):
     """Worker → parent: the outcome of one :class:`TaskMsg`.
 
-    ``ok`` selects the branch: on success ``blob`` is the :func:`dumps` of
-    the return value; on failure ``exc_blob``/``exc_text``/``exc_tb`` are
-    the :func:`pack_exception` triple.  ``events`` is the worker-side event
+    ``ok`` selects the branch: on success ``blob`` is the serialized return
+    value (as in :class:`TaskMsg`); on failure
+    ``exc_blob``/``exc_text``/``exc_tb`` are the :func:`pack_exception` triple.  ``events`` is the worker-side event
     log (list of ``(kind, ts_ns, region, name, arg)`` tuples on the
     *worker's* clock) and ``events_dropped`` how many were discarded when
     the bounded log overflowed.

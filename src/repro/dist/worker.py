@@ -36,10 +36,12 @@ import os
 import threading
 from typing import Any, Callable
 
+from ..core.errors import SerializationError
 from ..core.region import TargetRegion
 from ..obs import EventKind
 from ..obs.events import now_ns
 from . import wire
+from .arena import ArenaChannel
 from .remote_obs import WorkerEventLog
 
 __all__ = ["WorkerConfig", "control_loop", "task_loop", "worker_main"]
@@ -124,6 +126,7 @@ def _run_task(
         body, args, kwargs = wire.loads(msg.blob, what=f"payload of region {msg.name!r}")
     except Exception as exc:  # noqa: BLE001 - SerializationError or worse
         return _error_result(msg.seq, exc, log)
+    msg.blob = None  # read: a receive buffer is freed before the body runs, not after
 
     region = TargetRegion(body, *args, **kwargs)
     # Adopt the parent-side identity so current_region(), traces and error
@@ -151,7 +154,7 @@ def _run_task(
     if region.exception is not None:
         return _error_result(msg.seq, region.exception, log)
     try:
-        blob = wire.dumps(region.result(), what=f"result of region {msg.name!r}")
+        blob = wire.dumps_parts(region.result(), what=f"result of region {msg.name!r}")
     except Exception as exc:  # noqa: BLE001 - unpicklable result
         return _error_result(msg.seq, exc, log)
     return wire.ResultMsg(msg.seq, True, blob, None, None, None, log.drain(), log.dropped)
@@ -201,14 +204,23 @@ def task_loop(
         if executed is not None:
             executed()
         try:
-            task.send(result)
+            try:
+                task.send(result)
+            except SerializationError as exc:
+                # The channel refused the result (too large for a frame)
+                # before writing any of it: that fails the region, not us.
+                task.send(wire.ResultMsg(
+                    msg.seq, False, None, *wire.pack_exception(exc),
+                    result.events, result.events_dropped,
+                ))
         except (OSError, ValueError, EOFError):
             return  # parent tore the channel mid-result
 
 
 def worker_main(config: WorkerConfig, task_conn: Any, ctrl_conn: Any) -> None:
     """Entry point of one worker process (the ``Process`` target): the
-    control loop on a daemon thread, the task loop on the main thread."""
+    control loop on a daemon thread, the task loop on the main thread, the
+    task pipe behind the worker end of the lane's shared-memory arenas."""
     current = _Current()
     threading.Thread(
         target=control_loop,
@@ -216,4 +228,11 @@ def worker_main(config: WorkerConfig, task_conn: Any, ctrl_conn: Any) -> None:
         name=f"repro-dist-ctrl-{config.target_name}-{config.worker_id}",
         daemon=True,
     ).start()
-    task_loop(task_conn, config, current)
+    task = ArenaChannel(
+        task_conn, owner=False,
+        label=f"worker {config.worker_id} of {config.target_name!r} (pid {os.getpid()})",
+    )
+    try:
+        task_loop(task, config, current)
+    finally:
+        task.close()  # unmap with no view alive, not at interpreter teardown

@@ -8,10 +8,12 @@ import pytest
 
 from repro import obs
 from repro.core import PjRuntime, virtual_target_create_cluster
+from repro.cluster.transport import MAX_FRAME_BYTES
 from repro.core.errors import (
     ProtocolVersionError,
     RegionFailedError,
     RuntimeStateError,
+    SerializationError,
     TargetShutdownError,
     WorkerCrashedError,
 )
@@ -138,6 +140,34 @@ class TestFaults:
             assert region.wait(30.0), "backlog region hung on a dead cluster"
             assert region.exception is not None
             assert _wait_until(lambda: not target.alive)
+        finally:
+            rt.shutdown(wait=False)
+
+    def test_an_oversize_payload_fails_its_region_not_the_lane(self, agent):
+        # Either direction: a message that cannot fit a frame is the
+        # region's SerializationError (naming the size and the limit),
+        # raised before a byte is written.  It used to tear the connection
+        # — a "crash" per attempt, four of which disabled the lane.
+        rt = PjRuntime()
+        try:
+            target = rt.create_cluster("g", [agent.endpoint], shards=1)
+            too_big = MAX_FRAME_BYTES + (1 << 20)
+            for region in (
+                TargetRegion(bytes, bytes(too_big)),  # the argument
+                TargetRegion(bytes, too_big),         # the result
+            ):
+                with pytest.raises(RegionFailedError) as exc_info:
+                    rt.invoke_target_block("g", region, timeout=60.0)
+                cause = exc_info.value.__cause__
+                assert isinstance(cause, SerializationError)
+                assert str(too_big)[:3] in str(cause)
+                assert f"MAX_FRAME_BYTES={MAX_FRAME_BYTES}" in str(cause)
+                assert target.stats["worker_crashes"] == target.restart_count == 0
+            ok = rt.invoke_target_block(
+                "g", TargetRegion(bytes, bytes(1 << 20)), timeout=60.0
+            )
+            assert ok.result() == bytes(1 << 20)
+            assert target.stats["worker_crashes"] == target.restart_count == 0
         finally:
             rt.shutdown(wait=False)
 

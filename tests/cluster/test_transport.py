@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import socket
 import struct
 import threading
@@ -9,7 +10,7 @@ import time
 
 import pytest
 
-from repro.core.errors import ProtocolVersionError, RuntimeStateError
+from repro.core.errors import ProtocolVersionError, RuntimeStateError, SerializationError
 from repro.cluster.transport import (
     MAX_FRAME_BYTES,
     TcpTransport,
@@ -87,7 +88,12 @@ class TestTcp:
         client, server = tcp_pair()
         try:
             n = 50
-            payloads = [bytes([i]) * (1000 + i) for i in range(n)]
+            # Every tenth sender's frame is far larger than a socket buffer,
+            # so it is still mid-send when the small ones try to cut in.
+            payloads = [
+                bytes([i]) * ((1 << 20) + i if i % 10 == 0 else 1000 + i)
+                for i in range(n)
+            ]
             threads = [
                 threading.Thread(target=client.send, args=(p,))
                 for p in payloads
@@ -148,6 +154,55 @@ class TestTcp:
             raw.close()
             server.close()
 
+    def test_a_small_frame_is_one_send_and_one_recv_syscall(self):
+        # The per-message path of cluster_small: a 64 B region rides
+        # in-band — no attachment word, no second buffer to receive into.
+        client, server = tcp_pair()
+        try:
+            sends, reads = _count_syscalls(client), _count_syscalls(server)
+            blob = wire.dumps_parts((bytes, (bytes(64),), {}))
+            client.send(wire.ClusterTaskMsg(1, "r", None, blob, False, None))
+            msg = server.recv()
+            assert sends == {"sendmsg": 1} and reads == {"recv": 1}
+            assert type(msg.blob) is bytes and wire.loads(msg.blob)[1] == (bytes(64),)
+            server.send(wire.PongMsg(1, 2))
+            assert client.poll(5.0) and client.recv().pid == 2
+        finally:
+            client.close()
+            server.close()
+
+    def test_a_large_blob_rides_beside_the_envelope_into_one_buffer(self):
+        client, server = tcp_pair()
+        try:
+            sends, reads = _count_syscalls(client), _count_syscalls(server)
+            payload = os.urandom(1 << 20)
+            blob = wire.dumps_parts(payload)
+            client.send(wire.TaskMsg(7, "r", None, blob, False))
+            msg = server.recv()
+            assert type(msg.blob) is memoryview and len(msg.blob) == blob.nbytes
+            assert isinstance(msg.blob.obj, bytearray), "received in place"
+            assert msg.seq == 7 and wire.loads(msg.blob) == payload
+            assert set(sends) == {"sendmsg"} and "recv_into" in reads
+        finally:
+            client.close()
+            server.close()
+
+    def test_an_oversize_message_is_refused_before_a_byte_is_sent(self):
+        client, server = tcp_pair()
+        try:
+            sends = _count_syscalls(client)
+            blob = wire.dumps_parts(bytes(MAX_FRAME_BYTES))
+            with pytest.raises(SerializationError, match="MAX_FRAME_BYTES"):
+                client.send(wire.TaskMsg(1, "r", None, blob, False))
+            with pytest.raises(SerializationError, match=f"at most MAX_FRAME_BYTES={MAX_FRAME_BYTES}"):
+                client.send(bytes(MAX_FRAME_BYTES))  # a bare object, plus its pickle framing
+            assert not sends
+            client.send("still in step")
+            assert server.recv() == "still in step"
+        finally:
+            client.close()
+            server.close()
+
     def test_satisfies_transport_protocol(self):
         from repro.cluster.transport import Transport
 
@@ -159,6 +214,30 @@ class TestTcp:
         finally:
             client.close()
             server.close()
+
+
+def _count_syscalls(transport: TcpTransport) -> dict[str, int]:
+    """Route *transport*'s socket through a proxy that counts the calls
+    that reach the kernel's send and receive paths."""
+    counts: dict[str, int] = {}
+
+    class Counting:
+        def __init__(self, sock):
+            self._sock = sock
+
+        def __getattr__(self, name):
+            attr = getattr(self._sock, name)
+            if name not in ("send", "sendall", "sendmsg", "recv", "recv_into"):
+                return attr
+
+            def counted(*args):
+                counts[name] = counts.get(name, 0) + 1
+                return attr(*args)
+
+            return counted
+
+    transport._sock = Counting(transport._sock)
+    return counts
 
 
 class TestParseEndpoint:

@@ -78,3 +78,16 @@ def raise_unpicklable():
             self.lock = threading.Lock()
 
     raise Cursed()
+
+
+def echo(x):
+    """Return the argument (a payload makes the trip twice)."""
+    return x
+
+
+def describe(x):
+    """What the worker actually received: type name, length and CRC-32 of a
+    bytes-like argument — fidelity checked on the far side of the hop."""
+    import zlib
+
+    return type(x).__name__, len(x), zlib.crc32(x)

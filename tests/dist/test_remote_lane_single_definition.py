@@ -9,12 +9,16 @@ agent that re-implements the worker loops, fails here.
 from __future__ import annotations
 
 import inspect
+import pathlib
+import re
 
 import pytest
 
-from repro.cluster import ClusterAgent, ClusterTarget
+import repro
+from repro.cluster import ClusterAgent, ClusterTarget, transport
 from repro.cluster.target import _ClusterSlot
-from repro.dist import ProcessTarget, RemoteLane, RemoteLaneTarget
+from repro.dist import ProcessTarget, RemoteLane, RemoteLaneTarget, arena, wire
+from repro.dist import process_target, worker
 from repro.dist.process_target import _WorkerSlot
 
 CORE_METHODS = (
@@ -48,3 +52,32 @@ def test_agent_serves_the_shared_worker_loops():
     for msg in ("SyncMsg", "PingMsg"):
         assert msg not in source, f"ClusterAgent dispatches on {msg} itself"
     assert "task_loop(" in source and "control_loop(" in source
+
+
+def _modules_spelling(pattern: str) -> set[str]:
+    """Files under ``src/repro`` whose source matches *pattern*."""
+    root = pathlib.Path(repro.__file__).parent
+    return {
+        str(path.relative_to(root))
+        for path in root.rglob("*.py")
+        if re.search(pattern, path.read_text())
+    }
+
+
+def test_the_data_plane_is_written_once_and_imported_by_both_ends():
+    # One arena implementation, run by the parent end and the worker end of
+    # a pipe lane alike; one parts serializer, used by both directions.
+    assert _modules_spelling(r"SharedMemory\(|posix_fallocate|shm_open") == {"dist/arena.py"}
+    assert process_target.ArenaChannel is worker.ArenaChannel is arena.ArenaChannel
+    assert _modules_spelling(r"class Parts\b|PickleBuffer|Pickler\(") == {"dist/wire.py"}
+    assert _modules_spelling(r"dumps_parts\(") == {
+        "dist/wire.py", "dist/remote_target.py", "dist/worker.py",
+    }
+    assert wire.dumps_parts.__module__ == "repro.dist.wire"
+
+
+def test_the_tcp_send_path_neither_nests_the_pickle_nor_concatenates_the_frame():
+    source = inspect.getsource(transport.TcpTransport) + inspect.getsource(transport._send_all)
+    assert "pickle.dumps(" not in source and "sendall(" not in source
+    assert not re.search(r"\.pack\([^)]*\)\s*\+", inspect.getsource(transport))
+    assert "sendmsg(" in source and "recv_into(" in source
