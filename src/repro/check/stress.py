@@ -6,7 +6,8 @@ policy, an always-unbounded second pool, usually an EDT), then drives a
 seeded stream of mixed operations through it:
 
 * ``nowait`` / ``default`` / ``name_as`` / ``await`` dispatches,
-* nested ``await`` logical barriers issued *from inside* target members,
+* nested ``await`` logical barriers and nested ``wait(tag)`` joins issued
+  *from inside* target members,
 * cross-target posts of instrumented plain callables,
 * randomly failing bodies,
 * a forced queue-full window (all three rejection policies get exercised),
@@ -271,6 +272,19 @@ def run_iteration(
         window = (max(1, int(n_ops * 0.3)), max(2, int(n_ops * 0.45)))
         next_tid = -1
 
+        def dispatch(tname: str, label: str, body: Callable, mode: str = "nowait",
+                     *, book: list = handles, **clauses) -> None:
+            """Issue one region and *book* its handle (bodies book theirs
+            under ``inner``).  A refused or timed-out dispatch resolves the
+            handle, so no waiter or tag group is stranded on a region that
+            never enqueued."""
+            reg = TargetRegion(body, name=label)
+            book.append((label, reg))
+            try:
+                rt.invoke_target_block(tname, reg, mode, **clauses)
+            except (PyjamaError, TimeoutError) as exc:
+                reg.request_cancel(exc)
+
         for k in range(n_ops):
             if k == window[0]:
                 force_full.active = True
@@ -292,35 +306,14 @@ def run_iteration(
                 next_tid -= 1
                 rt.get_target("w0").post(cb)
             elif x < 0.20:
-                reg = TargetRegion(region_body(duration, fail, label), name=label)
-                handles.append((label, reg))
-                try:
-                    rt.invoke_target_block(tname, reg, "nowait")
-                except PyjamaError as exc:
-                    reg.request_cancel(exc)
+                dispatch(tname, label, region_body(duration, fail, label))
             elif x < 0.35:
-                reg = TargetRegion(region_body(duration, fail, label), name=label)
-                handles.append((label, reg))
-                try:
-                    rt.invoke_target_block(tname, reg, "default")
-                except (PyjamaError, TimeoutError) as exc:
-                    reg.request_cancel(exc)
+                dispatch(tname, label, region_body(duration, fail, label), "default")
             elif x < 0.50:
-                reg = TargetRegion(region_body(duration, fail, label), name=label)
-                handles.append((label, reg))
-                try:
-                    rt.invoke_target_block(tname, reg, "name_as", tag=r.choice(tags))
-                except PyjamaError as exc:
-                    # A rejected post must not strand the tag group: resolve
-                    # the handle so wait_tag sees a terminal region.
-                    reg.request_cancel(exc)
+                dispatch(tname, label, region_body(duration, fail, label),
+                         "name_as", tag=r.choice(tags))
             elif x < 0.60:
-                reg = TargetRegion(region_body(duration, fail, label), name=label)
-                handles.append((label, reg))
-                try:
-                    rt.invoke_target_block(tname, reg, "await")
-                except (PyjamaError, TimeoutError) as exc:
-                    reg.request_cancel(exc)
+                dispatch(tname, label, region_body(duration, fail, label), "await")
             elif x < 0.70:
                 # Nested logical barrier: the outer body runs on a member
                 # thread and awaits an inner region.  Inner destinations are
@@ -334,23 +327,42 @@ def run_iteration(
 
                 def outer(inner_name=inner_name, inner_label=inner_label,
                           inner_duration=inner_duration) -> None:
-                    reg = TargetRegion(
+                    dispatch(
+                        inner_name, inner_label,
                         region_body(inner_duration, False, inner_label),
-                        name=inner_label,
+                        "await", book=inner, timeout=3.0,
                     )
-                    inner.append((inner_label, reg))
-                    try:
-                        rt.invoke_target_block(inner_name, reg, "await", timeout=3.0)
-                    except (PyjamaError, TimeoutError) as exc:
-                        reg.request_cancel(exc)
 
-                reg = TargetRegion(outer, name=label)
-                handles.append((label, reg))
-                try:
-                    rt.invoke_target_block(tname, reg, "nowait")
-                except PyjamaError as exc:
-                    reg.request_cancel(exc)
-            elif x < 0.80:
+                dispatch(tname, label, outer)
+            elif x < 0.76:
+                # Nested tag join: the same barrier entered through
+                # ``wait(tag)``.  The outer body, on a member thread, posts
+                # two inner regions under a tag of its own (safe destinations
+                # only, as above) and joins them while pumping its host.
+                inner_names = [r.choice(safe_names + [tname]) for _ in range(2)]
+                join_tag = f"{label}-join"
+
+                def joiner(inner_names=inner_names, join_tag=join_tag) -> None:
+                    for i, inner_name in enumerate(inner_names):
+                        inner_label = f"{join_tag}{i}"
+                        dispatch(
+                            inner_name, inner_label,
+                            region_body(0.0005, False, inner_label),
+                            "name_as", book=inner, tag=join_tag,
+                        )
+                    try:
+                        rt.wait_tag(join_tag, timeout=3.0)
+                    except RegionFailedError:
+                        pass  # an inner region lost to the mid-flight shutdown
+                    except TimeoutError:
+                        violations.append(Violation(
+                            "stuck-tag",
+                            f"nested join of tag {join_tag!r} timed out",
+                            name=join_tag,
+                        ))
+
+                dispatch(tname, label, joiner)
+            elif x < 0.84:
                 # Cross-target post issued from inside a body: a member of
                 # one target feeds another target's queue directly.
                 dest = r.choice(all_names)
@@ -363,12 +375,7 @@ def run_iteration(
                     except PyjamaError:
                         pass  # full or shut down: the callable never enqueued
 
-                reg = TargetRegion(poster, name=label)
-                handles.append((label, reg))
-                try:
-                    rt.invoke_target_block(tname, reg, "nowait")
-                except PyjamaError as exc:
-                    reg.request_cancel(exc)
+                dispatch(tname, label, poster)
             elif x < 0.92:
                 cb = _make_callable(next_tid, f"{label}-cb", duration, fail, ran)
                 next_tid -= 1

@@ -56,8 +56,8 @@ def virtual_target_register_edt(tname: str, *, runtime: PjRuntime | None = None)
 
     Paper Table II: *"The thread which invokes this function will be
     registered as a virtual target named tname."*  The caller keeps ownership
-    of the thread and must drive the target's queue (``run_forever``,
-    ``drain`` or ``pump_until``).
+    of the thread and must drive the target's queue: ``run_forever``, or by
+    hand with ``drain`` / ``pump_until`` (the barrier ``await`` itself uses).
     """
     return (runtime or default_runtime()).register_edt(tname)
 

@@ -18,7 +18,7 @@ paper's Algorithm 1 ("Target block code execution"):
 from __future__ import annotations
 
 import threading
-import time
+from functools import partial
 from typing import Any, Callable
 
 from ..obs import EventKind
@@ -506,7 +506,7 @@ class PjRuntime:
             f"{kind} on region {region.name!r} (target {executor.name!r}) exceeded "
             f"its {timeout}s deadline; region {state}",
             self.diagnostic_dump(),
-        )
+        ) from None  # the pump's own expiry, if any, is in the dump
 
     def _logical_barrier(
         self,
@@ -517,11 +517,11 @@ class PjRuntime:
         """Keep the encountering thread useful while *region* runs elsewhere.
 
         If the thread belongs to a virtual target, pump that target's queue
-        ("T.processAnotherEventHandler()"); otherwise degrade to a blocking
+        ("T.processAnotherEventHandler()") in :meth:`VirtualTarget.pump_until`
+        until *region*'s completion wakes it; otherwise degrade to a blocking
         wait (or raise, under ``strict_await_var``).  *timeout* arms the
-        barrier watchdog: a barrier still spinning past its deadline raises
-        :class:`AwaitTimeoutError` with a full diagnostic dump instead of
-        pumping forever.
+        barrier watchdog: past the deadline the region is withdrawn and
+        :class:`AwaitTimeoutError` raised with a full diagnostic dump.
         """
         mine = current_target()
         if mine is None:
@@ -533,43 +533,14 @@ class PjRuntime:
             if not region.wait(timeout):
                 self._on_deadline(region, executor, timeout, kind="await")
             return
-        if not mine.supports_pumping:
-            raise RuntimeStateError(
-                f"virtual target {mine.name!r} wraps an event loop that cannot "
-                "be pumped re-entrantly; use nowait plus the adapter's "
-                "as_future()/completion hooks instead of await"
-            )
         region.add_done_callback(lambda _r: mine.wakeup())
-        session = _obs.session()
-        if session.enabled:
-            session.emit(
-                EventKind.BARRIER_ENTER, target=mine.name, region=region.seq,
-                name=region.label,
-            )
-        deadline = None if timeout is None else time.monotonic() + timeout
         try:
-            while not region.done:
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        self._on_deadline(region, mine, timeout, kind="await")
-                    poll = min(self.await_poll_var, remaining)
-                else:
-                    poll = self.await_poll_var
-                if mine.process_one(timeout=poll) and session.enabled:
-                    # Barrier-mode steal: the awaiting thread worked its own
-                    # target's queue, so victim and thief coincide (ring
-                    # steals attribute a sibling target instead).
-                    mine._trace_steal(
-                        session, mine, "barrier",
-                        region=region.seq, name=region.label,
-                    )
-        finally:
-            if session.enabled:
-                session.emit(
-                    EventKind.BARRIER_EXIT, target=mine.name, region=region.seq,
-                    name=region.label,
-                )
+            mine.pump_until(
+                lambda: region.done, self.await_poll_var, timeout=timeout,
+                region=region.seq, name=region.label,
+            )
+        except AwaitTimeoutError:
+            self._on_deadline(region, mine, timeout, kind="await")
 
     # ----------------------------------------------------------- directives
 
@@ -610,38 +581,30 @@ class PjRuntime:
         """The ``wait(name-tag)`` clause: join all blocks named *tag*.
 
         When called from a thread that belongs to a virtual target, other
-        queued work is processed while waiting (logical barrier), keeping an
-        EDT responsive even inside a join.
+        queued work is processed while waiting — the logical barrier of
+        ``await``, woken when the group drains — keeping an EDT responsive
+        even inside a join.  Past *timeout*: :class:`AwaitTimeoutError`.
         """
         mine = current_target()
-        helper = None
-        if mine is not None:
-            if not mine.supports_pumping:
-                # Same guard as the await logical barrier: pumping a foreign
-                # non-reentrant loop (e.g. asyncio) from inside one of its
-                # callbacks would re-enter it.  Fail with guidance instead.
-                raise RuntimeStateError(
-                    f"wait_tag({tag!r}) called from a member of virtual target "
-                    f"{mine.name!r}, which wraps an event loop that cannot be "
-                    "pumped re-entrantly; await the regions with as_future() "
-                    "(or join the tag from a pumpable thread) instead"
-                )
-            poll = self.await_poll_var
-            helper = lambda: mine.process_one(timeout=poll)  # noqa: E731
+        tags = self.tags
+        where = None if mine is None else mine.name
         session = _obs.session()
         if session.enabled:
-            session.emit(
-                EventKind.TAG_WAIT_BEGIN,
-                target=mine.name if mine is not None else None, name=tag,
-            )
+            session.emit(EventKind.TAG_WAIT_BEGIN, target=where, name=tag)
         try:
-            self.tags.wait(tag, timeout=timeout, strict=strict, helper=helper)
+            if mine is None:
+                tags.wait(tag, timeout=timeout, strict=strict)
+            else:
+                if strict:
+                    tags.require_known(tag)
+                mine.pump_until(
+                    partial(tags.drained, tag, mine.wakeup), self.await_poll_var,
+                    timeout=timeout, name=tag,
+                )
+                tags.raise_errors(tag)
         finally:
             if session.enabled:
-                session.emit(
-                    EventKind.TAG_WAIT_END,
-                    target=mine.name if mine is not None else None, name=tag,
-                )
+                session.emit(EventKind.TAG_WAIT_END, target=where, name=tag)
 
     # -------------------------------------------------------------- telemetry
 

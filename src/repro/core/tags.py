@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 from typing import Callable
 
-from .errors import RegionCancelledError, RegionFailedError, TagError
+from .errors import AwaitTimeoutError, RegionCancelledError, RegionFailedError, TagError
 from .region import RegionState, TargetRegion
 
 __all__ = ["TagRegistry"]
@@ -28,6 +28,8 @@ class TagRegistry:
         # Tags that have ever been used; lets strict waits distinguish
         # "never registered" from "all done".
         self._known: set[str] = set()
+        # Per tag, what to call when its group next empties (see drained()).
+        self._wakers: dict[str, set[Callable[[], None]]] = {}
 
     def register(self, tag: str, region: TargetRegion) -> None:
         """Attach *region* to *tag*; automatically detaches on completion."""
@@ -37,12 +39,14 @@ class TagRegistry:
         region.add_done_callback(lambda r: self._on_done(tag, r))
 
     def _on_done(self, tag: str, region: TargetRegion) -> None:
+        wakers = ()
         with self._cond:
             live = self._outstanding.get(tag)
             if live is not None:
                 live.discard(region)
                 if not live:
                     del self._outstanding[tag]
+                    wakers = self._wakers.pop(tag, wakers)
             if region.exception is not None:
                 # Includes regions cancelled *with a reason* (a drained
                 # target's lost work): wait_tag must surface those, while a
@@ -56,6 +60,8 @@ class TagRegistry:
                     err_cls(region.name, region.exception)
                 )
             self._cond.notify_all()
+        for wake in wakers:  # outside the lock: a waker takes a queue lock
+            wake()
 
     def outstanding(self, tag: str) -> int:
         with self._lock:
@@ -65,13 +71,31 @@ class TagRegistry:
         with self._lock:
             return tag in self._known
 
+    def require_known(self, tag: str) -> None:
+        """The strict-wait check: a never-registered *tag* is a typo."""
+        if not self.is_known(tag):
+            raise TagError(f"wait on unknown name_as tag {tag!r}")
+
+    def drained(self, tag: str, wake: Callable[[], None]) -> bool:
+        """True if no region under *tag* is outstanding; otherwise False,
+        having arranged one call of *wake* when the group next empties.
+
+        The predicate of a waiter that pumps a queue instead of blocking on
+        this registry's condition.  Re-arming with an equal callable is
+        idempotent, so however often it re-checks, one wakeup is owed.
+        """
+        with self._lock:
+            if not self._outstanding.get(tag):
+                return True
+            self._wakers.setdefault(tag, set()).add(wake)
+            return False
+
     def wait(
         self,
         tag: str,
         *,
         timeout: float | None = None,
         strict: bool = False,
-        helper: Callable[[], bool] | None = None,
         raise_on_error: bool = True,
     ) -> None:
         """Block until every region registered under *tag* has finished.
@@ -82,41 +106,27 @@ class TagRegistry:
             If True, waiting on a tag that was never registered raises
             :class:`TagError` (catches typos); the paper's semantics treat an
             unknown tag as trivially complete, which is the default.
-        helper:
-            Optional "process another task" callback.  When given, instead of
-            sleeping the waiting thread repeatedly invokes it (the logical
-            barrier used when the waiter is an EDT or pool member).  It should
-            return promptly; its boolean result is ignored.
         raise_on_error:
             If any region under *tag* failed, re-raise the first recorded
             :class:`RegionFailedError` after the group completes.
         """
-        if strict and not self.is_known(tag):
-            raise TagError(f"wait on unknown name_as tag {tag!r}")
-        if helper is None:
-            with self._cond:
-                ok = self._cond.wait_for(
-                    lambda: not self._outstanding.get(tag), timeout=timeout
-                )
-            if not ok:
-                raise TimeoutError(f"timed out waiting for tag {tag!r}")
-        else:
-            # Cooperative wait: poll the group while helping with other work.
-            import time
-
-            deadline = None if timeout is None else time.monotonic() + timeout
-            while self.outstanding(tag):
-                if deadline is not None and time.monotonic() > deadline:
-                    raise TimeoutError(f"timed out waiting for tag {tag!r}")
-                helper()
+        if strict:
+            self.require_known(tag)
+        with self._cond:
+            ok = self._cond.wait_for(
+                lambda: not self._outstanding.get(tag), timeout=timeout
+            )
+        if not ok:
+            raise AwaitTimeoutError(f"timed out waiting for tag {tag!r}")
         if raise_on_error:
-            errors = self._pop_errors(tag)
-            if errors:
-                raise errors[0]
+            self.raise_errors(tag)
 
-    def _pop_errors(self, tag: str) -> list[RegionFailedError]:
+    def raise_errors(self, tag: str) -> None:
+        """Consume the failures recorded under *tag* and raise the first."""
         with self._lock:
-            return self._completed_with_error.pop(tag, [])
+            errors = self._completed_with_error.pop(tag, None)
+        if errors:
+            raise errors[0]
 
     def clear(self, *, keep_errors: bool = False) -> None:
         """Forget all tag bookkeeping (waiters unblock as trivially complete).
@@ -130,4 +140,8 @@ class TagRegistry:
             if not keep_errors:
                 self._completed_with_error.clear()
             self._known.clear()
+            wakers = set().union(*self._wakers.values())
+            self._wakers.clear()
             self._cond.notify_all()
+        for wake in wakers:
+            wake()

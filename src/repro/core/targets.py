@@ -600,8 +600,8 @@ class VirtualTarget(abc.ABC):
 
     #: Whether member threads can drain the queue cooperatively (the
     #: ``await`` logical barrier).  Adapters wrapping foreign event loops
-    #: that cannot be re-entered (e.g. asyncio) set this to False; the
-    #: runtime then refuses ``await`` with guidance instead of deadlocking.
+    #: that cannot be re-entered (e.g. asyncio) set this to False;
+    #: :meth:`pump_until` then refuses with guidance instead of deadlocking.
     supports_pumping: bool = True
 
     #: Whether Algorithm 1's inline elision (lines 6-7) may apply: a thread
@@ -783,50 +783,59 @@ class VirtualTarget(abc.ABC):
         poll: float = 0.05,
         *,
         timeout: float | None = None,
+        region: int | None = None,
+        name: str = "pump_until",
     ) -> None:
         """Process queued work in the calling thread until *predicate* holds.
 
-        The calling thread must belong to this target; this is the logical
-        barrier of Algorithm 1 (lines 13-16).  *poll* bounds the wait per
-        iteration so the predicate is re-checked even without a wakeup.
-        With a *timeout*, a barrier stuck past its deadline raises
-        :class:`AwaitTimeoutError` carrying this target's diagnostics instead
-        of pumping forever.
+        The logical barrier of Algorithm 1 (lines 13-16), and the only loop
+        of its kind: ``await``, a member thread's ``wait(tag)`` and the modal
+        dialog end up here too.  The calling thread must belong to this
+        target and the target must be pumpable.  *poll* only bounds how stale
+        the predicate can get; a caller that wants out the moment it holds
+        arranges a :meth:`wakeup`.  Past *timeout* the barrier raises
+        :class:`AwaitTimeoutError` with this target's diagnostics.  *region*
+        and *name* identify it in the trace and in that error, nothing else.
         """
         if not self.contains():
             raise RuntimeStateError(
                 f"thread {threading.current_thread().name!r} does not belong to "
                 f"virtual target {self.name!r} and cannot pump its queue"
             )
+        if not self.supports_pumping:
+            # Pumping a foreign loop (asyncio) from inside one of its
+            # callbacks would re-enter it: fail with guidance instead.
+            raise RuntimeStateError(
+                f"virtual target {self.name!r} wraps an event loop that cannot be "
+                f"pumped re-entrantly (barrier {name!r}); use nowait plus the "
+                "adapter's as_future()/completion hooks, or wait elsewhere"
+            )
         session = _obs.session()
+        ident = {"target": self.name, "region": region, "name": name}
         if session.enabled:
-            session.emit(EventKind.BARRIER_ENTER, target=self.name, name="pump_until")
+            session.emit(EventKind.BARRIER_ENTER, **ident)
         # Deadline math uses time.monotonic() (the runtime-wide convention for
         # deadlines); only trace timestamps use the perf_counter_ns clock.
         deadline = None if timeout is None else time.monotonic() + timeout
         try:
             while not predicate():
+                step = poll
                 if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
+                    step = min(poll, deadline - time.monotonic())
+                    if step <= 0:
                         raise AwaitTimeoutError(
-                            f"logical barrier on target {self.name!r} exceeded its "
-                            f"{timeout}s deadline",
+                            f"logical barrier {name!r} on target {self.name!r} "
+                            f"exceeded its {timeout}s deadline",
                             self.describe(),
                         )
-                    poll_step = min(poll, remaining)
-                else:
-                    poll_step = poll
-                if self.process_one(timeout=poll_step) and session.enabled:
+                if self.process_one(timeout=step) and session.enabled:
                     # Barrier-mode steal: the pumping thread took work from
                     # its own target, so victim and thief coincide (contrast
                     # ring stealing, where a sibling lane is the thief).
-                    self._trace_steal(session, self, "barrier", name="pump_until")
+                    self._trace_steal(session, self, "barrier", region=region, name=name)
         finally:
             if session.enabled:
-                session.emit(
-                    EventKind.BARRIER_EXIT, target=self.name, name="pump_until"
-                )
+                session.emit(EventKind.BARRIER_EXIT, **ident)
 
     def _trace_steal(
         self,
@@ -1113,8 +1122,8 @@ class EdtTarget(VirtualTarget):
     * :meth:`register_current_thread` — the paper's
       ``virtual_target_register_edt``: the calling thread (e.g. a GUI
       framework's dispatch thread) becomes the member and must drive the
-      queue itself via :meth:`run_forever`, :meth:`drain` or
-      :meth:`pump_until`.
+      queue itself: :meth:`run_forever`, or by hand with :meth:`drain` /
+      :meth:`pump_until` (the logical barrier ``await`` itself uses).
     * :meth:`start_in_thread` — convenience used by the event-loop substrate
       and by headless tests: spawn a dedicated daemon thread that runs
       :meth:`run_forever`.

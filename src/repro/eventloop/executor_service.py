@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections import deque
 from typing import Any, Callable, Iterable
 
 from ..core.errors import QueueFullError
@@ -67,7 +68,7 @@ class ExecutorService:
         self.name = name or f"executor-{next(self._pool_ids)}"
         self.queue_capacity = queue_capacity
         self.rejection_policy = rejection_policy
-        self._queue: "list[TargetRegion]" = []
+        self._queue: "deque[TargetRegion]" = deque()
         self._cond = threading.Condition()
         self._shutdown = False
         self._active = 0
@@ -85,7 +86,7 @@ class ExecutorService:
                     self._cond.wait()
                 if self._shutdown and not self._queue:
                     return
-                region = self._queue.pop(0)
+                region = self._queue.popleft()
                 self._active += 1
                 # A queue slot just freed: wake submitters blocked on a
                 # bounded queue without waiting for the region to finish.
@@ -148,7 +149,8 @@ class ExecutorService:
     def shutdown_now(self) -> list[TargetRegion]:
         with self._cond:
             self._shutdown = True
-            dropped, self._queue = self._queue, []
+            dropped = list(self._queue)
+            self._queue.clear()
             self._cond.notify_all()
         for r in dropped:
             r.cancel()

@@ -166,21 +166,16 @@ class ModalDialog(Widget):
         Must be called on the EDT (it is a GUI operation *and* needs the
         EDT's queue to pump).  Re-entrant: a handler dispatched while one
         dialog is open may itself open another — LIFO close order applies,
-        as in real toolkits.
+        as in real toolkits.  Still open after *timeout*: ``AwaitTimeoutError``.
         """
         self._record("show_modal", None)
         self._open = True
         self._closed.clear()
-        import time as _time
-
-        deadline = None if timeout is None else _time.monotonic() + timeout
-        target = self.loop.target
-        while not self._closed.is_set():
-            if deadline is not None and _time.monotonic() > deadline:
-                self._open = False
-                raise TimeoutError(f"modal dialog {self.name!r} never closed")
-            target.process_one(timeout=0.02)
-        self._open = False
+        try:
+            # The same logical barrier as ``await``; close() wakes it.
+            self.loop.target.pump_until(self._closed.is_set, timeout=timeout, name=self.name)
+        finally:
+            self._open = False
         self._journal.append(("closed", self._result))
         return self._result
 

@@ -9,9 +9,9 @@ kinds mirror the paper's lifecycle:
   ``EXEC_BEGIN``/``EXEC_END`` (the block body ran), ``CANCEL`` (withdrawn),
   ``REJECT`` (bounded-queue rejection), ``INLINE_ELIDE`` (thread-context
   awareness short-circuited the queue, Algorithm 1 lines 6-7);
-* the ``await`` logical barrier — ``BARRIER_ENTER``, ``PUMP_STEAL`` (a
-  thread executed queued work it did not own: a pumping barrier, or an idle
-  sibling lane stealing), ``BARRIER_EXIT``;
+* the logical barrier (``await``, a member thread's ``wait(tag)``) —
+  ``BARRIER_ENTER``, ``PUMP_STEAL`` (a thread executed queued work it did not
+  own: a pumping barrier, or an idle sibling lane stealing), ``BARRIER_EXIT``;
 * ``wait(tag)`` joins — ``TAG_WAIT_BEGIN``/``TAG_WAIT_END``;
 * telemetry — ``QUEUE_DEPTH`` samples (one counter track per target);
 * process-target supervision — ``WORKER_SPAWN``/``WORKER_EXIT``/
@@ -36,7 +36,7 @@ Clock convention
 All trace timestamps come from :func:`now_ns` — ``time.perf_counter_ns()``,
 the highest-resolution monotonic clock Python offers — so events recorded on
 different threads interleave correctly in one timeline.  Deadline math in
-the runtime (``pump_until``, barrier watchdogs, ``wait_tag``) uniformly uses
+the runtime (the logical barrier ``pump_until``, blocking waits) uniformly uses
 ``time.monotonic()``; the two are never mixed in one computation, and no
 wall-clock (``time.time``) timestamps exist anywhere in the runtime.
 """
@@ -63,7 +63,7 @@ class EventKind(enum.IntEnum):
     CANCEL = 6          # region withdrawn (shutdown / deadline / explicit)
     REJECT = 7          # bounded queue refused the post (arg: rejection policy)
     INLINE_ELIDE = 8    # thread-context awareness ran the block inline
-    BARRIER_ENTER = 9   # await logical barrier started pumping
+    BARRIER_ENTER = 9   # logical barrier (pump_until) started pumping
     PUMP_STEAL = 10     # the barrier executed another queued item
     BARRIER_EXIT = 11   # logical barrier released
     TAG_WAIT_BEGIN = 12  # wait(tag) join started

@@ -3,7 +3,7 @@
 Three consumers read a served workload:
 
 * the ``/stats`` endpoint and the CLI summary — :class:`ServerStats`
-  counters plus p50/p99 latency over the recorded samples;
+  counters plus p50/p99 latency over the most recent samples;
 * ``repro.bench`` — :func:`latency_entry`/:func:`serve_document` shape a
   live run into a ``repro.bench/v1`` document, so the live server's numbers
   live in the same schema (and the same ``--compare`` machinery) as the
@@ -18,6 +18,7 @@ Three consumers read a served workload:
 from __future__ import annotations
 
 import threading
+from collections import deque
 from typing import Any
 
 from ..bench.env import environment_fingerprint
@@ -26,9 +27,17 @@ from ..bench.report import SCHEMA
 
 __all__ = ["ServerStats", "latency_entry", "serve_document", "export_trace"]
 
+#: Latency samples :class:`ServerStats` keeps (the most recent ones).  One
+#: float per request for the server's lifetime grows without bound, and
+#: every ``GET /stats`` copies the samples under the lock each request
+#: takes, then sorts the copy; 8192 bounds that at ~64 KiB and about a
+#: millisecond while leaving ~80 samples above the p99 it reports.
+LATENCY_WINDOW = 8192
+
 
 class ServerStats:
-    """Counters and latency samples for one server lifetime.
+    """Counters for one server lifetime — exact — and the latency samples
+    of its last :data:`LATENCY_WINDOW` requests.
 
     Mutated from the event-loop thread (request lifecycle) and read from
     arbitrary threads (``/stats``, CLI, tests); the lock keeps multi-field
@@ -47,7 +56,7 @@ class ServerStats:
         self.draining_rejects = 0  # request arrived during drain (503)
         self.bytes_in = 0
         self.bytes_out = 0
-        self.latencies_s: list[float] = []
+        self.latencies_s: deque[float] = deque(maxlen=LATENCY_WINDOW)
 
     def record(self, status: int | None = None, latency_s: float | None = None,
                *, counter: str | None = None, bytes_in: int = 0,
@@ -74,7 +83,8 @@ class ServerStats:
         self.record(counter=counter)
 
     def snapshot(self) -> dict[str, Any]:
-        """Consistent view of every counter plus latency percentiles."""
+        """Consistent view of every counter plus latency percentiles over
+        the sample window."""
         with self._lock:
             lat = list(self.latencies_s)
             snap: dict[str, Any] = {

@@ -298,6 +298,29 @@ class TestDeadlines:
         finally:
             target.shutdown(wait=False)
 
+    @pytest.mark.parametrize("member", [False, True])
+    def test_tag_join_expiry_is_the_same_error(self, member):
+        """``wait(tag)`` times out with ``await``'s error type whether it
+        blocked (non-member) or pumped (member: with the host's diagnostics)."""
+        rt = PjRuntime()
+        try:
+            rt.create_worker("busy", 1)
+            rt.create_worker("host", 1)
+            gate = threading.Event()
+            rt.invoke_target_block("busy", gate.wait, "name_as", tag="stuck")
+
+            def join():
+                with pytest.raises(AwaitTimeoutError) as ei:
+                    rt.wait_tag("stuck", timeout=0.1)
+                return ei.value
+
+            exc = rt.invoke_target_block("host", join).result() if member else join()
+            assert "'stuck'" in str(exc)
+            assert ("target 'host'" in exc.diagnostics) == member
+            gate.set()
+        finally:
+            rt.shutdown(wait=False)
+
 
 class TestCancellationPropagation:
     def test_invoke_honours_already_cancelled_region(self):

@@ -15,7 +15,10 @@ import time
 
 import pytest
 
+from repro import obs
+from repro.check.invariants import verify_events
 from repro.core import RegionFailedError, TargetRegion
+from repro.obs import EventKind
 
 
 class TestDefaultClause:
@@ -175,3 +178,64 @@ class TestAwaitClause:
         assert done.wait(timeout=5)
         # The quick event ran during the 0.3 s await, far sooner than 0.3 s.
         assert response_times["quick"] < 0.15
+
+
+class TestTagJoinFromMemberThread:
+    """``wait(tag)`` on a thread that belongs to a virtual target is the same
+    logical barrier as ``await``: it pumps the host's queue and ends when the
+    group drains — not at the pump's next poll."""
+
+    @staticmethod
+    def _join_on(rt, host_name, tag="grp"):
+        """Run a handler on *host_name* that queues 3 follow-up events on its
+        own host, posts 4 tagged ~1 ms regions (the last gated on the last
+        follow-up, so the join can only end if the host pumped them) and
+        joins them.  Returns (seconds the join took, what ran in what order)."""
+        host = rt.get_target(host_name)
+        pumped, done = threading.Event(), threading.Event()
+        order, took = [], []
+
+        def handler():
+            for i in range(3):
+                host.post(TargetRegion(lambda i=i: order.append(f"event-{i}")))
+            host.post(pumped.set)
+            for i in range(4):
+                body = (lambda: pumped.wait(5)) if i == 3 else (lambda: time.sleep(0.001))
+                rt.invoke_target_block("worker", body, "name_as", tag=tag)
+            t0 = time.monotonic()
+            rt.wait_tag(tag, timeout=10)
+            took.append(time.monotonic() - t0)
+            order.append("after-wait")
+            done.set()
+
+        host.post(TargetRegion(handler))
+        assert done.wait(timeout=15)
+        return took[0], order
+
+    @pytest.mark.parametrize("host", ["edt", "pool"])
+    def test_join_ends_when_the_group_drains_whatever_the_poll(self, edt_rt, host):
+        # One lane: the handler's own thread is then the only consumer of
+        # the host queue, so the drain wakeup cannot go to an idle sibling.
+        edt_rt.create_worker("pool", 1)
+        edt_rt.await_poll_var = 2.0
+        took, order = self._join_on(edt_rt, host)
+        assert order == ["event-0", "event-1", "event-2", "after-wait"]
+        assert took < 0.5, f"join slept out the poll: {took:.2f}s"
+
+    def test_join_span_attributes_every_pumped_item(self, edt_rt):
+        obs.session().clear()
+        session = obs.enable()
+        try:
+            self._join_on(edt_rt, "edt")
+        finally:
+            obs.disable()
+        events = session.events()
+        session.clear()
+        on_edt = [e for e in events if e.target == "edt"]
+        kinds = [e.kind for e in on_edt]
+        span = on_edt[kinds.index(EventKind.TAG_WAIT_BEGIN):kinds.index(EventKind.TAG_WAIT_END)]
+        steals = [e for e in span if e.kind is EventKind.PUMP_STEAL]
+        pumped = sum(e.kind is EventKind.EXEC_BEGIN for e in span)
+        assert pumped == 4  # three events and the gate's release
+        assert [(e.name, e.arg["mode"]) for e in steals] == [("grp", "barrier")] * pumped
+        assert verify_events(events) == []

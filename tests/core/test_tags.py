@@ -90,24 +90,27 @@ class TestWait:
         r.run()
         tags.wait("t", timeout=1, raise_on_error=False)
 
-    def test_helper_wait_invokes_helper(self, tags):
-        r = TargetRegion(lambda: 1)
-        tags.register("t", r)
-        calls = []
+    def test_drained_owes_one_wakeup_however_often_it_is_rechecked(self, tags):
+        """The pumping waiter's predicate (``PjRuntime.wait_tag`` on a member
+        thread): False arms *wake* for the moment the group empties."""
+        r1, r2 = TargetRegion(lambda: 1), TargetRegion(lambda: 2)
+        tags.register("t", r1)
+        tags.register("t", r2)
+        woken = []
+        wake = lambda: woken.append(tags.outstanding("t"))  # noqa: E731
+        assert not tags.drained("t", wake)
+        r1.run()
+        assert not tags.drained("t", wake) and woken == []
+        r2.run()
+        assert woken == [0]  # once, after the group emptied
+        assert tags.drained("t", wake) and woken == [0]
 
-        def helper():
-            calls.append(1)
-            if len(calls) >= 3:
-                r.run()
-            return False
-
-        tags.wait("t", helper=helper, timeout=5)
-        assert len(calls) >= 3
-
-    def test_helper_wait_timeout(self, tags):
+    def test_clear_wakes_pumping_waiters(self, tags):
         tags.register("t", TargetRegion(lambda: 1))
-        with pytest.raises(TimeoutError):
-            tags.wait("t", helper=lambda: False, timeout=0.05)
+        woken = []
+        assert not tags.drained("t", lambda: woken.append(1))
+        tags.clear()
+        assert woken == [1] and tags.drained("t", lambda: woken.append(2))
 
     def test_many_tags_concurrent(self, tags):
         regions = {f"tag{i}": [TargetRegion(lambda: i) for _ in range(3)] for i in range(5)}

@@ -92,6 +92,22 @@ class TestModal:
         assert errors == [True]
         assert not dialog.is_open
 
+    def test_timeout_is_the_barrier_error(self, loop):
+        """The dialog pumps through the one logical barrier, so it expires
+        like ``await`` does: ``AwaitTimeoutError`` with the EDT's state."""
+        from repro.core import AwaitTimeoutError
+
+        dialog = ModalDialog(loop, "confirm")
+
+        def handler():
+            with pytest.raises(AwaitTimeoutError) as ei:
+                dialog.show_modal(timeout=0.05)
+            return ei.value
+
+        exc = loop.runtime.invoke_target_block("edt", handler).result()
+        assert "'confirm'" in str(exc) and "queued=" in exc.diagnostics
+        assert not dialog.is_open
+
     def test_show_modal_off_edt_rejected(self, loop):
         from repro.eventloop import EDTViolationError
 

@@ -241,3 +241,21 @@ def test_requests_during_drain_get_503():
     assert b"draining" in body
     assert keep is False
     assert snap["draining_rejects"] == 1
+
+
+def test_latency_samples_are_a_window_and_counters_stay_exact():
+    """A long-lived server must not keep one float per request forever, nor
+    sort them all on every ``GET /stats``: percentiles cover the most recent
+    ``LATENCY_WINDOW`` requests, the counters every request."""
+    from repro.serve.stats import LATENCY_WINDOW, ServerStats
+
+    stats = ServerStats()
+    extra = 10
+    for i in range(LATENCY_WINDOW + extra):
+        # The first `extra` requests are slow and must age out of the window.
+        stats.record(200, 9.0 if i < extra else 0.001, bytes_in=1, bytes_out=2)
+    snap = stats.snapshot()
+    assert len(stats.latencies_s) == LATENCY_WINDOW
+    assert snap["requests"] == snap["statuses"]["200"] == LATENCY_WINDOW + extra
+    assert (snap["bytes_in"], snap["bytes_out"]) == (snap["requests"], 2 * snap["requests"])
+    assert snap["latency_ms"]["max"] == 1.0
