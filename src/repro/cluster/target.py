@@ -76,6 +76,7 @@ class _ClusterSlot(RemoteLane):
         return f"{self.host}:{self.port}"
 
     def open(self) -> None:
+        self.pid = None  # until the clock handshake that follows completes
         for role in ("task", "ctrl"):
             chan = _transport.connect(self.host, self.port, timeout=self.open_timeout)
             setattr(self, role, chan)
@@ -202,8 +203,11 @@ class ClusterTarget(RemoteLaneTarget):
 
     @property
     def connected_count(self) -> int:
-        """Slots with no tear observed yet — diagnostics."""
-        return sum(1 for slot in self._slots if not slot.torn())
+        """Slots whose handshake completed and that have seen no tear since
+        (sockets alone do not count: the agent may never answer) — diagnostics."""
+        return sum(
+            1 for slot in self._slots if slot.pid is not None and not slot.torn()
+        )
 
     def tag_progress(self) -> dict[str, int]:
         """Remote body-completion counts per tag (TagDoneMsg sightings)."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -104,7 +105,9 @@ class TestFaults:
             )
             for _ in range(2)
         ]
-        _wait_until(lambda: target.connected_count == 2)
+        # Both handshakes done: a lane killed while still coming up was
+        # never a worker, and cannot be counted as a crashed one.
+        assert _wait_until(lambda: target.connected_count == 2)
         a.terminate()
         for r in warm:
             r.wait(30.0)  # terminal — completed or crashed, never hung
@@ -277,6 +280,49 @@ class TestTags:
         )
         cluster_rt.wait_tag("one", timeout=30.0)
         assert _wait_until(lambda: ("one", "completed") in seen), seen
+
+
+class TestConnectedCount:
+    def test_a_stalled_handshake_is_not_a_connection(self):
+        """An endpoint that accepts and says hello but never answers the
+        clock probe: both sockets exist, yet no lane is connected."""
+        from repro.cluster import transport
+
+        listener = transport.listen()
+        accepted = []
+        stop = threading.Event()
+
+        def stall():
+            while not stop.is_set():
+                chan = listener.accept(timeout=0.1)
+                if chan is not None:
+                    transport.expect_hello(chan, timeout=10.0)
+                    transport.send_hello(chan, "agent")
+                    accepted.append(chan)
+
+        thread = threading.Thread(target=stall, daemon=True)
+        thread.start()
+        rt = PjRuntime()
+        try:
+            target = rt.create_cluster(
+                "stalled", [f"127.0.0.1:{listener.port}"], max_restarts=0,
+                connect_timeout=2.0,
+            )
+            slot = target._slots[0]
+            assert _wait_until(lambda: len(accepted) == 2 and not slot.torn())
+            assert target.connected_count == 0
+            assert "connected=0/1" in target.describe()
+            # The probe times out, the lane is torn down: still not connected.
+            assert _wait_until(slot.torn)
+            assert target.connected_count == 0
+        finally:
+            rt.shutdown(wait=False)
+            stop.set()
+            thread.join(timeout=10.0)
+            listener.close()
+            for chan in accepted:
+                chan.close()
+        assert not thread.is_alive()
 
 
 class TestVersionGate:

@@ -191,9 +191,11 @@ class TestProcessLaneArenas:
         rt = PjRuntime()
         try:
             target, slot = _solo(rt)
-            assert type(slot.task) is ArenaChannel
             data = os.urandom(K // 2)
             assert _echo(rt, data) == data
+            # Only now is the lane certainly open: its shipper thread opens
+            # it asynchronously, and until then `slot.task` is None.
+            assert type(slot.task) is ArenaChannel
             assert slot.task._out is None and slot.task._in is None
             assert not own_segments()
         finally:

@@ -1,11 +1,61 @@
 """Tests for the IDEA Crypt kernel."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import PjRuntime
+from repro.core.region import TargetRegion
 from repro.kernels import crypt
+from repro.serve import encrypt_payload
+
+# Block counts on either side of the kernel's two arithmetic paths.
+CROSSOVER = crypt.SCALAR_MAX_BLOCKS
+BELOW, ABOVE = 8, 512  # the benchmark's 64 B and 4 KiB payloads
+assert BELOW < CROSSOVER < ABOVE
+
+
+def _ref_mul(a: int, b: int) -> int:
+    """Multiplication in the group of units modulo 2**16 + 1, in which the
+    16-bit word 0 is how the element 2**16 is written."""
+    product = (a or 1 << 16) * (b or 1 << 16) % ((1 << 16) + 1)
+    return product & 0xFFFF
+
+
+def _ref_add(a: int, b: int) -> int:
+    return (a + b) % (1 << 16)
+
+
+def reference_cipher(data: bytes, subkeys) -> bytes:
+    """IDEA written block by block from the specification (Lai & Massey
+    1991; Schneier, *Applied Cryptography* section 13.9): the oracle both of
+    the kernel's arithmetic paths are compared against."""
+    z = [int(k) for k in subkeys]
+    out = bytearray()
+    for at in range(0, len(data), 8):
+        x1, x2, x3, x4 = (int.from_bytes(data[i:i + 2], "big") for i in range(at, at + 8, 2))
+        for r in range(8):
+            z1, z2, z3, z4, z5, z6 = z[6 * r:6 * r + 6]
+            s1 = _ref_mul(x1, z1)        # steps 1-4
+            s2 = _ref_add(x2, z2)
+            s3 = _ref_add(x3, z3)
+            s4 = _ref_mul(x4, z4)
+            s5 = s1 ^ s3                 # steps 5-6
+            s6 = s2 ^ s4
+            s7 = _ref_mul(s5, z5)        # steps 7-10: the MA structure
+            s8 = _ref_add(s6, s7)
+            s9 = _ref_mul(s8, z6)
+            s10 = _ref_add(s7, s9)
+            # steps 11-14, then the swap of the two inner words
+            x1, x2, x3, x4 = s1 ^ s9, s3 ^ s9, s2 ^ s10, s4 ^ s10
+        # Output transformation; the last round's swap is not performed.
+        y = (_ref_mul(x1, z[48]), _ref_add(x3, z[49]), _ref_add(x2, z[50]), _ref_mul(x4, z[51]))
+        for word in y:
+            out += word.to_bytes(2, "big")
+    return bytes(out)
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +150,137 @@ class TestCipher:
         ek = crypt.encryption_subkeys(user)
         dk = crypt.decryption_subkeys(ek)
         assert np.array_equal(crypt.decrypt(crypt.encrypt(data, ek), dk), data)
+
+
+class TestKnownAnswer:
+    """The published test vector (Lai's thesis; Schneier section 13.9)."""
+
+    KEY = np.arange(1, 9, dtype=np.uint32)
+    PLAIN = [0x0000, 0x0001, 0x0002, 0x0003]
+    CIPHER = [0x11FB, 0xED2B, 0x0198, 0x6DE5]
+
+    @staticmethod
+    def _bytes(words):
+        return np.array(words, dtype=">u2").view(np.uint8)
+
+    def test_encrypts_to_the_published_ciphertext(self):
+        ek = crypt.encryption_subkeys(self.KEY)
+        assert crypt.encrypt(self._bytes(self.PLAIN), ek).tolist() == self._bytes(self.CIPHER).tolist()
+        words = crypt.idea_cipher(np.array([self.PLAIN], dtype=np.uint32), ek)
+        assert words.tolist() == [self.CIPHER]
+
+    def test_inverted_schedule_decrypts_it(self):
+        dk = crypt.decryption_subkeys(crypt.encryption_subkeys(self.KEY))
+        assert crypt.decrypt(self._bytes(self.CIPHER), dk).tolist() == self._bytes(self.PLAIN).tolist()
+
+    @pytest.mark.parametrize("n_blocks", [CROSSOVER, CROSSOVER + 1, ABOVE])
+    def test_holds_in_every_block_of_a_longer_input(self, n_blocks):
+        ek = crypt.encryption_subkeys(self.KEY)
+        ct = crypt.encrypt(np.tile(self._bytes(self.PLAIN), n_blocks), ek)
+        assert ct.reshape(n_blocks, 8).tolist() == [self._bytes(self.CIPHER).tolist()] * n_blocks
+
+    def test_reference_agrees_with_the_vector(self):
+        ek = crypt.encryption_subkeys(self.KEY)
+        assert reference_cipher(self._bytes(self.PLAIN).tobytes(), ek) == self._bytes(self.CIPHER).tobytes()
+
+
+class TestAgainstReference:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_blocks=st.sampled_from([1, 2, CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, 100, 3000]),
+        zero_key_word=st.integers(0, 7),
+        inverted=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_both_paths_match_the_specification(self, seed, n_blocks, zero_key_word, inverted):
+        # 0 standing for 2**16 is the one subtle piece of arithmetic in the
+        # cipher: force it into the key and into half the plaintext words.
+        rng = np.random.default_rng(seed)
+        user = rng.integers(0, 1 << 16, size=8, dtype=np.uint32)
+        user[zero_key_word] = 0
+        keys = crypt.encryption_subkeys(user)
+        if inverted:
+            keys = crypt.decryption_subkeys(keys)
+        words = rng.integers(0, 1 << 16, size=4 * n_blocks, dtype=np.uint16)
+        words[rng.random(words.size) < 0.5] = 0
+        data = words.view(np.uint8)
+        assert crypt.encrypt(data, keys).tobytes() == reference_cipher(data.tobytes(), keys)
+
+    def test_all_zero_key_and_data(self):
+        # Every multiplication is 2**16 * 2**16, the product that does not
+        # fit in 32 bits.
+        keys = crypt.encryption_subkeys(np.zeros(8, dtype=np.uint32))
+        for n_blocks in (BELOW, ABOVE):
+            data = np.zeros(8 * n_blocks, dtype=np.uint8)
+            assert crypt.encrypt(data, keys).tobytes() == reference_cipher(data.tobytes(), keys)
+
+
+class TestInputContract:
+    def test_empty_in_empty_out(self, keys):
+        ek, _ = keys
+        out = crypt.encrypt(np.zeros(0, dtype=np.uint8), ek)
+        assert out.dtype == np.uint8 and out.shape == (0,)
+        assert crypt.idea_cipher(np.zeros((0, 4), dtype=np.uint32), ek).shape == (0, 4)
+        assert encrypt_payload(b"") == b""
+
+    @pytest.mark.parametrize("n_blocks", [BELOW, ABOVE])
+    def test_non_contiguous_input(self, keys, n_blocks):
+        ek, _ = keys
+        strided = (np.arange(16 * n_blocks) % 251).astype(np.uint8)[::2]
+        assert not strided.flags.c_contiguous
+        assert np.array_equal(crypt.encrypt(strided, ek), crypt.encrypt(strided.copy(), ek))
+
+    @pytest.mark.parametrize("n_blocks", [BELOW, ABOVE])
+    def test_read_only_input_is_accepted_and_left_alone(self, keys, n_blocks):
+        # What encrypt_payload and the process backend hand the kernel.
+        ek, _ = keys
+        raw = bytes(i % 256 for i in range(8 * n_blocks))
+        data = np.frombuffer(raw, dtype=np.uint8)
+        assert not data.flags.writeable
+        out = crypt.encrypt(data, ek)
+        assert data.tobytes() == raw and not np.shares_memory(out, data)
+        assert out.flags.writeable and out.shape == data.shape
+        assert encrypt_payload(raw) == out.tobytes()
+
+    @pytest.mark.parametrize("n_blocks", [BELOW, ABOVE])
+    def test_rejections_on_both_paths(self, keys, n_blocks):
+        ek, _ = keys
+        with pytest.raises(ValueError):
+            crypt.encrypt(np.zeros(8 * n_blocks, dtype=np.int8), ek)
+        with pytest.raises(ValueError):
+            crypt.encrypt(np.zeros(8 * n_blocks + 4, dtype=np.uint8), ek)
+        with pytest.raises(ValueError):
+            crypt.idea_cipher(np.zeros((n_blocks, 3), dtype=np.uint32), ek)
+
+    def test_lanes_of_one_worker_encrypt_concurrently(self, keys):
+        """Two lanes, each with its own 4 KiB and 64 B payloads: any scratch
+        shared between calls (a module-level buffer) corrupts a result."""
+        ek, _ = keys
+        rng = np.random.default_rng(11)
+        jobs = []
+        for _ in range(2):
+            payloads = [rng.integers(0, 256, size=8 * n, dtype=np.uint8) for n in (ABOVE, BELOW)]
+            jobs.append((payloads, [crypt.encrypt(p, ek) for p in payloads]))
+
+        def lane(payloads, expected):
+            wrong = 0
+            for _ in range(200):
+                for p, want in zip(payloads, expected):
+                    wrong += not np.array_equal(crypt.encrypt(p, ek), want)
+            return wrong
+
+        rt = PjRuntime()
+        rt.create_worker("w", 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            handles = [
+                rt.invoke_target_block("w", TargetRegion(lane, *job), "nowait") for job in jobs
+            ]
+            assert [h.result(timeout=50) for h in handles] == [0, 0]
+        finally:
+            sys.setswitchinterval(interval)
+            rt.shutdown(wait=False)
 
 
 class TestChunking:
