@@ -9,7 +9,7 @@ fire-and-forget regions through worker targets:
   up to ``batch_max`` dequeues, so the per-item overhead is what moves.
 * **work stealing** — a 40-region burst of 1 ms sleep bodies posted to one
   1-lane worker while an idle 1-lane sibling sits in the same runtime.
-  With ``REPRO_STEAL`` off the sibling is dead weight; with it on, the
+  With ``steal=`` off the sibling is dead weight; with it on, the
   sibling's idle poll (10 ms) turns into steals and the two lanes overlap
   their sleeps — the burst finishes in roughly half the wall time even on
   a single core, because sleeping releases the GIL.

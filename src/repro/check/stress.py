@@ -88,13 +88,12 @@ class StressProfile:
     use_policy: bool = False
     jitter_probability: float = 0.15
     jitter_max_s: float = 0.002
-    # Adaptive-policy ICVs applied to every stress iteration's runtime
+    # Scheduling-policy ICVs applied to every stress iteration's runtime
     # (docs/TUNING.md).  The defaults reproduce the unpoliced runtime;
     # tests/check/test_steal_invariants.py forces stealing and batching on
     # through these to prove the invariants survive the policies.
     steal: bool = False
     batch_max: int = 1
-    autoscale: bool = False
 
 
 PROFILES: dict[str, StressProfile] = {
@@ -105,8 +104,8 @@ PROFILES: dict[str, StressProfile] = {
     # Developer-sized: longer schedules plus the process-target phase with a
     # worker-death injection, the live-serving phase (worker kill under real
     # HTTP load — see repro.serve.soak), the cluster phase (remote agent
-    # killed mid-region over loopback TCP), and the adaptive-policy phase
-    # (stealing + batching + autoscaling with a lane retired mid-scale-up).
+    # killed mid-region over loopback TCP), and the scheduling-policy phase
+    # (ring stealing + dequeue batching on a saturated pool).
     "soak": StressProfile(
         "soak", iterations=10, ops=250, buffer_size=1 << 18, use_dist=True,
         use_serve=True, use_cluster=True, use_policy=True,
@@ -231,12 +230,11 @@ def run_iteration(
 
     rt = PjRuntime()
     rt.default_timeout_var = 5.0
-    # Profile-driven adaptive policies: targets created below inherit these
-    # ICVs, so one profile knob subjects the whole iteration to stealing/
-    # batching/autoscaling without touching the op mix.
+    # Profile-driven scheduling policies: targets created below inherit
+    # these ICVs, so one profile knob subjects the whole iteration to
+    # stealing/batching without touching the op mix.
     rt.steal_var = profile.steal
     rt.batch_max_var = profile.batch_max
-    rt.autoscale_var = profile.autoscale
     handles: list[tuple[str, TargetRegion]] = []  # driver-issued regions
     inner: list[tuple[str, TargetRegion]] = []  # regions created inside bodies
     ran: dict[int, tuple[str, str]] = {}  # callable _trace_id -> (label, outcome)
@@ -605,24 +603,19 @@ def run_cluster_phase(profile: StressProfile, seed: int) -> PhaseOutcome:
 
 
 def run_policy_phase(profile: StressProfile, seed: int) -> PhaseOutcome:
-    """Adaptive-policy phase: stealing, batching and autoscaling all engaged.
+    """Scheduling-policy phase: ring stealing and dequeue batching engaged.
 
     Two stealing worker pools share a ring; one ("hot", a single batching
-    lane under an aggressive autoscaler) is saturated while the other
-    ("helper") goes idle, so the burst *must* trigger both ring steals and
-    scale-up decisions.  Mid-burst a lane is forcibly retired — the
-    thread-pool analogue of the dist phase's worker kill, landing exactly in
-    the scale-up window.  The phase then proves:
+    lane) is saturated while the other ("helper") goes idle, so the burst
+    *must* trigger ring steals.  The phase then proves:
 
     * the full invariant verifier stays clean (every stolen ``ENQUEUE``
       resolves exactly once, spans nest, outcomes tell the truth);
-    * the policies actually engaged — at least one ``POOL_SCALE`` grow
-      decision and one ring-mode ``PUMP_STEAL`` were recorded (a policy
-      phase that silently ran without its policies would prove nothing);
-    * quiescence: the pool shrinks back and no backlog leaks.
+    * the policies actually engaged — at least one ring-mode ``PUMP_STEAL``
+      was recorded (a policy phase that silently ran without its policies
+      would prove nothing);
+    * quiescence: no backlog leaks.
     """
-    from ..policy import PoolAutoscaler  # lazy: keep plain checks light
-
     r = random.Random(f"{seed}:policy")
     violations: list[Violation] = []
     session = _obs.session()
@@ -631,16 +624,10 @@ def run_policy_phase(profile: StressProfile, seed: int) -> PhaseOutcome:
     rt.default_timeout_var = 10.0
     handles: list[tuple[str, TargetRegion]] = []
     try:
-        hot = rt.create_worker("hot", 1, steal=True, batch_max=4)
+        rt.create_worker("hot", 1, steal=True, batch_max=4)
         rt.create_worker("helper", 1, steal=True, batch_max=2)
-        scaler = PoolAutoscaler(
-            hot, min_lanes=1, max_lanes=3, interval=0.02,
-            grow_after=2, shrink_after=10, cooldown=2,
-        ).start()
-        hot._autoscaler = scaler  # shutdown() now owns the controller's stop
         # Saturate the hot pool: ~0.3 s of sleepy regions against one lane,
-        # far past the grow watermark, while the helper drains in ~0.02 s
-        # and turns thief.
+        # while the helper drains in ~0.02 s and turns thief.
         for k in range(150):
             label = f"policy-op{k:03d}"
             tname = "helper" if k % 10 == 9 else "hot"
@@ -652,10 +639,6 @@ def run_policy_phase(profile: StressProfile, seed: int) -> PhaseOutcome:
                 rt.invoke_target_block(tname, reg, "nowait")
             except PyjamaError as exc:
                 reg.request_cancel(exc)
-            if k == 75:
-                # Worker-kill analogue, mid-scale-up: retire a lane while
-                # the autoscaler is still trying to grow the pool.
-                hot._retire_lane()
         for label, reg in handles:
             if not reg.wait(15.0):
                 violations.append(Violation(
@@ -678,14 +661,6 @@ def run_policy_phase(profile: StressProfile, seed: int) -> PhaseOutcome:
             "grow the profile's buffer_size",
         ))
     else:
-        if not any(
-            e.kind is EventKind.POOL_SCALE and e.name == "grow" for e in events
-        ):
-            violations.append(Violation(
-                "no-pool-scale",
-                "policy phase recorded no POOL_SCALE grow decision",
-                name="policy-autoscale",
-            ))
         if not any(
             e.kind is EventKind.PUMP_STEAL
             and isinstance(e.arg, dict)
@@ -721,7 +696,7 @@ def run_check(
     events so the resulting report demonstrates a detected violation; the
     other iterations run untampered.  ``serve`` forces the HTTP worker-kill
     phase on or off, ``cluster`` the remote-agent-kill phase, and ``policy``
-    the adaptive-policy phase (defaults: the profile's ``use_serve`` /
+    the scheduling-policy phase (defaults: the profile's ``use_serve`` /
     ``use_cluster`` / ``use_policy``).
     """
     prof = PROFILES[profile]

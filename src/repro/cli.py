@@ -729,9 +729,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: per profile; soak runs it)")
     p.add_argument("--policy", action=argparse.BooleanOptionalAction,
                    default=None,
-                   help="force the adaptive-policy phase on/off: stealing + "
-                        "batching + autoscaling with a lane retired "
-                        "mid-scale-up (default: per profile; soak runs it)")
+                   help="force the scheduling-policy phase on/off: ring "
+                        "stealing + dequeue batching under the full "
+                        "verifier (default: per profile; soak runs it)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser(

@@ -69,9 +69,9 @@ def virtual_target_create_worker(
 
     Paper Table II: *"Creating a worker virtual target with maximum of m
     threads, and its name is tname."*  *options* forwards the queue and
-    adaptive-policy knobs of :meth:`PjRuntime.create_worker`
-    (``queue_capacity``, ``rejection_policy``, ``steal``, ``batch_max``,
-    ``autoscale``, ...); see docs/TUNING.md for the policy reference.
+    scheduling-policy knobs of :meth:`PjRuntime.create_worker`
+    (``queue_capacity``, ``rejection_policy``, ``steal``, ``batch_max``);
+    see docs/TUNING.md for the policy reference.
     """
     return (runtime or default_runtime()).create_worker(tname, m, **options)
 

@@ -23,7 +23,7 @@ from typing import Any, Callable
 
 from ..obs import EventKind
 from ..obs import recorder as _obs
-from ..policy import StealRing, policy_from_env
+from ..policy import StealRing
 from .directives import SchedulingMode, TargetDirective, TargetKind
 from .errors import (
     AwaitTimeoutError,
@@ -71,15 +71,13 @@ class PjRuntime:
       runtime, like ``OMP_TOOL`` spans every device); this ICV is the
       runtime-level view of that switch, also settable via ``REPRO_TRACE=1``.
     * ``steal_var`` — default work-stealing enablement for worker targets
-      created through this runtime (seeded from ``REPRO_STEAL``; default
-      off).  Opted-in targets join the runtime's
-      :class:`~repro.policy.StealRing` as both thief and victim.
+      created through this runtime (default off).  Opted-in targets join
+      the runtime's :class:`~repro.policy.StealRing` as both thief and
+      victim.
     * ``batch_max_var`` — default dequeue batch bound for worker targets
-      (seeded from ``REPRO_BATCH_MAX``; default 1 = no batching).
-    * ``autoscale_var`` — default pool-autoscaling enablement for worker
-      targets (seeded from ``REPRO_AUTOSCALE``; default off).
+      (default 1 = no batching).
 
-    The three policy ICVs are resolved at :meth:`create_worker` time and are
+    The two policy ICVs are resolved at :meth:`create_worker` time and are
     documented, with their decision rules and trace-event signatures, in
     docs/TUNING.md.
     """
@@ -101,14 +99,9 @@ class PjRuntime:
         self.queue_capacity_var: int | None = None
         self.rejection_policy_var: str = "block"
         self.default_timeout_var: float | None = None
-        # Adaptive-policy ICVs, seeded from the environment at construction
-        # time (not import time) so tests and launch scripts can set the
-        # variables after ``import repro``.  All default to today's
-        # unpoliced behaviour; see docs/TUNING.md.
-        _policy = policy_from_env()
-        self.steal_var: bool = _policy.steal
-        self.batch_max_var: int = _policy.batch_max
-        self.autoscale_var: bool = _policy.autoscale
+        # Scheduling-policy ICVs (docs/TUNING.md); both default to off.
+        self.steal_var: bool = False
+        self.batch_max_var: int = 1
         # One steal ring per runtime: worker targets with stealing enabled
         # join at registration and leave at shutdown.
         self._steal_ring = StealRing()
@@ -197,28 +190,19 @@ class PjRuntime:
         rejection_policy: str | None = None,
         steal: bool | None = None,
         batch_max: int | None = None,
-        autoscale: bool | None = None,
-        autoscale_min: int | None = None,
-        autoscale_max: int | None = None,
     ) -> WorkerTarget:
         """``virtual_target_create_worker`` (paper Table II).
 
         *queue_capacity* / *rejection_policy* default to the
-        ``queue_capacity_var`` / ``rejection_policy_var`` ICVs; the adaptive
-        policies (*steal*, *batch_max*, *autoscale* — see docs/TUNING.md)
-        default to the ``steal_var`` / ``batch_max_var`` / ``autoscale_var``
-        ICVs, themselves seeded from ``REPRO_STEAL`` / ``REPRO_BATCH_MAX`` /
-        ``REPRO_AUTOSCALE``.  *autoscale_min* / *autoscale_max* bound the
-        autoscaled lane count (defaults: 1 and ``2 * max_threads``).
+        ``queue_capacity_var`` / ``rejection_policy_var`` ICVs; the
+        scheduling policies (*steal*, *batch_max* — see docs/TUNING.md)
+        default to the ``steal_var`` / ``batch_max_var`` ICVs.
         """
         target = WorkerTarget(
             name,
             max_threads,
             steal=self.steal_var if steal is None else steal,
             batch_max=self.batch_max_var if batch_max is None else batch_max,
-            autoscale=self.autoscale_var if autoscale is None else autoscale,
-            autoscale_min=autoscale_min,
-            autoscale_max=autoscale_max,
             **self._queue_options(queue_capacity, rejection_policy),
         )
         return self._register_new(target)
@@ -439,25 +423,9 @@ class PjRuntime:
                     EventKind.INLINE_ELIDE, target=name, region=region.seq,
                     name=region.label,
                 )
-                session.emit(
-                    EventKind.EXEC_BEGIN, target=name, region=region.seq,
-                    name=region.label,
-                )
-            region.run()
-            if session.enabled:
-                # Terminal state is the ground truth: a cancel that raced the
-                # inline run (run() then no-opped) stamps "cancelled", never a
-                # fabricated "completed".
-                if region.state is RegionState.CANCELLED:
-                    outcome = "cancelled"
-                elif region.exception is not None:
-                    outcome = "failed"
-                else:
-                    outcome = "completed"
-                session.emit(
-                    EventKind.EXEC_END, target=name, region=region.seq,
-                    name=region.label, arg=outcome,
-                )
+                executor._run_traced(session, region, region.seq, region.label)
+            else:
+                region.run()
             if mode in _WAITING_MODES:
                 region.result()  # re-raise body exception for waiting modes
             return region

@@ -95,35 +95,12 @@ def current_target() -> "VirtualTarget | None":
     return getattr(_thread_target, "value", None)
 
 
-class _Sentinel:
-    """A control marker riding a target queue uncounted: it bypasses
-    capacity and closure, never shows in ``work_count()`` and is a batch
-    barrier for ``get_batch``.
-
-    ``loop_only`` is its *address*.  Shutdown and retire are for the loop
-    that owns the queue (:meth:`VirtualTarget._serve_queue`); a guest — a
-    member pumping an ``await`` barrier, ``drain``, the asyncio consumer
-    step — or a ring thief leaves them in place, because swallowing one
-    would leave the loop running forever once the barrier ends.  A wakeup
-    is for whoever is blocked on the queue.
-    """
-
-    __slots__ = ("label", "loop_only")
-
-    def __init__(self, label: str, *, loop_only: bool) -> None:
-        self.label = label
-        self.loop_only = loop_only
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<{self.label}>"
-
-
-#: Posted purely to unblock a pumping thread.
-_WAKEUP = _Sentinel("wakeup", loop_only=False)
-#: Asks exactly one pool lane to exit (autoscaler shrink).
-_RETIRE = _Sentinel("retire", loop_only=True)
-#: Ends one owner loop; shutdown queues one per loop, FIFO behind the backlog.
-_SHUTDOWN = _Sentinel("shutdown", loop_only=True)
+#: The one thing besides work a target queue holds: it ends the owner loop
+#: that dequeues it.  Shutdown queues one per loop, FIFO behind the backlog;
+#: it rides uncounted (past capacity and closure, never in ``work_count()``),
+#: is alone in its ``get_batch`` batch, and guests and thieves leave it in
+#: place — swallowing one would leave a loop running forever.
+_SHUTDOWN: Any = object()
 
 
 def _item_identity(item: Any) -> tuple[int | None, str]:
@@ -147,20 +124,24 @@ def _item_identity(item: Any) -> tuple[int | None, str]:
 class _TargetQueue:
     """The FIFO behind a virtual target, with optional capacity.
 
-    ``queue.Queue`` cannot express what shutdown needs: control sentinels
-    must always get through (a full queue would otherwise wedge shutdown
-    itself), and a teardown must be able to atomically rip out every queued
-    item to cancel it.  So this is a small purpose-built deque + condvars.
+    ``queue.Queue`` cannot express what shutdown needs: its marker must
+    always get through (a full queue would otherwise wedge shutdown itself),
+    and a teardown must be able to atomically rip out every queued item to
+    cancel it.  So this is a small purpose-built deque + condvars.
 
-    Capacity counts *work* items only; sentinels ride along uncounted via
-    :meth:`put_internal`.
+    The queue holds work and, via :meth:`put_shutdown`, ``_SHUTDOWN``
+    markers — nothing else.  Capacity counts work only.
 
     Which consumer may take which item is decided here and nowhere else:
     a loop owner (:meth:`get_batch`) takes the head whatever it is, a guest
-    (:meth:`get`) the oldest work item or wakeup, a ring thief
-    (:meth:`steal_work`) the oldest work item.  What a consumer may not
-    take keeps its place, so work queued before a shutdown sentinel always
-    runs before the loop that owns the sentinel exits.
+    (:meth:`get`) or ring thief (:meth:`steal_work`) the oldest work item.
+    A shutdown marker they pass over keeps its place, so work queued before
+    it always runs before the loop that dequeues it exits.
+
+    A barrier wakeup is not an item, so no consumer can take it from the
+    guest it is owed to: :meth:`wakeup` bumps :attr:`wakeups` and notifies,
+    and a guest's :meth:`get` gives up once the count has moved past the
+    value the guest read before it last checked its predicate.
     """
 
     def __init__(self, owner: str, capacity: int | None = None) -> None:
@@ -174,13 +155,13 @@ class _TargetQueue:
         self._not_full = threading.Condition(self._lock)
         self._closed = False
         self.high_water = 0
-        # Work items currently queued (sentinels excluded), maintained O(1)
-        # at put/get so capacity checks and depth samples never rescan the
-        # backlog.  Guarded by ``_lock``; read lock-free for telemetry.
+        # Work items currently queued (shutdown markers excluded), maintained
+        # O(1) at put/get so capacity checks and depth samples never rescan
+        # the backlog.  Guarded by ``_lock``; read lock-free for telemetry.
         self._work = 0
-        # Loop-only sentinels currently queued: ``len(_items) - _parked`` is
-        # what a guest may take.  Guarded by ``_lock``.
-        self._parked = 0
+        #: Wakeups issued so far.  Bumped under ``_lock``; a guest reads it
+        #: lock-free *before* its predicate and hands the value to ``get``.
+        self.wakeups = 0
 
     # ------------------------------------------------------------- producers
 
@@ -220,13 +201,20 @@ class _TargetQueue:
             self._not_empty.notify()
         return True
 
-    def put_internal(self, sentinel: _Sentinel) -> None:
-        """Enqueue a control sentinel, ignoring capacity and closure."""
+    def put_shutdown(self) -> None:
+        """Queue one ``_SHUTDOWN`` marker, ignoring capacity and closure."""
         with self._not_empty:
-            self._items.append(sentinel)
-            self._parked += sentinel.loop_only
+            self._items.append(_SHUTDOWN)
             # Owners and guests wait on one condition and a guest cannot take
-            # a loop-only sentinel: one notify could be spent on it and lost.
+            # the marker: one notify could be spent on it and lost.
+            self._not_empty.notify_all()
+
+    def wakeup(self) -> None:
+        """Make every guest blocked in :meth:`get` return and re-check its
+        predicate.  Nothing is queued: an owner loop woken by the notify
+        finds no item and goes back to sleep."""
+        with self._not_empty:
+            self.wakeups += 1
             self._not_empty.notify_all()
 
     # ------------------------------------------------------------- consumers
@@ -239,45 +227,47 @@ class _TargetQueue:
             del items[index]
         else:
             item = items.popleft()
-        if isinstance(item, _Sentinel):
-            self._parked -= item.loop_only
-        else:
+        if item is not _SHUTDOWN:
             self._work -= 1
             if self.capacity is not None:
                 self._not_full.notify()
         return item
 
-    def _oldest(self, *, wakeups: bool) -> int:
-        """Index of the oldest work item — or wakeup, if *wakeups* — skipping
-        sentinels addressed to someone else (lock held; one must exist)."""
-        return next(
-            i for i, item in enumerate(self._items)
-            if not isinstance(item, _Sentinel) or (wakeups and not item.loop_only)
-        )
+    def _oldest_work(self) -> int:
+        """Index of the oldest work item, past any shutdown markers queued
+        ahead of it (lock held; one must exist)."""
+        if len(self._items) == self._work:
+            return 0
+        return next(i for i, item in enumerate(self._items) if item is not _SHUTDOWN)
 
-    def get(self, timeout: float | None = None) -> Any:
-        """Guest dequeue: the oldest work item or wakeup.
+    def get(self, timeout: float | None = None, seen: int | None = None) -> Any:
+        """Guest dequeue: the oldest work item.
 
-        Blocks on the queue condition up to *timeout* while only loop-only
-        sentinels (or nothing) are queued, then raises ``queue.Empty``.
+        While no work is queued, blocks up to *timeout* — or only until
+        :attr:`wakeups` differs from *seen* (default: its value on entry),
+        so a wakeup that landed after the guest read *seen* is never slept
+        through — and then raises ``queue.Empty``.
         """
         with self._not_empty:
-            items = self._items
-            if len(items) <= self._parked and not self._not_empty.wait_for(
-                lambda: len(items) > self._parked, timeout=timeout
-            ):
-                raise queue.Empty
-            return self._pop(self._oldest(wakeups=True) if self._parked else 0)
+            if not self._work:
+                if seen is None:
+                    seen = self.wakeups
+                self._not_empty.wait_for(
+                    lambda: self._work or self.wakeups != seen, timeout=timeout
+                )
+                if not self._work:
+                    raise queue.Empty
+            return self._pop(self._oldest_work())
 
     def get_batch(self, max_items: int, timeout: float | None = None) -> list[Any]:
         """Owner dequeue: up to *max_items* head items in one acquisition.
 
         The dequeue-batching primitive: FIFO order is preserved exactly, and
-        control sentinels stay batch barriers — a sentinel at the head is
-        returned alone, and collection stops *before* any later sentinel, so
-        shutdown/retire ordering semantics ("everything queued before the
-        sentinel still runs first") are identical to item-at-a-time dequeue.
-        Raises ``queue.Empty`` if nothing arrived within *timeout*.
+        a shutdown marker stays a batch barrier — at the head it is returned
+        alone, and collection stops *before* a later one, so "everything
+        queued before the marker still runs first" holds exactly as with
+        item-at-a-time dequeue.  Raises ``queue.Empty`` if nothing arrived
+        within *timeout*.
         """
         with self._not_empty:
             items = self._items
@@ -286,11 +276,11 @@ class _TargetQueue:
             ):
                 raise queue.Empty
             batch = [self._pop()]
-            if not isinstance(batch[0], _Sentinel):
+            if batch[0] is not _SHUTDOWN:
                 while (
                     len(batch) < max_items
                     and items
-                    and not isinstance(items[0], _Sentinel)
+                    and items[0] is not _SHUTDOWN
                 ):
                     batch.append(self._pop())
             return batch
@@ -301,12 +291,12 @@ class _TargetQueue:
         Returns None when the queue is closed (teardown owns the backlog
         then — ``drain_work`` and this method serialise on the queue lock,
         so an item is either stolen or cancelled, never both) or holds no
-        work.  Sentinels are skipped: they address this target's own loops.
+        work.
         """
         with self._lock:
             if self._closed or not self._work:
                 return None
-            return self._pop(self._oldest(wakeups=False))
+            return self._pop(self._oldest_work())
 
     # -------------------------------------------------------------- teardown
 
@@ -320,13 +310,14 @@ class _TargetQueue:
 
     def drain_work(self) -> list[Any]:
         """Atomically remove and return every queued work item (teardown
-        helper); sentinels keep their place."""
+        helper); shutdown markers stay queued."""
         with self._lock:
-            work = [i for i in self._items if not isinstance(i, _Sentinel)]
+            items = self._items
+            work = [i for i in items if i is not _SHUTDOWN]
             if work:
-                kept = [i for i in self._items if isinstance(i, _Sentinel)]
-                self._items.clear()
-                self._items.extend(kept)
+                markers = len(items) - len(work)
+                items.clear()
+                items.extend([_SHUTDOWN] * markers)
                 self._work = 0
                 self._not_full.notify_all()
             return work
@@ -335,7 +326,8 @@ class _TargetQueue:
         return len(self._items)
 
     def work_count(self) -> int:
-        """Queued *work* items (sentinels excluded) — the queue-depth sample.
+        """Queued *work* items (shutdown markers excluded) — the queue-depth
+        sample.
 
         Lock-free: the counter is a single int maintained under the queue
         lock; reading it races only by one item, which a telemetry sample
@@ -348,8 +340,8 @@ class VirtualTarget(abc.ABC):
     """Common behaviour of all virtual targets.
 
     Subclasses provide the thread(s) that drain :attr:`_queue`.  The queue
-    holds :class:`TargetRegion` instances, plain callables (events posted by
-    higher layers), and wakeup sentinels.
+    holds :class:`TargetRegion` instances and plain callables (events posted
+    by higher layers).
     """
 
     def __init__(
@@ -383,6 +375,7 @@ class VirtualTarget(abc.ABC):
             "rejected": 0,
             "caller_runs": 0,
             "cancelled_on_shutdown": 0,
+            "barriers_ended_by_poll": 0,
         }
 
     def _bump(self, key: str) -> None:
@@ -438,7 +431,7 @@ class VirtualTarget(abc.ABC):
         was.  Sealing happens in *both* shutdown modes, under the queue
         lock: a poster past the ``_shutdown`` check and still at the
         ``"post"`` seam raises :class:`TargetShutdownError` like every other
-        late post instead of landing behind the sentinels, where no loop
+        late post instead of landing behind the shutdown markers, where no loop
         will ever look.  Work queued before the seal still drains.
         """
         if self._shutdown.is_set():
@@ -455,7 +448,7 @@ class VirtualTarget(abc.ABC):
         waiter — ``region.wait()/result()``, ``wait_tag``, ``await`` logical
         barriers — unblocks promptly with a diagnosable error instead of
         deadlocking on work that will never run.  Plain callables are
-        dropped and logged.  Control sentinels keep their place.  Returns
+        dropped and logged.  Shutdown markers keep their place.  Returns
         the number of regions cancelled.
         """
         cancelled = 0
@@ -549,33 +542,28 @@ class VirtualTarget(abc.ABC):
         return True
 
     def wakeup(self) -> None:
-        """Unblock one thread waiting on the queue without giving it work.
-
-        A no-op where members cannot pump: nothing then ever blocks on the
-        queue as a guest, and on the asyncio adapter a queued wakeup would
-        use up the consumer step of the item behind it.
-        """
-        if self.supports_pumping:
-            self._queue.put_internal(_WAKEUP)
+        """Make every member pumping this target's queue (:meth:`pump_until`)
+        re-check its predicate now instead of at its next poll.  Queues
+        nothing."""
+        self._queue.wakeup()
 
     @property
     def pending(self) -> int:
-        """Approximate number of queued items (sentinels included).
+        """Approximate number of queued items (shutdown markers included).
 
-        Prefer :meth:`work_count` for diagnostics: control sentinels
-        (shutdown markers waiting for the loop that owns them, barrier
-        wakeups) ride this figure, so an idle target can legitimately show
-        ``pending > 0`` while owing no work to anyone.
+        Prefer :meth:`work_count` for diagnostics: a shutdown marker waiting
+        for the loop that owns it rides this figure, so a target can
+        legitimately show ``pending > 0`` while owing no work to anyone.
         """
         return self._queue.qsize()
 
     def work_count(self) -> int:
-        """Queued *work* items, control sentinels excluded.
+        """Queued *work* items, shutdown markers excluded.
 
         This is the honest backlog figure: zero means the target owes
-        nothing, even if shutdown sentinels or barrier wakeups are still
-        physically in the queue.  Every target kind keeps its backlog on
-        this one queue, so this is also the ``QUEUE_DEPTH`` trace sample.
+        nothing, even if shutdown markers are still physically in the queue.
+        Every target kind keeps its backlog on this one queue, so this is
+        also the ``QUEUE_DEPTH`` trace sample.
         """
         return self._queue._work
 
@@ -631,22 +619,21 @@ class VirtualTarget(abc.ABC):
         """Workers restarted by a supervisor (0 for thread-backed targets)."""
         return 0
 
-    def process_one(self, timeout: float | None = None) -> bool:
+    def process_one(self, timeout: float | None = None, *, _seen: int | None = None) -> bool:
         """Run one queued item in the calling thread.
 
-        Returns True if an actual work item ran; False if nothing a guest may
-        take arrived within *timeout* seconds or only a wakeup sentinel did.
-        This is the primitive behind the ``await`` logical barrier:
-        *"processing another runnable task in Pyjama's task queue"* (paper
-        §IV-B).  The caller is a guest of the queue: a shutdown or retire
-        sentinel stays queued for the loop it addresses, and the guest
-        blocks on the queue condition behind it rather than spinning.
+        Returns True if a work item ran; False if none arrived within
+        *timeout* seconds or a :meth:`wakeup` cut the wait short.  This is
+        the primitive behind the ``await`` logical barrier: *"processing
+        another runnable task in Pyjama's task queue"* (paper §IV-B).  The
+        caller is a guest of the queue: a shutdown marker stays queued for
+        the loop that owns it, and the guest blocks on the queue condition
+        behind it rather than spinning.  *_seen* is :meth:`pump_until`'s:
+        the wakeup count it read before checking its predicate.
         """
         try:
-            item = self._queue.get(timeout)
+            item = self._queue.get(timeout, _seen)
         except queue.Empty:
-            return False
-        if item is _WAKEUP:
             return False
         self._dispatch(item)
         return True
@@ -660,11 +647,11 @@ class VirtualTarget(abc.ABC):
         idle: Callable[[], bool] | None = None,
         ready: Callable[[], bool] | None = None,
     ) -> None:
-        """The loop-owner side of the queue, and the one place sentinels are
-        triaged: dequeue FIFO and *run* each work item until a loop-only
-        sentinel (shutdown queues one per loop; retire) ends exactly the
-        loop that dequeued it.  ``get_batch`` returns a sentinel alone, so
-        everything queued before it has already run.  *ready* is consulted
+        """The loop-owner side of the queue, and the one place the shutdown
+        marker is acted on: dequeue FIFO and *run* each work item until a
+        marker (shutdown queues one per loop) ends exactly the loop that
+        dequeued it.  ``get_batch`` returns a marker alone, so everything
+        queued before it has already run.  *ready* is consulted
         before every dequeue (False ends the loop without taking an item);
         with *poll*, an empty queue calls *idle* every *poll* seconds, and
         a True result (it found work elsewhere) rechecks the queue at once.
@@ -679,10 +666,9 @@ class VirtualTarget(abc.ABC):
                 continue
             eager = False
             for item in batch:
-                if not isinstance(item, _Sentinel):
-                    run(item)
-                elif item.loop_only:
+                if item is _SHUTDOWN:
                     return
+                run(item)
 
     def _trace_depth(self, session: "_obs.TraceSession") -> None:
         """Emit a sampled ``QUEUE_DEPTH`` event (caller checked enabled).
@@ -729,32 +715,41 @@ class VirtualTarget(abc.ABC):
             # ``run()``'s internal state guard alone.
             return
         if enabled:
+            self._run_traced(session, item, region, label)
+        else:
+            self._run_item(item)
+
+    def _run_traced(
+        self, session: "_obs.TraceSession", item: Any, region: int | None, label: str
+    ) -> None:
+        """The execution span: ``EXEC_BEGIN``, run *item* here, ``EXEC_END``
+        with the truthful outcome.  Dequeued and caller-runs items
+        (:meth:`_dispatch`) and Algorithm 1's inline elision
+        (``PjRuntime.invoke_target_block``) both execute through it."""
+        session.emit(
+            EventKind.EXEC_BEGIN, target=self.name, region=region, name=label
+        )
+        outcome = "completed"
+        try:
+            if not self._run_item(item):
+                outcome = "failed"  # plain callable raised
+            elif isinstance(item, TargetRegion):
+                # The region's terminal state is the ground truth: a body
+                # that raised is "failed", and a cancel that won the race
+                # against the caller's corpse check (run() then no-opped) is
+                # "cancelled" — never a fabricated "completed".
+                if item.state is RegionState.CANCELLED:
+                    outcome = "cancelled"
+                elif item.exception is not None:
+                    outcome = "failed"
+        except Exception:  # pragma: no cover - _run_item never raises
+            outcome = "failed"
+            raise
+        finally:
             session.emit(
-                EventKind.EXEC_BEGIN, target=self.name, region=region, name=label
+                EventKind.EXEC_END, target=self.name, region=region, name=label,
+                arg=outcome,
             )
-            outcome = "completed"
-            try:
-                if not self._run_item(item):
-                    outcome = "failed"  # plain callable raised
-                elif isinstance(item, TargetRegion):
-                    # The region's terminal state is the ground truth: a body
-                    # that raised is "failed", and a cancel that won the race
-                    # against the corpse check above (run() then no-opped) is
-                    # "cancelled" — never a fabricated "completed".
-                    if item.state is RegionState.CANCELLED:
-                        outcome = "cancelled"
-                    elif item.exception is not None:
-                        outcome = "failed"
-            except Exception:  # pragma: no cover - _run_item never raises
-                outcome = "failed"
-                raise
-            finally:
-                session.emit(
-                    EventKind.EXEC_END, target=self.name, region=region, name=label,
-                    arg=outcome,
-                )
-            return
-        self._run_item(item)
 
     def _run_item(self, item: Any) -> bool:
         """Run one dequeued item; True unless a plain callable raised.
@@ -793,9 +788,11 @@ class VirtualTarget(abc.ABC):
         dialog end up here too.  The calling thread must belong to this
         target and the target must be pumpable.  *poll* only bounds how stale
         the predicate can get; a caller that wants out the moment it holds
-        arranges a :meth:`wakeup`.  Past *timeout* the barrier raises
-        :class:`AwaitTimeoutError` with this target's diagnostics.  *region*
-        and *name* identify it in the trace and in that error, nothing else.
+        arranges a :meth:`wakeup`, and a barrier that nevertheless ended on
+        its poll is counted in ``stats["barriers_ended_by_poll"]``.  Past
+        *timeout* the barrier raises :class:`AwaitTimeoutError` with this
+        target's diagnostics.  *region* and *name* identify it in the trace
+        and in that error, nothing else.
         """
         if not self.contains():
             raise RuntimeStateError(
@@ -817,6 +814,12 @@ class VirtualTarget(abc.ABC):
         # Deadline math uses time.monotonic() (the runtime-wide convention for
         # deadlines); only trace timestamps use the perf_counter_ns clock.
         deadline = None if timeout is None else time.monotonic() + timeout
+        q = self._queue
+        # Read before the predicate: a wakeup owed to a completion the
+        # predicate has not seen yet then differs from ``seen`` and ends the
+        # next slice at once.
+        seen = q.wakeups
+        polled = False
         try:
             while not predicate():
                 step = poll
@@ -828,11 +831,18 @@ class VirtualTarget(abc.ABC):
                             f"exceeded its {timeout}s deadline",
                             self.describe(),
                         )
-                if self.process_one(timeout=step) and session.enabled:
+                ran = self.process_one(timeout=step, _seen=seen)
+                if ran and session.enabled:
                     # Barrier-mode steal: the pumping thread took work from
                     # its own target, so victim and thief coincide (contrast
                     # ring stealing, where a sibling lane is the thief).
                     self._trace_steal(session, self, "barrier", region=region, name=name)
+                before, seen = seen, q.wakeups
+                polled = not ran and seen == before
+            if polled:
+                # The predicate came true during a slice that nothing cut
+                # short: the barrier outlived its condition by up to *poll*.
+                self._bump("barriers_ended_by_poll")
         finally:
             if session.enabled:
                 session.emit(EventKind.BARRIER_EXIT, **ident)
@@ -867,12 +877,13 @@ class VirtualTarget(abc.ABC):
         return (
             f"target {self.name!r} ({type(self).__name__}) kind={self.kind} "
             f"alive={self.alive} pool={self.pool_size} "
-            # work_count, not pending: a shutdown sentinel nobody consumes
+            # work_count, not pending: a shutdown marker nobody consumes
             # would otherwise show an idle target as queued=1 forever.
             f"restarts={self.restart_count} queued={self.work_count()} capacity={cap} "
             f"high_water={stats['high_water']} posted={stats['posted']} "
             f"rejected={stats['rejected']} caller_runs={stats['caller_runs']} "
             f"cancelled_on_shutdown={stats['cancelled_on_shutdown']} "
+            f"barriers_ended_by_poll={stats['barriers_ended_by_poll']} "
             f"members={members}"
             f"{self._describe_extra()}"
         )
@@ -892,7 +903,7 @@ class VirtualTarget(abc.ABC):
         Returns the number of real work items executed.  Intended for tests
         and for single-threaded (manually pumped) EDT usage.  It is
         :meth:`process_one` repeated, so the caller is a guest — a shutdown
-        sentinel stays queued for the loop that owns it — and a target that
+        marker stays queued for the loop that owns it — and a target that
         refuses pumping refuses this too.
         """
         count = 0
@@ -909,18 +920,15 @@ class WorkerTarget(VirtualTarget):
     """A worker virtual target: a pool of background threads.
 
     Created by ``virtual_target_create_worker(tname, m)`` (paper Table II).
-    The pool is fixed at *max_threads* lanes unless the adaptive policies
-    (docs/TUNING.md) are enabled:
+    The pool has *max_threads* lanes for its whole life.  Two scheduling
+    policies (docs/TUNING.md) are off unless asked for:
 
     * ``steal=True`` — idle lanes take work from sibling targets in the
       runtime's :class:`~repro.policy.StealRing` (and expose their own queue
-      to it); otherwise the lanes block on their own queue exactly as before.
+      to it); otherwise the lanes block on their own queue.
     * ``batch_max>1`` — each queue acquisition drains up to ``batch_max``
       items back-to-back, amortising the dispatch fast-path for small
-      regions.  1 (the default) is item-at-a-time, the pre-policy behaviour.
-    * ``autoscale=True`` — a :class:`~repro.policy.PoolAutoscaler` grows and
-      shrinks the lane count between ``autoscale_min`` and ``autoscale_max``
-      against the observed queue depth, with hysteresis.
+      regions.  1 (the default) is item-at-a-time.
     """
 
     kind = "worker"
@@ -940,9 +948,6 @@ class WorkerTarget(VirtualTarget):
         rejection_policy: str = "block",
         steal: bool = False,
         batch_max: int = 1,
-        autoscale: bool = False,
-        autoscale_min: int | None = None,
-        autoscale_max: int | None = None,
     ) -> None:
         if max_threads < 1:
             raise ValueError(f"worker target needs at least 1 thread, got {max_threads}")
@@ -955,40 +960,18 @@ class WorkerTarget(VirtualTarget):
         self.batch_max = batch_max
         self.steal_enabled = steal
         self._steal_ring = None  # attached by PjRuntime.register_target
-        self._daemon = daemon
-        self._lanes_lock = threading.Lock()
-        self._lane_seq = itertools.count()
-        self._desired = max_threads  # lane count after applied scale decisions
-        self._threads: list[threading.Thread] = []
-        for _ in range(max_threads):
-            self._start_lane()
-        self._autoscaler = None
-        self.autoscale_min = autoscale_min if autoscale_min is not None else 1
-        self.autoscale_max = (
-            autoscale_max
-            if autoscale_max is not None
-            else max(2 * max_threads, max_threads + 1)
-        )
-        if autoscale:
-            from ..policy.autoscale import PoolAutoscaler  # lazy: policy is optional
-
-            self._autoscaler = PoolAutoscaler(
-                self, min_lanes=self.autoscale_min, max_lanes=self.autoscale_max
-            ).start()
+        self._threads = [
+            threading.Thread(
+                target=self._worker_loop, name=f"pyjama-{name}-{i}", daemon=daemon
+            )
+            for i in range(max_threads)
+        ]
+        for t in self._threads:
+            t.start()
 
     @property
     def pool_size(self) -> int:
-        """Lane count after every applied scale decision.
-
-        A retire is counted when decided (the sentinel may sit queued briefly
-        behind work); without autoscaling this is always ``max_threads``.
-        """
-        return self._desired
-
-    @property
-    def autoscaler(self):
-        """The attached :class:`~repro.policy.PoolAutoscaler`, if any."""
-        return self._autoscaler
+        return self.max_threads
 
     # ------------------------------------------------------------ steal ring
 
@@ -1029,37 +1012,6 @@ class WorkerTarget(VirtualTarget):
         victim._dispatch(item)
         return True
 
-    # ------------------------------------------------------------ autoscaling
-
-    def _start_lane(self) -> None:
-        t = threading.Thread(
-            target=self._worker_loop,
-            name=f"pyjama-{self.name}-{next(self._lane_seq)}",
-            daemon=self._daemon,
-        )
-        self._threads.append(t)
-        t.start()
-
-    def _grow_lane(self) -> None:
-        """Add one lane (the autoscaler's ``grow`` action)."""
-        with self._lanes_lock:
-            if self._shutdown.is_set():
-                return
-            self._desired += 1
-            self._start_lane()
-
-    def _retire_lane(self) -> None:
-        """Ask one lane to exit (the autoscaler's ``shrink`` action).
-
-        The retire sentinel queues FIFO behind already-queued work, so a
-        shrink never abandons backlog; whichever lane consumes it exits.
-        """
-        with self._lanes_lock:
-            if self._shutdown.is_set() or self._desired <= 1:
-                return
-            self._desired -= 1
-        self._queue.put_internal(_RETIRE)
-
     # ------------------------------------------------------------- dispatch
 
     def _worker_loop(self) -> None:
@@ -1082,34 +1034,27 @@ class WorkerTarget(VirtualTarget):
             bits.append(f"batch_max={self.batch_max}")
         if self.steal_enabled:
             bits.append("steal=on")
-        if self._autoscaler is not None:
-            bits.append(f"autoscale={self.autoscale_min}..{self.autoscale_max}")
         return " " + " ".join(bits) if bits else ""
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop the pool.
 
         ``wait=True`` drains: the backlog queued before shutdown still runs
-        (sentinels queue FIFO behind it) and the member threads are joined.
-        ``wait=False`` cancels: every still-queued region transitions to
-        ``CANCELLED`` (failing its waiters fast) and the threads are left to
-        exit on their own.  The autoscaler is stopped first so the lane set
-        cannot change under the sentinel accounting, and the target leaves
-        its steal ring so siblings stop considering it a victim.
+        (the shutdown markers queue FIFO behind it) and the member threads
+        are joined.  ``wait=False`` cancels: every still-queued region
+        transitions to ``CANCELLED`` (failing its waiters fast) and the
+        threads are left to exit on their own.  The target leaves its steal
+        ring so siblings stop considering it a victim.
         """
         if not self._enter_shutdown():
             return
-        if self._autoscaler is not None:
-            self._autoscaler.stop(wait=wait)
         self.leave_ring()
         if not wait:
             self._cancel_pending()
-        with self._lanes_lock:
-            lanes = list(self._threads)
-        for _ in lanes:
-            self._queue.put_internal(_SHUTDOWN)
+        for _ in self._threads:
+            self._queue.put_shutdown()
         if wait:
-            for t in lanes:
+            for t in self._threads:
                 if t is not threading.current_thread():
                     t.join()
 
@@ -1132,7 +1077,7 @@ class EdtTarget(VirtualTarget):
     kind = "edt"
 
     #: How long ``shutdown(wait=True)`` waits for the loop to acknowledge the
-    #: shutdown sentinel before giving up with a diagnostic (class-level so
+    #: shutdown marker before giving up with a diagnostic (class-level so
     #: tests can shrink it without touching the shutdown signature).
     _shutdown_ack_timeout = 5.0
 
@@ -1220,7 +1165,7 @@ class EdtTarget(VirtualTarget):
             return
         if not wait:
             self._cancel_pending()
-        self._queue.put_internal(_SHUTDOWN)
+        self._queue.put_shutdown()
         if wait and self._edt_thread is not None:
             if self._edt_thread is threading.current_thread():
                 return
@@ -1229,8 +1174,8 @@ class EdtTarget(VirtualTarget):
                 return
             if not self._stopped.wait(timeout=self._shutdown_ack_timeout):
                 # A wedged EDT (handler stuck in a syscall, deadlocked on a
-                # lock, ...) must not "shut down" silently: the sentinel was
-                # posted but never consumed, so say what we know and let the
+                # lock, ...) must not "shut down" silently: the marker was
+                # queued but never consumed, so say what we know and let the
                 # caller decide — the thread is theirs, we cannot kill it.
                 _logger.warning(
                     "EDT target %r did not acknowledge shutdown within %.1fs; "

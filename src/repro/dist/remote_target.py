@@ -76,7 +76,7 @@ from ..core.errors import (
     WorkerCrashedError,
 )
 from ..core.region import TargetRegion
-from ..core.targets import _SHUTDOWN, VirtualTarget, _item_identity
+from ..core.targets import VirtualTarget, _item_identity
 from ..obs import EventKind
 from ..obs import recorder as _obs
 from ..obs.events import now_ns
@@ -390,7 +390,7 @@ class RemoteLaneTarget(VirtualTarget):
                 if slot.busy:
                     slot.send_cancel(-1)  # wakes the control loop; benign
         for _ in self._slots:
-            self._queue.put_internal(_SHUTDOWN)
+            self._queue.put_shutdown()
         if wait:
             for slot in self._slots:
                 if slot.thread is not None and slot.thread is not threading.current_thread():

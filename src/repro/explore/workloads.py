@@ -352,6 +352,87 @@ class ShutdownWaitVsPost(ShutdownVsPost):
         ))
 
 
+class BarrierWakeupVsSiblingLane(Workload):
+    """A barrier's wakeup races the idle sibling lanes of its own pool.
+
+    One member of a two-lane pool ``w`` awaits ``r1`` on another target the
+    way ``PjRuntime._logical_barrier`` does (``wakeup`` on completion,
+    :meth:`~repro.core.targets.VirtualTarget.pump_until`), with a poll so
+    long that only the wakeup can end the barrier, while both lanes' real
+    owner loops (``_serve_queue``, stepped through ``ready`` whenever
+    anything is queued) serve ``w``'s queue.  The member parks where the
+    race is: after its predicate read ``r1`` as unfinished, before it blocks
+    on the queue — enabled only once that wait would return (work queued, or
+    a wakeup counted since the member read the count), so an order in which
+    the completion's wakeup cannot reach the member ends as a reported
+    deadlock, not a sleeping thread.  When a wakeup was a queue item, a
+    sibling lane dequeuing it was such an order."""
+
+    name = "barrier-wakeup-vs-sibling-lane"
+    description = "a completion's wakeup races idle sibling lanes for a pumping member"
+    #: Far beyond any run: if the member ever sleeps, it sleeps for good.
+    POLL = 3600.0
+
+    def setup(self, ctx: ExploreContext) -> None:
+        self.w = EdtTarget("w")
+        self.other = EdtTarget("other")
+        self.r1 = TargetRegion(region_body(0.0, False, "r1"), name="r1")
+        # Driver-side, as in ``_logical_barrier`` up to its pump: the region
+        # is queued and its completion owes ``w`` a wakeup.
+        self.other.post(self.r1)
+        self.r1.add_done_callback(lambda _r: self.w.wakeup())
+        self.barrier_over = False
+        queue = self.w._queue
+
+        def finished() -> bool:
+            done, seen = self.r1.done, queue.wakeups
+            if not done and not ctx.checkpoint(
+                "block", "w",
+                enabled_when=lambda: self.w.work_count() > 0 or queue.wakeups != seen,
+            ):
+                return True  # free-run teardown: leave the barrier
+            return done
+
+        def member() -> None:
+            self.w._enter_member()
+            try:
+                self.w.pump_until(finished, self.POLL, region=self.r1.seq, name="r1")
+            finally:
+                self.barrier_over = True
+                self.w._exit_member()
+
+        def lane() -> None:
+            # Stepped like shutdown-wait-vs-post's loop; the end of the
+            # barrier stands in for the shutdown marker.
+            self.w._serve_queue(self.w._dispatch, ready=lambda: ctx.checkpoint(
+                "loop", "w",
+                enabled_when=lambda: self.w.pending > 0 or self.barrier_over,
+            ) and not self.barrier_over)
+
+        ctx.actor("member", member)
+        ctx.actor("lane-a", lane)
+        ctx.actor("lane-b", lane)
+        ctx.actor("complete", self._pump(ctx, self.other, lambda: self.r1.done))
+
+    def targets(self) -> list[VirtualTarget]:
+        return [self.w, self.other]
+
+    def regions(self) -> list[tuple[str, TargetRegion]]:
+        return [("r1", self.r1)]
+
+    def verify(self, events: list[TraceEvent]) -> list[Violation]:
+        out = super().verify(events)
+        polled = self.w.stats["barriers_ended_by_poll"]
+        if polled:
+            out.append(Violation(
+                "barrier-ended-by-poll",
+                f"{polled} barrier(s) on 'w' outlived their region until a "
+                "poll expired — the completion's wakeup never reached the member",
+                target="w", name="r1",
+            ))
+        return out
+
+
 class SlowBodyCancel(Workload):
     """A cooperative cancel races a long-running body — in virtual time.
 
@@ -402,6 +483,7 @@ WORKLOADS: dict[str, type[Workload]] = {
         CallerRunsCancel,
         ShutdownVsPost,
         ShutdownWaitVsPost,
+        BarrierWakeupVsSiblingLane,
         SlowBodyCancel,
     )
 }

@@ -19,9 +19,7 @@ kinds mirror the paper's lifecycle:
 * cluster-target connectivity — ``WORKER_CONNECT``/``WORKER_DISCONNECT``
   instants marking a socket-connected remote worker lane coming up (clock
   handshake complete) or going away (connection closed or torn);
-* adaptive-policy decisions — ``POOL_SCALE`` instants recording every
-  autoscaler grow/shrink verdict (``name`` is the action, ``arg`` the
-  ``{"from", "to", "depth"}`` evidence), and ``PUMP_STEAL`` doubling as the
+* scheduling-policy decisions — ``PUMP_STEAL`` doubles as the
   work-stealing marker: its dict ``arg`` attributes the steal to a victim
   target and thief lane (see docs/TUNING.md).
 
@@ -76,8 +74,6 @@ class EventKind(enum.IntEnum):
     # pickled worker event logs, so existing values are frozen.
     WORKER_CONNECT = 18     # cluster lane connected + clock-synced (arg: pid)
     WORKER_DISCONNECT = 19  # cluster lane lost its connection (arg: detail)
-    POOL_SCALE = 20         # autoscaler grew/shrank a pool (name: action,
-                            # arg: {"from", "to", "depth"})
 
     @property
     def is_span_begin(self) -> bool:

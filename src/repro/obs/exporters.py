@@ -35,7 +35,6 @@ _INSTANTS = {
     EventKind.ENQUEUE: "enqueue",
     EventKind.DEQUEUE: "dequeue",
     EventKind.PUMP_STEAL: "pump-steal",
-    EventKind.POOL_SCALE: "pool-scale",
     EventKind.WORKER_SPAWN: "worker-spawn",
     EventKind.WORKER_EXIT: "worker-exit",
     EventKind.WORKER_CRASH: "worker-crash",

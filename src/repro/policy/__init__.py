@@ -1,8 +1,6 @@
-"""repro.policy: the adaptive-runtime decision layer.
+"""repro.policy: the scheduling policies a worker pool can opt into.
 
-The observability layer (:mod:`repro.obs`) records what the runtime does;
-this package decides what it *should* do with that telemetry.  Three
-policies, each off by default so the runtime reproduces its unpoliced
+Two policies, each off by default so the runtime reproduces its unpoliced
 behaviour bit-for-bit unless asked:
 
 * **work stealing** (:class:`StealRing`) — idle worker lanes take queued
@@ -11,34 +9,14 @@ behaviour bit-for-bit unless asked:
 * **dequeue batching** (the ``batch_max`` knob, enforced by
   ``repro.core.targets._TargetQueue.get_batch``) — a worker lane drains up
   to ``batch_max`` small regions per queue acquisition, amortising the
-  ~8 µs dispatch fast-path;
-* **pool autoscaling** (:class:`PoolAutoscaler`) — a worker pool grows and
-  shrinks its lane count against observed queue depth with hysteresis,
-  emitting a ``POOL_SCALE`` event for every decision.
+  ~8 µs dispatch fast-path.
 
-Every knob has an ICV on :class:`~repro.core.runtime.PjRuntime`
-(``steal_var``, ``batch_max_var``, ``autoscale_var``) seeded from the
-environment (``REPRO_STEAL``, ``REPRO_BATCH_MAX``, ``REPRO_AUTOSCALE``) and
-overridable per target at ``create_worker`` time.  docs/TUNING.md is the
-reference table and decision-rule documentation for all of them.
+Each has an ICV on :class:`~repro.core.runtime.PjRuntime` (``steal_var``,
+``batch_max_var``), overridable per target at ``create_worker`` time.
+docs/TUNING.md is the reference table and decision-rule documentation; it
+also records why a pool's lane count is fixed at creation.
 """
 
-from .autoscale import PoolAutoscaler
-from .config import (
-    AUTOSCALE_ENV,
-    BATCH_MAX_ENV,
-    STEAL_ENV,
-    PolicyConfig,
-    policy_from_env,
-)
 from .steal import StealRing
 
-__all__ = [
-    "PolicyConfig",
-    "policy_from_env",
-    "STEAL_ENV",
-    "BATCH_MAX_ENV",
-    "AUTOSCALE_ENV",
-    "StealRing",
-    "PoolAutoscaler",
-]
+__all__ = ["StealRing"]

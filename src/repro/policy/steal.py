@@ -1,10 +1,10 @@
 """Work stealing: idle worker lanes drain the most-backlogged sibling.
 
 Membership is the consent model: only targets that opted in (``steal=True``
-at creation, or the ``steal_var`` ICV / ``REPRO_STEAL``) join a runtime's
-ring, so a thief can never pull work into the wrong execution environment —
-process- and cluster-backed targets never join because their queued bodies
-must not run in this process.
+at creation, or the ``steal_var`` ICV) join a runtime's ring, so a thief can
+never pull work into the wrong execution environment — process- and
+cluster-backed targets never join because their queued bodies must not run
+in this process.
 
 The steal itself preserves every lifecycle invariant: the thief executes the
 item through the *victim's* dispatch path, so the item's ``DEQUEUE`` and

@@ -221,16 +221,22 @@ class TestHeartbeats:
         assert target.stats["worker_crashes"] == 0
 
 
+@pytest.fixture()
+def traced():
+    """Tracing switched on.  Request it *before* ``cluster_rt``: the lanes
+    start connecting the moment the target is built, and a ``WORKER_CONNECT``
+    emitted before tracing is on is not in the trace."""
+    session = obs.enable()
+    try:
+        yield session
+    finally:
+        obs.disable()
+
+
 class TestTraceMerge:
-    def test_remote_events_merge_with_connect_instants(self, cluster_rt):
-        session = obs.enable()
-        try:
-            cluster_rt.invoke_target_block(
-                "cw", TargetRegion(bodies.sleepy, 0.01)
-            )
-            events = list(session.events())
-        finally:
-            obs.disable()
+    def test_remote_events_merge_with_connect_instants(self, traced, cluster_rt):
+        cluster_rt.invoke_target_block("cw", TargetRegion(bodies.sleepy, 0.01))
+        events = list(traced.events())
         kinds = {e.kind.name for e in events}
         assert "WORKER_CONNECT" in kinds
         execs = [e for e in events if "[w" in (e.target or "")
@@ -241,15 +247,9 @@ class TestTraceMerge:
         dequeues = [e for e in events if e.kind.name == "DEQUEUE"]
         assert min(e.ts for e in execs) >= max(e.ts for e in dequeues)
 
-    def test_chrome_export_has_worker_connect_instant(self, cluster_rt):
-        session = obs.enable()
-        try:
-            cluster_rt.invoke_target_block(
-                "cw", TargetRegion(bodies.sleepy, 0.01)
-            )
-            doc = obs.to_chrome_trace(session.events())
-        finally:
-            obs.disable()
+    def test_chrome_export_has_worker_connect_instant(self, traced, cluster_rt):
+        cluster_rt.invoke_target_block("cw", TargetRegion(bodies.sleepy, 0.01))
+        doc = obs.to_chrome_trace(traced.events())
         instants = [ev for ev in doc["traceEvents"]
                     if ev.get("ph") == "i" and "worker-connect" in ev.get("name", "")]
         assert instants, "worker-connect instant missing from Chrome export"

@@ -212,15 +212,21 @@ class TestTagJoinFromMemberThread:
         assert done.wait(timeout=15)
         return took[0], order
 
-    @pytest.mark.parametrize("host", ["edt", "pool"])
-    def test_join_ends_when_the_group_drains_whatever_the_poll(self, edt_rt, host):
-        # One lane: the handler's own thread is then the only consumer of
-        # the host queue, so the drain wakeup cannot go to an idle sibling.
-        edt_rt.create_worker("pool", 1)
+    @pytest.mark.parametrize(
+        "host, lanes", [("edt", 1), ("pool", 1), ("pool", 2)],
+        ids=["edt", "pool", "pool-2-lanes"],
+    )
+    def test_join_ends_when_the_group_drains_whatever_the_poll(self, edt_rt, host, lanes):
+        edt_rt.create_worker("pool", lanes)
         edt_rt.await_poll_var = 2.0
         took, order = self._join_on(edt_rt, host)
-        assert order == ["event-0", "event-1", "event-2", "after-wait"]
+        # With a sibling lane the follow-ups run beside the handler's pump.
+        assert sorted(order[:-1]) == ["event-0", "event-1", "event-2"]
+        assert order[-1] == "after-wait"
+        if lanes == 1:
+            assert order == ["event-0", "event-1", "event-2", "after-wait"]
         assert took < 0.5, f"join slept out the poll: {took:.2f}s"
+        assert edt_rt.get_target(host).stats["barriers_ended_by_poll"] == 0
 
     def test_join_span_attributes_every_pumped_item(self, edt_rt):
         obs.session().clear()
@@ -239,3 +245,82 @@ class TestTagJoinFromMemberThread:
         assert pumped == 4  # three events and the gate's release
         assert [(e.name, e.arg["mode"]) for e in steals] == [("grp", "barrier")] * pumped
         assert verify_events(events) == []
+
+
+class TestBarrierOnAMultiLanePool:
+    """Algorithm 1 lines 13-16 hold for any member of a ``create_worker(t, m)``
+    pool: the wakeup owed to a pumping member reaches it however many idle
+    sibling lanes share its queue.  With a 2 s poll, a barrier that missed
+    its wakeup is unmistakable."""
+
+    POLL = 2.0
+
+    @staticmethod
+    def _one_ms():
+        time.sleep(0.001)
+
+    @staticmethod
+    def _on_members(rt, bodies):
+        """Run each of *bodies* on its own lane of ``pool``, all at once;
+        returns what each returned."""
+        together = threading.Barrier(len(bodies))
+        handles = [
+            rt.invoke_target_block(
+                "pool", lambda body=body: (together.wait(5), body())[1], "nowait"
+            )
+            for body in bodies
+        ]
+        return [h.result(timeout=30) for h in handles]
+
+    @staticmethod
+    def _timed(barrier, rounds):
+        def body():
+            took = []
+            for _ in range(rounds):
+                t0 = time.monotonic()
+                barrier()
+                took.append(time.monotonic() - t0)
+            return took
+        return body
+
+    def _assert_prompt(self, rt, took):
+        slow = [round(t, 3) for t in took if t >= 0.5]
+        assert not slow, f"{len(slow)} of {len(took)} barriers slept out the poll: {slow}"
+        assert rt.get_target("pool").stats["barriers_ended_by_poll"] == 0
+
+    @pytest.mark.parametrize("lanes", [2, 4])
+    def test_await_from_a_member_returns_on_its_wakeup(self, worker_rt, lanes):
+        rt = worker_rt
+        rt.create_worker("pool", lanes)
+        rt.await_poll_var = self.POLL
+        awaits = self._timed(
+            lambda: rt.invoke_target_block("worker", self._one_ms, "await"), 50
+        )
+        (took,) = self._on_members(rt, [awaits])
+        self._assert_prompt(rt, took)
+
+    @pytest.mark.parametrize("lanes", [2, 4])
+    def test_wait_tag_from_a_member_returns_when_the_group_drains(self, worker_rt, lanes):
+        rt = worker_rt
+        rt.create_worker("pool", lanes)
+        rt.await_poll_var = self.POLL
+
+        def join():
+            for _ in range(4):
+                rt.invoke_target_block("worker", self._one_ms, "name_as", tag="g")
+            rt.wait_tag("g", timeout=10)
+
+        (took,) = self._on_members(rt, [self._timed(join, 25)])
+        self._assert_prompt(rt, took)
+
+    def test_two_members_awaiting_at_once_each_get_their_wakeup(self, worker_rt):
+        # Three lanes: two guests on one queue and an idle sibling.  Each
+        # completion wakes both guests; each re-checks its own predicate.
+        rt = worker_rt
+        rt.create_worker("pool", 3)
+        rt.await_poll_var = self.POLL
+        awaits = self._timed(
+            lambda: rt.invoke_target_block("worker", self._one_ms, "await"), 50
+        )
+        took_a, took_b = self._on_members(rt, [awaits, awaits])
+        self._assert_prompt(rt, took_a + took_b)

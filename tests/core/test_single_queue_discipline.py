@@ -1,8 +1,8 @@
 """Structure gate: the queue discipline exists exactly once.
 
 Admission (rejection policies, ``force_queue_full``), consumption (which
-consumer may take which item, what a sentinel means to a loop) and backlog
-cancellation live in ``_TargetQueue`` + ``VirtualTarget``.  The asyncio
+consumer may take which item, what the shutdown marker means to a loop) and
+backlog cancellation live in ``_TargetQueue`` + ``VirtualTarget``.  The asyncio
 adapter once carried a private copy of admission over a shadow in-flight
 set, and five dequeue loops each triaged the sentinels themselves, two of
 them with a pop/re-post/``sleep(0.001)`` spin.  This test keeps the copies
@@ -11,6 +11,7 @@ from growing back.
 
 from __future__ import annotations
 
+import ast
 import inspect
 import pathlib
 import re
@@ -61,15 +62,43 @@ def test_queue_full_error_is_raised_by_one_target_path():
 
 
 def test_sentinels_are_triaged_by_the_owner_loop_only():
-    # No identity triage anywhere: a sentinel's address is its flag...
-    assert _hits(r"\bis (not )?_(SHUTDOWN|RETIRE)\b") == {}
-    # ...and only the queue and the one owner loop read the flag.
-    assert set(_hits(r"\.loop_only\b")) == {TARGETS}
+    # One marker: the queue skips or returns it, one owner loop acts on it.
+    assert set(_hits(r"\bis (not )?_SHUTDOWN\b")) == {TARGETS}
     readers = [
         name for name, fn in inspect.getmembers(VirtualTarget, inspect.isfunction)
-        if ".loop_only" in inspect.getsource(fn)
+        if "_SHUTDOWN" in inspect.getsource(fn)
     ]
     assert readers == ["_serve_queue"]
+    # Nobody outside targets.py names it: shutdown paths ask the queue.
+    assert set(_hits(r"\b_SHUTDOWN\b")) == {TARGETS}
+
+
+def test_shutdown_marker_is_the_only_uncounted_queue_item():
+    tree = ast.parse((SRC / TARGETS).read_text())
+    markers = [
+        node.target.id if isinstance(node, ast.AnnAssign) else node.targets[0].id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "id", None) == "object"
+    ]
+    assert markers == ["_SHUTDOWN"]
+    # Two ways in: work (counted) and the marker.  A wakeup queues nothing.
+    appends = {
+        name: inspect.getsource(fn).count("_items.append(")
+        for name, fn in inspect.getmembers(_TargetQueue, inspect.isfunction)
+    }
+    assert {n: c for n, c in appends.items() if c} == {"put": 1, "put_shutdown": 1}
+    assert "put" not in inspect.getsource(VirtualTarget.wakeup)
+
+
+@pytest.mark.parametrize("gone", [
+    r"_Sentinel", r"_WAKEUP", r"_RETIRE", r"loop_only", r"put_internal",
+    r"PoolAutoscaler", r"POOL_SCALE", r"(?i)autoscal",
+    r"REPRO_(STEAL|BATCH_MAX|AUTOSCALE)", r"policy_from_env", r"PolicyConfig",
+])
+def test_removed_machinery_stays_removed(gone):
+    assert _hits(gone) == {}
 
 
 @pytest.mark.parametrize("loop", [
@@ -78,14 +107,14 @@ def test_sentinels_are_triaged_by_the_owner_loop_only():
 def test_owner_loops_are_the_shared_loop(loop):
     source = inspect.getsource(loop)
     assert "_serve_queue(" in source
-    for name in ("_SHUTDOWN", "_WAKEUP", "_RETIRE", "_queue.get"):
+    for name in ("_SHUTDOWN", "_queue.get"):
         assert name not in source, name
 
 
 @pytest.mark.parametrize("guest", [VirtualTarget.process_one, VirtualTarget.drain])
 def test_guests_neither_triage_nor_spin(guest):
     source = inspect.getsource(guest)
-    for name in ("_SHUTDOWN", "_RETIRE", "put_internal", "sleep"):
+    for name in ("_SHUTDOWN", "put_shutdown", "sleep"):
         assert name not in source, name
 
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 import pytest
 
 from repro.explore import WORKLOADS, SensorRegion, explore
+from repro.explore.explorer import execute
+from repro.explore.schedule import ScheduleStep
 from repro.explore.workloads import CallerRunsCancel
 
 
@@ -34,6 +36,27 @@ class TestModels:
         result = explore("caller-runs-cancel", max_schedules=3000)
         assert result.exhausted
         assert result.ok
+
+    def test_barrier_wakeup_model_is_exhaustible(self):
+        result = explore("barrier-wakeup-vs-sibling-lane")
+        assert result.exhausted
+        assert result.ok
+
+    def test_the_schedule_that_ate_the_wakeup_cannot_be_followed(self):
+        # explore-barrier-wakeup-vs-sibling-lane-ceca75496731: while a
+        # wakeup was a queue item, step 6 let a sibling lane dequeue the one
+        # owed to the member, which then slept out its poll (reported as a
+        # deadlock).  Nothing is queued now, so that step is not on offer.
+        eaten = tuple(ScheduleStep(*step) for step in [
+            ("complete", "spawn", None), ("complete", "pump", "other"),
+            ("lane-a", "spawn", None), ("lane-b", "spawn", None),
+            ("member", "spawn", None), ("complete", "dispatch", "other"),
+            ("lane-a", "loop", "w"),
+        ])
+        rec = execute(WORKLOADS["barrier-wakeup-vs-sibling-lane"], eaten)
+        assert rec.diverged is not None
+        assert "step 6" in rec.diverged and "(enabled: member)" in rec.diverged
+        assert not rec.violations
 
 
 class TestSensorRegion:

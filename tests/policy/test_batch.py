@@ -28,7 +28,7 @@ def test_get_batch_stops_before_a_sentinel_and_returns_it_alone():
     q = _TargetQueue("t")
     q.put(1)
     q.put(2)
-    q.put_internal(_SHUTDOWN)
+    q.put_shutdown()
     q.put(3)
     # Work queued before the sentinel comes out first, never alongside it.
     assert q.get_batch(8) == [1, 2]

@@ -1,79 +1,31 @@
-"""Env-knob parsing and ICV seeding for the adaptive policies."""
+"""The policy ICVs: defaults, and inheritance at ``create_worker`` time."""
 
 from __future__ import annotations
 
 from repro.core.runtime import PjRuntime
-from repro.policy import (
-    AUTOSCALE_ENV,
-    BATCH_MAX_ENV,
-    STEAL_ENV,
-    PolicyConfig,
-    policy_from_env,
-)
 
 
-def test_defaults_are_off(monkeypatch):
-    for var in (STEAL_ENV, BATCH_MAX_ENV, AUTOSCALE_ENV):
-        monkeypatch.delenv(var, raising=False)
-    assert policy_from_env() == PolicyConfig(steal=False, batch_max=1, autoscale=False)
-
-
-def test_truthy_and_falsy_flag_spellings(monkeypatch):
-    for raw, expected in [
-        ("1", True), ("true", True), ("on", True), ("YES", True),
-        ("0", False), ("false", False), ("off", False), ("no", False), ("", False),
-    ]:
-        monkeypatch.setenv(STEAL_ENV, raw)
-        monkeypatch.setenv(AUTOSCALE_ENV, raw)
-        cfg = policy_from_env()
-        assert cfg.steal is expected, raw
-        assert cfg.autoscale is expected, raw
-
-
-def test_batch_max_parsing(monkeypatch):
-    monkeypatch.setenv(BATCH_MAX_ENV, "16")
-    assert policy_from_env().batch_max == 16
-    # Malformed and sub-1 values fall back to the safe default/floor.
-    monkeypatch.setenv(BATCH_MAX_ENV, "bogus")
-    assert policy_from_env().batch_max == 1
-    monkeypatch.setenv(BATCH_MAX_ENV, "0")
-    assert policy_from_env().batch_max == 1
-
-
-def test_runtime_icvs_seed_from_env_at_construction(monkeypatch):
-    monkeypatch.setenv(STEAL_ENV, "1")
-    monkeypatch.setenv(BATCH_MAX_ENV, "8")
-    monkeypatch.setenv(AUTOSCALE_ENV, "1")
+def test_defaults_are_off():
     rt = PjRuntime()
     try:
-        assert rt.steal_var is True
-        assert rt.batch_max_var == 8
-        assert rt.autoscale_var is True
+        assert rt.steal_var is False
+        assert rt.batch_max_var == 1
+        plain = rt.create_worker("plain", 1)
+        assert plain.steal_enabled is False
+        assert plain.batch_max == 1
     finally:
         rt.shutdown(wait=False)
-    # A runtime built after the env is cleared sees the documented defaults:
-    # the knobs are read per construction, not snapshotted at import.
-    for var in (STEAL_ENV, BATCH_MAX_ENV, AUTOSCALE_ENV):
-        monkeypatch.delenv(var, raising=False)
-    rt2 = PjRuntime()
-    try:
-        assert rt2.steal_var is False
-        assert rt2.batch_max_var == 1
-        assert rt2.autoscale_var is False
-    finally:
-        rt2.shutdown(wait=False)
 
 
-def test_create_worker_resolves_icvs_and_per_call_overrides(monkeypatch):
-    monkeypatch.setenv(BATCH_MAX_ENV, "4")
-    monkeypatch.setenv(STEAL_ENV, "1")
-    monkeypatch.delenv(AUTOSCALE_ENV, raising=False)
+def test_create_worker_resolves_icvs_and_per_call_overrides():
     rt = PjRuntime()
+    rt.batch_max_var = 4
+    rt.steal_var = True
     try:
         inherited = rt.create_worker("inherited", 1)
         assert inherited.batch_max == 4
         assert inherited.steal_enabled is True
-        assert inherited.autoscaler is None
+        assert inherited.pool_size == 1
         # Per-call arguments beat the ICVs.
         overridden = rt.create_worker("overridden", 1, steal=False, batch_max=1)
         assert overridden.batch_max == 1
