@@ -5,8 +5,9 @@ four variants — Jetty, Pyjama, and each combined with per-request
 ``omp parallel``.  These numbers come from the **analytic simulation**
 (:mod:`repro.sim`) — virtual time, modeled kernel costs, the paper's 16-core
 machine.  The *live* counterpart — real sockets, real crypt kernel, this
-host — is ``bench_serve_live.py`` / ``python -m repro serve --bench``; the
-two are not comparable (different machine models, different clock).
+host — is the ``serve_small`` / ``serve_large_process`` pair of
+``benchmarks/e2e``; the two are not comparable (different machine models,
+different clock).
 
 Claims reproduced:
 
@@ -73,8 +74,8 @@ def test_fig9_throughput_vs_worker_threads(benchmark, report):
     lines.append(
         "NOTE: simulated (repro.sim) — modeled 16-core machine in virtual "
         "time, not live sockets.  For measured numbers on this host see "
-        "bench_serve_live.py or `python -m repro serve --bench`; the two "
-        "are not directly comparable."
+        "`benchmarks/e2e/run.py --workload serve_small`; the two are not "
+        "directly comparable."
     )
     lines.append("")
     lines.append("p95 response latency (s):")

@@ -116,7 +116,7 @@ def _process_vs_thread_registered():
     }
 
 
-def test_process_vs_thread_kernels(report):
+def test_process_vs_thread_kernels(capsys):
     cores = usable_cores()
     runs = []
     lines = [f"{'kernel':<12} {'backend':<8} {'pool':>4} {'seconds':>9} {'vs thread@1':>11}"]
@@ -158,7 +158,8 @@ def test_process_vs_thread_kernels(report):
         json.dumps(doc, indent=2) + "\n"
     )
     lines.append(f"host: cpu_count={os.cpu_count()} usable_cores={cores}")
-    report("process_vs_thread", lines)
+    with capsys.disabled():
+        print("\n" + "\n".join(lines))
 
     if cores >= 2:
         # With real parallelism available, the process pool must beat the

@@ -1,20 +1,22 @@
-"""Built-in benchmark registrations: the runtime's hot paths.
+"""Built-in benchmark registrations: the real-thread micro-set.
 
-Importing this module populates the registry with the core suite — the
-dispatch paths Algorithm 1 takes (posted, inline, fire-and-forget), the
-pure queue hand-off, region construction, and the tracing-mode overhead
-ladder.  The figure/table benchmarks under ``benchmarks/`` register their
-own entries on top when imported (``load_external``).
+Importing this module populates the registry with the dispatch paths
+Algorithm 1 takes (posted, inline, fire-and-forget, await from a member),
+the pure queue hand-off, region construction and a worker's lifecycle —
+the measurements ``benchmarks/e2e/layers.py`` has no probe for.  What it
+does probe (tracing overhead, process and cluster round trips, the live
+server) is timed there and nowhere else.  The figure/table benchmarks
+under ``benchmarks/`` register their own entries on top when imported
+(``load_external``).
 
 Measurement notes
 -----------------
-* ``queue_*`` and ``trace_*`` benchmarks post to an *unstarted* EDT target
-  and drain it in the measuring thread: one thread, no scheduler hand-off,
-  so they isolate the enqueue/dequeue/dispatch cost itself.  They are the
-  low-noise smoke tier CI gates on.
+* ``queue_*`` benchmarks post to an *unstarted* EDT target and drain it in
+  the measuring thread: one thread, no scheduler hand-off, so they isolate
+  the enqueue/dequeue/dispatch cost itself.
 * ``dispatch_*`` benchmarks use a live two-thread worker target: they
   include the real cross-thread wake-up, which is what an application
-  pays.  Noisier, so regressions gate on p50 with generous thresholds.
+  pays.  Noisier; compare p50s.
 """
 
 from __future__ import annotations
@@ -129,58 +131,6 @@ def _region_create():
     from ..core.region import TargetRegion
 
     return lambda: TargetRegion(_nop)
-
-
-# ---------------------------------------------------------------- trace group
-
-def _traced_post_drain(mode: str):
-    """Build the queue_post_drain op under a given tracing mode."""
-    from .. import obs
-    from ..core import PjRuntime
-    from ..core.region import TargetRegion
-
-    if mode == "off":
-        obs.disable()
-    elif mode == "null":
-        obs.enable(null=True)
-    else:
-        obs.enable(buffer_size=4096)
-    rt = PjRuntime()
-    target = rt.register_edt("q")
-
-    def op():
-        target.post(TargetRegion(_nop))
-        target.drain()
-
-    def cleanup():
-        rt.shutdown(wait=False)
-        obs.disable()
-
-    return op, cleanup
-
-
-@benchmark(
-    "trace_off_post_drain", group="trace", number=300,
-    description="queue_post_drain with tracing disabled (the guard-only path)",
-)
-def _trace_off():
-    return _traced_post_drain("off")
-
-
-@benchmark(
-    "trace_null_post_drain", group="trace", number=300,
-    description="queue_post_drain with the null recorder (emit, no storage)",
-)
-def _trace_null():
-    return _traced_post_drain("null")
-
-
-@benchmark(
-    "trace_ring_post_drain", group="trace", number=300,
-    description="queue_post_drain with full ring-buffer recording",
-)
-def _trace_ring():
-    return _traced_post_drain("ring")
 
 
 # ------------------------------------------------------------- lifecycle group

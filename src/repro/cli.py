@@ -360,41 +360,27 @@ def cmd_cluster_worker(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Live event-driven HTTP serving on virtual targets (docs/SERVING.md).
 
-    ``python -m repro serve`` stands up the Fig. 9 server for real traffic;
-    ``python -m repro serve --bench`` drives it with the in-process load
-    generator and emits a ``repro.bench/v1`` JSON document.  Non-zero exit
-    from ``--bench`` means a backend served nothing, hit transport errors,
-    or failed to drain cleanly — CI uses that as the smoke gate.
+    ``python -m repro serve`` stands up the Fig. 9 server for real traffic
+    and prints its ``/stats`` snapshot when it stops.  Load comes from
+    outside the process: ``benchmarks/e2e/run.py --workload serve_small``
+    starts the server exactly this way.
     """
     import asyncio
     import json as _json
-    import pathlib
 
     from . import obs
-    from .bench import write_json
-    from .serve import (
-        HttpServer,
-        ServeConfig,
-        export_trace,
-        latency_entry,
-        run_closed_loop,
-        run_open_loop,
-        serve_document,
-    )
+    from .serve import HttpServer, ServeConfig, export_trace
 
-    backends = ["thread", "process"] if args.backend == "both" else [args.backend]
-    port = args.port if args.port is not None else (0 if args.bench else 8080)
     if args.trace:
         obs.enable()
-
-    def make_config(backend: str) -> ServeConfig:
-        return ServeConfig(
-            host=args.host, port=port, backend=backend,
-            workers=args.workers, queue_capacity=args.capacity,
-            policy=args.policy, request_timeout=args.request_timeout,
-            rounds=args.rounds,
-            edt_name=f"http-edt-{backend}", cpu_target=f"http-cpu-{backend}",
-        )
+    config = ServeConfig(
+        host=args.host, port=args.port, backend=args.backend,
+        workers=args.workers, queue_capacity=args.capacity,
+        policy=args.policy, request_timeout=args.request_timeout,
+        rounds=args.rounds,
+        edt_name=f"http-edt-{args.backend}",
+        cpu_target=f"http-cpu-{args.backend}",
+    )
 
     def finish_trace() -> None:
         if args.trace:
@@ -403,69 +389,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print(f"wrote {args.trace}: {n} event(s) "
                   "(open in https://ui.perfetto.dev or chrome://tracing)")
 
-    if args.bench:
-        async def bench_one(backend: str):
-            server = HttpServer(make_config(backend))
-            await server.start()
-            try:
-                if args.mode == "open":
-                    res = await run_open_loop(
-                        args.host, server.port, rate=args.rate,
-                        duration=args.duration or 10.0,
-                        payload_bytes=args.payload)
-                else:
-                    res = await run_closed_loop(
-                        args.host, server.port, requests=args.requests,
-                        concurrency=args.concurrency,
-                        payload_bytes=args.payload)
-            finally:
-                await server.stop()
-            return res, server
-
-        entries: dict = {}
-        serve_info: dict = {
-            "mode": args.mode, "payload_bytes": args.payload,
-            "policy": args.policy, "workers": args.workers,
-            "capacity": args.capacity, "rounds": args.rounds,
-            "backends": {},
-        }
-        failed = False
-        for backend in backends:
-            print(f"  serve bench: backend={backend} mode={args.mode} ...",
-                  file=sys.stderr)
-            res, server = asyncio.run(bench_one(backend))
-            clean = server._drain_clean is not False
-            summary = res.summary()
-            summary["drain_clean"] = clean
-            serve_info["backends"][backend] = summary
-            if res.latencies_s:
-                entries[f"serve_live_{backend}"] = latency_entry(
-                    res.latencies_s, group="serve")
-            lat = summary.get("latency_ms", {})
-            print(f"{backend:>8}: {res.requests} responses "
-                  f"({res.ok} ok) in {res.duration_s:.2f}s -> "
-                  f"{res.throughput_rps:,.0f} req/s, "
-                  f"p50 {lat.get('p50', 0):.2f} ms, "
-                  f"p99 {lat.get('p99', 0):.2f} ms, "
-                  f"drain {'clean' if clean else 'DOWNGRADED'}")
-            if res.ok == 0 or res.errors or not clean:
-                failed = True
-        out = pathlib.Path(args.output or "SERVE_BENCH.json")
-        write_json(out, serve_document(entries, serve_info))
-        print(f"wrote {out}")
-        finish_trace()
-        return 1 if failed else 0
-
-    if len(backends) != 1:
-        print("plain serving needs a single --backend (thread or process)",
-              file=sys.stderr)
-        return 2
-
     async def serve_main() -> HttpServer:
-        server = HttpServer(make_config(backends[0]))
+        server = HttpServer(config)
         await server.start()
         print(f"serving on http://{args.host}:{server.port}/ "
-              f"(backend={backends[0]}, policy={args.policy}) — "
+              f"(backend={args.backend}, policy={args.policy}) — "
               "POST /encrypt, GET /stats, GET /healthz", flush=True)
         try:
             if args.duration > 0:
@@ -751,9 +679,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="live event-driven HTTP server on virtual targets "
              "(docs/SERVING.md)",
     )
-    p.add_argument("--backend", choices=["thread", "process", "both"],
-                   default="thread",
-                   help="CPU-target backing; 'both' is --bench only")
+    p.add_argument("--backend", choices=["thread", "process"],
+                   default="thread", help="CPU-target backing")
     p.add_argument("--policy", choices=["block", "reject", "caller_runs"],
                    default="reject",
                    help="rejection policy of the CPU target's bounded queue")
@@ -762,32 +689,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--capacity", type=int, default=64,
                    help="bounded queue capacity (admission window)")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=None,
-                   help="listen port (default: 8080, or ephemeral in --bench)")
+    p.add_argument("--port", type=int, default=8080,
+                   help="listen port (0 = kernel-assigned, announced on stdout)")
     p.add_argument("--duration", type=float, default=0.0,
-                   help="seconds to serve (0 = until Ctrl-C); in --bench "
-                        "--mode open, seconds of offered load")
+                   help="seconds to serve (0 = until Ctrl-C)")
     p.add_argument("--request-timeout", type=float, default=10.0,
                    help="per-request deadline before 504")
     p.add_argument("--rounds", type=int, default=1,
                    help="encrypt passes per request (CPU-cost knob)")
-    p.add_argument("--bench", action="store_true",
-                   help="self-load benchmark; emits repro.bench/v1 JSON")
-    p.add_argument("--requests", type=int, default=100_000,
-                   help="closed-loop request count (--bench)")
-    p.add_argument("--concurrency", type=int, default=64,
-                   help="closed-loop connection count (--bench)")
-    p.add_argument("--mode", choices=["closed", "open"], default="closed",
-                   help="closed = saturation throughput, open = fixed-rate "
-                        "arrivals (--bench)")
-    p.add_argument("--rate", type=float, default=1000.0,
-                   help="open-loop arrival rate, req/s (--bench --mode open)")
-    p.add_argument("--payload", type=int, default=64,
-                   help="POST /encrypt body size in bytes")
     p.add_argument("--trace", default=None, metavar="TRACE.json",
                    help="export a Chrome/Perfetto trace of the served run")
-    p.add_argument("-o", "--output", default=None,
-                   help="bench JSON path (default: SERVE_BENCH.json)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(

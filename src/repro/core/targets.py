@@ -21,7 +21,6 @@ from __future__ import annotations
 import abc
 import itertools
 import logging
-import os
 import queue
 import threading
 import time
@@ -60,34 +59,13 @@ _logger = logging.getLogger(__name__)
 REJECTION_POLICIES = ("block", "reject", "caller_runs")
 
 
-def _depth_stride_from_env() -> int:
-    """Queue-depth sampling stride (``REPRO_TRACE_DEPTH_STRIDE``, default 8).
-
-    With tracing on, every enqueue/dequeue used to emit a ``QUEUE_DEPTH``
-    sample — two extra events plus a depth computation per region on the hot
-    path.  Depth is a *trend* signal (Perfetto renders it as a counter
-    track), so sampling every Nth transition per target loses nothing a
-    human reads from the chart while cutting the tracing cost of the
-    steady-state dispatch loop.  Stride 1 restores the old exhaustive
-    behaviour; the first transition after a session (re)start always emits,
-    so short traces still contain samples.
-
-    Re-read by every target at the start of each recording window (see
-    :meth:`VirtualTarget._trace_depth`), so setting the variable after
-    ``import repro`` takes effect on the next trace start instead of being
-    silently ignored.
-    """
-    raw = os.environ.get("REPRO_TRACE_DEPTH_STRIDE", "")
-    try:
-        return max(1, int(raw)) if raw else 8
-    except ValueError:
-        return 8
-
-
-#: Import-time snapshot of the stride, kept as the documented default.  The
-#: live value is re-read per recording window by ``_trace_depth``; this
-#: constant only seeds targets before their first traced transition.
-QUEUE_DEPTH_SAMPLE_STRIDE = _depth_stride_from_env()
+#: With tracing on, every Nth enqueue/dequeue of a target emits a
+#: ``QUEUE_DEPTH`` sample, not every one: depth is a *trend* signal (Perfetto
+#: renders it as a counter track), so the stride loses nothing a human reads
+#: from the chart while sparing the steady-state dispatch loop two events
+#: and a depth computation per region.  The first transition of each
+#: recording window always samples, so short traces still carry depth data.
+QUEUE_DEPTH_SAMPLE_STRIDE = 8
 
 
 def current_target() -> "VirtualTarget | None":
@@ -362,12 +340,10 @@ class VirtualTarget(abc.ABC):
         self._members: set[threading.Thread] = set()
         self._members_lock = threading.Lock()
         # Queue-depth sampling state: (trace-session generation, atomic
-        # transition counter for that generation, stride in force for that
-        # generation).  The counter is an ``itertools.count`` so concurrent
-        # poster/worker threads never lose a tick to a read-modify-write
-        # race; the stride is re-read from the environment whenever the
-        # generation changes.  See ``_trace_depth``.
-        self._depth_tick: tuple[int, Any, int] = (-1, None, QUEUE_DEPTH_SAMPLE_STRIDE)
+        # transition counter for that generation).  The counter is an
+        # ``itertools.count`` so concurrent poster/worker threads never lose
+        # a tick to a read-modify-write race.  See ``_trace_depth``.
+        self._depth_tick: tuple[int, Any] = (-1, None)
         self._shutdown = threading.Event()
         self._stats_lock = threading.Lock()
         self._stats: dict[str, int] = {
@@ -673,24 +649,21 @@ class VirtualTarget(abc.ABC):
     def _trace_depth(self, session: "_obs.TraceSession") -> None:
         """Emit a sampled ``QUEUE_DEPTH`` event (caller checked enabled).
 
-        Samples every stride-th enqueue/dequeue per target and recording
-        window; the first transition of a window always emits so short traces
-        still carry depth data.  The stride is re-read from
-        ``REPRO_TRACE_DEPTH_STRIDE`` at the start of each window (so setting
-        it after import works), and the transition counter is an
-        ``itertools.count`` whose ``next()`` is atomic under the GIL — racing
-        poster/worker threads each draw a distinct tick instead of losing
-        increments to a read-modify-write race.
+        Samples every :data:`QUEUE_DEPTH_SAMPLE_STRIDE`-th enqueue/dequeue
+        per target and recording window; the first transition of a window
+        always emits so short traces still carry depth data.  The transition
+        counter is an ``itertools.count`` whose ``next()`` is atomic under
+        the GIL — racing poster/worker threads each draw a distinct tick
+        instead of losing increments to a read-modify-write race.
         """
         gen = session.generation
-        g, counter, stride = self._depth_tick
+        g, counter = self._depth_tick
         if g != gen:
             counter = itertools.count()
-            stride = _depth_stride_from_env()
             # Two threads racing a window change may both publish; the loser
             # at worst re-emits one window-opening sample, never skews ticks.
-            self._depth_tick = (gen, counter, stride)
-        if next(counter) % stride == 0:
+            self._depth_tick = (gen, counter)
+        if next(counter) % QUEUE_DEPTH_SAMPLE_STRIDE == 0:
             session.emit(EventKind.QUEUE_DEPTH, target=self.name, arg=self._queue._work)
 
     def _dispatch(self, item: Any, *, dequeued: bool = True) -> None:

@@ -96,8 +96,8 @@ class NullRecorder:
 
     Used by the ``null`` session mode so the overhead of event *construction*
     (the instrumented call sites firing) can be measured separately from the
-    cost of *storing* events — the middle column of
-    ``benchmarks/bench_trace_overhead.py``.
+    cost of *storing* events — ``obs.null_overhead_ratio`` beside
+    ``obs.ring_overhead_ratio`` in ``benchmarks/e2e``.
     """
 
     __slots__ = ("thread_name", "generation", "recorded", "dropped")

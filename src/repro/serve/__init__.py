@@ -9,19 +9,20 @@ analytically; this package stands it up on real sockets:
   admission under all three rejection policies, per-request deadlines,
   graceful drain) whose CPU work is dispatched to thread- or
   process-backed virtual targets;
-* :mod:`loadgen` — in-process open-/closed-loop load generation at
-  10⁵–10⁶-request scale with full latency distributions;
-* :mod:`stats` — request-lifecycle counters and the bridge into
-  ``repro.bench/v1`` documents and ``repro.obs`` Chrome traces;
+* :mod:`loadgen` — the closed-loop keep-alive client the soak phase and
+  the tests drive the server with (it times nothing: the server is
+  measured from another process by ``benchmarks/e2e``);
+* :mod:`stats` — request-lifecycle counters behind ``GET /stats`` and the
+  export of a served run's ``repro.obs`` Chrome trace;
 * :mod:`soak` — the ``repro check`` phase that kills a worker process
   under live load and verifies errors-not-hangs.
 
 Entry point: ``python -m repro serve`` (see ``docs/SERVING.md``).
 """
 
-from .loadgen import LoadResult, make_payload, run_closed_loop, run_open_loop
+from .loadgen import LoadResult, make_payload, run_closed_loop
 from .server import HttpServer, ServeConfig, encrypt_payload
-from .stats import ServerStats, export_trace, latency_entry, serve_document
+from .stats import ServerStats, export_trace
 
 __all__ = [
     "HttpServer",
@@ -29,10 +30,7 @@ __all__ = [
     "encrypt_payload",
     "LoadResult",
     "run_closed_loop",
-    "run_open_loop",
     "make_payload",
     "ServerStats",
-    "latency_entry",
-    "serve_document",
     "export_trace",
 ]

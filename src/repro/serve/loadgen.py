@@ -1,31 +1,19 @@
-"""In-process asyncio load generator for the Fig. 9 server.
+"""Closed-loop asyncio HTTP client for the Fig. 9 server.
 
-Two shapes, matching the serving-benchmark literature:
-
-* **closed loop** (:func:`run_closed_loop`) — *concurrency* workers, each
-  owning one keep-alive connection, fire the next request the moment the
-  previous response lands.  Measures saturation throughput: offered load
-  self-adjusts to what the server sustains.
-* **open loop** (:func:`run_open_loop`) — requests arrive on a fixed
-  schedule (*rate* per second) regardless of completions, the honest way to
-  observe queueing delay and rejection under overload.
-
-Both run inside the same process/loop as the caller (no external tooling),
-scale to 10⁵–10⁶ requests, and produce a :class:`LoadResult` with the full
-latency distribution, status tallies, and achieved throughput — the raw
-material for ``repro.serve.stats.latency_entry``.
+:func:`run_closed_loop` — *concurrency* workers, each owning one keep-alive
+connection, fire the next request the moment the previous response lands —
+is how ``repro check --serve`` (:mod:`repro.serve.soak`) and the server's
+tests put a burst through a live server and count what came back.  It
+measures nothing: the server is timed from another process by
+``benchmarks/e2e`` (workloads ``serve_small`` and ``serve_large_process``).
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass, field
-from typing import Any
 
-from ..bench.harness import percentile
-
-__all__ = ["LoadResult", "run_closed_loop", "run_open_loop", "make_payload"]
+__all__ = ["LoadResult", "run_closed_loop", "make_payload"]
 
 
 def make_payload(n_bytes: int = 64) -> bytes:
@@ -36,46 +24,15 @@ def make_payload(n_bytes: int = 64) -> bytes:
 
 @dataclass
 class LoadResult:
-    """Outcome of one load-generation run."""
+    """Outcome of one burst: what was answered, and how."""
 
-    mode: str
     requests: int = 0                 # responses fully received
     errors: int = 0                   # transport-level failures
-    dropped: int = 0                  # open loop: arrivals past max_outstanding
     statuses: dict[int, int] = field(default_factory=dict)
-    latencies_s: list[float] = field(default_factory=list)
-    duration_s: float = 0.0
 
-    def record(self, status: int, latency_s: float) -> None:
+    def record(self, status: int) -> None:
         self.requests += 1
         self.statuses[status] = self.statuses.get(status, 0) + 1
-        self.latencies_s.append(latency_s)
-
-    @property
-    def throughput_rps(self) -> float:
-        return self.requests / self.duration_s if self.duration_s > 0 else 0.0
-
-    @property
-    def ok(self) -> int:
-        return self.statuses.get(200, 0)
-
-    def summary(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "mode": self.mode,
-            "requests": self.requests,
-            "errors": self.errors,
-            "dropped": self.dropped,
-            "statuses": {str(k): v for k, v in sorted(self.statuses.items())},
-            "duration_s": round(self.duration_s, 3),
-            "throughput_rps": round(self.throughput_rps, 1),
-        }
-        if self.latencies_s:
-            out["latency_ms"] = {
-                "p50": round(percentile(self.latencies_s, 50.0) * 1e3, 3),
-                "p99": round(percentile(self.latencies_s, 99.0) * 1e3, 3),
-                "max": round(max(self.latencies_s) * 1e3, 3),
-            }
-        return out
 
 
 class _Client:
@@ -159,7 +116,7 @@ async def run_closed_loop(
     method: str = "POST",
 ) -> LoadResult:
     """Closed-loop run: *concurrency* keep-alive workers, *requests* total."""
-    result = LoadResult(mode="closed")
+    result = LoadResult()
     payload = make_payload(payload_bytes) if method == "POST" else b""
     remaining = requests
     lock = asyncio.Lock()
@@ -175,75 +132,14 @@ async def run_closed_loop(
     async def worker() -> None:
         client = _Client(host, port)
         while await take():
-            t0 = time.perf_counter()
             try:
                 status, _, _ = await client.request(method, path, payload)
             except (ConnectionError, asyncio.IncompleteReadError, OSError):
                 result.errors += 1
                 await client.close()
                 continue
-            result.record(status, time.perf_counter() - t0)
+            result.record(status)
         await client.close()
 
-    t_start = time.perf_counter()
     await asyncio.gather(*(worker() for _ in range(max(1, concurrency))))
-    result.duration_s = time.perf_counter() - t_start
-    return result
-
-
-async def run_open_loop(
-    host: str,
-    port: int,
-    *,
-    rate: float,
-    duration: float,
-    payload_bytes: int = 64,
-    path: str = "/encrypt",
-    method: str = "POST",
-    max_outstanding: int = 1024,
-) -> LoadResult:
-    """Open-loop run: fixed arrival schedule of *rate* requests/second.
-
-    Arrivals beyond *max_outstanding* in-flight requests are counted as
-    ``dropped`` rather than spawned — an fd-exhaustion guard that also
-    makes severe overload visible in the result instead of in the OS.
-    """
-    result = LoadResult(mode="open")
-    payload = make_payload(payload_bytes) if method == "POST" else b""
-    pool: list[_Client] = []
-    tasks: set[asyncio.Task[None]] = set()
-
-    async def one() -> None:
-        client = pool.pop() if pool else _Client(host, port)
-        t0 = time.perf_counter()
-        try:
-            status, _, keep = await client.request(method, path, payload)
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            result.errors += 1
-            await client.close()
-            return
-        result.record(status, time.perf_counter() - t0)
-        if keep:
-            pool.append(client)
-
-    interval = 1.0 / max(rate, 1e-9)
-    t_start = time.perf_counter()
-    n = 0
-    while time.perf_counter() - t_start < duration:
-        next_at = t_start + n * interval
-        delay = next_at - time.perf_counter()
-        if delay > 0:
-            await asyncio.sleep(delay)
-        n += 1
-        if len(tasks) >= max_outstanding:
-            result.dropped += 1
-            continue
-        task = asyncio.create_task(one())
-        tasks.add(task)
-        task.add_done_callback(tasks.discard)
-    if tasks:
-        await asyncio.gather(*tasks, return_exceptions=True)
-    result.duration_s = time.perf_counter() - t_start
-    for client in pool:
-        await client.close()
     return result

@@ -26,8 +26,8 @@ it, on real sockets:
 
 Protocol support is deliberately small — HTTP/1.1 with keep-alive, fixed
 Content-Length bodies, no chunked encoding, no TLS — enough to point real
-tools (curl, ab, the bundled :mod:`repro.serve.loadgen`) at the runtime
-without dragging in a web framework.
+tools (curl, ab, ``benchmarks/e2e``) at the runtime without dragging in a
+web framework.
 """
 
 from __future__ import annotations
@@ -329,22 +329,27 @@ class HttpServer:
         self, reader: asyncio.StreamReader
     ) -> dict[str, Any] | None:
         """Parse one HTTP/1.x request; None on clean EOF."""
-        line = await reader.readline()
-        if not line:
-            return None
-        try:
-            method, path, version = line.decode("latin-1").split(None, 2)
-        except ValueError:
-            return {"error": 400, "detail": "malformed request line"}
         headers: dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            if b":" in raw:
-                k, _, v = raw.decode("latin-1").partition(":")
-                headers[k.strip().lower()] = v.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        try:
+            line = await reader.readline()
+            if not line:
+                return None
+            method, path, version = line.decode("latin-1").split(None, 2)
+            while True:
+                raw = await reader.readline()
+                if raw in (b"\r\n", b"\n", b""):
+                    break
+                if b":" in raw:
+                    k, _, v = raw.decode("latin-1").partition(":")
+                    headers[k.strip().lower()] = v.strip()
+            length = int(headers.get("content-length", "0") or "0")
+            if length < 0:
+                raise ValueError(length)
+        except ValueError:
+            # A request line that is not three words, a Content-Length that
+            # is not a count, or a line past StreamReader's limit (readline
+            # raises ValueError for it): answered, counted, closed.
+            return {"error": 400, "detail": "malformed request"}
         if length > self.config.max_request_bytes:
             return {"error": 413,
                     "detail": f"body of {length} bytes exceeds limit"}

@@ -1,13 +1,9 @@
 """Request-lifecycle statistics and their export surfaces.
 
-Three consumers read a served workload:
+Two consumers read a served workload:
 
 * the ``/stats`` endpoint and the CLI summary — :class:`ServerStats`
   counters plus p50/p99 latency over the most recent samples;
-* ``repro.bench`` — :func:`latency_entry`/:func:`serve_document` shape a
-  live run into a ``repro.bench/v1`` document, so the live server's numbers
-  live in the same schema (and the same ``--compare`` machinery) as the
-  Figure 9 simulation;
 * ``repro.obs`` — every request is dispatched as a :class:`TargetRegion`
   through ``invoke_target_block``, so with tracing on the trace already
   carries one ``REGION_SUBMIT → ENQUEUE → DEQUEUE → EXEC`` flow arrow per
@@ -21,11 +17,9 @@ import threading
 from collections import deque
 from typing import Any
 
-from ..bench.env import environment_fingerprint
 from ..bench.harness import percentile
-from ..bench.report import SCHEMA
 
-__all__ = ["ServerStats", "latency_entry", "serve_document", "export_trace"]
+__all__ = ["ServerStats", "export_trace"]
 
 #: Latency samples :class:`ServerStats` keeps (the most recent ones).  One
 #: float per request for the server's lifetime grows without bound, and
@@ -105,58 +99,6 @@ class ServerStats:
                 "max": round(max(lat) * 1e3, 3),
             }
         return snap
-
-
-def latency_entry(latencies_s: list[float], *, group: str = "serve",
-                  sample_cap: int = 512) -> dict[str, Any]:
-    """One ``benchmarks`` entry of a ``repro.bench/v1`` document.
-
-    Statistics (including the gate-relevant ``p50_ns``) are computed over
-    the *full* latency distribution; only ``sample_cap`` evenly-strided raw
-    samples are stored, so a 10⁵-request run doesn't balloon the JSON.  The
-    extra ``p99_ns`` key is the serving-specific tail figure — harmless to
-    schema consumers that don't know it.
-    """
-    if not latencies_s:
-        raise ValueError("latency_entry needs at least one sample")
-    ns = [s * 1e9 for s in latencies_s]
-    stride = max(1, len(ns) // sample_cap)
-    return {
-        "group": group,
-        "number": 1,
-        "repeats": len(ns),
-        "trimmed": 0,
-        "samples_ns": [round(s, 1) for s in ns[::stride][:sample_cap]],
-        "min_ns": round(min(ns), 3),
-        "mean_ns": round(sum(ns) / len(ns), 3),
-        "p50_ns": round(percentile(ns, 50.0), 3),
-        "p95_ns": round(percentile(ns, 95.0), 3),
-        "p99_ns": round(percentile(ns, 99.0), 3),
-        "max_ns": round(max(ns), 3),
-    }
-
-
-def serve_document(entries: dict[str, dict[str, Any]],
-                   serve: dict[str, Any]) -> dict[str, Any]:
-    """A ``repro.bench/v1`` document for a live serving run.
-
-    *entries* are benchmark-shaped latency distributions (see
-    :func:`latency_entry`); *serve* carries the serving-specific results —
-    per-backend throughput, status tallies, drain verdicts — under a
-    top-level ``"serve"`` key that schema consumers ignore.
-    """
-    import datetime
-
-    return {
-        "schema": SCHEMA,
-        "created": datetime.datetime.now(datetime.timezone.utc).isoformat(
-            timespec="seconds"
-        ),
-        "env": environment_fingerprint(),
-        "protocol": {"warmup": 0, "repeats": 1, "trim": 0.0},
-        "benchmarks": entries,
-        "serve": serve,
-    }
 
 
 def export_trace(path: str) -> int:

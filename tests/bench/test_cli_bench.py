@@ -81,11 +81,3 @@ class TestCompareGating:
         code, _ = _run(tmp_path, "--compare", str(bad))
         assert code == 2
         assert "cannot load baseline" in capsys.readouterr().err
-
-    def test_checked_in_smoke_baseline_is_loadable(self):
-        # CI gates against this file; a schema break must fail here first.
-        import pathlib
-
-        repo = pathlib.Path(__file__).resolve().parents[2]
-        doc = load_json(repo / "benchmarks" / "results" / "bench_smoke_baseline.json")
-        assert {"queue_post_drain", "region_create"} <= set(doc["benchmarks"])

@@ -1,11 +1,11 @@
-"""QUEUE_DEPTH sampling stride — regression tests for two bugs:
+"""QUEUE_DEPTH sampling: every 8th transition of a target
+(``QUEUE_DEPTH_SAMPLE_STRIDE``), per recording window.
 
-1. ``REPRO_TRACE_DEPTH_STRIDE`` was read once at import, so setting it after
-   ``import repro`` was silently ignored; it is now re-read at the start of
-   every recording window.
-2. The per-target transition counter was a bare ``self._tick += 1``, so
-   racing poster/worker threads could lose increments and skew which
-   transitions got sampled; it is now an ``itertools.count`` drawn atomically.
+1. The first transition of every recording window samples, so a short trace
+   still carries depth data however many ticks the last window left behind.
+2. The per-target transition counter is an ``itertools.count`` drawn
+   atomically: racing poster/worker threads never lose an increment (a bare
+   ``self._tick += 1`` did) and skew which transitions get sampled.
 """
 
 from __future__ import annotations
@@ -30,28 +30,22 @@ def pump(target, n):
     target.drain()
 
 
-def test_stride_is_reread_per_recording_window(monkeypatch):
+def test_first_transition_of_every_recording_window_samples():
     t = EdtTarget("stride-edt")
     t.register_current_thread()
     try:
-        monkeypatch.setenv("REPRO_TRACE_DEPTH_STRIDE", "1")
-        session = obs.enable()
-        pump(t, 6)  # 6 enqueues + 6 dequeues, stride 1 → all transitions sample
-        assert len(depth_samples(session, "stride-edt")) == 12
-        obs.disable()
-
-        # Same process, same target object: the new stride must take effect
-        # on the next window without re-importing anything.
-        monkeypatch.setenv("REPRO_TRACE_DEPTH_STRIDE", "4")
-        session = obs.enable()
-        pump(t, 6)  # ticks 0..11, every 4th → 0, 4, 8
-        assert len(depth_samples(session, "stride-edt")) == 3
+        for _ in range(2):  # same target object, two windows
+            session = obs.enable()
+            pump(t, 1)  # 2 transitions, fewer than a stride: only the first samples
+            assert len(depth_samples(session, "stride-edt")) == 1
+            pump(t, 5)  # ticks 2..11 of the same window: tick 8 samples
+            assert len(depth_samples(session, "stride-edt")) == 2
+            obs.disable()
     finally:
         t._exit_member()
 
 
-def test_depth_tick_is_race_tolerant(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_DEPTH_STRIDE", "4")
+def test_depth_tick_is_race_tolerant():
     session = obs.enable()
     t = EdtTarget("race-edt")  # never started: posts only enqueue
     t.post(lambda: None)  # prime tick 0 single-threaded
@@ -66,6 +60,6 @@ def test_depth_tick_is_race_tolerant(monkeypatch):
     for th in threads:
         th.join()
     # 201 enqueue ticks total (0..200); with an atomic counter exactly every
-    # 4th tick samples: 0, 4, ..., 200 → 51.  A lost-update counter would
+    # 8th tick samples: 0, 8, ..., 200 → 26.  A lost-update counter would
     # repeat tick values and emit a different (plurality: larger) number.
-    assert len(depth_samples(session, "race-edt")) == 51
+    assert len(depth_samples(session, "race-edt")) == 26

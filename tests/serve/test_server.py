@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 
 import pytest
 
@@ -160,6 +161,45 @@ def test_small_routes_and_errors():
     assert "http-cpu" in stats["targets"]
     assert "http-edt" in stats["targets"]
     assert stats["draining"] is False
+
+
+def _raw_exchange(port: int, request: bytes) -> bytes:
+    """Send *request* on a plain socket and read to end of stream.  The
+    server may close while bytes of an over-long line are still unread, and
+    that resets the connection *after* its answer: what arrived is kept."""
+    received = b""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        try:
+            sock.sendall(request)
+            while chunk := sock.recv(65536):
+                received += chunk
+        except ConnectionError:
+            pass
+    return received
+
+
+@pytest.mark.parametrize("header", [
+    b"Content-Length: abc",
+    b"Content-Length: -5",
+    b"X-Filler: " + b"a" * (70 * 1024),  # past StreamReader's 64 KiB line limit
+], ids=["non-numeric-length", "negative-length", "over-long-line"])
+def test_unparsable_request_is_answered_400_and_counted(header, caplog):
+    """A structured error at the byte boundary, never a reset: the request is
+    answered, counted in ``/stats`` and the connection closed — and nothing
+    escapes ``_handle_connection`` for asyncio to log."""
+
+    async def body(server):
+        request = b"POST /encrypt HTTP/1.1\r\nHost: x\r\n" + header + b"\r\n\r\n"
+        answer = await asyncio.to_thread(_raw_exchange, server.port, request)
+        return answer, server.stats.snapshot()
+
+    with caplog.at_level("ERROR", logger="asyncio"):
+        answer, snap = serve(cfg(), body)
+    head = answer.split(b"\r\n\r\n", 1)[0].split(b"\r\n")
+    assert head[0] == b"HTTP/1.1 400 Bad Request"
+    assert b"Connection: close" in head
+    assert snap["statuses"] == {"400": 1} and snap["requests"] == 1
+    assert not caplog.records, [r.getMessage() for r in caplog.records]
 
 
 # --------------------------------------------------------------------- drain

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.check.report import render_report, CheckResult
 from repro.check.stress import PROFILES
 from repro.cli import main
@@ -36,41 +38,6 @@ def test_serve_phase_renders_as_named_phase():
     assert "iterations=1" in text  # named phases are not iterations
 
 
-def test_cli_serve_bench_smoke(tmp_path, capsys):
-    out = tmp_path / "serve.json"
-    code = main([
-        "serve", "--bench", "--backend", "thread",
-        "--requests", "300", "--concurrency", "8",
-        "-o", str(out),
-    ])
-    assert code == 0
-    doc = json.loads(out.read_text())
-    assert doc["schema"] == "repro.bench/v1"
-    entry = doc["benchmarks"]["serve_live_thread"]
-    assert entry["repeats"] == 300
-    assert entry["p50_ns"] > 0
-    assert entry["p99_ns"] >= entry["p50_ns"]
-    backend = doc["serve"]["backends"]["thread"]
-    assert backend["statuses"].get("200") == 300
-    assert backend["drain_clean"] is True
-    assert backend["throughput_rps"] > 0
-    assert "req/s" in capsys.readouterr().out
-
-
-def test_cli_serve_bench_loads_as_baselineable_document(tmp_path):
-    """The emitted JSON round-trips through the bench loader, so it can
-    become a --compare baseline once history exists."""
-    from repro import bench as b
-
-    out = tmp_path / "serve.json"
-    assert main([
-        "serve", "--bench", "--backend", "thread",
-        "--requests", "100", "--concurrency", "4", "-o", str(out),
-    ]) == 0
-    doc = b.load_json(out)
-    assert "serve_live_thread" in doc["benchmarks"]
-
-
 def test_cli_serve_duration_mode(capsys):
     code = main([
         "serve", "--backend", "thread", "--port", "0",
@@ -84,6 +51,9 @@ def test_cli_serve_duration_mode(capsys):
     assert snapshot["requests"] == 0
 
 
-def test_cli_serve_rejects_both_backends_outside_bench(capsys):
-    assert main(["serve", "--backend", "both", "--duration", "0.1"]) == 2
-    assert "single --backend" in capsys.readouterr().err
+def test_cli_serve_rejects_both_backends(capsys):
+    """One server, one backend: argparse refuses the old bench-only value."""
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--backend", "both", "--duration", "0.1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'both'" in capsys.readouterr().err
