@@ -6,8 +6,9 @@ The directive-level code is identical to the thread examples — register a
 target, ``run_on`` it — but the executor is a pool of worker OS *processes*
 (``repro.dist``), so a CPU-bound pure-Python kernel actually scales with
 cores instead of serializing on the GIL.  Also demonstrated: a worker that
-dies mid-region surfaces ``WorkerCrashedError`` (never a hang) and the
-supervisor restores the pool; a stuck worker is reclaimed by ``timeout=``.
+dies mid-region surfaces ``WorkerCrashedError`` (never a hang) and its
+lane's shipper restores the pool; a stuck worker is reclaimed by
+``timeout=``.
 
 On a single-core host the speedup section still runs and reports honestly —
 there is no parallel dividend to collect without a second core.

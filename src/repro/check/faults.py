@@ -15,7 +15,7 @@ Three fault families, matching the seams the runtime exposes:
   wedging the workload behind a real backlog.
 
 * **Worker death** — :func:`kill_worker` hard-kills one worker process of a
-  :class:`~repro.dist.ProcessTarget`, exercising the supervisor's crash
+  :class:`~repro.dist.ProcessTarget`, exercising the lane shipper's crash
   detection, region fail-over and restart path under load.
 
 Both hook classes own *private* :class:`random.Random` instances: they are
@@ -89,7 +89,7 @@ class ForceQueueFull:
 def kill_worker(target, index: int = 0) -> int | None:
     """Hard-kill worker *index* of a process-backed target; returns its pid.
 
-    The supervisor observes the death, fails the in-flight region with
+    The lane's shipper observes the death, fails the in-flight region with
     :class:`~repro.core.errors.WorkerCrashedError`, and (within its restart
     budget) respawns the lane — all of which the invariant verifier then
     audits: the crashed region's ``ENQUEUE``/``DEQUEUE`` must still resolve,

@@ -7,9 +7,9 @@ endpoints=["hostA:9001", "hostB:9001"], shards=2)`` — and the directive
 layer (``virtual(name)``, scheduling clauses, ``timeout=``, backpressure
 policies, ``wait_tag``) works on it unchanged; region bodies execute on
 **cluster worker agents** (``python -m repro cluster-worker``) reached over
-TCP, with the dist machinery (shippers, supervisor, heartbeats, restart
-budgets, clock-synced trace merge) running over a transport abstraction
-instead of pipes.
+TCP, with the dist machinery (one shipper thread per lane that opens,
+heartbeats, reopens and retires it; restart budgets; clock-synced trace
+merge) running over a transport abstraction instead of pipes.
 
 Module map:
 
@@ -22,7 +22,7 @@ Module map:
   :func:`~repro.cluster.agent.spawn_agent_process`;
 * :mod:`~repro.cluster.target` — the :class:`ClusterTarget` itself:
   endpoint×shard lanes, least-loaded routing off the shared queue,
-  reconnect budgets, shard failover, cross-host tag notifications.
+  reconnect budgets, shard failover.
 
 See the "Cluster targets" section of ``docs/DISTRIBUTION.md``.
 """

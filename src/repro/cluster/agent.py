@@ -17,17 +17,16 @@ message dispatch):
 * a ``task`` connection gets a thread running
   :func:`repro.dist.worker.task_loop` — the *same* loop a process worker's
   main thread runs (clock probes, regions executed as real
-  ``TargetRegion`` instances with working cancel tokens,
-  :class:`~repro.dist.wire.ResultMsg` back — with a
-  :class:`~repro.dist.wire.TagDoneMsg` first when the task carries a tag);
+  ``TargetRegion`` instances with working cancel tokens, one
+  :class:`~repro.dist.wire.ResultMsg` back per task);
 * a ``ctrl`` connection gets a thread running
   :func:`repro.dist.worker.control_loop`: heartbeat pongs and cooperative
   cancellation of the slot's currently executing region.
 
 Because slots are threads in one agent process, an agent is a *locality*
 unit, not an isolation unit — one agent dying takes all its slots with it,
-which is precisely the failure the parent-side supervisor/restart budget
-machinery (and ``repro check --cluster``) exercises.
+which is precisely the failure the parent-side shipper's reconnect and
+restart-budget machinery (and ``repro check --cluster``) exercises.
 
 :func:`spawn_agent_process` launches an agent as a subprocess on a
 kernel-assigned port and parses the announce line — the shared bring-up

@@ -2,7 +2,7 @@
 
 The multi-host backend of
 :class:`~repro.dist.remote_target.RemoteLaneTarget` (read that module for
-the architecture: shipper threads, supervision, cancellation, trace merge)
+the architecture: shipper threads, health checks, cancellation, trace merge)
 — the lanes are slots on **cluster worker agents**
 (:mod:`repro.cluster.agent`), reached over TCP (or any
 :class:`~repro.cluster.transport.Transport`) instead of pipes to child
@@ -30,30 +30,22 @@ all hosts keep pace.  What differs from a process target:
   disable while the surviving endpoints' slots keep draining the shared
   queue: shard failover without any routing logic.
 
-Cross-host ``wait_tag`` needs no new authority: tagged regions ship as
-:class:`~repro.dist.wire.ClusterTaskMsg`, the result flows back through
+Cross-host ``wait_tag`` needs nothing of its own: a tagged region ships
+as a plain :class:`~repro.dist.wire.TaskMsg`, the result flows back through
 :meth:`~repro.core.region.TargetRegion.fulfill`, and the
 :class:`~repro.core.tags.TagRegistry` done-callback fires parent-side
-exactly as for local targets.  The :class:`~repro.dist.wire.TagDoneMsg`
-the agent sends at body completion is a *progress* signal (counted in
-``stats["tag_notifications"]``, observable via :meth:`tag_progress`), not
-the completion path.
+exactly as for local targets.
 """
 
 from __future__ import annotations
 
-import logging
-import threading
-from typing import Callable, Sequence
+from typing import Sequence
 
-from ..dist import wire
 from ..dist.remote_target import RemoteLane, RemoteLaneTarget
 from ..obs import EventKind
 from . import transport as _transport
 
 __all__ = ["ClusterTarget"]
-
-_logger = logging.getLogger(__name__)
 
 
 class _ClusterSlot(RemoteLane):
@@ -89,7 +81,7 @@ class _ClusterSlot(RemoteLane):
 
     def torn(self) -> bool:
         """A tear was already observed on either channel.  Does no IO, so
-        unlike :meth:`is_alive` it is safe to call without ``lock``."""
+        unlike :meth:`is_alive` it is safe to call off the shipper thread."""
         task, ctrl = self.task, self.ctrl
         return (
             task is None or ctrl is None
@@ -100,8 +92,8 @@ class _ClusterSlot(RemoteLane):
         """The lane is believed live: both channels open, no EOF seen.
 
         A remote tear is only *observed* on IO, so this also drives a quick
-        zero-timeout poll on the ctrl channel (hence: call under ``lock``)
-        — sufficient for the supervisor's idle-corpse sweep, while
+        zero-timeout poll on the ctrl channel (hence: call only from the
+        lane's shipper) — sufficient for finding an idle corpse, while
         mid-region tears are caught by the shipper's result-wait loop.
         """
         ctrl = self.ctrl
@@ -152,7 +144,6 @@ class ClusterTarget(RemoteLaneTarget):
     """
 
     kind = "cluster"
-    _task_msg = wire.ClusterTaskMsg
     _EV_UP = EventKind.WORKER_CONNECT
     _EV_LOST = _EV_DOWN = EventKind.WORKER_DISCONNECT
 
@@ -178,11 +169,6 @@ class ClusterTarget(RemoteLaneTarget):
         self.endpoints = [f"{h}:{p}" for h, p in parsed]
         self.shards = shards
         self.connect_timeout = connect_timeout
-        self._tag_lock = threading.Lock()
-        self._tag_counts: dict[str, int] = {}
-        #: Optional hook fired on every remote tag-done notification with
-        #: ``(tag, seq, outcome)`` — progress wiring for dashboards/tests.
-        self.on_tag_done: Callable[[str, int, str], None] | None = None
         super().__init__(
             name,
             # Interleave: slot i lives on endpoint i % len(endpoints), so the
@@ -198,8 +184,6 @@ class ClusterTarget(RemoteLaneTarget):
             heartbeat_misses=heartbeat_misses,
             cancel_grace=cancel_grace,
         )
-        with self._stats_lock:
-            self._stats["tag_notifications"] = 0
 
     @property
     def connected_count(self) -> int:
@@ -209,24 +193,8 @@ class ClusterTarget(RemoteLaneTarget):
             1 for slot in self._slots if slot.pid is not None and not slot.torn()
         )
 
-    def tag_progress(self) -> dict[str, int]:
-        """Remote body-completion counts per tag (TagDoneMsg sightings)."""
-        with self._tag_lock:
-            return dict(self._tag_counts)
-
     def _describe_extra(self) -> str:
         return (
             f" endpoints={self.endpoints} shards={self.shards} "
             f"connected={self.connected_count}/{len(self._slots)}"
         )
-
-    def _on_tag_done(self, msg: wire.TagDoneMsg) -> None:
-        self._bump("tag_notifications")
-        with self._tag_lock:
-            self._tag_counts[msg.tag] = self._tag_counts.get(msg.tag, 0) + 1
-        hook = self.on_tag_done
-        if hook is not None:
-            try:
-                hook(msg.tag, msg.seq, msg.outcome)
-            except Exception:  # noqa: BLE001 - observer must not break shipping
-                _logger.exception("on_tag_done hook failed for tag %r", msg.tag)

@@ -9,7 +9,7 @@ ride on, and the two concrete implementations the cluster layer uses:
   ``recv()`` / ``poll(timeout)`` / ``close()`` plus the liveness flags
   ``closed`` and ``eof``.  It is deliberately the subset of
   ``multiprocessing.Connection`` the dist machinery already consumes, so
-  the shipper/supervisor/heartbeat/restart logic generalises over pipes,
+  the shipper's heartbeat/reconnect/restart logic generalises over pipes,
   loopback pairs and sockets without caring which it holds.
 * :class:`LoopbackTransport` — an in-process pair
   (:func:`loopback_pair`) backed by deques and condition variables.
@@ -21,7 +21,8 @@ ride on, and the two concrete implementations the cluster layer uses:
   set (one small frame per dispatch hop; Nagle would serialize the
   protocol's ping-pongs at 40 ms each).
 
-Frame layout (protocol version 2), integers unsigned 32-bit big-endian::
+Frame layout (since protocol version 2; version 3 changed only the
+message set), integers unsigned 32-bit big-endian::
 
     [ A<<31 | size ]  [ attachment ]?  envelope ...  attachment ...
          word 1        word 2 iff A    size - attachment   attachment
@@ -33,8 +34,8 @@ blob's pickle stream, sent from the caller's own buffers by one
 ``sendmsg`` and received by ``recv_into`` one pre-sized buffer, which the
 receiver's :func:`repro.dist.wire.loads` reads in place.  A frame without
 an attachment — every hello, ping and ack — has ``A`` clear and is
-byte-for-byte a version-1 frame, so a version-1 peer can read a
-version-2 hello (and the reverse) and fail on the number in it.
+byte-for-byte a version-1 frame, so a peer of any earlier version can
+read a current hello (and the reverse) and fail on the number in it.
 
 Failure mapping mirrors pipes so existing error handling transfers: a send
 on a closed/torn transport raises :class:`OSError`, a recv past the peer's

@@ -144,7 +144,7 @@ class WorkerCrashedError(PyjamaError):
     — a hard-killed process (or torn cluster connection) cannot report
     results, so the honest outcome is this error, not a hang.  Carries
     enough context (worker index, pid, exit code, restart budget) for the
-    supervisor's decision to be auditable.
+    lane's crash handling to be auditable.
     """
 
     def __init__(

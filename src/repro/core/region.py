@@ -114,7 +114,7 @@ class TargetRegion:
     __slots__ = (
         "body", "args", "kwargs", "_name", "source", "seq", "_state", "_result",
         "_exception", "_finished", "_done", "_lock", "_callbacks",
-        "_cancel_token", "tag",
+        "_cancel_token",
     )
 
     def __init__(
@@ -145,10 +145,6 @@ class TargetRegion:
         self._lock = threading.Lock()
         self._callbacks: list[Callable[["TargetRegion"], None]] = []
         self._cancel_token: CancelToken | None = None
-        #: ``name_as`` group tag, stamped by the runtime at registration.
-        #: Cluster targets ship it with the task so remote workers can
-        #: announce tag-group progress across hosts.
-        self.tag: str | None = None
 
     # ------------------------------------------------------------------ state
 

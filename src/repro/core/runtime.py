@@ -389,7 +389,6 @@ class PjRuntime:
         if mode is SchedulingMode.NAME_AS:
             if tag is None:
                 raise RuntimeStateError("name_as scheduling requires a tag")
-            region.tag = tag  # travels with the region (cluster targets ship it)
             self.tags.register(tag, region)
 
         name = target_name if target_name is not None else self.default_target_var

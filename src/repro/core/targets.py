@@ -592,7 +592,8 @@ class VirtualTarget(abc.ABC):
 
     @property
     def restart_count(self) -> int:
-        """Workers restarted by a supervisor (0 for thread-backed targets)."""
+        """Remote workers reopened after a crash or a missed heartbeat
+        (0 for thread-backed targets)."""
         return 0
 
     def process_one(self, timeout: float | None = None, *, _seen: int | None = None) -> bool:

@@ -11,7 +11,9 @@ interpreter's GIL, so CPU-bound kernels scale with cores.
 Module map:
 
 * :mod:`~repro.dist.remote_target` — :class:`RemoteLaneTarget`, the one
-  parent-side core every remote backend shares: per-lane shipper threads,
+  parent-side core every remote backend shares: one shipper thread per
+  lane, which alone opens, health-checks (idle heartbeats, idle-corpse
+  reopen), ships to and retires it;
   crash-to-:class:`~repro.core.errors.WorkerCrashedError` conversion,
   restart budgets, cross-boundary cancellation, shutdown semantics — written
   against the :class:`RemoteLane` slot interface;
@@ -23,8 +25,6 @@ Module map:
   parts that travel beside their message) and the message protocol;
 * :mod:`~repro.dist.arena` — the shared-memory arenas large payloads cross
   a pipe lane in, and the channel wrapper both ends of the pipe run;
-* :mod:`~repro.dist.supervisor` — the heartbeat / idle-corpse sweep over
-  the same slot interface;
 * :mod:`~repro.dist.remote_obs` — worker-side event capture and re-stamping
   onto the parent's trace clock.
 
@@ -45,7 +45,6 @@ from .remote_obs import (
     worker_track,
 )
 from .remote_target import RemoteLane, RemoteLaneTarget
-from .supervisor import Supervisor
 from .wire import HAVE_CLOUDPICKLE, PROTOCOL_VERSION
 from .worker import WorkerConfig, worker_main
 
@@ -57,7 +56,6 @@ __all__ = [
     "ProtocolVersionError",
     "RemoteLane",
     "RemoteLaneTarget",
-    "Supervisor",
     "WorkerConfig",
     "WorkerEventLog",
     "estimate_offset_ns",

@@ -1,7 +1,7 @@
 """`ProcessTarget`: a virtual target backed by supervised worker processes.
 
 The process backend of :class:`~repro.dist.remote_target.RemoteLaneTarget`
-(read that module for the architecture: shipper threads, supervision,
+(read that module for the architecture: shipper threads, health checks,
 cancellation, trace merge).  What is particular to it lives here: a lane is
 a spawned child process running :func:`repro.dist.worker.worker_main`
 behind two ``multiprocessing`` pipes, so a dead worker has an *exit code*

@@ -22,12 +22,13 @@ Architecture (per target)::
                  ┌─────────────────┼─────────────────┐
         shipper thread 0   shipper thread 1   ...  (one per lane)
                  │ SyncMsg / TaskMsg / ResultMsg over the lane's task channel
+                 │ PingMsg/PongMsg + CancelMsg over the lane's ctrl channel
         remote worker 0    remote worker 1    ...  (repro.dist.worker loops)
-                 ▲ PingMsg/PongMsg + CancelMsg over the lane's ctrl channel
-                 └──────────── Supervisor thread ────┘
 
-Each lane owns one remote worker and one parent-side *shipper* thread.
-The shipper pulls the next item off the shared queue, serializes the
+Each lane owns one remote worker and one parent-side *shipper* thread,
+and the shipper is the lane's only owner: it opens, watches, pings and
+retires the lane, so no lane state is shared between threads.  The
+shipper pulls the next item off the shared queue, serializes the
 region's ``(body, args, kwargs)`` (:func:`~repro.dist.wire.dumps_parts`: a
 large payload becomes :class:`~repro.dist.wire.Parts`, an attachment the
 channel moves beside the task message, in shared memory or by
@@ -41,7 +42,10 @@ hang), a parent-side cancellation (→ forwarded as a
 shutdown.  Results and exceptions are delivered through
 :meth:`~repro.core.region.TargetRegion.fulfill`, i.e. the normal
 region-completion path, so waiters, tags, callbacks and the ``await``
-logical barrier cannot tell a remote region from a thread region.
+logical barrier cannot tell a remote region from a thread region.  While
+the queue stays empty the shipper checks its idle lane every
+``heartbeat_interval`` (:meth:`RemoteLaneTarget._idle_check`) and reopens
+a dead one before it takes the next item.
 
 Inline elision (Algorithm 1 lines 6-7) **never** applies here:
 ``supports_inline`` is False.  Elision is an optimization only when the
@@ -82,7 +86,6 @@ from ..obs import recorder as _obs
 from ..obs.events import now_ns
 from . import wire
 from .remote_obs import estimate_offset_ns, merge_worker_events, worker_track
-from .supervisor import Supervisor
 
 __all__ = ["RemoteLane", "RemoteLaneTarget"]
 
@@ -106,9 +109,9 @@ class RemoteLane:
 
     Slot interface
     --------------
-    What :class:`~repro.dist.supervisor.Supervisor` and
-    :class:`RemoteLaneTarget` consume (a subclass supplies the starred
-    ones): the flags ``index``/``disabled``/``busy``/``last_pong``/``pid``;
+    What :class:`RemoteLaneTarget` consumes (a subclass supplies the
+    starred ones): the fields ``index``/``disabled``/``pid`` and
+    ``unanswered_pings`` (pings sent since the last pong);
     ``connected`` (a worker is attached, live or not yet reaped);
     ``open()``\\* (attach a worker and set ``task``/``ctrl`` — on any
     failure the caller runs ``terminate()`` + ``reap()``, so partial state
@@ -121,25 +124,19 @@ class RemoteLane:
     ``send_ping()``, ``send_cancel(seq)``; and the text facts ``noun`` and
     ``endpoint`` used in log, error and trace labels.
 
-    Locking
-    -------
-    Lifecycle fields are guarded by ``lock`` (an RLock: the supervisor
-    respawns while already holding it).  ``ctrl_lock`` serializes
-    parent-side *sends* on the ctrl channel, which both the shipper
-    (cancels) and the supervisor (pings) write to.  **Reads have one rule:
-    every ``poll``/``recv`` on the ctrl channel — ``drain_control()`` and
-    any ``is_alive()`` that probes it — happens under ``lock``.**  Channels
-    are single-consumer (a ``TcpTransport`` reassembles frames in an
-    unlocked buffer), and the supervisor and the lane's shipper both look
-    at ctrl.  The task channel needs no such rule: only the lane's shipper
-    thread ever reads it.
+    One owner
+    ---------
+    Every operation above runs on the lane's shipper thread (``thread``),
+    so a lane holds no lock.  Channels are single-consumer (a
+    ``TcpTransport`` reassembles frames in an unlocked buffer); a second
+    thread that reads or writes either channel breaks that.
 
     One attachment in flight
     ------------------------
-    The task channel strictly alternates one task message and its result
-    (tag notices aside), and a lane ships its next region only after the
-    last one's result was delivered.  So at most **one attachment per
-    direction per lane** exists at a time, and a received ``blob`` is read
+    The task channel strictly alternates one task message and its result,
+    and a lane ships its next region only after the last one's result was
+    delivered.  So at most **one attachment per direction per lane**
+    exists at a time, and a received ``blob`` is read
     (:func:`~repro.dist.wire.loads`) before the next ``send`` or ``recv``
     on the channel.  The shared-memory arenas of a pipe lane
     (:mod:`repro.dist.arena`) hold exactly one payload each and lend the
@@ -148,9 +145,8 @@ class RemoteLane:
     """
 
     __slots__ = (
-        "index", "target_name", "open_timeout", "lock", "ctrl_lock", "task",
-        "ctrl", "pid", "clock_offset", "spawns", "disabled", "busy",
-        "last_pong", "thread",
+        "index", "target_name", "open_timeout", "task", "ctrl", "pid",
+        "clock_offset", "spawns", "disabled", "unanswered_pings", "thread",
     )
 
     #: What log and error text calls this lane.
@@ -163,16 +159,13 @@ class RemoteLane:
         self.target_name = target_name
         #: Budget for a fresh worker to come up and answer clock probe 1.
         self.open_timeout = open_timeout
-        self.lock = threading.RLock()
-        self.ctrl_lock = threading.Lock()
         self.task: Any = None
         self.ctrl: Any = None
         self.pid: int | None = None  # from the clock handshake
         self.clock_offset = 0
         self.spawns = 0          # total open attempts (first + restarts)
         self.disabled = False
-        self.busy = False
-        self.last_pong = 0.0     # time.monotonic() of the last heartbeat
+        self.unanswered_pings = 0
         self.thread: threading.Thread | None = None
 
     @property
@@ -207,16 +200,17 @@ class RemoteLane:
     # ----------------------------------------------------- channel-generic
 
     def drain_control(self) -> None:
-        """Absorb pending ctrl-channel traffic; pongs refresh liveness."""
+        """Absorb pending ctrl-channel traffic; a pong answers every ping
+        sent so far."""
         ctrl = self.ctrl
         if ctrl is None:
             return
         try:
             while ctrl.poll(0):
                 if isinstance(ctrl.recv(), wire.PongMsg):
-                    self.last_pong = time.monotonic()
+                    self.unanswered_pings = 0
         except (EOFError, OSError):
-            pass  # torn: the supervisor's liveness checks handle the corpse
+            pass  # torn: the next liveness check finds the corpse
 
     @staticmethod
     def _send(chan: Any, msg: Any) -> None:
@@ -227,21 +221,18 @@ class RemoteLane:
         except (OSError, ValueError):
             pass  # dead channel: liveness checks will catch the corpse
 
-    def _send_ctrl(self, msg: Any) -> None:
-        with self.ctrl_lock:
-            self._send(self.ctrl, msg)
-
     def send_ping(self) -> None:
-        self._send_ctrl(wire.PingMsg(now_ns()))
+        self._send(self.ctrl, wire.PingMsg(now_ns()))
+        self.unanswered_pings += 1
 
     def send_cancel(self, seq: int) -> None:
-        self._send_ctrl(wire.CancelMsg(seq))
+        self._send(self.ctrl, wire.CancelMsg(seq))
 
     def stop(self) -> None:
         """Graceful stop: drain sentinel on both channels, so the remote
         loops exit instead of seeing an abrupt EOF."""
         self._send(self.task, wire.StopMsg())
-        self._send_ctrl(wire.StopMsg())
+        self._send(self.ctrl, wire.StopMsg())
 
     def close_channels(self) -> None:
         for chan in (self.task, self.ctrl):
@@ -256,7 +247,6 @@ class RemoteLane:
         """Drop a dead lane's channels; returns the worker's exit code
         where the backend has one."""
         self.close_channels()
-        self.busy = False
         return None
 
 
@@ -264,7 +254,7 @@ class RemoteLaneTarget(VirtualTarget):
     """A worker virtual target whose pool members are remote lanes.
 
     Owns everything a remote backend does on the parent side — shipping,
-    supervision, restart budgets, cancellation and ``timeout=`` reclaim,
+    health checks, restart budgets, cancellation and ``timeout=`` reclaim,
     result delivery, trace merge, shutdown — written once against the
     :class:`RemoteLane` interface.  Subclasses build the lanes and set the
     class-level facts below.  Parameters shared by every backend:
@@ -275,8 +265,9 @@ class RemoteLaneTarget(VirtualTarget):
         backlog is failed (cancelled with the crash as reason) and the
         target refuses further posts.
     heartbeat_interval / heartbeat_misses:
-        Supervisor probe cadence and the silent-interval budget after which
-        an idle worker is declared wedged and replaced.
+        How often a shipper checks its idle lane, and how many of its pings
+        may go unanswered before the idle worker is declared wedged and
+        replaced.
     cancel_grace:
         Seconds a worker may ignore a forwarded cancellation before it is
         terminated and the lane reclaimed (this is what makes ``timeout=``
@@ -286,10 +277,6 @@ class RemoteLaneTarget(VirtualTarget):
     supports_inline = False   # different address space: elision would lie
     supports_pumping = False  # no parent thread is ever a member
 
-    #: The task message a region ships as.  Called with the six
-    #: ``ClusterTaskMsg`` fields; ``_Msg.__init__`` zips values against
-    #: ``__slots__``, so the five-field ``TaskMsg`` drops the trailing tag.
-    _task_msg: type = wire.TaskMsg
     #: Trace instants for a lane coming up / dying unasked / being retired.
     _EV_UP = EventKind.WORKER_SPAWN
     _EV_LOST = EventKind.WORKER_CRASH
@@ -311,18 +298,25 @@ class RemoteLaneTarget(VirtualTarget):
             raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
         if cancel_grace <= 0:
             raise ValueError(f"cancel_grace must be > 0, got {cancel_grace}")
+        if heartbeat_interval <= 0:
+            raise ValueError(
+                f"heartbeat interval must be > 0, got {heartbeat_interval}"
+            )
+        if heartbeat_misses < 1:
+            raise ValueError(
+                f"heartbeat misses must be >= 1, got {heartbeat_misses}"
+            )
         super().__init__(
             name, queue_capacity=queue_capacity, rejection_policy=rejection_policy
         )
         self.max_restarts = max_restarts
+        self.heartbeat_interval = heartbeat_interval
+        self.heartbeat_misses = heartbeat_misses
         self.cancel_grace = cancel_grace
         self._hard_stop = threading.Event()
         with self._stats_lock:
             self._stats.update({"worker_crashes": 0, "worker_restarts": 0})
         self._slots = list(slots)
-        self._supervisor = Supervisor(
-            self, interval=heartbeat_interval, misses=heartbeat_misses
-        )
         for slot in self._slots:
             slot.thread = threading.Thread(
                 target=self._shipper_loop,
@@ -331,7 +325,6 @@ class RemoteLaneTarget(VirtualTarget):
                 daemon=True,
             )
             slot.thread.start()
-        self._supervisor.start()
 
     # ------------------------------------------------------------ taxonomy
 
@@ -379,23 +372,17 @@ class RemoteLaneTarget(VirtualTarget):
         """
         if not self._enter_shutdown():
             return
-        self._supervisor.stop()
         if not wait:
+            # Busy shippers notice this within one poll tick, cancel and
+            # terminate their workers, and fail the in-flight regions.
             self._hard_stop.set()
             self._cancel_pending()
-            # Nudge busy workers concurrently: forward a cancel for whatever
-            # they are running.  Their shippers notice _hard_stop within one
-            # poll tick, terminate them, and fail the in-flight regions.
-            for slot in self._slots:
-                if slot.busy:
-                    slot.send_cancel(-1)  # wakes the control loop; benign
         for _ in self._slots:
             self._queue.put_shutdown()
         if wait:
             for slot in self._slots:
                 if slot.thread is not None and slot.thread is not threading.current_thread():
                     slot.thread.join()
-            self._supervisor.join()
 
     def _on_all_slots_disabled(self, cause: WorkerCrashedError) -> None:
         """Every lane exhausted its restart budget: fail the backlog.
@@ -411,7 +398,6 @@ class RemoteLaneTarget(VirtualTarget):
             "%s target %r lost all %d lanes beyond their restart budgets; "
             "failing the backlog", self.kind, self.name, len(self._slots),
         )
-        self._supervisor.stop()
         cancelled = self._cancel_pending(cause)
         if cancelled:
             _logger.error(
@@ -424,9 +410,8 @@ class RemoteLaneTarget(VirtualTarget):
     def _open_lane(self, slot: RemoteLane) -> None:
         """Attach a worker to the lane and run the clock-sync handshake.
 
-        Called under ``slot.lock``.  Raises on any failure (spawn error,
-        refused connect, version mismatch, handshake timeout); the caller
-        owns restart accounting.
+        Raises on any failure (spawn error, refused connect, version
+        mismatch, handshake timeout); the caller owns restart accounting.
         """
         try:
             slot.open()
@@ -457,7 +442,7 @@ class RemoteLaneTarget(VirtualTarget):
             raise
         slot.pid = ack.pid
         slot.clock_offset = estimate_offset_ns(t0, t1, ack.worker_ns)
-        slot.last_pong = time.monotonic()
+        slot.unanswered_pings = 0
         self._emit_worker_event(slot, self._EV_UP, arg=slot.pid)
 
     def _ensure_worker(self, slot: RemoteLane) -> bool:
@@ -466,57 +451,78 @@ class RemoteLaneTarget(VirtualTarget):
         Returns False when the lane is disabled or the target is shutting
         down — the shipper then stops consuming.
         """
-        disabled_now = False
-        with slot.lock:
-            while True:
-                if slot.disabled:
-                    return False
-                # Gate on the *hard* stop, not _shutdown: a graceful
-                # shutdown(wait=True) sets _shutdown while the backlog still
-                # has to drain through live workers (reopening if needed).
-                if self._hard_stop.is_set():
-                    return False
-                if slot.connected:
-                    if slot.is_alive():
-                        return True
-                    # Died between regions (idle death found by us, not the
-                    # supervisor) — account and clean up.
-                    self._bump("worker_crashes")
-                    self._lane_down(slot, self._EV_LOST, "connection lost")
-                if slot.spawns > self.max_restarts:
-                    slot.disabled = True
-                    disabled_now = True
-                    break
-                slot.spawns += 1
-                if slot.spawns > 1:
-                    self._bump("worker_restarts")
-                try:
-                    self._open_lane(slot)
-                except Exception as exc:  # noqa: BLE001 - opening is best-effort
-                    _logger.warning(
-                        "open attempt %d for %s failed: %r",
-                        slot.spawns, self._lane_label(slot), exc,
-                    )
-                    continue
-                return True
-        if disabled_now:
-            _logger.error(
-                "%s exceeded its restart budget (%d); disabling the lane",
-                self._lane_label(slot), self.max_restarts,
-            )
-            if all(s.disabled for s in self._slots):
-                self._on_all_slots_disabled(
-                    WorkerCrashedError(
-                        self.name, slot.index,
-                        detail=f"all {len(self._slots)} {self.kind} lanes "
-                               f"exceeded max_restarts={self.max_restarts}",
-                    )
+        while True:
+            if slot.disabled:
+                return False
+            # Gate on the *hard* stop, not _shutdown: a graceful
+            # shutdown(wait=True) sets _shutdown while the backlog still has
+            # to drain through live workers (reopening if needed).
+            if self._hard_stop.is_set():
+                return False
+            if slot.connected:
+                if slot.is_alive():
+                    return True
+                # Died between regions: account, clean up, reopen.
+                _logger.warning(
+                    "%s died idle (%s); reopening",
+                    self._lane_label(slot), slot.exit_label(),
                 )
+                self._bump("worker_crashes")
+                self._lane_down(slot, self._EV_LOST, "connection lost")
+            if slot.spawns > self.max_restarts:
+                break
+            slot.spawns += 1
+            if slot.spawns > 1:
+                self._bump("worker_restarts")
+            try:
+                self._open_lane(slot)
+            except Exception as exc:  # noqa: BLE001 - opening is best-effort
+                _logger.warning(
+                    "open attempt %d for %s failed: %r",
+                    slot.spawns, self._lane_label(slot), exc,
+                )
+                continue
+            return True
+        slot.disabled = True
+        _logger.error(
+            "%s exceeded its restart budget (%d); disabling the lane",
+            self._lane_label(slot), self.max_restarts,
+        )
+        if all(s.disabled for s in self._slots):
+            self._on_all_slots_disabled(
+                WorkerCrashedError(
+                    self.name, slot.index,
+                    detail=f"all {len(self._slots)} {self.kind} lanes "
+                           f"exceeded max_restarts={self.max_restarts}",
+                )
+            )
         return False
 
-    def _respawn_slot(self, slot: RemoteLane) -> None:
-        """Supervisor entry point: replace a dead/wedged idle worker."""
-        self._ensure_worker(slot)
+    def _idle_check(self, slot: RemoteLane) -> bool:
+        """``_serve_queue``'s idle hook: after each ``heartbeat_interval``
+        of empty queue, collect the lane's pongs and ping it again.
+
+        ``heartbeat_misses`` pings in a row unanswered mean the idle worker
+        is wedged: it is terminated and reaped as a crashed one, and
+        ``ready`` (:meth:`_ensure_worker`), which runs next, replaces it.  A
+        dead lane gets no IO here; ``ready`` reopens it.  No ping goes out
+        while a region runs, so a busy worker is never judged silent.
+        Always False: the check finds no work.
+        """
+        if not slot.is_alive():
+            return False
+        slot.drain_control()
+        if slot.unanswered_pings >= self.heartbeat_misses:
+            _logger.warning(
+                "%s (pid %s) missed %d heartbeats; terminating",
+                self._lane_label(slot), slot.pid, slot.unanswered_pings,
+            )
+            slot.terminate()
+            self._bump("worker_crashes")
+            self._lane_down(slot, self._EV_LOST, "missed heartbeats")
+        else:
+            slot.send_ping()
+        return False
 
     def _emit_worker_event(
         self, slot: RemoteLane, kind: EventKind, arg: object = None
@@ -529,26 +535,25 @@ class RemoteLaneTarget(VirtualTarget):
             )
 
     def _lane_down(self, slot: RemoteLane, kind: EventKind, reason: str) -> int | None:
-        """Reap the lane (under ``slot.lock``) and emit its going-down
-        instant: the exit code where the backend has one, else *reason*."""
+        """Reap the lane and emit its going-down instant: the exit code
+        where the backend has one, else *reason*."""
         exitcode = slot.reap()
         self._emit_worker_event(
             slot, kind, arg=reason if exitcode is None else exitcode
         )
         return exitcode
 
-    def _on_tag_done(self, msg: wire.TagDoneMsg) -> None:
-        """Sink for tag-progress notifications; only cluster agents send
-        them (tagged :class:`~repro.dist.wire.ClusterTaskMsg`)."""
-
     # -------------------------------------------------------------- shipping
 
     def _shipper_loop(self, slot: RemoteLane) -> None:
         try:
             # A lane whose worker cannot be brought up stops consuming
-            # *before* it takes an item it could not ship.
+            # *before* it takes an item it could not ship; an empty queue
+            # hands the idle lane to its health check.
             self._serve_queue(
                 partial(self._execute_remote, slot),
+                poll=self.heartbeat_interval,
+                idle=partial(self._idle_check, slot),
                 ready=partial(self._ensure_worker, slot),
             )
         finally:
@@ -556,14 +561,13 @@ class RemoteLaneTarget(VirtualTarget):
 
     def _retire_slot(self, slot: RemoteLane) -> None:
         """Stop the lane's worker on shipper exit (drain or hard stop)."""
-        with slot.lock:
-            if not slot.connected:
-                return
-            if self._hard_stop.is_set():
-                slot.terminate()
-            else:
-                slot.stop()
-            self._lane_down(slot, self._EV_DOWN, "stop")
+        if not slot.connected:
+            return
+        if self._hard_stop.is_set():
+            slot.terminate()
+        else:
+            slot.stop()
+        self._lane_down(slot, self._EV_DOWN, "stop")
 
     def _wrap_item(self, item: TargetRegion | Callable[[], Any]) -> TargetRegion:
         if isinstance(item, TargetRegion):
@@ -596,18 +600,16 @@ class RemoteLaneTarget(VirtualTarget):
             return
         if not region.mark_running():
             return  # cancelled between dequeue and ship
-        with slot.lock:
-            if not slot.is_alive():
-                self._handle_worker_failure(slot, region, "died before dispatch")
-                return
-            task = slot.task
-            slot.busy = True
+        if not slot.is_alive():
+            self._handle_worker_failure(slot, region, "died before dispatch")
+            return
+        task = slot.task
         try:
             try:
                 task.send(
-                    self._task_msg(
+                    wire.TaskMsg(
                         region.seq, region.name, region.source, blob,
-                        session.enabled, region.tag,
+                        session.enabled,
                     )
                 )
             except SerializationError as exc:
@@ -622,8 +624,6 @@ class RemoteLaneTarget(VirtualTarget):
                 return
             self._await_result(slot, task, region)
         finally:
-            with slot.lock:
-                slot.busy = False
             self._log_plain_failure(item, region)
 
     def _await_result(self, slot: RemoteLane, task: Any, region: TargetRegion) -> None:
@@ -636,8 +636,6 @@ class RemoteLaneTarget(VirtualTarget):
                     if isinstance(msg, wire.ResultMsg) and msg.seq == region.seq:
                         self._deliver(slot, region, msg)
                         return
-                    if isinstance(msg, wire.TagDoneMsg):
-                        self._on_tag_done(msg)
                     continue  # stale or unknown: keep waiting for ours
             except (EOFError, OSError):
                 self._handle_worker_failure(
@@ -649,12 +647,9 @@ class RemoteLaneTarget(VirtualTarget):
                 slot.send_cancel(region.seq)
                 slot.terminate()
                 region.fulfill(exception=TargetShutdownError(self.name))
-                with slot.lock:
-                    slot.reap()
+                self._lane_down(slot, self._EV_DOWN, "hard stop")
                 return
-            with slot.lock:  # is_alive() may read ctrl: one reader at a time
-                alive = slot.is_alive()
-            if not alive:
+            if not slot.is_alive():
                 self._handle_worker_failure(slot, region, "found dead mid-region")
                 return
             if region.cancel_token.cancelled:
@@ -700,9 +695,8 @@ class RemoteLaneTarget(VirtualTarget):
         self, slot: RemoteLane, region: TargetRegion, detail: str
     ) -> None:
         """A worker died with *region* in flight: fail the waiter, account."""
-        with slot.lock:
-            self._bump("worker_crashes")
-            exitcode = self._lane_down(slot, self._EV_LOST, detail)
+        self._bump("worker_crashes")
+        exitcode = self._lane_down(slot, self._EV_LOST, detail)
         if self._hard_stop.is_set():
             exc: Exception = TargetShutdownError(self.name)
         else:

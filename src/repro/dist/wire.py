@@ -17,10 +17,10 @@ protocol reads in one place:
 
   - the *task* channel (parent shipper thread ↔ worker main thread):
     :class:`SyncMsg`/:class:`SyncAck` clock handshake at spawn, then
-    :class:`TaskMsg` → :class:`ResultMsg` pairs, terminated by
-    :class:`StopMsg`;
-  - the *control* channel (parent supervisor/shipper → worker control
-    thread): :class:`PingMsg` → :class:`PongMsg` heartbeats and
+    :class:`TaskMsg` → :class:`ResultMsg` pairs — exactly one reply per
+    task, on every lane kind — terminated by :class:`StopMsg`;
+  - the *control* channel (the same parent shipper thread → worker
+    control thread): :class:`PingMsg` → :class:`PongMsg` heartbeats and
     :class:`CancelMsg` cooperative-cancellation requests, which must remain
     deliverable *while the worker's main thread is busy executing a region*
     — the reason control rides a separate pipe.
@@ -90,13 +90,11 @@ __all__ = [
     "SyncMsg",
     "SyncAck",
     "TaskMsg",
-    "ClusterTaskMsg",
     "ResultMsg",
     "StopMsg",
     "PingMsg",
     "PongMsg",
     "CancelMsg",
-    "TagDoneMsg",
 ]
 
 #: Version of the message protocol defined in this module.  Bumped whenever
@@ -106,8 +104,11 @@ __all__ = [
 #: a different checkout — so every socket connection opens with a
 #: :class:`HelloMsg` carrying this number, and a mismatch raises a
 #: structured :class:`ProtocolVersionError` instead of undefined behaviour
-#: deep inside message dispatch.
-PROTOCOL_VERSION = 2
+#: deep inside message dispatch.  Version 3 dropped the cluster-only tagged
+#: task and its tag-progress reply, so a task channel carries one reply per
+#: task; a version-2 peer is refused at hello instead of waiting forever for
+#: the reply to a task message this end skips as unknown.
+PROTOCOL_VERSION = 3
 
 #: Pickle protocol of every payload and envelope.  Pinned, not "highest":
 #: 5 is what makes the pickler hand a large buffer to its sink whole
@@ -379,22 +380,6 @@ class TaskMsg(_Msg):
     __slots__ = ("seq", "name", "source", "blob", "trace")
 
 
-class ClusterTaskMsg(_Msg):
-    """Parent → cluster worker: one region to execute, tag-aware.
-
-    The cluster superset of :class:`TaskMsg`: same first five fields, plus
-    ``tag`` — the region's ``name_as`` group, or None.  A tagged task makes
-    the worker send a :class:`TagDoneMsg` the moment the body finishes,
-    *before* the (possibly large) result payload is serialized and shipped,
-    so cross-host ``wait_tag`` progress is visible at body-completion
-    latency rather than result-transfer latency.  A separate class (not a
-    new :class:`TaskMsg` field) keeps the pipe protocol of process targets
-    byte-identical.
-    """
-
-    __slots__ = ("seq", "name", "source", "blob", "trace", "tag")
-
-
 class ResultMsg(_Msg):
     """Worker → parent: the outcome of one :class:`TaskMsg`.
 
@@ -419,13 +404,14 @@ class StopMsg(_Msg):
 
 
 class PingMsg(_Msg):
-    """Supervisor → worker control thread: liveness probe."""
+    """Parent shipper → worker control thread: liveness probe of an idle
+    lane."""
 
     __slots__ = ("sent_ns",)
 
 
 class PongMsg(_Msg):
-    """Worker control thread → supervisor: echo of :class:`PingMsg`.
+    """Worker control thread → parent shipper: echo of :class:`PingMsg`.
 
     Answered by a dedicated thread, so a pong proves the worker process is
     alive and scheduling threads even while its main thread grinds through
@@ -441,17 +427,3 @@ class CancelMsg(_Msg):
     — the region may have finished while the message was in flight)."""
 
     __slots__ = ("seq",)
-
-
-class TagDoneMsg(_Msg):
-    """Cluster worker → parent: a tagged region's body finished.
-
-    Sent on the task channel immediately after the body of a
-    :class:`ClusterTaskMsg` with a non-None ``tag`` returns — before result
-    serialization — so the parent learns of tag-group progress across hosts
-    at body-completion latency.  ``outcome`` is ``"completed"`` or
-    ``"failed"``; the authoritative terminal state (and the value) still
-    arrive with the :class:`ResultMsg` that follows.
-    """
-
-    __slots__ = ("seq", "tag", "outcome")

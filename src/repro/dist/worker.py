@@ -6,13 +6,14 @@ two loops whether the channels are pipes into a child process
 accepted sockets on a cluster agent (:mod:`repro.cluster.agent`):
 
 * :func:`task_loop` drives the task channel: answer the clock-sync
-  handshake, then ``recv`` a :class:`~repro.dist.wire.TaskMsg` (or
-  :class:`~repro.dist.wire.ClusterTaskMsg`), rebuild the region, run it,
-  ship a :class:`~repro.dist.wire.ResultMsg` (result *or* exception, plus
-  the worker-side trace events), repeat until :class:`~repro.dist.wire.StopMsg`;
-* :func:`control_loop`, on its own thread, answers heartbeat pings and
-  applies cooperative cancellation — it owns the ctrl channel, so both keep
-  working while the task loop is deep inside a region body.
+  handshake, then ``recv`` a :class:`~repro.dist.wire.TaskMsg`, rebuild
+  the region, run it, ship exactly one :class:`~repro.dist.wire.ResultMsg`
+  (result *or* exception, plus the worker-side trace events), repeat until
+  :class:`~repro.dist.wire.StopMsg`;
+* :func:`control_loop`, on its own thread, answers the heartbeat pings an
+  idle lane's parent shipper sends and applies cooperative cancellation —
+  it owns the ctrl channel, so both keep working while the task loop is
+  deep inside a region body.
 
 Regions execute as real :class:`~repro.core.region.TargetRegion` instances,
 so worker-side user code keeps the full in-process contract:
@@ -110,17 +111,9 @@ def _error_result(seq: int, exc: BaseException, log: WorkerEventLog) -> wire.Res
 
 
 def _run_task(
-    msg: wire.TaskMsg,
-    config: WorkerConfig,
-    current: _Current,
-    on_body_done=None,
+    msg: wire.TaskMsg, config: WorkerConfig, current: _Current
 ) -> wire.ResultMsg:
-    """Execute one task; always returns a ResultMsg (never raises).
-
-    ``on_body_done(region)``, when given, fires the moment the body returns
-    — before the result is serialized — so callers can announce completion
-    (cluster tag notifications) at body latency, not result-transfer latency.
-    """
+    """Execute one task; always returns a ResultMsg (never raises)."""
     log = WorkerEventLog()
     try:
         body, args, kwargs = wire.loads(msg.blob, what=f"payload of region {msg.name!r}")
@@ -146,11 +139,6 @@ def _run_task(
     finally:
         current.clear()
 
-    if on_body_done is not None:
-        try:
-            on_body_done(region)
-        except Exception:  # noqa: BLE001 - a notification must not kill the task
-            pass
     if region.exception is not None:
         return _error_result(msg.seq, region.exception, log)
     try:
@@ -189,18 +177,9 @@ def task_loop(
             continue
         if isinstance(msg, wire.StopMsg):
             return
-        if not isinstance(msg, (wire.TaskMsg, wire.ClusterTaskMsg)):
+        if not isinstance(msg, wire.TaskMsg):
             continue  # unknown message from a newer parent: skip, stay alive
-        notify = None
-        tag = getattr(msg, "tag", None)  # only ClusterTaskMsg carries one
-        if tag is not None:
-            def notify(region, _seq=msg.seq, _tag=tag):
-                outcome = "failed" if region.exception is not None else "completed"
-                try:
-                    task.send(wire.TagDoneMsg(_seq, _tag, outcome))
-                except (OSError, ValueError):
-                    pass  # the ResultMsg send below will surface the tear
-        result = _run_task(msg, config, current, on_body_done=notify)
+        result = _run_task(msg, config, current)
         if executed is not None:
             executed()
         try:

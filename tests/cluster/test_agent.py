@@ -8,7 +8,10 @@ import time
 import pytest
 
 from repro.cluster.agent import ClusterAgent, announce_line
-from repro.cluster.transport import connect, expect_hello, parse_endpoint, send_hello
+from repro.cluster.transport import (
+    connect, expect_hello, loopback_pair, parse_endpoint, send_hello,
+)
+from repro.core.errors import ProtocolVersionError
 from repro.dist import wire
 
 from tests.dist import bodies
@@ -53,6 +56,26 @@ class TestHandshake:
             finally:
                 tr.close()
 
+    def test_a_version_2_peer_is_refused_at_hello(self):
+        # Version 2 had a tagged task message with a second reply that
+        # version 3 dropped: a v2 peer must fail at hello, not wait for it.
+        assert wire.PROTOCOL_VERSION == 3
+        with ClusterAgent() as agent:  # a v2 parent meets a v3 agent
+            tr = connect(agent.host, agent.port)
+            try:
+                tr.send(wire.HelloMsg(2, "task", "t", 0, {}))
+                assert tr.recv().version == 3
+                assert tr.poll(5.0)
+                with pytest.raises(EOFError):
+                    tr.recv()
+            finally:
+                tr.close()
+        parent, v2_agent = loopback_pair()  # a v3 parent meets a v2 agent
+        v2_agent.send(wire.HelloMsg(2, "agent", None, None, {}))
+        with pytest.raises(ProtocolVersionError) as exc_info:
+            expect_hello(parent, peer="v2 agent")
+        assert (exc_info.value.ours, exc_info.value.theirs) == (3, 2)
+
     def test_garbage_first_frame_closes_the_connection(self):
         with ClusterAgent() as agent:
             tr = connect(agent.host, agent.port)
@@ -76,7 +99,7 @@ class TestTaskProtocol:
                 assert ack.pid == os.getpid()
 
                 blob = wire.dumps((bodies.square, (7,), {}))
-                tr.send(wire.ClusterTaskMsg(1, "sq", None, blob, False, None))
+                tr.send(wire.TaskMsg(1, "sq", None, blob, False))
                 result = tr.recv()
                 assert isinstance(result, wire.ResultMsg)
                 assert result.seq == 1 and result.ok
@@ -85,31 +108,15 @@ class TestTaskProtocol:
             finally:
                 tr.close()
 
-    def test_tagged_task_sends_tag_done_before_result(self):
-        with ClusterAgent() as agent:
-            tr = open_channel(agent, "task")
-            try:
-                blob = wire.dumps((bodies.square, (3,), {}))
-                tr.send(wire.ClusterTaskMsg(5, "sq", None, blob, False, "grp"))
-                first = tr.recv()
-                assert isinstance(first, wire.TagDoneMsg)
-                assert (first.seq, first.tag, first.outcome) == (5, "grp", "completed")
-                result = tr.recv()
-                assert isinstance(result, wire.ResultMsg) and result.ok
-            finally:
-                tr.close()
-
-    def test_failing_body_reports_failed_tag_and_error_result(self):
+    def test_failing_body_reports_one_error_result(self):
         with ClusterAgent() as agent:
             tr = open_channel(agent, "task")
             try:
                 blob = wire.dumps((bodies.boom, ("kapow",), {}))
-                tr.send(wire.ClusterTaskMsg(6, "boom", None, blob, False, "grp"))
-                first = tr.recv()
-                assert isinstance(first, wire.TagDoneMsg)
-                assert first.outcome == "failed"
+                tr.send(wire.TaskMsg(6, "boom", None, blob, False))
                 result = tr.recv()
                 assert isinstance(result, wire.ResultMsg) and not result.ok
+                assert result.seq == 6 and not tr.poll(0.2)  # nothing else follows
                 exc = wire.unpack_exception(
                     result.exc_blob, result.exc_text, result.exc_tb
                 )
@@ -123,7 +130,7 @@ class TestTaskProtocol:
             try:
                 tr.send(wire.PongMsg(0, 0))  # nonsense on a task channel
                 blob = wire.dumps((bodies.square, (2,), {}))
-                tr.send(wire.ClusterTaskMsg(9, "sq", None, blob, False, None))
+                tr.send(wire.TaskMsg(9, "sq", None, blob, False))
                 result = tr.recv()
                 assert isinstance(result, wire.ResultMsg) and result.ok
             finally:
@@ -148,7 +155,7 @@ class TestCtrlProtocol:
             ctrl = open_channel(agent, "ctrl", slot=1)
             try:
                 blob = wire.dumps((bodies.cooperative_loop, (30.0,), {}))
-                task.send(wire.ClusterTaskMsg(3, "loop", None, blob, False, None))
+                task.send(wire.TaskMsg(3, "loop", None, blob, False))
                 time.sleep(0.2)  # let the body start polling its token
                 ctrl.send(wire.CancelMsg(3))
                 result = task.recv()

@@ -118,7 +118,7 @@ class TestTcp:
         client.close()
 
     def test_poll_zero_looks_at_the_socket(self):
-        # poll(0) is how the supervisor collects pongs and how is_alive()
+        # poll(0) is how the idle check collects pongs and how is_alive()
         # finds an idle tear; it must do one zero-timeout select, not give
         # up because the (zero) deadline has already passed.
         def soon(predicate, budget=5.0):
@@ -161,7 +161,7 @@ class TestTcp:
         try:
             sends, reads = _count_syscalls(client), _count_syscalls(server)
             blob = wire.dumps_parts((bytes, (bytes(64),), {}))
-            client.send(wire.ClusterTaskMsg(1, "r", None, blob, False, None))
+            client.send(wire.TaskMsg(1, "r", None, blob, False))
             msg = server.recv()
             assert sends == {"sendmsg": 1} and reads == {"recv": 1}
             assert type(msg.blob) is bytes and wire.loads(msg.blob)[1] == (bytes(64),)

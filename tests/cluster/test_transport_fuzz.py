@@ -244,7 +244,7 @@ def test_a_version_2_hello_reads_under_the_version_1_framing():
     (size,) = struct.unpack_from(">I", capture.stream)  # all a v1 peer parses
     assert size == len(capture.stream) - 4 < MAX_FRAME_BYTES
     hello = pickle.loads(bytes(capture.stream[4:]))
-    assert isinstance(hello, wire.HelloMsg) and hello.version == wire.PROTOCOL_VERSION == 2
+    assert isinstance(hello, wire.HelloMsg) and hello.version == wire.PROTOCOL_VERSION == 3
 
 
 def test_poll_zero_is_one_zero_timeout_look(monkeypatch):

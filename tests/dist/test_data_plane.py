@@ -31,8 +31,7 @@ from repro.dist.arena import Arena, ArenaChannel
 
 from . import bodies
 from .conftest import SHM_DIR, own_segments
-from .test_payload_fidelity import _LoopbackTarget
-from .test_remote_lane_contract import _LoopbackLane
+from .loopback import LoopbackLane, LoopbackTarget
 
 K = wire.ATTACH_MIN_BYTES
 MIB = 1 << 20
@@ -316,7 +315,7 @@ class _Recording:
         return getattr(self._chan, name)
 
 
-class _RecordingLane(_LoopbackLane):
+class _RecordingLane(LoopbackLane):
     sent: list = []
 
     def open(self):
@@ -329,7 +328,7 @@ def test_the_channel_is_handed_the_callers_own_object():
     _RecordingLane.sent = sent = []
     rt = PjRuntime()
     try:
-        rt.register_target(_LoopbackTarget("rec", 1, lane=_RecordingLane))
+        rt.register_target(LoopbackTarget("rec", 1, lane=_RecordingLane))
         got = rt.invoke_target_block("rec", TargetRegion(bodies.echo, payload)).result()
         assert got == payload and got is not payload
     finally:

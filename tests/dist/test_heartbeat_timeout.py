@@ -1,146 +1,166 @@
-"""Supervisor heartbeat-timeout policy: slow-but-alive vs wedged vs dead.
+"""Idle health checks: slow-but-alive vs wedged vs dead.
 
-Regression tests for the sweep's decision table.  The unit half drives
-:meth:`Supervisor.sweep` over scripted fake slots (the documented slot
-interface), so every branch is exercised deterministically — no timing, no
-real processes.  The integration half proves the two user-visible halves of
-the contract on a real process target: a *busy* worker that has stopped
-answering pings is never killed by the supervisor (a transient stall must
-not become a :class:`WorkerCrashedError`), while a worker whose transport
-actually dies mid-region fails the region promptly — crash and stall stay
-distinguishable.
+While its queue stays empty, a lane's shipper runs
+``RemoteLaneTarget._idle_check`` every ``heartbeat_interval`` (the ``idle=``
+hook of ``_serve_queue``) and then ``ready`` (``_ensure_worker``) before it
+dequeues again.  The unit half drives that pair over scripted fake slots,
+so every row of the decision table runs deterministically — no timing, no
+real processes.  The integration half proves the user-visible contract on
+real lanes: a busy worker is never pinged, so it is never judged silent
+however long its region runs or however many regions run back to back (a
+stall must not become a :class:`WorkerCrashedError`); an idle worker that
+answers no pings is replaced; and a transport that dies mid-region fails
+the region promptly — crash and stall stay distinguishable.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 
 import pytest
 
 from repro.core import PjRuntime
 from repro.core.errors import RegionFailedError, WorkerCrashedError
-from repro.core.region import TargetRegion
-from repro.dist.supervisor import Supervisor
+from repro.core.region import RegionState, TargetRegion
+from repro.dist import RemoteLaneTarget
 
 from . import bodies
+from .loopback import LoopbackTarget
 
-STALE = 1000.0  # seconds of fabricated ping silence
+MISSES = 2
 
 
 class FakeSlot:
-    """Scripted implementation of the supervisor's slot interface."""
+    """Scripted implementation of the lane interface the idle check and
+    ``ready`` consume; counts every IO they ask of it."""
 
-    def __init__(self, *, connected=True, alive=True, busy=False,
-                 silent_for=0.0, pongs_pending=0, disabled=False):
-        self.lock = threading.RLock()
-        self.index = 0
+    index = 0
+    noun = "worker"
+    where = ""
+
+    def __init__(self, *, connected=True, alive=True, unanswered=0,
+                 pongs_pending=0, disabled=False):
         self.pid = 4242
+        self.spawns = 1
         self.disabled = disabled
-        self.busy = busy
-        self.last_pong = time.monotonic() - silent_for
-        self._connected = connected
+        self.connected = connected
+        self.unanswered_pings = unanswered
         self._alive = alive
         self._pongs = pongs_pending
-        self.terminated = False
-        self.pings = 0
-
-    @property
-    def connected(self):
-        return self._connected
+        self.drains = self.pings = self.terminations = self.respawns = 0
 
     def is_alive(self):
-        return self._alive and not self.terminated
+        return self.connected and self._alive
 
     def drain_control(self):
+        self.drains += 1
         if self._pongs:
             self._pongs -= 1
-            self.last_pong = time.monotonic()
+            self.unanswered_pings = 0
+
+    def send_ping(self):
+        self.pings += 1
+        self.unanswered_pings += 1
 
     def exit_label(self):
         return "scripted death"
 
     def terminate(self):
-        self.terminated = True
+        self.terminations += 1
+        self._alive = False
 
-    def send_ping(self):
-        self.pings += 1
+    def reap(self):
+        self.connected = False
+        return None
 
-
-class FakeTarget:
-    name = "fake"
-
-    def __init__(self, *slots):
-        self._slots = list(slots)
-        self.respawned = []
-
-    def _respawn_slot(self, slot):
-        self.respawned.append(slot)
+    def open(self):
+        self.respawns += 1
+        self.connected = self._alive = True
 
 
-def sweep_once(slot) -> FakeTarget:
+class FakeTarget(RemoteLaneTarget):
+    """The real idle check and ``ready`` with no thread behind them: built
+    with no lanes, so no shipper starts, then handed one fake slot."""
+
+    kind = "fake"
+
+    def __init__(self, slot):
+        super().__init__(
+            "fake", [], queue_capacity=None, rejection_policy="block",
+            max_restarts=3, heartbeat_interval=0.1, heartbeat_misses=MISSES,
+            cancel_grace=1.0,
+        )
+        self._slots = [slot]
+
+    def _open_lane(self, slot):
+        slot.open()  # a scripted worker has no clock to handshake with
+        slot.unanswered_pings = 0
+
+
+def idle_ticks(slot, n=1) -> FakeSlot:
+    """*n* idle intervals of the slot's shipper: the hook, then ``ready``."""
     target = FakeTarget(slot)
-    Supervisor(target, interval=0.1, misses=2).sweep()
-    return target
+    for _ in range(n):
+        assert target._idle_check(slot) is False  # it never finds work
+        target._ensure_worker(slot)
+    return slot
 
 
 class TestSweepDecisionTable:
-    def test_healthy_idle_slot_is_only_pinged(self):
-        slot = FakeSlot()
-        target = sweep_once(slot)
-        assert not slot.terminated
-        assert not target.respawned
-        assert slot.pings == 1
+    """One row per kind of idle lane, each through one or more idle ticks."""
 
-    def test_busy_silent_slot_is_not_killed(self):
-        # Slow-but-alive: silence during a long region is the deadline
-        # machinery's problem (timeout=), never the supervisor's.
-        slot = FakeSlot(busy=True, silent_for=STALE)
-        target = sweep_once(slot)
-        assert not slot.terminated
-        assert not target.respawned
+    def test_healthy_idle_slot_is_only_pinged(self):
+        slot = idle_ticks(FakeSlot())
+        assert (slot.pings, slot.terminations, slot.respawns) == (1, 0, 0)
+        assert slot.unanswered_pings == 1
 
     def test_pending_pong_resets_the_silence_clock(self):
-        # Slow-but-alive: the pong was in flight, not missing.  The sweep
+        # Slow-but-alive: the pong was in flight, not missing.  The check
         # must drain control *before* judging silence.
-        slot = FakeSlot(silent_for=STALE, pongs_pending=1)
-        target = sweep_once(slot)
-        assert not slot.terminated
-        assert not target.respawned
+        slot = idle_ticks(FakeSlot(unanswered=MISSES, pongs_pending=1))
+        assert (slot.pings, slot.terminations, slot.respawns) == (1, 0, 0)
+        assert slot.unanswered_pings == 1
 
     def test_idle_wedged_slot_is_terminated_and_respawned(self):
-        slot = FakeSlot(silent_for=STALE)
-        target = sweep_once(slot)
-        assert slot.terminated
-        assert target.respawned == [slot]
+        # A worker that never answers: MISSES pings, then the next idle
+        # tick terminates it and ``ready`` opens a fresh one.
+        slot = idle_ticks(FakeSlot(), MISSES)
+        assert (slot.pings, slot.terminations, slot.respawns) == (MISSES, 0, 0)
+        idle_ticks(slot)
+        assert (slot.pings, slot.terminations, slot.respawns) == (MISSES, 1, 1)
+        assert slot.unanswered_pings == 0 and slot.is_alive()
 
     def test_idle_corpse_is_respawned_without_terminate(self):
-        slot = FakeSlot(alive=False)
-        target = sweep_once(slot)
-        assert not slot.terminated
-        assert target.respawned == [slot]
-
-    def test_dead_busy_slot_is_left_to_the_shipper(self):
-        # The shipper already watches a busy worker; a second respawn from
-        # the supervisor would race it.
-        slot = FakeSlot(alive=False, busy=True)
-        target = sweep_once(slot)
-        assert not slot.terminated
-        assert not target.respawned
-        assert slot.pings == 0
+        slot = idle_ticks(FakeSlot(alive=False))
+        assert (slot.drains, slot.pings, slot.terminations) == (0, 0, 0)
+        assert slot.respawns == 1
 
     def test_disabled_and_disconnected_slots_are_skipped(self):
-        for slot in (FakeSlot(disabled=True), FakeSlot(connected=False)):
-            target = sweep_once(slot)
-            assert not slot.terminated
-            assert not target.respawned
-            assert slot.pings == 0
+        # No IO from the check.  Reopening a lane that is down is
+        # ``ready``'s job: it reopens a disconnected lane, never a disabled
+        # one.
+        for slot, reopened in (
+            (FakeSlot(disabled=True, connected=False), 0),
+            (FakeSlot(connected=False), 1),
+        ):
+            idle_ticks(slot)
+            assert (slot.drains, slot.pings, slot.terminations) == (0, 0, 0)
+            assert slot.respawns == reopened
+
+
+def _wait_until(predicate, timeout=15.0, interval=0.01):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return predicate()
 
 
 @pytest.fixture()
 def quiet_rt():
-    """1-worker process target whose own supervisor never fires during the
-    test (60s interval) — sweeps below are driven by hand."""
+    """1-worker process target whose idle checks never fire during the test
+    (60s interval)."""
     runtime = PjRuntime()
     runtime.create_process_worker("quiet", 1, heartbeat_interval=60.0)
     yield runtime
@@ -148,24 +168,76 @@ def quiet_rt():
 
 
 class TestRealTransport:
-    def test_stalled_busy_worker_survives_manual_sweeps(self, quiet_rt):
-        target = quiet_rt.get_target("quiet")
-        region = TargetRegion(bodies.sleepy, 0.8, name="slow")
-        quiet_rt.invoke_target_block("quiet", region, "nowait")
-        slot = target._slots[0]
-        deadline = time.monotonic() + 10.0
-        while not slot.busy and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert slot.busy, "region never started"
-        pid = slot.pid
-        sup = Supervisor(target, interval=0.05, misses=1)
-        for _ in range(5):
-            with slot.lock:
-                slot.last_pong = time.monotonic() - STALE  # fabricate silence
-            sup.sweep()
-        assert region.result(timeout=30.0) == 0.8
-        assert slot.pid == pid
-        assert target.restart_count == 0
+    def test_stalled_busy_worker_survives_idle_checks(self):
+        # A region sixteen heartbeat intervals long, then idle checks every
+        # 50 ms with a budget of one unanswered ping: the lane is pinged
+        # only while idle, so the long region is never judged silence.
+        rt = PjRuntime()
+        try:
+            target = rt.create_process_worker(
+                "hb", 1, heartbeat_interval=0.05, heartbeat_misses=1
+            )
+            region = TargetRegion(bodies.sleepy, 0.8, name="slow")
+            rt.invoke_target_block("hb", region, "nowait")
+            slot = target._slots[0]
+            assert _wait_until(lambda: region.state is RegionState.RUNNING)
+            pid = slot.pid
+            assert region.result(timeout=30.0) == 0.8
+            time.sleep(0.5)
+            assert target.restart_count == 0
+            assert target.stats["worker_crashes"] == 0
+            assert slot.pid == pid
+        finally:
+            rt.shutdown(wait=False)
+
+    def test_back_to_back_regions_then_idle_cause_no_reconnect(self):
+        # Busy for ten miss budgets with no pause long enough for an idle
+        # check, then idle: silence is counted in unanswered pings, and a
+        # busy lane sends none, so nothing stale is judged when it idles.
+        rt = PjRuntime()
+        try:
+            target = rt.create_process_worker(
+                "b2b", 1, heartbeat_interval=0.05, heartbeat_misses=2
+            )
+            payload = bytes(64)
+            assert rt.invoke_target_block(
+                "b2b", TargetRegion(bytes, payload)
+            ).result() == payload
+            pid = target._slots[0].pid
+            deadline = time.monotonic() + 10 * MISSES * 0.05
+            while time.monotonic() < deadline:
+                assert rt.invoke_target_block(
+                    "b2b", TargetRegion(bytes, payload)
+                ).result() == payload
+            time.sleep(0.3)
+            assert target.restart_count == 0
+            assert target.stats["worker_crashes"] == 0
+            assert target._slots[0].pid == pid
+        finally:
+            rt.shutdown(wait=False)
+
+    def test_idle_wedged_worker_is_replaced(self):
+        # The first worker's control loop never runs: alive, but deaf to
+        # pings.  Its shipper terminates it after two unanswered pings and
+        # reopens the lane; the second worker answers and stays.
+        rt = PjRuntime()
+        try:
+            target = rt.register_target(LoopbackTarget(
+                "deaf", 1, heartbeat_interval=0.05, heartbeat_misses=2,
+                max_restarts=1, deaf_opens=1,
+            ))
+            slot = target._slots[0]
+            assert _wait_until(
+                lambda: target.restart_count == 1 and slot.connected
+            ), "the wedged worker was not replaced"
+            assert target.stats["worker_crashes"] == 1
+            region = rt.invoke_target_block("deaf", TargetRegion(bodies.square, 6))
+            assert region.result(timeout=10.0) == 36
+            time.sleep(0.3)  # six more idle checks, all answered
+            assert target.restart_count == 1
+            assert target.alive
+        finally:
+            rt.shutdown(wait=False)
 
     def test_dead_transport_mid_region_fails_fast_without_heartbeat(
         self, quiet_rt
@@ -176,10 +248,9 @@ class TestRealTransport:
         region = TargetRegion(bodies.sleepy, 30.0, name="doomed")
         quiet_rt.invoke_target_block("quiet", region, "nowait")
         slot = target._slots[0]
-        deadline = time.monotonic() + 10.0
-        while not slot.busy and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert slot.busy, "region never started"
+        assert _wait_until(lambda: region.state is RegionState.RUNNING), (
+            "region never started"
+        )
         start = time.monotonic()
         slot.process.terminate()
         with pytest.raises(RegionFailedError) as exc_info:

@@ -26,32 +26,18 @@ import pytest
 from repro.cluster import ClusterAgent
 from repro.core import PjRuntime
 from repro.core.errors import RegionFailedError, WorkerCrashedError
-from repro.core.region import TargetRegion
-from repro.dist import RemoteLaneTarget, wire
+from repro.core.region import RegionState, TargetRegion
+from repro.dist import wire
 
 from . import bodies
 from .conftest import SHM_DIR, own_segments
-from .test_remote_lane_contract import _LoopbackLane
+from .loopback import LoopbackTarget
 
 K = wire.ATTACH_MIN_BYTES
 # Long before short, and both sides of the switch: a stale arena tail or a
 # decoder that mistakes one path's frame for the other's shows up here.
 SIZES = [8 << 20, 0, 1 << 20, 1, K + 1, K - 1, K]
 LANES = ["process", "cluster", "loopback"]
-
-
-class _LoopbackTarget(RemoteLaneTarget):
-    """The contract test's loopback lanes, under a heartbeat that an 8 MiB
-    pickle holding this process's GIL cannot miss."""
-
-    kind = "loopback"
-
-    def __init__(self, name, lanes, lane=_LoopbackLane):
-        super().__init__(
-            name, [lane(i, name) for i in range(lanes)],
-            queue_capacity=None, rejection_policy="block", max_restarts=0,
-            heartbeat_interval=1.0, heartbeat_misses=3, cancel_grace=5.0,
-        )
 
 
 @pytest.fixture(params=LANES)
@@ -65,7 +51,7 @@ def lane_rt(request):
         agent = ClusterAgent().start()  # a loopback agent, in this process
         rt.create_cluster("lane", [f"{agent.host}:{agent.port}"], shards=2)
     else:
-        rt.register_target(_LoopbackTarget("lane", 2))
+        rt.register_target(LoopbackTarget("lane", 2))
     yield rt
     rt.shutdown(wait=False)
     if agent is not None:
@@ -201,7 +187,7 @@ def test_kill_9_mid_region_then_the_respawned_lane_echoes_correctly():
         doomed = rt.invoke_target_block(
             "solo", TargetRegion(bodies.sleepy, 60.0, value=big), "nowait"
         )
-        assert _wait_until(lambda: target._slots[0].busy)
+        assert _wait_until(lambda: doomed.state is RegionState.RUNNING)
         time.sleep(0.2)  # past the arena read, into the body
         os.kill(target.worker_pids[0], signal.SIGKILL)
         with pytest.raises(RegionFailedError) as exc_info:

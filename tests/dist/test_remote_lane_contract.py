@@ -1,85 +1,128 @@
 """The `RemoteLane` contract, exercised by a third backend.
 
-A lane strategy over in-process loopback transports: the worker is two
-threads running the shared `repro.dist.worker` loops.  It proves a backend
-is a lane class (nothing in `RemoteLaneTarget` knows about processes or
-sockets) and pins the locking rule of the lane docstring: the ctrl channel
-has one reader at a time, so every `is_alive()` runs under `slot.lock`.
+Loopback lanes (`tests/dist/loopback.py`: the worker is two threads running
+the shared `repro.dist.worker` loops) prove a backend is a lane class —
+nothing in `RemoteLaneTarget` knows about processes or sockets — and pin
+the ownership rule of the lane docstring: every operation on a lane runs
+on that lane's shipper thread, so a lane needs no lock.  The traced
+hard-stop test pins the lane lifecycle on process and loopback lanes
+alike: every lane that came up goes down exactly once.
 """
 
 from __future__ import annotations
 
-import threading
+import time
 
-from repro.cluster.transport import loopback_pair
+import pytest
+
+from repro import obs
 from repro.core import PjRuntime
-from repro.core.region import TargetRegion
-from repro.dist import RemoteLane, RemoteLaneTarget
-from repro.dist.worker import WorkerConfig, _Current, control_loop, task_loop
+from repro.core.region import RegionState, TargetRegion
+from repro.dist import worker_track
 
 from . import bodies
+from .loopback import LANE_OPERATIONS, LoopbackTarget
+
+_UP = {"WORKER_SPAWN", "WORKER_CONNECT"}
+_DOWN = {"WORKER_EXIT", "WORKER_CRASH", "WORKER_DISCONNECT"}
 
 
-class _LoopbackLane(RemoteLane):
-    def __init__(self, index, target_name):
-        super().__init__(index, target_name, open_timeout=5.0)
-        self.lock_held = []  # slot.lock ownership at each is_alive() call
-
-    def open(self):
-        self.task, remote_task = loopback_pair()
-        self.ctrl, remote_ctrl = loopback_pair()
-        current = _Current()
-        config = WorkerConfig(self.target_name, self.index)
-        for loop, args in (
-            (task_loop, (remote_task, config, current)),
-            (control_loop, (remote_ctrl, current)),
-        ):
-            threading.Thread(target=loop, args=args, daemon=True).start()
-
-    def is_alive(self):
-        self.lock_held.append(self.lock._is_owned())
-        ctrl = self.ctrl
-        return ctrl is not None and not ctrl.closed and not ctrl.eof
-
-    def exit_label(self):
-        return "loopback closed"
-
-    def terminate(self):
-        self.close_channels()
+def _wait_until(predicate, timeout=15.0, interval=0.01):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return predicate()
 
 
-class _LoopbackTarget(RemoteLaneTarget):
-    kind = "loopback"
+def _strays(target):
+    """Lane operations that ran on any thread but the lane's shipper."""
+    return [
+        (slot.index, op, thread.name)
+        for slot in target._slots
+        for op, thread in slot.calls
+        if thread is not slot.thread
+    ]
 
-    def __init__(self, name, lanes):
-        super().__init__(
-            name, [_LoopbackLane(i, name) for i in range(lanes)],
-            queue_capacity=None, rejection_policy="block", max_restarts=0,
-            heartbeat_interval=0.02, heartbeat_misses=3, cancel_grace=1.0,
-        )
 
-
-def test_a_backend_is_a_lane_class_and_liveness_reads_hold_the_lock():
+def test_a_backend_is_a_lane_class_and_only_its_shipper_touches_it():
     rt = PjRuntime()
     try:
-        target = rt.register_target(_LoopbackTarget("loop", 2))
-        # Longer than the result-wait poll tick, so the shipper's
-        # mid-region liveness check runs too (several times), while the
-        # supervisor sweeps the same lanes every 20 ms.
-        regions = [
-            rt.invoke_target_block(
-                "loop", TargetRegion(bodies.sleepy, 0.3, value=i), "nowait"
-            )
-            for i in range(2)
-        ]
-        assert [r.result(timeout=10.0) for r in regions] == [0, 1]
+        target = rt.register_target(LoopbackTarget("loop", 2, heartbeat_interval=0.02))
+        for _ in range(2):
+            # Regions longer than the result-wait poll tick, so the
+            # shipper's mid-region liveness check runs (several times);
+            # then ten heartbeat intervals of idle, so the idle check
+            # drains and pings.
+            regions = [
+                rt.invoke_target_block(
+                    "loop", TargetRegion(bodies.sleepy, 0.3, value=i), "nowait"
+                )
+                for i in range(2)
+            ]
+            assert [r.result(timeout=10.0) for r in regions] == [0, 1]
+            time.sleep(0.2)
+        # A forwarded cancellation rides the ctrl channel too.
+        coop = TargetRegion(bodies.cooperative_loop, 30.0, name="coop")
+        rt.invoke_target_block("loop", coop, "nowait")
+        assert _wait_until(lambda: coop.state is RegionState.RUNNING)
+        coop.request_cancel()
+        assert coop.wait(10.0), "cancelled region hung"
         assert target.restart_count == 0
         assert target.stats["worker_crashes"] == 0
         assert "kind=loopback" in target.describe()
-        for slot in target._slots:
-            assert len(slot.lock_held) > 3
-            assert all(slot.lock_held), "is_alive() ran without slot.lock"
         target.shutdown(wait=True)
         assert not any(slot.connected for slot in target._slots)
     finally:
         rt.shutdown(wait=False)
+    assert not _strays(target), "lane operations ran off the lane's shipper"
+    seen = {op for slot in target._slots for op, _ in slot.calls}
+    assert seen == set(LANE_OPERATIONS) - {"terminate"}
+
+
+@pytest.fixture()
+def traced():
+    """Tracing on before the target exists, so every lane's up instant is
+    recorded."""
+    session = obs.enable()
+    try:
+        yield session
+    finally:
+        obs.disable()
+
+
+@pytest.mark.parametrize("kind", ["process", "loopback"])
+def test_a_hard_stop_closes_every_lane_it_opened(traced, kind):
+    rt = PjRuntime()
+    try:
+        if kind == "process":
+            target = rt.create_process_worker("hs", 2)
+        else:
+            target = rt.register_target(LoopbackTarget("hs", 2))
+        assert _wait_until(lambda: all(s.pid is not None for s in target._slots))
+        region = TargetRegion(bodies.sleepy, 5.0, name="in-flight")
+        rt.invoke_target_block("hs", region, "nowait")
+        assert _wait_until(lambda: region.state is RegionState.RUNNING)
+        target.shutdown(wait=False)
+        assert region.wait(15.0) and region.exception is not None
+        for slot in target._slots:
+            slot.thread.join(15.0)
+            assert not slot.thread.is_alive()
+    finally:
+        rt.shutdown(wait=False)
+    events = list(traced.events())
+    for slot in target._slots:
+        track = worker_track("hs", slot.index)
+        kinds = [
+            e.kind.name for e in events
+            if e.target == track and e.kind.name in _UP | _DOWN
+        ]
+        assert len(kinds) == 2 and kinds[0] in _UP and kinds[1] in _DOWN, (
+            f"lane {slot.index}: {kinds}"
+        )
+    if kind == "loopback":
+        assert not _strays(target), "lane operations ran off the lane's shipper"
+        assert {"send_cancel", "terminate", "reap"} <= {
+            op for slot in target._slots for op, _ in slot.calls
+        }

@@ -3,7 +3,10 @@
 `ProcessTarget` and `ClusterTarget` were once two copies of one ~750-line
 class.  They are now backends of `RemoteLaneTarget`; this test keeps the
 copy from growing back — a backend that redefines a core method, or an
-agent that re-implements the worker loops, fails here.
+agent that re-implements the worker loops, fails here.  It also keeps a
+lane to one owner: its shipper thread, with no second thread (the removed
+supervisor), no lane lock and no side channel beside the one reply per
+task.
 """
 
 from __future__ import annotations
@@ -11,12 +14,15 @@ from __future__ import annotations
 import inspect
 import pathlib
 import re
+import threading
 
 import pytest
 
 import repro
 from repro.cluster import ClusterAgent, ClusterTarget, transport
 from repro.cluster.target import _ClusterSlot
+from repro.core import PjRuntime
+from repro.core.region import TargetRegion
 from repro.dist import ProcessTarget, RemoteLane, RemoteLaneTarget, arena, wire
 from repro.dist import process_target, worker
 from repro.dist.process_target import _WorkerSlot
@@ -81,3 +87,34 @@ def test_the_tcp_send_path_neither_nests_the_pickle_nor_concatenates_the_frame()
     assert "pickle.dumps(" not in source and "sendall(" not in source
     assert not re.search(r"\.pack\([^)]*\)\s*\+", inspect.getsource(transport))
     assert "sendmsg(" in source and "recv_into(" in source
+
+
+def test_a_lane_has_one_parent_side_thread_its_shipper():
+    before = set(threading.enumerate())
+    rt = PjRuntime()
+    try:
+        target = rt.create_process_worker("gate", 2)
+        assert rt.invoke_target_block("gate", TargetRegion(abs, -3)).result() == 3
+        started = {t.name for t in set(threading.enumerate()) - before}
+    finally:
+        rt.shutdown(wait=True)
+    assert started == {f"repro-process-gate-ship-{i}" for i in range(2)}
+    assert [slot.thread.name for slot in target._slots] == sorted(started)
+
+
+def test_the_second_lane_owner_and_the_tag_side_channel_stay_gone():
+    gone = (
+        "Supervisor", "ctrl_lock", "_respawn_slot", "last_pong", "TagDoneMsg",
+        "ClusterTaskMsg", "tag_progress", "on_tag_done", "tag_notifications",
+    )
+    assert _modules_spelling(r"\b(" + "|".join(gone) + r")\b") == set()
+
+
+def test_a_lane_holds_no_lock():
+    lock_types = (type(threading.Lock()), type(threading.RLock()))
+    lane = RemoteLane(0, "t", 1.0)
+    assert not [name for name in RemoteLane.__slots__ if re.search(r"(^|_)lock$", name)]
+    assert not [
+        name for name in RemoteLane.__slots__
+        if isinstance(getattr(lane, name, None), lock_types)
+    ]

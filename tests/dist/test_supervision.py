@@ -1,4 +1,4 @@
-"""Crash handling: WorkerCrashedError, supervisor restarts, restart budgets."""
+"""Crash handling: WorkerCrashedError, lane reopens, restart budgets."""
 
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ class TestMidRegionCrash:
 
 
 class TestIdleCrash:
-    def test_supervisor_respawns_idle_corpse(self, solo_rt):
+    def test_shipper_respawns_idle_corpse_without_a_dispatch(self, solo_rt):
         target = solo_rt.get_target("solo")
         # Run something so the worker is definitely up, then note its pid.
         solo_rt.invoke_target_block("solo", TargetRegion(bodies.square, 1))
@@ -65,7 +65,7 @@ class TestIdleCrash:
             lambda: slot.process is not None
             and slot.process.is_alive()
             and slot.pid != old_pid
-        ), "supervisor did not respawn the idle worker"
+        ), "the idle lane's shipper did not respawn its worker"
         region = solo_rt.invoke_target_block("solo", TargetRegion(bodies.square, 4))
         assert region.result(timeout=30) == 16
 
