@@ -9,7 +9,6 @@ the responsiveness the paper optimises for.
 
 from __future__ import annotations
 
-from repro import bench as hbench
 from repro.sim import GUI_KERNELS, GuiBenchConfig, run_gui_benchmark
 from repro.sim.approaches import _HANDLERS, _World  # ablation taps internals
 from repro.sim.costmodel import kernel_task
@@ -136,11 +135,3 @@ def test_ablation_pumping_vs_continuation_await(benchmark, report):
     assert data["pumping"][0].response.mean == __import__("pytest").approx(
         data["continuation"][0].response.mean, rel=0.02
     )
-@hbench.benchmark("ablation_await_vs_blocking", group="sim", slow=True)
-def _ablation_await_registered():
-    """Await-clause ablation at one saturating rate: extended model vs
-    a default-clause EDT that stalls at the directive."""
-    return lambda: {
-        "await": run_variant(True, 50.0),
-        "blocking": run_variant(False, 50.0),
-    }

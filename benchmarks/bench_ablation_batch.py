@@ -14,15 +14,15 @@ fire-and-forget regions through worker targets:
   their sleeps — the burst finishes in roughly half the wall time even on
   a single core, because sleeping releases the GIL.
 
-Each case is a registered harness entry (group ``policy``), so
-``python -m repro bench --filter ablation`` (or ``--filter policy``)
-measures them under the shared protocol.  The pytest entry point prints the
-table and archives ``benchmarks/results/bench_policy_ablation.json``; the
-summary table lives in docs/TUNING.md.  The same two comparisons run on
-every benchmark pass as the ``policy.*`` probes of ``benchmarks/e2e``; this
-script is the instrument of the pending batch / steal-default trials
-(ROADMAP item 5(c)), which need the intermediate ``batch_max`` and the
-per-sample distribution.
+Each case is timed here: one warmup burst, then eight timed bursts on
+``perf_counter``, summarised by p50 / p95 (no trimming).  The pytest entry
+point prints the table and archives
+``benchmarks/results/bench_policy_ablation.json`` (the environment
+fingerprint, every sample and both percentiles per case); the summary table
+lives in docs/TUNING.md.  The same two comparisons run on every benchmark
+pass as the ``policy.*`` probes of ``benchmarks/e2e``; this script is the
+instrument of the pending batch / steal-default trials (ROADMAP item 5(c)),
+which need the intermediate ``batch_max`` and the per-sample distribution.
 """
 
 from __future__ import annotations
@@ -31,14 +31,16 @@ import json
 import pathlib
 import time
 
-from repro import bench as hbench
+from repro.bench import environment_fingerprint
 from repro.core import PjRuntime
+from repro.obs.metrics import percentile
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 BATCH_BURST = 200          # no-op regions per timed batching sample
 STEAL_BURST = 40           # sleeping regions per timed stealing sample
 STEAL_SLEEP_S = 0.001
+WARMUP, REPEATS = 1, 8
 
 
 def _nop() -> None:
@@ -65,30 +67,6 @@ def _batch_case(batch_max: int):
     return op, lambda: rt.shutdown(wait=False)
 
 
-@hbench.benchmark(
-    "ablation_batch_b1", group="policy", tags=("ablation", "batch"),
-    description=f"{BATCH_BURST}-region no-op burst, batch_max=1 (the default)",
-)
-def _ablation_batch_b1():
-    return _batch_case(1)
-
-
-@hbench.benchmark(
-    "ablation_batch_b4", group="policy", tags=("ablation", "batch"),
-    description=f"{BATCH_BURST}-region no-op burst, batch_max=4",
-)
-def _ablation_batch_b4():
-    return _batch_case(4)
-
-
-@hbench.benchmark(
-    "ablation_batch_b16", group="policy", tags=("ablation", "batch"),
-    description=f"{BATCH_BURST}-region no-op burst, batch_max=16",
-)
-def _ablation_batch_b16():
-    return _batch_case(16)
-
-
 def _steal_case(steal: bool):
     """Burst to a 1-lane worker with an idle 1-lane sibling (thief or not)."""
     rt = PjRuntime()
@@ -99,36 +77,39 @@ def _steal_case(steal: bool):
     return op, lambda: rt.shutdown(wait=False)
 
 
-@hbench.benchmark(
-    "ablation_steal_off", group="policy", tags=("ablation", "steal"),
-    description=f"{STEAL_BURST}x{STEAL_SLEEP_S * 1000:.0f}ms burst, idle sibling, stealing off",
-)
-def _ablation_steal_off():
-    return _steal_case(False)
+CASES = {
+    "ablation_batch_b1": lambda: _batch_case(1),
+    "ablation_batch_b4": lambda: _batch_case(4),
+    "ablation_batch_b16": lambda: _batch_case(16),
+    "ablation_steal_off": lambda: _steal_case(False),
+    "ablation_steal_on": lambda: _steal_case(True),
+}
 
 
-@hbench.benchmark(
-    "ablation_steal_on", group="policy", tags=("ablation", "steal"),
-    description=f"{STEAL_BURST}x{STEAL_SLEEP_S * 1000:.0f}ms burst, idle sibling, stealing on",
-)
-def _ablation_steal_on():
-    return _steal_case(True)
-
-
-_ENTRIES = (
-    "ablation_batch_b1",
-    "ablation_batch_b4",
-    "ablation_batch_b16",
-    "ablation_steal_off",
-    "ablation_steal_on",
-)
+def _samples_ms(setup) -> list[float]:
+    """WARMUP untimed bursts, then REPEATS timed ones (ms per burst)."""
+    op, cleanup = setup()
+    try:
+        for _ in range(WARMUP):
+            op()
+        samples = []
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            op()
+            samples.append((time.perf_counter() - t0) * 1e3)
+        return samples
+    finally:
+        cleanup()
 
 
 def test_ablation_policies(capsys):
     """Print the policy-ablation table; archive its JSON document."""
-    protocol = hbench.Protocol(warmup=1, repeats=8, trim=0.125)
-    results = [hbench.run_benchmark(hbench.get(n), protocol) for n in _ENTRIES]
-    by_name = {r.name: r for r in results}
+    cases = {}
+    for name, setup in CASES.items():
+        samples = _samples_ms(setup)
+        cases[name] = {"samples_ms": [round(s, 4) for s in samples],
+                       "p50_ms": round(percentile(samples, 50), 4),
+                       "p95_ms": round(percentile(samples, 95), 4)}
 
     header = f"{'case':<20} {'p50 (ms/burst)':>15} {'p95 (ms/burst)':>15} {'vs default':>11}"
     lines = [
@@ -138,27 +119,26 @@ def test_ablation_policies(capsys):
         header,
         "-" * len(header),
     ]
-    base = {"batch": by_name["ablation_batch_b1"], "steal": by_name["ablation_steal_off"]}
-    for r in results:
-        ref = base["batch" if "batch" in r.name else "steal"]
+    for name, case in cases.items():
+        ref = cases["ablation_batch_b1" if "batch" in name else "ablation_steal_off"]
         lines.append(
-            f"{r.name:<20} {r.p50_ns / 1e6:>15.2f} {r.p95_ns / 1e6:>15.2f} "
-            f"{ref.p50_ns / r.p50_ns:>10.2f}x"
+            f"{name:<20} {case['p50_ms']:>15.2f} {case['p95_ms']:>15.2f} "
+            f"{ref['p50_ms'] / case['p50_ms']:>10.2f}x"
         )
 
-    doc = hbench.results_document(results, protocol)
+    doc = {"benchmark": "policy_ablation", "env": environment_fingerprint(),
+           "protocol": {"warmup": WARMUP, "repeats": REPEATS}, "cases": cases}
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "bench_policy_ablation.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        json.dumps(doc, indent=2) + "\n"
     )
     with capsys.disabled():
         print("\n" + "\n".join(lines))
 
     # Sanity floor, not a perf gate: with sleeping bodies even one stolen
     # region overlaps wall time, so stealing must beat the idle sibling.
-    off = by_name["ablation_steal_off"].p50_ns
-    on = by_name["ablation_steal_on"].p50_ns
+    off = cases["ablation_steal_off"]["p50_ms"]
+    on = cases["ablation_steal_on"]["p50_ms"]
     assert on < off, (
-        f"stealing burst p50 {on / 1e6:.2f}ms did not beat "
-        f"steal-off p50 {off / 1e6:.2f}ms"
+        f"stealing burst p50 {on:.2f}ms did not beat steal-off p50 {off:.2f}ms"
     )

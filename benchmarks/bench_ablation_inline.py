@@ -5,15 +5,10 @@ Algorithm 1 runs the block synchronously instead of posting it.  This
 ablation measures the cost of disabling that rule: every member-thread
 dispatch pays a queue round trip (and, on a single-member EDT, would even
 deadlock for waiting modes — which is why the rule exists).
-
-Both variants are registered with :mod:`repro.bench`
-(``python -m repro bench --filter ablation_inline``); the pytest entry
-points wrap the same registrations.
 """
 
 from __future__ import annotations
 
-from repro import bench as hbench
 from repro.core import PjRuntime, TargetRegion
 
 DEPTH = 8
@@ -55,7 +50,6 @@ def _nested_dispatch_posted(rt: PjRuntime, depth: int) -> int:
     return region.result(timeout=10)
 
 
-@hbench.benchmark("ablation_inline_enabled", group="ablation", number=10)
 def _inline_enabled():
     """Nested member-thread dispatch with the inlining rule active."""
     rt = _worker_runtime()
@@ -65,7 +59,6 @@ def _inline_enabled():
     )
 
 
-@hbench.benchmark("ablation_inline_disabled", group="ablation", number=10)
 def _inline_disabled():
     """The ablated variant: every nesting level pays a queue round trip.
 
@@ -80,21 +73,12 @@ def _inline_disabled():
     )
 
 
-def _run_registered(benchmark, name: str):
-    op, cleanup = hbench.get(name).build()
-    try:
-        assert op() == DEPTH
-        benchmark(op)
-    finally:
-        cleanup()
+def test_ablation_inline_enabled(time_setup):
+    time_setup(_inline_enabled, expect=DEPTH)
 
 
-def test_ablation_inline_enabled(benchmark):
-    _run_registered(benchmark, "ablation_inline_enabled")
-
-
-def test_ablation_inline_disabled(benchmark):
-    _run_registered(benchmark, "ablation_inline_disabled")
+def test_ablation_inline_disabled(time_setup):
+    time_setup(_inline_disabled, expect=DEPTH)
 
 
 def test_ablation_inline_prevents_deadlock():

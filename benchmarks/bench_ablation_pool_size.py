@@ -8,7 +8,6 @@ oversubscribe the cores (visible once the per-event work is parallel).
 
 from __future__ import annotations
 
-from repro import bench as hbench
 from repro.sim import GUI_KERNELS, GuiBenchConfig, run_gui_benchmark
 
 POOL_SIZES = [1, 2, 4, 8, 10, 16, 32]
@@ -68,7 +67,3 @@ def test_ablation_pool_size(benchmark, report):
     # With per-event parallel teams, oversizing the pool multiplies the
     # runnable threads and hurts: 32 workers x 3-thread teams on 4 cores.
     assert par[32] >= par[4]
-@hbench.benchmark("ablation_pool_size", group="sim", slow=True)
-def _ablation_pool_registered():
-    """Offload-pool size sweep at a saturating request load."""
-    return sweep

@@ -11,58 +11,22 @@ with long handlers — and prints both timelines.
 
 from __future__ import annotations
 
-from repro import bench as hbench
-from repro.sim import GuiBenchConfig, KernelCostModel, run_gui_benchmark
+from repro.sim import figure1
 
-HANDLER = KernelCostModel("fig1-handler", serial_time=0.200, parallel_fraction=0.9)
-SPACING = 0.050  # events arrive every 50 ms — far faster than one handler
-
-
-def scenario(approach: str):
-    cfg = GuiBenchConfig(
-        approach=approach,
-        kernel=HANDLER,
-        rate=1.0 / SPACING,
-        n_events=3,
-    )
-    return run_gui_benchmark(cfg)
-
-
-@hbench.benchmark("fig1_dispatch_timeline", group="sim", slow=True)
-def _fig1_registered():
-    """Figure 1 scenario, both timelines (simulated time; wall cost is the
-    simulator itself)."""
-    return lambda: {a: scenario(a) for a in ("sequential", "executor")}
+HANDLER_S = 0.200  # the figure's handler; events arrive every 50 ms
 
 
 def test_fig1_dispatch_timelines(benchmark, report):
-    results = benchmark.pedantic(
-        lambda: {a: scenario(a) for a in ("sequential", "executor")},
-        rounds=1,
-        iterations=1,
-    )
-    seq, pooled = results["sequential"], results["executor"]
-
-    lines = [
-        "Figure 1: three 200ms-handler events fired 50ms apart",
-        "",
-        "(i) single-threaded event processing  — response times per event:",
-    ]
-    for i, rt in enumerate(seq.response.samples):
-        lines.append(f"    request{i + 1}: fired at {i * SPACING * 1000:.0f}ms, "
-                     f"responded after {rt * 1000:6.1f}ms")
-    lines.append("(ii) multi-threaded (thread-pool) processing:")
-    for i, rt in enumerate(pooled.response.samples):
-        lines.append(f"    request{i + 1}: fired at {i * SPACING * 1000:.0f}ms, "
-                     f"responded after {rt * 1000:6.1f}ms")
+    data, lines = benchmark.pedantic(figure1, rounds=1, iterations=1)
     report("fig1_dispatch_timeline", lines)
+    seq, pooled = data["sequential"], data["executor"]
 
     s1, s2, s3 = seq.response.samples
     # Single-threaded: each event queues behind the previous handler.
-    assert s2 > s1 + 0.5 * HANDLER.serial_time
-    assert s3 > s2 + 0.5 * HANDLER.serial_time
+    assert s2 > s1 + 0.5 * HANDLER_S
+    assert s3 > s2 + 0.5 * HANDLER_S
     # Multi-threaded: handlers overlap; later events see no such pile-up.
     p1, p2, p3 = pooled.response.samples
-    assert p3 < p1 + 0.5 * HANDLER.serial_time
+    assert p3 < p1 + 0.5 * HANDLER_S
     # Mean over the 3 events: sequential ≈ t, 2t, 3t; pooled ≈ t, t, t.
     assert pooled.response.mean < 0.7 * seq.response.mean

@@ -20,58 +20,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro import bench as hbench
-from repro.sim import GUI_KERNELS, GuiBenchConfig, run_gui_benchmark
-
-RATES = [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
-APPROACH_COLUMNS = [
-    ("sequential", "seq"),
-    ("swingworker", "swing"),
-    ("executor", "exec"),
-    ("pyjama_async", "pyjama"),
-    ("sync_parallel", "syncpar"),
-]
-N_EVENTS = 200
-
-
-def sweep(kernel_name: str) -> dict[str, list[float]]:
-    """Mean response time (ms) per approach over the rate sweep."""
-    kernel = GUI_KERNELS[kernel_name]
-    data: dict[str, list[float]] = {}
-    for approach, _ in APPROACH_COLUMNS:
-        series = []
-        for rate in RATES:
-            result = run_gui_benchmark(
-                GuiBenchConfig(
-                    approach=approach,
-                    kernel=kernel,
-                    rate=float(rate),
-                    n_events=N_EVENTS,
-                )
-            )
-            series.append(result.response.mean * 1000.0)
-        data[approach] = series
-    return data
+from repro.sim import GUI_KERNELS, figure7
+from repro.sim.figures import RATES
 
 
 @pytest.mark.parametrize("kernel_name", sorted(GUI_KERNELS))
 def test_fig7_response_time_vs_load(benchmark, report, kernel_name):
-    data = benchmark.pedantic(sweep, args=(kernel_name,), rounds=1, iterations=1)
-
-    kernel = GUI_KERNELS[kernel_name]
-    header = f"{'req/s':>6} | " + " | ".join(f"{label:>10}" for _, label in APPROACH_COLUMNS)
-    lines = [
-        f"Figure 7 [{kernel_name}]: mean response time (ms), "
-        f"kernel={kernel.serial_time * 1000:.0f}ms, {N_EVENTS} events/round",
-        header,
-        "-" * len(header),
-    ]
-    for i, rate in enumerate(RATES):
-        lines.append(
-            f"{rate:>6} | "
-            + " | ".join(f"{data[a][i]:>10.1f}" for a, _ in APPROACH_COLUMNS)
-        )
+    data, lines = benchmark.pedantic(figure7, args=(kernel_name,), rounds=1, iterations=1)
     report(f"fig7_{kernel_name}", lines)
+    kernel = GUI_KERNELS[kernel_name]
 
     saturation = 1.0 / kernel.serial_time
     below = [r for r in RATES if r < 0.8 * saturation]
@@ -94,7 +51,3 @@ def test_fig7_response_time_vs_load(benchmark, report, kernel_name):
     sync_capacity = 1.0 / kernel.span(4)
     if RATES[-1] > 1.1 * sync_capacity:
         assert data["sync_parallel"][-1] > data["pyjama_async"][-1]
-@hbench.benchmark("fig7_gui_sweep_crypt", group="sim", slow=True)
-def _fig7_registered():
-    """Figure 7 rate sweep for the crypt kernel, all five approaches."""
-    return lambda: sweep("crypt")

@@ -14,54 +14,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro import bench as hbench
-from repro.sim import GUI_KERNELS, GuiBenchConfig, run_gui_benchmark
+from repro.sim import GUI_KERNELS, figure8
+from repro.sim.figures import RATES
 
-RATES = [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
-N_EVENTS = 200
-PARALLEL_THREADS = 3
-
-
-def sweep(kernel_name: str) -> dict[str, list[float]]:
-    kernel = GUI_KERNELS[kernel_name]
-    out: dict[str, list[float]] = {}
-    for approach in ("sequential", "pyjama_async", "async_parallel"):
-        out[approach] = [
-            run_gui_benchmark(
-                GuiBenchConfig(
-                    approach=approach,
-                    kernel=kernel,
-                    rate=float(rate),
-                    n_events=N_EVENTS,
-                    parallel_threads=PARALLEL_THREADS,
-                )
-            ).response.mean
-            * 1000.0
-            for rate in RATES
-        ]
-    return out
+PARALLEL_THREADS = 3  # figure8's default team
 
 
 @pytest.mark.parametrize("kernel_name", sorted(GUI_KERNELS))
 def test_fig8_async_vs_async_parallel(benchmark, report, kernel_name):
-    data = benchmark.pedantic(sweep, args=(kernel_name,), rounds=1, iterations=1)
-    kernel = GUI_KERNELS[kernel_name]
-
-    header = f"{'req/s':>6} | {'sequential':>10} | {'async':>10} | {'async-par':>10} | {'gain':>6}"
-    lines = [
-        f"Figure 8 [{kernel_name}]: async vs async-parallel "
-        f"({PARALLEL_THREADS} team threads), mean response (ms)",
-        header,
-        "-" * len(header),
-    ]
-    for i, rate in enumerate(RATES):
-        gain = data["pyjama_async"][i] / data["async_parallel"][i]
-        lines.append(
-            f"{rate:>6} | {data['sequential'][i]:>10.1f} | "
-            f"{data['pyjama_async'][i]:>10.1f} | {data['async_parallel'][i]:>10.1f} | "
-            f"{gain:>5.2f}x"
-        )
+    data, lines = benchmark.pedantic(figure8, args=(kernel_name,), rounds=1, iterations=1)
     report(f"fig8_{kernel_name}", lines)
+    kernel = GUI_KERNELS[kernel_name]
 
     # Low load: async-parallel approaches the kernel's ideal team speedup.
     ideal = kernel.speedup(PARALLEL_THREADS)
@@ -87,7 +50,3 @@ def test_fig8_async_vs_async_parallel(benchmark, report, kernel_name):
     if sat_idx is not None:
         assert data["pyjama_async"][sat_idx] < data["sequential"][sat_idx]
         assert data["async_parallel"][sat_idx] < data["sequential"][sat_idx]
-@hbench.benchmark("fig8_async_parallel_crypt", group="sim", slow=True)
-def _fig8_registered():
-    """Figure 8 rate sweep for crypt: async vs async-parallel handling."""
-    return lambda: sweep("crypt")

@@ -20,73 +20,14 @@ Claims reproduced:
 
 from __future__ import annotations
 
-from repro import bench as hbench
-from repro.sim import HttpBenchConfig, run_http_benchmark
-
-WORKERS = [1, 2, 4, 8, 16, 32, 64]
-PARALLEL_TEAM = 8
-VARIANTS = [
-    ("jetty", None, "jetty"),
-    ("pyjama", None, "pyjama"),
-    ("jetty", PARALLEL_TEAM, "jetty+par"),
-    ("pyjama", PARALLEL_TEAM, "pyjama+par"),
-]
-
-
-def sweep() -> dict[str, dict[str, list[float]]]:
-    data: dict[str, dict[str, list[float]]] = {}
-    for server, par, label in VARIANTS:
-        results = [
-            run_http_benchmark(
-                HttpBenchConfig(
-                    server=server, worker_threads=w, parallel_threads=par
-                )
-            )
-            for w in WORKERS
-        ]
-        data[label] = {
-            "throughput": [r.throughput for r in results],
-            "latency_p95": [r.response.percentile(95) for r in results],
-        }
-    return data
+from repro.sim import figure9
+from repro.sim.figures import WORKERS
 
 
 def test_fig9_throughput_vs_worker_threads(benchmark, report):
-    raw = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    data = {label: series["throughput"] for label, series in raw.items()}
-
-    header = f"{'workers':>8} | " + " | ".join(
-        f"{label:>10}" for _, _, label in VARIANTS
-    )
-    lines = [
-        "Figure 9 [simulated (repro.sim)]: throughput (responses/sec), "
-        "100 virtual users, 16 cores, "
-        f"encryption=320ms, parallel team={PARALLEL_TEAM}",
-        header,
-        "-" * len(header),
-    ]
-    for i, w in enumerate(WORKERS):
-        lines.append(
-            f"{w:>8} | "
-            + " | ".join(f"{data[label][i]:>10.1f}" for _, _, label in VARIANTS)
-        )
-    lines.append("")
-    lines.append(
-        "NOTE: simulated (repro.sim) — modeled 16-core machine in virtual "
-        "time, not live sockets.  For measured numbers on this host see "
-        "`benchmarks/e2e/run.py --workload serve_small`; the two are not "
-        "directly comparable."
-    )
-    lines.append("")
-    lines.append("p95 response latency (s):")
-    for i, w in enumerate(WORKERS):
-        lines.append(
-            f"{w:>8} | "
-            + " | ".join(
-                f"{raw[label]['latency_p95'][i]:>10.2f}" for _, _, label in VARIANTS
-            )
-        )
+    raw, lines = benchmark.pedantic(figure9, rounds=1, iterations=1)
     report("fig9_http_throughput", lines)
+    data = {label: series["throughput"] for label, series in raw.items()}
 
     jetty, pyjama = data["jetty"], data["pyjama"]
     jetty_p, pyjama_p = data["jetty+par"], data["pyjama+par"]
@@ -117,7 +58,3 @@ def test_fig9_throughput_vs_worker_threads(benchmark, report):
 
     # (5) peak plain throughput reaches the machine ceiling (~50/s).
     assert 40 < max(pyjama) <= 50
-@hbench.benchmark("fig9_http_throughput", group="sim", slow=True)
-def _fig9_registered():
-    """Figure 9 worker-thread sweep, all four server variants."""
-    return sweep

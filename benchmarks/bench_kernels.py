@@ -9,31 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import Benchmark, register
 from repro.kernels import KERNELS, get_kernel
-
-
-def _kernel_setup(name: str):
-    def setup():
-        spec = get_kernel(name)
-        size = spec.sizes["A"]
-        return lambda: spec.run_sequential(size)
-
-    return setup
-
-
-# Real computation, so these run only with --slow (or by exact name).
-for _name in sorted(KERNELS):
-    register(
-        Benchmark(
-            name=f"kernel_{_name}",
-            setup=_kernel_setup(_name),
-            group="kernels",
-            number=1,
-            slow=True,
-            description=f"Java Grande {_name} size A, sequential",
-        )
-    )
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))

@@ -24,7 +24,6 @@ import time
 
 import pytest
 
-from repro import bench as hbench
 from repro.core import PjRuntime
 from repro.core.region import TargetRegion
 from repro.dist.wire import HAVE_CLOUDPICKLE
@@ -103,17 +102,6 @@ def _time_backend(backend: str, pool: int, chunk_fn) -> float:
         return time.perf_counter() - start
     finally:
         rt.shutdown(wait=False)
-
-
-@hbench.benchmark("process_vs_thread_montecarlo", group="dist", slow=True)
-def _process_vs_thread_registered():
-    """Montecarlo chunks: 1-thread pool vs 2-process pool (pool spawn and
-    warmup happen inside the timed op; see the pytest entry point for the
-    full sweep with per-backend warmup separation)."""
-    return lambda: {
-        "thread_pool1_s": _time_backend("thread", 1, mc_chunk),
-        "process_pool2_s": _time_backend("process", 2, mc_chunk),
-    }
 
 
 def test_process_vs_thread_kernels(capsys):

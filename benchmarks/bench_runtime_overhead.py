@@ -8,17 +8,12 @@ ExecutorService pattern it replaces.  Here we measure, on real threads:
 * the compiled-pragma path (``@omp`` output calling the same runtime).
 
 The three should be within the same order of magnitude; Algorithm 1 adds a
-registry lookup and a context check on top of the queue hand-off.
-
-Each measurement is registered once with :mod:`repro.bench` (so
-``python -m repro bench --filter overhead`` runs it under the shared
-protocol) and the pytest entry points below are thin wrappers over the same
-registrations.
+registry lookup and a context check on top of the queue hand-off.  Each set-up
+below returns ``(op, cleanup)``; pytest-benchmark times ``op``.
 """
 
 from __future__ import annotations
 
-from repro import bench as hbench
 from repro.compiler import exec_omp
 from repro.core import PjRuntime
 from repro.eventloop import ExecutorService
@@ -30,7 +25,6 @@ def _worker_runtime() -> PjRuntime:
     return rt
 
 
-@hbench.benchmark("overhead_pyjama_dispatch", group="overhead", number=50)
 def _pyjama_dispatch():
     """Algorithm 1 dispatch+join round trip on a 2-thread worker target."""
     rt = _worker_runtime()
@@ -38,7 +32,6 @@ def _pyjama_dispatch():
     return op, lambda: rt.shutdown(wait=False)
 
 
-@hbench.benchmark("overhead_manual_executor", group="overhead", number=50)
 def _manual_executor():
     """The hand-written ExecutorService submit+get baseline."""
     pool = ExecutorService(2, name="manual")
@@ -46,7 +39,6 @@ def _manual_executor():
     return op, pool.shutdown_now
 
 
-@hbench.benchmark("overhead_compiled_pragma", group="overhead", number=50)
 def _compiled_pragma():
     """The ``#omp target virtual`` pragma compiled down to the same runtime."""
     rt = _worker_runtime()
@@ -60,7 +52,6 @@ def _compiled_pragma():
     return ns["f"], lambda: rt.shutdown(wait=False)
 
 
-@hbench.benchmark("overhead_inline_short_circuit", group="overhead", number=50)
 def _inline_short_circuit():
     """Thread-context awareness: a member thread pays no queue round trip."""
     rt = _worker_runtime()
@@ -74,27 +65,17 @@ def _inline_short_circuit():
     return member_dispatch, lambda: rt.shutdown(wait=False)
 
 
-def _run_registered(benchmark, name: str, expect=None):
-    op, cleanup = hbench.get(name).build()
-    try:
-        if expect is not None:
-            assert op() == expect
-        benchmark(op)
-    finally:
-        cleanup()
+def test_overhead_pyjama_dispatch(time_setup):
+    time_setup(_pyjama_dispatch, expect=42)
 
 
-def test_overhead_pyjama_dispatch(benchmark):
-    _run_registered(benchmark, "overhead_pyjama_dispatch", expect=42)
+def test_overhead_manual_executor(time_setup):
+    time_setup(_manual_executor, expect=42)
 
 
-def test_overhead_manual_executor(benchmark):
-    _run_registered(benchmark, "overhead_manual_executor", expect=42)
+def test_overhead_compiled_pragma(time_setup):
+    time_setup(_compiled_pragma, expect=42)
 
 
-def test_overhead_compiled_pragma(benchmark):
-    _run_registered(benchmark, "overhead_compiled_pragma", expect=42)
-
-
-def test_overhead_inline_short_circuit(benchmark):
-    _run_registered(benchmark, "overhead_inline_short_circuit", expect=42)
+def test_overhead_inline_short_circuit(time_setup):
+    time_setup(_inline_short_circuit, expect=42)

@@ -8,7 +8,6 @@ offloading stays flat, Pyjama ≈ executor — is unchanged.
 
 from __future__ import annotations
 
-from repro import bench as hbench
 from repro.sim import GUI_KERNELS, GuiBenchConfig
 from repro.sim.approaches import _HANDLERS, _build_world
 from repro.sim.workload import fire_open_loop
@@ -72,7 +71,3 @@ def test_sensitivity_poisson_arrivals(benchmark, report):
         # Pyjama ≈ executor regardless of arrival pattern.
         for p, e in zip(pyj, exc):
             assert p <= e * 1.15 + 0.5
-@hbench.benchmark("sensitivity_poisson", group="sim", slow=True)
-def _sensitivity_registered():
-    """Figure 7 crypt cell re-run with Poisson arrivals, three seeds."""
-    return sweep

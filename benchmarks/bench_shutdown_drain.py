@@ -21,25 +21,10 @@ import time
 
 import pytest
 
-from repro import bench as hbench
 from repro.core import RegionState, TargetRegion, WorkerTarget
 
 DEPTHS = [10, 100, 1000]
 REPEATS = 5
-
-
-@hbench.benchmark("shutdown_drain_100", group="shutdown", slow=True)
-def _shutdown_drain_100():
-    """shutdown(wait=True) over a 100-region backlog (timing includes
-    backlog construction; the drain dominates)."""
-    return lambda: _timed_shutdown(100, wait=True)
-
-
-@hbench.benchmark("shutdown_cancel_100", group="shutdown", slow=True)
-def _shutdown_cancel_100():
-    """shutdown(wait=False) over a 100-region backlog (timing includes
-    backlog construction; cancel itself stays roughly flat)."""
-    return lambda: _timed_shutdown(100, wait=False)
 
 
 def _build_backlog(depth: int) -> tuple[WorkerTarget, list[TargetRegion]]:

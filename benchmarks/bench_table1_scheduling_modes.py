@@ -9,10 +9,6 @@ benchmark quantifies what each costs on the real-thread runtime:
 for default / nowait / name_as(+wait) / await.  The fire-and-forget modes
 must hold the encountering thread for microseconds; the waiting modes pay a
 queue round-trip.
-
-The four mode costs are registered with :mod:`repro.bench`
-(``python -m repro bench --filter table1``); the pytest entry points wrap
-the same registrations.
 """
 
 from __future__ import annotations
@@ -21,7 +17,6 @@ import time
 
 import pytest
 
-from repro import bench as hbench
 from repro.core import PjRuntime
 
 
@@ -38,7 +33,6 @@ def rt():
     runtime.shutdown(wait=False)
 
 
-@hbench.benchmark("table1_default", group="table1", number=50)
 def _table1_default():
     """Default clause: encountering thread blocks until the block completes."""
     rt = _worker_runtime()
@@ -46,7 +40,6 @@ def _table1_default():
     return op, lambda: rt.shutdown(wait=False)
 
 
-@hbench.benchmark("table1_nowait", group="table1", number=200)
 def _table1_nowait():
     """Nowait clause: only the encountering thread's hold time; completion
     is asynchronous by design."""
@@ -55,7 +48,6 @@ def _table1_nowait():
     return op, lambda: rt.shutdown(wait=False)
 
 
-@hbench.benchmark("table1_name_as_wait", group="table1", number=50)
 def _table1_name_as_wait():
     """name_as tag registration plus an explicit wait_tag barrier."""
     rt = _worker_runtime()
@@ -67,7 +59,6 @@ def _table1_name_as_wait():
     return cycle, lambda: rt.shutdown(wait=False)
 
 
-@hbench.benchmark("table1_await", group="table1", number=50)
 def _table1_await():
     """Await from a non-member thread degrades to a blocking wait (documented
     in Algorithm 1's implementation); measures the full round trip."""
@@ -76,28 +67,20 @@ def _table1_await():
     return op, lambda: rt.shutdown(wait=False)
 
 
-def _run_registered(benchmark, name: str):
-    op, cleanup = hbench.get(name).build()
-    try:
-        benchmark(op)
-    finally:
-        cleanup()
+def test_table1_default_mode_cost(time_setup):
+    time_setup(_table1_default)
 
 
-def test_table1_default_mode_cost(benchmark):
-    _run_registered(benchmark, "table1_default")
+def test_table1_nowait_mode_cost(time_setup):
+    time_setup(_table1_nowait)
 
 
-def test_table1_nowait_mode_cost(benchmark):
-    _run_registered(benchmark, "table1_nowait")
+def test_table1_name_as_plus_wait_cost(time_setup):
+    time_setup(_table1_name_as_wait)
 
 
-def test_table1_name_as_plus_wait_cost(benchmark):
-    _run_registered(benchmark, "table1_name_as_wait")
-
-
-def test_table1_await_mode_cost(benchmark):
-    _run_registered(benchmark, "table1_await")
+def test_table1_await_mode_cost(time_setup):
+    time_setup(_table1_await)
 
 
 def test_table1_fire_and_forget_returns_fast(rt, report):

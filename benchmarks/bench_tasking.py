@@ -7,27 +7,20 @@ quantify both mechanisms' overheads on real threads:
 * orphaned task (sequential inline execution — what confinement degrades to),
 * deferred task spawn+taskwait inside a team,
 * a virtual-target nowait dispatch for comparison.
-
-All four measurements are registered with :mod:`repro.bench`
-(``python -m repro bench --filter tasking``); the pytest entry points wrap
-the same registrations.
 """
 
 from __future__ import annotations
 
 import repro.openmp as omp
-from repro import bench as hbench
 from repro.core import PjRuntime
 
 
-@hbench.benchmark("task_orphaned_inline", group="tasking", number=200)
-def _task_orphaned():
+def test_task_orphaned_inline(benchmark):
     """Orphaned task outside any parallel region: runs inline, sequentially."""
-    return lambda: omp.task(lambda: 1).result()
+    benchmark(lambda: omp.task(lambda: 1).result())
 
 
-@hbench.benchmark("task_deferred_taskwait", group="tasking", number=5)
-def _task_deferred():
+def test_task_deferred_spawn_and_taskwait(benchmark):
     """8 deferred tasks spawned via single-nowait inside a 2-thread team,
     then a taskwait barrier."""
 
@@ -42,10 +35,9 @@ def _task_deferred():
 
         omp.parallel(body, num_threads=2)
 
-    return region
+    benchmark(region)
 
 
-@hbench.benchmark("target_nowait_batch", group="tasking", number=10)
 def _target_nowait_batch():
     """The virtual-target counterpart: 8 nowait dispatches then a join."""
     rt = PjRuntime()
@@ -61,31 +53,10 @@ def _target_nowait_batch():
     return dispatch_batch, lambda: rt.shutdown(wait=False)
 
 
-@hbench.benchmark("parallel_fork_join", group="tasking", number=5)
-def _parallel_fork_join():
-    """The cost the EDT would pay per sync-parallel event (paper §V-A)."""
-    return lambda: omp.parallel(lambda: None, num_threads=4)
-
-
-def _run_registered(benchmark, name: str):
-    op, cleanup = hbench.get(name).build()
-    try:
-        benchmark(op)
-    finally:
-        cleanup()
-
-
-def test_task_orphaned_inline(benchmark):
-    _run_registered(benchmark, "task_orphaned_inline")
-
-
-def test_task_deferred_spawn_and_taskwait(benchmark):
-    _run_registered(benchmark, "task_deferred_taskwait")
-
-
-def test_target_nowait_dispatch_for_comparison(benchmark):
-    _run_registered(benchmark, "target_nowait_batch")
+def test_target_nowait_dispatch_for_comparison(time_setup):
+    time_setup(_target_nowait_batch)
 
 
 def test_region_fork_join_overhead(benchmark):
-    _run_registered(benchmark, "parallel_fork_join")
+    """The cost the EDT would pay per sync-parallel event (paper §V-A)."""
+    benchmark(lambda: omp.parallel(lambda: None, num_threads=4))

@@ -1,4 +1,5 @@
-"""Benchmark-suite fixtures: live table reporting + result archiving.
+"""Benchmark-suite fixtures: live table reporting + result archiving, and
+timing a real-thread operation that needs set-up and clean-up.
 
 Every figure/table benchmark prints the paper-style rows through the
 ``report`` fixture so the regenerated data is visible in the benchmark run's
@@ -27,3 +28,21 @@ def report(request, capsys):
             print(text)
 
     return _report
+
+
+@pytest.fixture()
+def time_setup(benchmark):
+    """Returns a callable: time_setup(setup, expect=None) — *setup* builds
+    the operation and returns ``(op, cleanup)``; one untimed call must
+    return *expect* (when given), then pytest-benchmark times *op*."""
+
+    def _time(setup, expect=None) -> None:
+        op, cleanup = setup()
+        try:
+            if expect is not None:
+                assert op() == expect
+            benchmark(op)
+        finally:
+            cleanup()
+
+    return _time

@@ -1,10 +1,10 @@
-"""Environment fingerprinting for benchmark results.
+"""repro.bench — the two helpers ``benchmarks/e2e`` imports.
 
-A number without its environment is not comparable: the JSON trajectory
-spans PRs, machines, and (eventually) GIL modes, so every result document
-embeds the fingerprint of the interpreter and host that produced it.
-``compare`` warns when fingerprints differ — a regression measured on a
-different CPU count is a fact about the host, not the code.
+The runtime is timed in one place, ``benchmarks/e2e`` (docs/BENCHMARKS.md);
+the paper's figures come from :mod:`repro.sim`.  What is left here is what
+every archived result needs beside its numbers: the environment that
+produced them, and the one ``percentile`` definition they are summarised
+with (the same object as :func:`repro.obs.metrics.percentile`).
 """
 
 from __future__ import annotations
@@ -15,11 +15,9 @@ import sys
 import time
 from typing import Any
 
-__all__ = ["environment_fingerprint", "fingerprint_delta"]
+from .obs.metrics import percentile
 
-#: Fields whose change makes two result documents incomparable for
-#: regression gating (the rest are informational).
-COMPARABILITY_FIELDS = ("implementation", "machine", "cpu_count", "gil")
+__all__ = ["environment_fingerprint", "percentile"]
 
 
 def _gil_mode() -> str:
@@ -36,7 +34,7 @@ def environment_fingerprint() -> dict[str, Any]:
         usable = len(os.sched_getaffinity(0))
     except AttributeError:  # macOS / Windows
         usable = os.cpu_count() or 1
-    from .. import __version__
+    from . import __version__
 
     return {
         "python": platform.python_version(),
@@ -49,12 +47,3 @@ def environment_fingerprint() -> dict[str, Any]:
         "perf_counter_resolution_s": time.get_clock_info("perf_counter").resolution,
         "repro_version": __version__,
     }
-
-
-def fingerprint_delta(a: dict[str, Any], b: dict[str, Any]) -> list[str]:
-    """Comparability fields that differ between two fingerprints."""
-    return [
-        f"{key}: {a.get(key)!r} != {b.get(key)!r}"
-        for key in COMPARABILITY_FIELDS
-        if a.get(key) != b.get(key)
-    ]

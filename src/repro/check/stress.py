@@ -717,7 +717,7 @@ def run_check(
     if use_dist:
         result.phases.append(run_dist_phase(prof, seed))
     if use_serve:
-        # Lazy: repro.serve pulls in adapters/bench; keep plain checks light.
+        # Lazy: repro.serve pulls in the adapters; keep plain checks light.
         from ..serve.soak import run_serve_phase
 
         result.phases.append(run_serve_phase(prof, seed))

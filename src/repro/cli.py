@@ -9,9 +9,11 @@ Usage::
     python -m repro timeline --approach pyjama_async --rate 30
     python -m repro kernels [--size A]
 
-Every subcommand prints the same rows the corresponding benchmark asserts
-on; the benchmarks (``pytest benchmarks/ --benchmark-only``) remain the
-checked source of truth.
+Each ``figN`` prints the table of one :mod:`repro.sim` sweep
+(``repro.sim.figure1`` ... ``figure9``); with default arguments that is
+byte for byte the file ``benchmarks/bench_figN_*.py`` archives under
+``benchmarks/results/`` after asserting the paper's shape on the same data.
+The runtime itself is timed by ``benchmarks/e2e``, not here.
 """
 
 from __future__ import annotations
@@ -21,21 +23,7 @@ import sys
 from typing import Sequence
 
 from .kernels import KERNELS, get_kernel, time_kernel
-from .sim import (
-    GUI_KERNELS,
-    GuiBenchConfig,
-    HttpBenchConfig,
-    KernelCostModel,
-    Machine,
-    MachineConfig,
-    SimEventLoop,
-    SimThreadPool,
-    Simulator,
-    TraceRecorder,
-    render_ascii,
-    run_gui_benchmark,
-    run_http_benchmark,
-)
+from .sim import GUI_KERNELS, GuiBenchConfig, TraceRecorder, figures, render_ascii
 from .sim.approaches import APPROACHES, _HANDLERS, _build_world
 from .sim.workload import fire_open_loop
 
@@ -50,93 +38,33 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def cmd_fig1(args: argparse.Namespace) -> int:
-    handler = KernelCostModel("fig1", serial_time=args.handler_ms / 1000.0,
-                              parallel_fraction=0.9)
-    for approach, title in (
-        ("sequential", "(i) single-threaded event processing"),
-        ("executor", "(ii) multi-threaded (thread-pool) processing"),
-    ):
-        result = run_gui_benchmark(
-            GuiBenchConfig(approach=approach, kernel=handler,
-                           rate=1000.0 / args.spacing_ms, n_events=args.events)
-        )
-        print(title)
-        for i, rt in enumerate(result.response.samples):
-            print(f"    request{i + 1}: fired at {i * args.spacing_ms:.0f}ms, "
-                  f"responded after {rt * 1000:7.1f}ms")
+    _, lines = figures.figure1(args.handler_ms, args.spacing_ms, args.events)
+    print("\n".join(lines))
     return 0
 
 
-def _resolve_kernel(args: argparse.Namespace):
-    if getattr(args, "calibrate", False):
-        from .sim import calibrate_from_host
-
-        models = calibrate_from_host()
-        print(f"(calibrated from host: {args.kernel} = "
-              f"{models[args.kernel].serial_time * 1000:.1f} ms serial)")
-        return models[args.kernel]
-    return GUI_KERNELS[args.kernel]
-
-
 def cmd_fig7(args: argparse.Namespace) -> int:
-    kernel = _resolve_kernel(args)
-    approaches = args.approaches.split(",")
-    for a in approaches:
-        if a not in APPROACHES:
-            print(f"unknown approach {a!r}; choose from {', '.join(APPROACHES)}",
-                  file=sys.stderr)
-            return 2
-    header = f"{'req/s':>6} | " + " | ".join(f"{a[:12]:>12}" for a in approaches)
-    metric = args.metric
-    print(f"Figure 7 [{args.kernel}]: mean {metric} time (ms), "
-          f"kernel={kernel.serial_time * 1000:.0f}ms")
-    print(header)
-    print("-" * len(header))
-    for rate in args.rates:
-        row = []
-        for approach in approaches:
-            r = run_gui_benchmark(GuiBenchConfig(
-                approach=approach, kernel=kernel, rate=float(rate),
-                n_events=args.events))
-            stats = r.response if metric == "response" else r.dispatch
-            row.append(stats.mean * 1000)
-        print(f"{rate:>6} | " + " | ".join(f"{v:>12.1f}" for v in row))
+    try:
+        _, lines = figures.figure7(args.kernel, args.rates, args.events,
+                                   args.approaches.split(","), args.metric,
+                                   args.calibrate)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    print("\n".join(lines))
     return 0
 
 
 def cmd_fig8(args: argparse.Namespace) -> int:
-    kernel = _resolve_kernel(args)
-    print(f"Figure 8 [{args.kernel}]: async vs async-parallel "
-          f"({args.team} team threads), mean response (ms)")
-    print(f"{'req/s':>6} | {'async':>10} | {'async-par':>10} | {'gain':>6}")
-    for rate in args.rates:
-        a = run_gui_benchmark(GuiBenchConfig(
-            approach="pyjama_async", kernel=kernel, rate=float(rate),
-            n_events=args.events)).response.mean * 1000
-        p = run_gui_benchmark(GuiBenchConfig(
-            approach="async_parallel", kernel=kernel, rate=float(rate),
-            n_events=args.events, parallel_threads=args.team)).response.mean * 1000
-        print(f"{rate:>6} | {a:>10.1f} | {p:>10.1f} | {a / p:>5.2f}x")
+    _, lines = figures.figure8(args.kernel, args.rates, args.events, args.team,
+                               args.calibrate)
+    print("\n".join(lines))
     return 0
 
 
 def cmd_fig9(args: argparse.Namespace) -> int:
-    variants = [("jetty", None), ("pyjama", None),
-                ("jetty", args.team), ("pyjama", args.team)]
-    labels = ["jetty", "pyjama", f"jetty+par{args.team}", f"pyjama+par{args.team}"]
-    header = f"{'workers':>8} | " + " | ".join(f"{l:>14}" for l in labels)
-    print("Figure 9: throughput (responses/sec), "
-          f"{args.users} virtual users, 16 cores")
-    print(header)
-    print("-" * len(header))
-    for w in args.workers:
-        row = []
-        for server, par in variants:
-            r = run_http_benchmark(HttpBenchConfig(
-                server=server, worker_threads=w, parallel_threads=par,
-                n_users=args.users))
-            row.append(r.throughput)
-        print(f"{w:>8} | " + " | ".join(f"{v:>14.1f}" for v in row))
+    _, lines = figures.figure9(args.workers, args.users, args.team)
+    print("\n".join(lines))
     return 0
 
 
@@ -242,62 +170,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.metrics:
         print(obs.format_metrics(obs.compute_metrics(events)))
     return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the unified benchmark harness (see docs/BENCHMARKS.md).
-
-    ``python -m repro bench --filter dispatch`` measures the dispatch group
-    and writes ``BENCH_dispatch.json``; add ``--compare BASELINE.json`` to
-    gate against an archived result (non-zero exit on regression).
-    """
-    import pathlib
-    import re
-
-    from . import bench as b
-
-    b.load_builtin()
-    if not args.no_external:
-        b.load_external()
-
-    if args.list:
-        for bm in b.all_benchmarks():
-            slow = " [slow]" if bm.slow else ""
-            tags = f" tags={','.join(bm.tags)}" if bm.tags else ""
-            print(f"{bm.name:<28} group={bm.group}{tags}{slow}  {bm.description}")
-        return 0
-
-    selected = b.select(args.filter, include_slow=args.slow)
-    if not selected:
-        print(f"no benchmarks match {args.filter!r} "
-              "(use --list to see what is registered)", file=sys.stderr)
-        return 2
-    protocol = b.Protocol(warmup=args.warmup, repeats=args.repeats, trim=args.trim)
-    results = b.run_selected(
-        args.filter, protocol, include_slow=args.slow,
-        progress=lambda name: print(f"  running {name} ...", file=sys.stderr),
-    )
-    document = b.results_document(results, protocol)
-
-    stem = re.sub(r"[^A-Za-z0-9_.-]+", "_", args.filter) if args.filter else "all"
-    out = pathlib.Path(args.output) if args.output else pathlib.Path(f"BENCH_{stem}.json")
-    b.write_json(out, document)
-    print(b.format_table(document))
-    print(f"wrote {out}")
-
-    if args.compare is None:
-        return 0
-    try:
-        baseline = b.load_json(args.compare)
-    except (OSError, ValueError) as exc:
-        print(f"cannot load baseline: {exc}", file=sys.stderr)
-        return 2
-    comparisons, warnings = b.compare(
-        document, baseline, max_regress_pct=args.max_regress
-    )
-    print(b.format_comparison(comparisons, warnings,
-                              max_regress_pct=args.max_regress))
-    return 1 if any(c.regressed for c in comparisons) else 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -534,11 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig7", help="GUI response time vs load (Figure 7)")
     p.add_argument("--kernel", choices=sorted(GUI_KERNELS), default="crypt")
-    p.add_argument("--rates", type=_parse_int_list,
-                   default=[10, 20, 30, 40, 50, 60, 70, 80, 90, 100])
+    p.add_argument("--rates", type=_parse_int_list, default=list(figures.RATES))
     p.add_argument("--events", type=int, default=200)
-    p.add_argument("--approaches",
-                   default="sequential,swingworker,executor,pyjama_async,sync_parallel")
+    p.add_argument("--approaches", default=",".join(figures.FIG7_APPROACHES))
     p.add_argument("--metric", choices=["response", "dispatch"], default="response",
                    help="dispatch = EDT responsiveness (fire -> handler start)")
     p.add_argument("--calibrate", action="store_true",
@@ -547,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig8", help="async vs async-parallel (Figure 8)")
     p.add_argument("--kernel", choices=sorted(GUI_KERNELS), default="crypt")
-    p.add_argument("--rates", type=_parse_int_list, default=[10, 30, 50, 80, 100])
+    p.add_argument("--rates", type=_parse_int_list, default=list(figures.RATES))
     p.add_argument("--events", type=int, default=200)
     p.add_argument("--team", type=int, default=3)
     p.add_argument("--calibrate", action="store_true",
@@ -555,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fig8)
 
     p = sub.add_parser("fig9", help="HTTP throughput vs workers (Figure 9)")
-    p.add_argument("--workers", type=_parse_int_list, default=[1, 2, 4, 8, 16, 32, 64])
+    p.add_argument("--workers", type=_parse_int_list, default=list(figures.WORKERS))
     p.add_argument("--users", type=int, default=100)
     p.add_argument("--team", type=int, default=8)
     p.set_defaults(func=cmd_fig9)
@@ -596,32 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", action="store_true",
                    help="also print latency histograms (p50/p95/p99)")
     p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser(
-        "bench",
-        help="run the unified benchmark harness (docs/BENCHMARKS.md)",
-    )
-    p.add_argument("--filter", default=None,
-                   help="substring matched against name/group/tags")
-    p.add_argument("--warmup", type=int, default=2,
-                   help="untimed warmup samples per benchmark")
-    p.add_argument("--repeats", type=int, default=10,
-                   help="timed samples per benchmark")
-    p.add_argument("--trim", type=float, default=0.2,
-                   help="fraction of slowest samples dropped before stats")
-    p.add_argument("--slow", action="store_true",
-                   help="include benchmarks marked slow")
-    p.add_argument("--list", action="store_true",
-                   help="list registered benchmarks and exit")
-    p.add_argument("--no-external", action="store_true",
-                   help="skip importing benchmarks/ registrations")
-    p.add_argument("-o", "--output", default=None,
-                   help="result JSON path (default: BENCH_<filter>.json in cwd)")
-    p.add_argument("--compare", default=None, metavar="BASELINE.json",
-                   help="gate against an archived result document")
-    p.add_argument("--max-regress", type=float, default=25.0,
-                   help="allowed p50 regression in percent (with --compare)")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "check",

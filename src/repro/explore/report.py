@@ -18,6 +18,9 @@ __all__ = ["render_explore_report", "render_replay_report"]
 def render_explore_report(
     result: ExploreResult, schedule_path: Path | None = None
 ) -> str:
+    """The text ``repro explore`` prints for one exploration: the schedule
+    count, whether the tree was drained, and any violating schedule (saved
+    at *schedule_path*)."""
     bound = (
         "unbounded"
         if result.preemption_bound is None
@@ -66,6 +69,9 @@ def render_explore_report(
 
 
 def render_replay_report(result: ReplayResult, path: str) -> str:
+    """The text ``repro explore --replay`` prints: whether replaying the
+    schedule file at *path* reproduced its recorded violations, found
+    different ones, or diverged from the schedule."""
     sf = result.schedule
     lines = [
         f"repro explore --replay: workload={sf.workload} "

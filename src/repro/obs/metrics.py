@@ -30,8 +30,9 @@ __all__ = [
 
 def percentile(samples: Iterable[float], pct: float) -> float:
     """Linear-interpolated percentile, *pct* in [0, 100] (numpy-free;
-    deterministic).  The one definition: ``repro.bench.percentile`` and
-    ``repro.sim.ResponseStats.percentile`` are this function."""
+    deterministic).  The one definition: ``repro.bench.percentile`` (what
+    ``benchmarks/e2e`` imports) and ``repro.sim.ResponseStats.percentile``
+    are this function."""
     xs = sorted(samples)
     if not xs:
         raise ValueError("percentile of empty sample set")

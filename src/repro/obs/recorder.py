@@ -312,6 +312,7 @@ def disable() -> TraceSession:
 
 
 def is_enabled() -> bool:
+    """Whether the process-wide trace session is recording."""
     return _SESSION.enabled
 
 

@@ -17,7 +17,7 @@ import threading
 from collections import deque
 from typing import Any
 
-from ..bench.harness import percentile
+from ..obs.metrics import percentile
 
 __all__ = ["ServerStats", "export_trace"]
 

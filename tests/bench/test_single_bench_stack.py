@@ -1,46 +1,78 @@
-"""Structure gate: the runtime is timed in exactly one place.
+"""Structure gate: the runtime is timed in exactly one place, and each paper
+figure is swept in exactly one place.
 
 ``benchmarks/e2e`` is what every PR is judged on: six workloads driven from
 another process, every response checked, per-layer probes beside them.  A
-second copy of its numbers once lived in ``repro bench`` (groups ``trace``,
-``cluster``, ``serve``) and a third in ``repro serve --bench``, each with a
-CI step comparing it against a checked-in baseline at ``--max-regress 400``
-— gates that timed calls, never looked at a value and admitted a 5x
-regression.  This test keeps the copies from growing back.  ``repro bench``
-stays for what has no probe: the paper's figures on ``repro.sim`` and the
-real-thread micro-set.
+second copy of its numbers once lived in ``repro bench`` — a registry, a
+timing protocol of its own, a result schema and a comparer that no gate
+called — and a third in ``repro serve --bench``.  What is left of
+``repro.bench`` is the two helpers e2e imports.  The paper's figures come
+from :mod:`repro.sim`: ``repro.sim.figures`` builds each sweep and its
+table once, and both ``python -m repro figN`` and ``bench_figN_*.py`` call
+it.  This test keeps the copies from growing back.
 """
 
 from __future__ import annotations
 
 import collections
 import pathlib
+import re
 
+import repro.obs.metrics
 import repro.serve
 from repro import bench
 from repro.cli import build_parser
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 RESULTS = REPO / "benchmarks" / "results"
-
-#: Each is a per-layer probe or a workload of benchmarks/e2e (see its README).
-PROBED_GROUPS = {"trace", "cluster", "serve"}
+BENCH_SCRIPTS = sorted((REPO / "benchmarks").glob("bench_*.py"))
 
 
-def test_no_registered_benchmark_repeats_an_e2e_probe(monkeypatch):
-    monkeypatch.syspath_prepend(str(REPO))
-    bench.load_builtin()
-    assert "bench_ablation_batch" in bench.load_external()  # the scripts did load
-    groups = {b.group for b in bench.all_benchmarks()}
-    assert {"dispatch", "queue", "sim", "policy"} <= groups
-    assert not groups & PROBED_GROUPS
+def _subcommands() -> dict:
+    return next(a for a in build_parser()._actions if a.dest == "command").choices
+
+
+def test_no_registered_benchmark_repeats_an_e2e_probe():
+    """No registry, no timing protocol, no result schema, no CLI: what is
+    left of repro.bench is what benchmarks/e2e imports."""
+    assert bench.__all__ == ["environment_fingerprint", "percentile"]
+    assert bench.percentile is repro.obs.metrics.percentile
+    env = bench.environment_fingerprint()
+    for key in ("python", "implementation", "machine", "cpu_count", "gil",
+                "usable_cores", "repro_version"):
+        assert key in env, key
+    assert "bench" not in _subcommands()
+    # Module-level definitions only: typing.Protocol and the tag / steal
+    # ring register() methods are not a benchmark registry.
+    pattern = re.compile(r"^class Protocol\b|_REGISTRY|^def register\(|"
+                         r"results_document|repro\.bench/v1", re.M)
+    hits = [str(p.relative_to(REPO)) for p in (REPO / "src" / "repro").rglob("*.py")
+            if pattern.search(p.read_text())]
+    assert not hits
+
+
+def test_bench_scripts_import_only_the_fingerprint():
+    assert BENCH_SCRIPTS
+    for path in BENCH_SCRIPTS:
+        imports = re.findall(r"^[ \t]*((?:from repro\.bench|from repro import bench|"
+                             r"import repro\.bench)\b.*)$", path.read_text(), re.M)
+        allowed = ["from repro.bench import environment_fingerprint"]
+        assert imports == (allowed if path.name == "bench_ablation_batch.py" else []), path.name
+
+
+def test_each_figure_is_swept_in_one_place():
+    figure_scripts = [p for p in BENCH_SCRIPTS
+                      if re.match(r"bench_fig[1789]_", p.name)]
+    assert len(figure_scripts) == 4
+    for path in [REPO / "src" / "repro" / "cli.py", *figure_scripts]:
+        text = path.read_text()
+        assert "run_gui_benchmark(" not in text and "run_http_benchmark(" not in text, path.name
 
 
 def test_the_server_has_no_self_load_half():
     for name in ("run_open_loop", "latency_entry", "serve_document"):
         assert name not in repro.serve.__all__ and not hasattr(repro.serve, name)
-    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
-    flags = {s for a in subparsers.choices["serve"]._actions for s in a.option_strings}
+    flags = {s for a in _subcommands()["serve"]._actions for s in a.option_strings}
     assert {"--backend", "--workers", "--port"} <= flags  # what benchmarks/e2e starts it with
     assert not flags & {"--bench", "--requests", "--concurrency", "--mode", "--rate",
                         "--payload", "-o", "--output"}

@@ -46,12 +46,10 @@ class TestLatencyStats:
 class TestOnePercentile:
     def test_bench_sim_and_obs_share_one_definition(self):
         import repro.bench
-        import repro.bench.harness
         from repro.obs.metrics import percentile
         from repro.sim import ResponseStats
 
         assert repro.bench.percentile is percentile
-        assert repro.bench.harness.percentile is percentile
         samples = [0.4, 0.1, 0.35, 0.2, 0.9]
         stats = ResponseStats()
         for s in samples:

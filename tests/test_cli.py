@@ -1,8 +1,25 @@
 """Tests for the figure-regeneration CLI."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import main
+
+RESULTS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+
+
+@pytest.mark.parametrize("command, archive", [
+    ("fig1", "fig1_dispatch_timeline"),
+    ("fig7", "fig7_crypt"),
+    ("fig8", "fig8_crypt"),
+    ("fig9", "fig9_http_throughput"),
+])
+def test_default_figure_prints_the_archived_table(capsys, command, archive):
+    """One sweep per figure: with default arguments the CLI prints exactly
+    what benchmarks/bench_figN_*.py archives."""
+    assert main([command]) == 0
+    assert capsys.readouterr().out == (RESULTS / f"{archive}.txt").read_text()
 
 
 class TestFigures:

@@ -77,8 +77,8 @@ def test_docs_mention_resolvable_symbols():
     [
         "repro.core.PjRuntime",
         "repro.core.PjRuntime.invoke_target_block",
-        "repro.bench.run_benchmark",
-        "repro.bench.compare",
+        "repro.bench.environment_fingerprint",
+        "repro.bench.percentile",
         "repro.obs.enable",
         "repro.openmp.task",
     ],

@@ -19,6 +19,13 @@ PACKAGES = [
     "repro.sim",
     "repro.adapters",
     "repro.dist",
+    "repro.obs",
+    "repro.serve",
+    "repro.cluster",
+    "repro.check",
+    "repro.explore",
+    "repro.policy",
+    "repro.bench",
 ]
 
 
