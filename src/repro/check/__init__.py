@@ -9,31 +9,31 @@ leaks past quiescence).  See ``docs/CHECKING.md`` for the invariant list,
 the seed-replay workflow and the fault-injection knobs.
 """
 
-from .faults import ForceQueueFull, JitterHook, kill_worker
+from .faults import TAMPERS, ForceQueueFull, JitterHook, kill_worker
 from .invariants import (
     EXEC_OUTCOMES,
     Violation,
     crosscheck_outcomes,
     verify_events,
     verify_quiescence,
+    verify_session,
 )
 from .report import CheckResult, PhaseOutcome, render_report
 from .stress import (
     PROFILES,
     RAISER_LABEL,
-    TAMPERS,
     StressBodyError,
     StressProfile,
     run_check,
-    run_cluster_phase,
-    run_dist_phase,
     run_iteration,
     run_policy_phase,
+    run_remote_phase,
 )
 
 __all__ = [
     "Violation",
     "EXEC_OUTCOMES",
+    "verify_session",
     "verify_events",
     "verify_quiescence",
     "crosscheck_outcomes",
@@ -50,7 +50,6 @@ __all__ = [
     "RAISER_LABEL",
     "run_check",
     "run_iteration",
-    "run_dist_phase",
-    "run_cluster_phase",
+    "run_remote_phase",
     "run_policy_phase",
 ]

@@ -1,6 +1,7 @@
-"""Fault-injection building blocks for the stress harness.
+"""Fault-injection building blocks for ``repro check`` and ``repro explore``.
 
-Three fault families, matching the seams the runtime exposes:
+Three runtime fault families, matching the seams the runtime exposes, plus
+the trace tampers:
 
 * **Scheduling jitter** — :class:`JitterHook` plugs into
   :attr:`repro.core.injection.InjectionHooks.jitter` and sleeps a few hundred
@@ -18,6 +19,10 @@ Three fault families, matching the seams the runtime exposes:
   :class:`~repro.dist.ProcessTarget`, exercising the lane shipper's crash
   detection, region fail-over and restart path under load.
 
+* **Trace tampers** — :data:`TAMPERS`, the ``--inject`` modes of both CLIs:
+  pure transforms of a recorded event list that make the trace lie, proving
+  that the verifier fails when it should.
+
 Both hook classes own *private* :class:`random.Random` instances: they are
 called from arbitrary runtime threads, and sharing the harness's op-stream
 RNG would let thread timing perturb the deterministic workload schedule.
@@ -27,8 +32,11 @@ from __future__ import annotations
 
 import random
 import time
+from typing import Callable
 
-__all__ = ["JitterHook", "ForceQueueFull", "kill_worker"]
+from ..obs.events import EventKind, TraceEvent
+
+__all__ = ["JitterHook", "ForceQueueFull", "kill_worker", "TAMPERS"]
 
 
 class JitterHook:
@@ -100,3 +108,53 @@ def kill_worker(target, index: int = 0) -> int | None:
     pid = slot.pid
     slot.terminate()
     return pid
+
+
+# -------------------------------------------------------------------- tampers
+
+
+def _tamper_lying_outcome(
+    events: list[TraceEvent], victim: str | None = None
+) -> list[TraceEvent]:
+    """Flip an ``EXEC_END`` outcome between "completed" and "failed"."""
+    for e in events:
+        if (e.kind is EventKind.EXEC_END and e.arg in ("completed", "failed")
+                and victim in (None, e.name)):
+            e.arg = "failed" if e.arg == "completed" else "completed"
+            break
+    return events
+
+
+def _tamper_lost_dequeue(
+    events: list[TraceEvent], victim: str | None = None
+) -> list[TraceEvent]:
+    """Delete a ``DEQUEUE``, simulating a queue that lost track."""
+    for i, e in enumerate(events):
+        if e.kind is EventKind.DEQUEUE and victim in (None, e.name):
+            del events[i]
+            break
+    return events
+
+
+def _tamper_negative_depth(
+    events: list[TraceEvent], victim: str | None = None
+) -> list[TraceEvent]:
+    """Append a below-zero ``QUEUE_DEPTH`` sample on the victim's target."""
+    target = next((e.target for e in events
+                   if e.kind is EventKind.ENQUEUE and victim in (None, e.name)), None)
+    ts = events[-1].ts + 1 if events else 1
+    events.append(TraceEvent(EventKind.QUEUE_DEPTH, ts, "tamper", target=target, arg=-1))
+    return events
+
+
+#: ``--inject`` modes, applied to a recorded window's events before the
+#: verdict (:func:`repro.check.invariants.verify_session`); they are the
+#: checker's own regression tests.  Each strikes the first matching event
+#: named *victim*, or the first at all when *victim* is None: the stress
+#: harness names its raiser so its reports stay seed-deterministic, the
+#: explorer's tiny models need none.
+TAMPERS: dict[str, Callable[..., list[TraceEvent]]] = {
+    "lying-exec-outcome": _tamper_lying_outcome,
+    "lost-dequeue": _tamper_lost_dequeue,
+    "negative-depth": _tamper_negative_depth,
+}

@@ -1,11 +1,12 @@
 """Trace-invariant verifier: what a correct dispatch trace must look like.
 
 The runtime's observable contract (docs/OBSERVABILITY.md) is a set of
-*lifecycle invariants* over the :mod:`repro.obs` event stream.  The stress
-harness (:mod:`repro.check.stress`) records a workload, quiesces it, and
-hands the merged timeline to :func:`verify_events`; any bug that loses,
-double-runs, or mis-reports work shows up as a :class:`Violation` naming the
-broken invariant.
+*lifecycle invariants* over the :mod:`repro.obs` event stream.  Every
+recorded window — each ``repro check`` phase (:mod:`repro.check.stress`)
+and each ``repro explore`` run (:mod:`repro.explore.explorer`) — is judged
+by one function, :func:`verify_session`; any bug that loses, double-runs,
+or mis-reports work shows up as a :class:`Violation` naming the broken
+invariant.
 
 Checked invariants (the names appear in ``repro check`` reports):
 
@@ -38,6 +39,9 @@ Checked invariants (the names appear in ``repro check`` reports):
     (:func:`crosscheck_outcomes`) the ``EXEC_END`` outcome in the trace must
     agree with the ground truth the harness holds in-process: the region's
     terminal state, or what an instrumented callable actually did.
+``trace-overflow``
+    (:func:`verify_session`) the ring buffers dropped events, so the window
+    cannot be verified at all.
 
 Violation messages deliberately avoid timestamps, thread names, and raw
 region sequence numbers wherever a stable label exists: ``repro check
@@ -46,14 +50,16 @@ region sequence numbers wherever a stable label exists: ``repro check
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..core.region import RegionState, TargetRegion
 from ..obs.events import EventKind, TraceEvent
+from ..obs.recorder import TraceSession
 
 __all__ = [
     "Violation",
     "EXEC_OUTCOMES",
+    "verify_session",
     "verify_events",
     "verify_quiescence",
     "crosscheck_outcomes",
@@ -354,6 +360,47 @@ def crosscheck_outcomes(
                 f"but it actually {outcome}",
                 target=end.target, name=label,
             ))
+    return _finalize(out)
+
+
+def verify_session(
+    session: TraceSession,
+    *,
+    found: Iterable[Violation] = (),
+    regions: Iterable[tuple[str, TargetRegion]] = (),
+    callables: Mapping[int, tuple[str, str]] | None = None,
+    targets: Iterable[Any] = (),
+    tamper: Callable[[list[TraceEvent]], list[TraceEvent]] | None = None,
+    expect: Callable[[list[TraceEvent]], Iterable[Violation]] | None = None,
+) -> list[Violation]:
+    """The verdict on one recorded window: stop *session* and judge it.
+
+    *found* are violations the caller already observed live (stuck handles,
+    a deadlocked schedule, ...).  A lossy trace cannot be verified —
+    unmatched spans would be ring overflow, not runtime bugs — so any
+    dropped event adds one ``trace-overflow`` and nothing else.  Otherwise
+    the events, after the optional *tamper*, go through
+    :func:`verify_events`, :func:`crosscheck_outcomes` against *regions* and
+    *callables*, :func:`verify_quiescence` of *targets*, and the phase's own
+    *expect*.  Returns everything sorted and deduplicated.
+    """
+    session.stop()
+    out = list(found)
+    dropped = session.stats()["dropped"]
+    if dropped:
+        out.append(Violation(
+            "trace-overflow",
+            f"ring buffers dropped {dropped} event(s); grow the buffer_size",
+        ))
+        return _finalize(out)
+    events = session.events()
+    if tamper is not None:
+        events = tamper(events)
+    out += verify_events(events)
+    out += crosscheck_outcomes(events, regions, callables)
+    out += verify_quiescence(targets)
+    if expect is not None:
+        out += expect(events)
     return _finalize(out)
 
 

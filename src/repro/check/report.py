@@ -21,7 +21,7 @@ __all__ = ["PhaseOutcome", "CheckResult", "render_report"]
 
 @dataclass
 class PhaseOutcome:
-    """One verified phase: a stress iteration, or the process-target phase."""
+    """One verified phase: a stress iteration, or a named fault phase."""
 
     label: str
     violations: list[Violation] = field(default_factory=list)

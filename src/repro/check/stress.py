@@ -21,14 +21,12 @@ seed deterministically reproduces the same operation stream, and the
 violation report (built from harness-assigned labels, never timestamps or
 thread names) reproduces byte-for-byte.
 
-After the workload quiesces, the recorded :mod:`repro.obs` timeline goes
-through :func:`~repro.check.invariants.verify_events`,
-:func:`~repro.check.invariants.verify_quiescence` and
-:func:`~repro.check.invariants.crosscheck_outcomes`.
+After the workload quiesces, every phase hands its recorded :mod:`repro.obs`
+window to the one verdict, :func:`~repro.check.invariants.verify_session`.
 
 ``--inject`` tampers with the *recorded events* of iteration 0 before
 verification — proving, in CI and in tests, that the checker actually fails
-when the trace lies (see :data:`TAMPERS`).
+when the trace lies (see :data:`~repro.check.faults.TAMPERS`).
 """
 
 from __future__ import annotations
@@ -37,29 +35,28 @@ import logging
 import random
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 from ..core import injection as _inj
 from ..core.errors import PyjamaError, RegionFailedError, TagError
-from ..core.region import TargetRegion
+from ..core.region import RegionState, TargetRegion
 from ..core.runtime import PjRuntime
 from ..core.targets import REJECTION_POLICIES
 from ..obs import recorder as _obs
 from ..obs.events import EventKind, TraceEvent
-from .faults import ForceQueueFull, JitterHook, kill_worker
-from .invariants import Violation, crosscheck_outcomes, verify_events, verify_quiescence
+from .faults import TAMPERS, ForceQueueFull, JitterHook, kill_worker
+from .invariants import Violation, verify_session
 from .report import CheckResult, PhaseOutcome
 
 __all__ = [
     "StressProfile",
     "PROFILES",
-    "TAMPERS",
     "StressBodyError",
     "region_body",
     "run_check",
     "run_iteration",
-    "run_dist_phase",
-    "run_cluster_phase",
+    "run_remote_phase",
     "run_policy_phase",
 ]
 
@@ -101,11 +98,11 @@ PROFILES: dict[str, StressProfile] = {
     "smoke": StressProfile(
         "smoke", iterations=2, ops=80, buffer_size=1 << 17, use_dist=False
     ),
-    # Developer-sized: longer schedules plus the process-target phase with a
-    # worker-death injection, the live-serving phase (worker kill under real
-    # HTTP load — see repro.serve.soak), the cluster phase (remote agent
-    # killed mid-region over loopback TCP), and the scheduling-policy phase
-    # (ring stealing + dequeue batching on a saturated pool).
+    # Developer-sized: longer schedules plus both rows of the remote-lane
+    # phase (a worker process, then a loopback-TCP agent, killed
+    # mid-region), the live-serving phase (worker kill under real HTTP load
+    # — see repro.serve.soak), and the scheduling-policy phase (ring
+    # stealing + dequeue batching on a saturated pool).
     "soak": StressProfile(
         "soak", iterations=10, ops=250, buffer_size=1 << 18, use_dist=True,
         use_serve=True, use_cluster=True, use_policy=True,
@@ -154,50 +151,25 @@ def _make_callable(
     return cb
 
 
-def _dist_sleep(duration: float) -> float:
-    """Module-level (picklable) body for the process-target phase."""
-    time.sleep(duration)
-    return duration
+def _stuck_handles(
+    handles: list[tuple[str, TargetRegion]], timeout: float
+) -> list[Violation]:
+    """Wait for each ``(label, region)``; one ``stuck-handle`` per region
+    that does not reach a terminal state within *timeout*."""
+    return [
+        Violation("stuck-handle",
+                  f"region {label!r} failed to reach a terminal state", name=label)
+        for label, reg in handles
+        if not reg.wait(timeout)
+    ]
 
 
-# -------------------------------------------------------------------- tampers
-
-
-def _tamper_lying_outcome(events: list[TraceEvent]) -> list[TraceEvent]:
-    """Flip the raiser's ``EXEC_END`` from "failed" to "completed"."""
-    for e in events:
-        if e.kind is EventKind.EXEC_END and e.name == RAISER_LABEL:
-            e.arg = "completed"
-            break
-    return events
-
-
-def _tamper_lost_dequeue(events: list[TraceEvent]) -> list[TraceEvent]:
-    """Delete the raiser's ``DEQUEUE``, simulating a queue that lost track."""
-    for i, e in enumerate(events):
-        if e.kind is EventKind.DEQUEUE and e.name == RAISER_LABEL:
-            del events[i]
-            break
-    return events
-
-
-def _tamper_negative_depth(events: list[TraceEvent]) -> list[TraceEvent]:
-    """Append a ``QUEUE_DEPTH`` sample that went below zero."""
-    ts = events[-1].ts + 1 if events else 1
-    events.append(
-        TraceEvent(EventKind.QUEUE_DEPTH, ts, "tamper", target="w0", arg=-1)
+def _recorded(match: Callable[[TraceEvent], bool], invariant: str, detail: str,
+              name: str) -> Callable[[list[TraceEvent]], list[Violation]]:
+    """A verdict ``expect``: some recorded event must satisfy *match*."""
+    return lambda events: (
+        [] if any(map(match, events)) else [Violation(invariant, detail, name=name)]
     )
-    return events
-
-
-#: ``--inject`` modes: pure transforms applied to iteration 0's recorded
-#: events *before* verification.  Each must produce a deterministic,
-#: seed-replayable violation — they are the checker's own regression tests.
-TAMPERS: dict[str, Callable[[list[TraceEvent]], list[TraceEvent]]] = {
-    "lying-exec-outcome": _tamper_lying_outcome,
-    "lost-dequeue": _tamper_lost_dequeue,
-    "negative-depth": _tamper_negative_depth,
-}
 
 
 # ------------------------------------------------------------------ iteration
@@ -398,20 +370,9 @@ def run_iteration(
         force_full.active = False
 
         # ---- quiesce: every handle terminal, tags joined, targets drained.
-        for label, reg in handles:
-            if not reg.wait(8.0):
-                violations.append(Violation(
-                    "stuck-handle",
-                    f"region {label!r} failed to reach a terminal state",
-                    name=label,
-                ))
-        for label, reg in list(inner):
-            if not reg.wait(8.0):
-                violations.append(Violation(
-                    "stuck-handle",
-                    f"region {label!r} failed to reach a terminal state",
-                    name=label,
-                ))
+        # Outer bodies book their inner regions, so wait for them first.
+        violations += _stuck_handles(handles, 8.0)
+        violations += _stuck_handles(list(inner), 8.0)
         for tag in tags:
             try:
                 rt.wait_tag(tag, timeout=5.0)
@@ -425,181 +386,88 @@ def run_iteration(
         deadline = time.monotonic() + 2.0
         while time.monotonic() < deadline and any(t.work_count() for t in targets):
             time.sleep(0.01)
-        violations.extend(verify_quiescence(targets))
     finally:
         _inj.uninstall()
         rt.shutdown(wait=False)
         target_logger.setLevel(old_level)
 
-    session.stop()
-    stats = session.stats()
-    events = session.events()
-    if stats["dropped"]:
-        # A lossy trace cannot be verified: unmatched spans would be ring
-        # overflow, not runtime bugs.  Size the profile's buffer up instead.
-        violations.append(Violation(
-            "trace-overflow",
-            f"ring buffers dropped {stats['dropped']} event(s); "
-            "grow the profile's buffer_size",
-        ))
-    else:
-        if inject is not None:
-            events = TAMPERS[inject](events)
-        violations.extend(verify_events(events))
-        violations.extend(
-            crosscheck_outcomes(events, regions=handles + list(inner), callables=ran)
-        )
-    return PhaseOutcome(str(index), _dedup(violations))
+    tamper = None if inject is None else partial(TAMPERS[inject], victim=RAISER_LABEL)
+    return PhaseOutcome(str(index), verify_session(
+        session, found=violations, regions=handles + inner, callables=ran,
+        targets=targets, tamper=tamper,
+    ))
 
 
-def run_dist_phase(profile: StressProfile, seed: int) -> PhaseOutcome:
-    """Process-target phase: supervised workers, one killed mid-flight.
+def run_remote_phase(profile: StressProfile, seed: int, backend: str) -> PhaseOutcome:
+    """Remote-lane phase: a two-lane target loses one lane mid-region.
 
-    The kill exercises crash detection, region fail-over and respawn; the
-    verifier then proves the crashed region's queue events still resolved and
-    no half-open worker-side EXEC span leaked into the merged trace.
+    *backend* ``"process"`` (report label ``dist``) hard-kills one worker
+    process; ``"cluster"`` spawns two real ``repro cluster-worker`` agents
+    over loopback TCP and terminates one.  Either way the phase proves
+    errors-not-hangs (every handle ends terminal within the budget),
+    failover (post-kill work completes on a surviving lane), that the
+    backend's lane-up instant was recorded, and that the merged trace — the
+    remote workers' own tracks included — still verifies: the lost region's
+    queue events resolve and no half-open worker-side EXEC span leaks.
     """
-    violations: list[Violation] = []
+    label = "dist" if backend == "process" else "cluster"
     session = _obs.session()
     session.start(buffer_size=profile.buffer_size)
     rt = PjRuntime()
     handles: list[tuple[str, TargetRegion]] = []
+    agents = []
     try:
-        target = rt.create_process_worker(
-            "pw", 2, max_restarts=3, heartbeat_interval=0.25
-        )
-        for i in range(6):
-            label = f"dist-op{i:02d}"
-            reg = TargetRegion(_dist_sleep, 0.15, name=label)
-            handles.append((label, reg))
-            rt.invoke_target_block("pw", reg, "nowait")
-        time.sleep(0.3)  # let both workers pick up work
-        try:
-            kill_worker(target, 0)
-        except Exception:  # noqa: BLE001 - lane already down is fine
-            pass
-        for i in range(6, 10):
-            label = f"dist-op{i:02d}"
-            reg = TargetRegion(_dist_sleep, 0.05, name=label)
-            handles.append((label, reg))
+        if backend == "process":
+            target = rt.create_process_worker(
+                label, 2, max_restarts=2, heartbeat_interval=0.25
+            )
+            kill = partial(kill_worker, target, 0)
+        else:
+            # Lazy: the cluster machinery is only needed when this row runs.
+            from ..cluster import spawn_agent_process
+
+            for _ in range(2):
+                agents.append(spawn_agent_process())
+            target = rt.create_cluster(
+                label, [a.endpoint for a in agents],
+                max_restarts=2, heartbeat_interval=0.25,
+            )
+            kill = agents[0].terminate
+        for i in range(10):
+            if i == 6:
+                time.sleep(0.3)  # let both lanes pick up work
+                try:
+                    kill()  # one lane dies mid-region
+                except Exception:  # noqa: BLE001 - lane already down is fine
+                    pass
+            name = f"{label}-op{i:02d}"
+            # time.sleep pickles by reference: a body every lane can run.
+            reg = TargetRegion(time.sleep, 0.15 if i < 6 else 0.05, name=name)
+            handles.append((name, reg))
             try:
-                rt.invoke_target_block("pw", reg, "nowait")
+                rt.invoke_target_block(label, reg, "nowait")
             except PyjamaError as exc:
                 reg.request_cancel(exc)
-        for label, reg in handles:
-            if not reg.wait(30.0):
-                violations.append(Violation(
-                    "stuck-handle",
-                    f"region {label!r} failed to reach a terminal state",
-                    name=label,
-                ))
-        rt.shutdown(wait=True)
-        violations.extend(verify_quiescence([target]))
-    finally:
-        rt.shutdown(wait=False)
-    session.stop()
-    stats = session.stats()
-    events = session.events()
-    if stats["dropped"]:
-        violations.append(Violation(
-            "trace-overflow",
-            f"ring buffers dropped {stats['dropped']} event(s); "
-            "grow the profile's buffer_size",
-        ))
-    else:
-        violations.extend(verify_events(events))
-        violations.extend(crosscheck_outcomes(events, regions=handles))
-    return PhaseOutcome("dist", _dedup(violations))
-
-
-def run_cluster_phase(profile: StressProfile, seed: int) -> PhaseOutcome:
-    """Cluster-target phase: two remote agents over loopback TCP, one killed.
-
-    Spawns two real ``repro cluster-worker`` agent processes, routes regions
-    across them through a :class:`~repro.cluster.ClusterTarget`, then kills
-    one agent process mid-region.  The phase proves errors-not-hangs (every
-    handle reaches a terminal state within the budget), shard failover (work
-    posted after the kill still completes on the surviving endpoint) and that
-    the merged trace — including the remote workers' own tracks — still
-    verifies.
-    """
-    # Lazy: the cluster machinery is only needed when this phase runs.
-    from ..cluster import spawn_agent_process
-
-    violations: list[Violation] = []
-    session = _obs.session()
-    session.start(buffer_size=profile.buffer_size)
-    rt = PjRuntime()
-    handles: list[tuple[str, TargetRegion]] = []
-    agent_a = agent_b = None
-    try:
-        agent_a = spawn_agent_process()
-        agent_b = spawn_agent_process()
-        target = rt.create_cluster(
-            "cw",
-            [agent_a.endpoint, agent_b.endpoint],
-            max_restarts=2,
-            heartbeat_interval=0.25,
-        )
-        for i in range(6):
-            label = f"cluster-op{i:02d}"
-            reg = TargetRegion(_dist_sleep, 0.15, name=label)
-            handles.append((label, reg))
-            rt.invoke_target_block("cw", reg, "nowait")
-        time.sleep(0.3)  # let both agents pick up work
-        agent_a.terminate()  # remote host dies mid-region
-        survivors: list[tuple[str, TargetRegion]] = []
-        for i in range(6, 10):
-            label = f"cluster-op{i:02d}"
-            reg = TargetRegion(_dist_sleep, 0.05, name=label)
-            handles.append((label, reg))
-            try:
-                rt.invoke_target_block("cw", reg, "nowait")
-                survivors.append((label, reg))
-            except PyjamaError as exc:
-                reg.request_cancel(exc)
-        for label, reg in handles:
-            if not reg.wait(30.0):
-                violations.append(Violation(
-                    "stuck-handle",
-                    f"region {label!r} failed to reach a terminal state",
-                    name=label,
-                ))
-        # Failover: the surviving endpoint must absorb the post-kill work.
-        if survivors and not any(
-            reg.state.name == "COMPLETED" for _, reg in survivors
-        ):
-            violations.append(Violation(
+        found = _stuck_handles(handles, 30.0)
+        # Failover: a surviving lane must absorb the post-kill work.
+        if not any(reg.state is RegionState.COMPLETED for _, reg in handles[6:]):
+            found.append(Violation(
                 "no-failover",
-                "no post-kill region completed on the surviving endpoint",
-                name="cluster-failover",
+                "no post-kill region completed on a surviving lane",
+                name=f"{label}-failover",
             ))
         rt.shutdown(wait=True)
-        violations.extend(verify_quiescence([target]))
     finally:
         rt.shutdown(wait=False)
-        for handle in (agent_a, agent_b):
-            if handle is not None:
-                handle.close()
-    session.stop()
-    stats = session.stats()
-    events = session.events()
-    if stats["dropped"]:
-        violations.append(Violation(
-            "trace-overflow",
-            f"ring buffers dropped {stats['dropped']} event(s); "
-            "grow the profile's buffer_size",
-        ))
-    else:
-        if not any(e.kind is EventKind.WORKER_CONNECT for e in events):
-            violations.append(Violation(
-                "no-worker-connect",
-                "cluster phase recorded no WORKER_CONNECT instant",
-                name="cluster-trace",
-            ))
-        violations.extend(verify_events(events))
-        violations.extend(crosscheck_outcomes(events, regions=handles))
-    return PhaseOutcome("cluster", _dedup(violations))
+        for agent in agents:
+            agent.close()
+
+    up = target._EV_UP
+    lane_up = _recorded(lambda e: e.kind is up, "no-lane-up",
+                        f"{label} phase recorded no {up.name} instant", f"{label}-trace")
+    return PhaseOutcome(label, verify_session(
+        session, found=found, regions=handles, targets=[target], expect=lane_up,
+    ))
 
 
 def run_policy_phase(profile: StressProfile, seed: int) -> PhaseOutcome:
@@ -617,7 +485,6 @@ def run_policy_phase(profile: StressProfile, seed: int) -> PhaseOutcome:
     * quiescence: no backlog leaks.
     """
     r = random.Random(f"{seed}:policy")
-    violations: list[Violation] = []
     session = _obs.session()
     session.start(buffer_size=profile.buffer_size)
     rt = PjRuntime()
@@ -639,42 +506,20 @@ def run_policy_phase(profile: StressProfile, seed: int) -> PhaseOutcome:
                 rt.invoke_target_block(tname, reg, "nowait")
             except PyjamaError as exc:
                 reg.request_cancel(exc)
-        for label, reg in handles:
-            if not reg.wait(15.0):
-                violations.append(Violation(
-                    "stuck-handle",
-                    f"region {label!r} failed to reach a terminal state",
-                    name=label,
-                ))
+        found = _stuck_handles(handles, 15.0)
         targets = [rt.get_target("hot"), rt.get_target("helper")]
         rt.shutdown(wait=True)
-        violations.extend(verify_quiescence(targets))
     finally:
         rt.shutdown(wait=False)
-    session.stop()
-    stats = session.stats()
-    events = session.events()
-    if stats["dropped"]:
-        violations.append(Violation(
-            "trace-overflow",
-            f"ring buffers dropped {stats['dropped']} event(s); "
-            "grow the profile's buffer_size",
-        ))
-    else:
-        if not any(
-            e.kind is EventKind.PUMP_STEAL
-            and isinstance(e.arg, dict)
-            and e.arg.get("mode") == "steal"
-            for e in events
-        ):
-            violations.append(Violation(
-                "no-steal",
-                "policy phase recorded no ring-mode PUMP_STEAL",
-                name="policy-steal",
-            ))
-        violations.extend(verify_events(events))
-        violations.extend(crosscheck_outcomes(events, regions=handles))
-    return PhaseOutcome("policy", _dedup(violations))
+
+    ring_steal = _recorded(
+        lambda e: e.kind is EventKind.PUMP_STEAL and isinstance(e.arg, dict)
+        and e.arg.get("mode") == "steal",
+        "no-steal", "policy phase recorded no ring-mode PUMP_STEAL", "policy-steal",
+    )
+    return PhaseOutcome("policy", verify_session(
+        session, found=found, regions=handles, targets=targets, expect=ring_steal,
+    ))
 
 
 def run_check(
@@ -692,12 +537,12 @@ def run_check(
     """Run the full check: N stress iterations, then the optional policy,
     dist, live-serving and cluster phases.
 
-    ``inject`` (a :data:`TAMPERS` key) tampers with iteration 0's recorded
-    events so the resulting report demonstrates a detected violation; the
-    other iterations run untampered.  ``serve`` forces the HTTP worker-kill
-    phase on or off, ``cluster`` the remote-agent-kill phase, and ``policy``
-    the scheduling-policy phase (defaults: the profile's ``use_serve`` /
-    ``use_cluster`` / ``use_policy``).
+    ``inject`` (a :data:`~repro.check.faults.TAMPERS` key) tampers with
+    iteration 0's recorded events so the resulting report demonstrates a
+    detected violation; the other iterations run untampered.  ``dist`` and
+    ``cluster`` force the process and cluster rows of the remote-lane phase
+    on or off, ``serve`` the HTTP worker-kill phase, and ``policy`` the
+    scheduling-policy phase (defaults: the profile's ``use_*`` fields).
     """
     prof = PROFILES[profile]
     if ops is not None:
@@ -715,22 +560,12 @@ def run_check(
     if use_policy:
         result.phases.append(run_policy_phase(prof, seed))
     if use_dist:
-        result.phases.append(run_dist_phase(prof, seed))
+        result.phases.append(run_remote_phase(prof, seed, "process"))
     if use_serve:
         # Lazy: repro.serve pulls in the adapters; keep plain checks light.
         from ..serve.soak import run_serve_phase
 
         result.phases.append(run_serve_phase(prof, seed))
     if use_cluster:
-        result.phases.append(run_cluster_phase(prof, seed))
+        result.phases.append(run_remote_phase(prof, seed, "cluster"))
     return result
-
-
-def _dedup(violations: list[Violation]) -> list[Violation]:
-    seen: set[tuple[str, str]] = set()
-    out: list[Violation] = []
-    for v in sorted(violations, key=Violation.key):
-        if v.key() not in seen:
-            seen.add(v.key())
-            out.append(v)
-    return out

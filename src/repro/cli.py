@@ -22,6 +22,7 @@ import argparse
 import sys
 from typing import Sequence
 
+from .check.faults import TAMPERS
 from .kernels import KERNELS, get_kernel, time_kernel
 from .sim import GUI_KERNELS, GuiBenchConfig, TraceRecorder, figures, render_ascii
 from .sim.approaches import APPROACHES, _HANDLERS, _build_world
@@ -473,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--profile", choices=["smoke", "soak"], default="smoke",
                    help="workload size: smoke = CI-sized, soak = long "
-                        "schedules plus the process-target phase")
+                        "schedules plus every fault phase")
     p.add_argument("--seed", type=int, default=0,
                    help="workload seed; a failing report replays "
                         "byte-for-byte under the same seed")
@@ -482,22 +483,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ops", type=int, default=None,
                    help="override the profile's operations per iteration")
     p.add_argument("--inject", nargs="?", const="lying-exec-outcome",
-                   choices=["lying-exec-outcome", "lost-dequeue",
-                            "negative-depth"], default=None,
+                   choices=sorted(TAMPERS), default=None,
                    help="tamper with iteration 0's recorded events to prove "
                         "the checker catches a lying trace (forces exit 1)")
     p.add_argument("--dist", action=argparse.BooleanOptionalAction,
                    default=None,
-                   help="force the process-target phase on/off "
-                        "(default: per profile)")
+                   help="force the remote-lane phase's process row on/off: "
+                        "a two-lane process target, one worker killed "
+                        "mid-region (default: per profile; soak runs it)")
     p.add_argument("--serve", action=argparse.BooleanOptionalAction,
                    default=None,
                    help="force the live HTTP worker-kill phase on/off "
                         "(default: per profile; soak runs it)")
     p.add_argument("--cluster", action=argparse.BooleanOptionalAction,
                    default=None,
-                   help="force the cluster agent-kill phase on/off: two "
-                        "loopback-TCP agents, one killed mid-region "
+                   help="force the remote-lane phase's cluster row on/off: "
+                        "two loopback-TCP agents, one killed mid-region "
                         "(default: per profile; soak runs it)")
     p.add_argument("--policy", action=argparse.BooleanOptionalAction,
                    default=None,
@@ -560,8 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="preemption bound per schedule (CHESS-style); "
                         "-1 = unbounded (exhaustive)")
     p.add_argument("--inject", nargs="?", const="lying-exec-outcome",
-                   choices=["lying-exec-outcome", "lost-dequeue",
-                            "negative-depth"], default=None,
+                   choices=sorted(TAMPERS), default=None,
                    help="tamper with each run's recorded events to prove "
                         "the explorer catches a lying trace (forces exit 1)")
     p.add_argument("--seed", type=int, default=None,

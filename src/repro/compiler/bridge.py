@@ -14,11 +14,10 @@ mirroring Pyjama's generated ``PjRuntime.invokeTargetBlock`` calls.
 
 from __future__ import annotations
 
-from typing import Any, Callable
-
-from ..core.api import run_on as _run_on
-from ..core.api import wait_for as _wait_for
-from ..core.runtime import PjRuntime
+# Compiled ``#omp target`` and ``#omp wait(tag)`` pragmas call the library
+# entry points themselves; the compiler stamps ``source=`` with the pragma's
+# ``file:line`` so trace spans name the user's code location.
+from ..core.api import run_on, wait_for
 from ..openmp import (
     REDUCTIONS,
     barrier,
@@ -41,33 +40,6 @@ __all__ = [
     "master", "critical", "barrier", "REDUCTIONS", "identity_for",
     "omp_get_thread_num", "task", "taskwait", "ordered", "flush",
 ]
-
-
-def run_on(
-    target: str | None,
-    body: Callable[[], Any],
-    *,
-    mode: str = "default",
-    tag: str | None = None,
-    condition: bool = True,
-    runtime: PjRuntime | None = None,
-    timeout: float | None = None,
-    source: str | None = None,
-):
-    """Target-block dispatch used by compiled ``#omp target`` pragmas.
-
-    *source* is the pragma's ``file:line``, stamped by the compiler so trace
-    spans name the user's code location rather than a generated closure.
-    """
-    return _run_on(
-        target, body, mode=mode, tag=tag, condition=condition, runtime=runtime,
-        timeout=timeout, source=source,
-    )
-
-
-def wait_for(tag: str, *, runtime: PjRuntime | None = None) -> None:
-    """Join used by compiled ``#omp wait(tag)`` pragmas."""
-    _wait_for(tag, runtime=runtime)
 
 
 def collapse_product(*iterables) -> list:

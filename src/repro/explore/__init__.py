@@ -12,11 +12,11 @@ Entry points: :func:`explore` / :func:`replay` (library),
 ``python -m repro explore`` (CLI).
 """
 
+from ..check.faults import TAMPERS  # the one ``--inject`` table, shared
 from .explorer import (
     ExploreResult,
     ReplayResult,
     RunRecord,
-    TAMPERS,
     execute,
     explore,
     replay,

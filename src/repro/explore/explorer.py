@@ -23,8 +23,8 @@ Two prunings keep the tree tractable:
   cut.  Most races need 0–2 preemptions, so small bounds find the same bugs
   orders of magnitude sooner.  ``None`` means unbounded (exhaustive).
 
-Every complete run is verified with the same trace invariants as the stress
-harness (:mod:`repro.check.invariants`) plus the workload's own checks;
+Every complete run is judged by the stress harness's own verdict
+(:func:`repro.check.invariants.verify_session`) plus the workload's checks;
 a violating run's exact schedule is saved as a ``repro.explore/v1`` file
 (:mod:`repro.explore.schedule`) and :func:`replay` re-executes such a file
 step for step, comparing the violations it reproduces against the recorded
@@ -36,15 +36,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from ..check.faults import TAMPERS
+from ..check.invariants import Violation, verify_session
 from ..core import injection as _inj
 from ..obs import recorder as _obs
-from ..obs.events import EventKind, TraceEvent
-from ..check.invariants import (
-    Violation,
-    crosscheck_outcomes,
-    verify_events,
-    verify_quiescence,
-)
 from .schedule import ScheduleFile, ScheduleStep, load_schedule
 from .scheduler import (
     DeterministicScheduler,
@@ -57,7 +52,6 @@ __all__ = [
     "RunRecord",
     "ExploreResult",
     "ReplayResult",
-    "TAMPERS",
     "execute",
     "explore",
     "replay",
@@ -259,78 +253,20 @@ def execute(
             name=label,
         ))
 
-    stats = session.stats()
-    events = session.events()
     if rec.complete and rec.diverged is None:
-        if stats["dropped"]:
-            rec.violations.append(Violation(
-                "trace-overflow",
-                f"ring buffers dropped {stats['dropped']} event(s)",
-            ))
-        else:
-            if inject is not None:
-                events = TAMPERS[inject](events)
-            rec.violations.extend(verify_events(events))
-            rec.violations.extend(
-                crosscheck_outcomes(events, regions=wl.regions())
-            )
-            rec.violations.extend(verify_quiescence(wl.targets()))
-            rec.violations.extend(wl.verify(events))
-    rec.violations = _dedup(rec.violations)
+        # ``--inject`` tampers every run's first matching event: the
+        # violating schedule file then replays to the identical report.
+        rec.violations = verify_session(
+            session, found=rec.violations, regions=wl.regions(),
+            targets=wl.targets(), expect=wl.verify,
+            tamper=None if inject is None else TAMPERS[inject],
+        )
+    else:
+        # A pruned, diverged or deadlocked run left a partial trace: report
+        # only what the run itself saw.
+        rec.violations.sort(key=Violation.key)
     session.clear()
     return rec
-
-
-def _dedup(violations: list[Violation]) -> list[Violation]:
-    seen: set[tuple[str, str]] = set()
-    out: list[Violation] = []
-    for v in sorted(violations, key=Violation.key):
-        if v.key() not in seen:
-            seen.add(v.key())
-            out.append(v)
-    return out
-
-
-# -------------------------------------------------------------------- tampers
-
-
-def _tamper_lying_outcome(events: list[TraceEvent]) -> list[TraceEvent]:
-    """Flip the first ``EXEC_END``'s recorded outcome."""
-    for e in events:
-        if e.kind is EventKind.EXEC_END and e.arg in ("completed", "failed"):
-            e.arg = "failed" if e.arg == "completed" else "completed"
-            break
-    return events
-
-
-def _tamper_lost_dequeue(events: list[TraceEvent]) -> list[TraceEvent]:
-    """Delete the first ``DEQUEUE``, simulating a queue that lost track."""
-    for i, e in enumerate(events):
-        if e.kind is EventKind.DEQUEUE:
-            del events[i]
-            break
-    return events
-
-
-def _tamper_negative_depth(events: list[TraceEvent]) -> list[TraceEvent]:
-    """Append a ``QUEUE_DEPTH`` sample that went below zero."""
-    ts = events[-1].ts + 1 if events else 1
-    events.append(
-        TraceEvent(EventKind.QUEUE_DEPTH, ts, "tamper", target="t0", arg=-1)
-    )
-    return events
-
-
-#: ``--inject`` modes: transforms applied to every run's recorded events
-#: before verification.  Deliberately corrupting the trace proves the
-#: exploration verifier actually fails, and that the violating schedule file
-#: it emits replays to the identical report (the acceptance path that needs
-#: no real runtime bug to exist).
-TAMPERS = {
-    "lying-exec-outcome": _tamper_lying_outcome,
-    "lost-dequeue": _tamper_lost_dequeue,
-    "negative-depth": _tamper_negative_depth,
-}
 
 
 # ------------------------------------------------------------------------ DFS

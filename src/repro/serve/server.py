@@ -35,8 +35,6 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-import socket
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -98,8 +96,7 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0                    # 0: let the OS pick (tests, CI)
-    backend: str = "thread"          # "thread" | "process" | "cluster"
-    cluster_endpoints: tuple[str, ...] = ()  # agent host:port list (cluster)
+    backend: str = "thread"          # "thread" | "process"
     workers: int = 4
     queue_capacity: int = 64
     policy: str = "reject"           # block | reject | caller_runs
@@ -112,10 +109,8 @@ class ServeConfig:
     cpu_target: str = "http-cpu"
 
     def __post_init__(self) -> None:
-        if self.backend not in ("thread", "process", "cluster"):
+        if self.backend not in ("thread", "process"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.backend == "cluster" and not self.cluster_endpoints:
-            raise ValueError("backend 'cluster' needs cluster_endpoints")
 
 
 @dataclass
@@ -166,15 +161,7 @@ class HttpServer:
         """
         cfg = self.config
         self._loop = asyncio.get_running_loop()
-        if cfg.backend == "cluster":
-            self.runtime.create_cluster(
-                cfg.cpu_target,
-                list(cfg.cluster_endpoints),
-                shards=max(1, cfg.workers // len(cfg.cluster_endpoints)),
-                queue_capacity=cfg.queue_capacity,
-                rejection_policy=cfg.policy,
-            )
-        elif cfg.backend == "process":
+        if cfg.backend == "process":
             self.runtime.create_process_worker(
                 cfg.cpu_target,
                 cfg.workers,
@@ -198,21 +185,6 @@ class HttpServer:
             "capacity=%d policy=%s)",
             cfg.host, self.port, cfg.backend, cfg.workers,
             cfg.queue_capacity, cfg.policy,
-        )
-
-    def request_stop(self) -> None:
-        """Thread-safe stop request, routed *through the EDT target*.
-
-        Signal handlers and foreign threads post a region onto the asyncio
-        EDT — the same ``virtual(edt)`` path a target block would take — and
-        the region body schedules the drain on the loop.
-        """
-        def _post_stop() -> None:
-            asyncio.ensure_future(self.stop())
-
-        self.runtime.invoke_target_block(
-            self.config.edt_name, TargetRegion(_post_stop, name="serve-stop"),
-            "nowait",
         )
 
     async def stop(self, *, drain: bool = True) -> None:
@@ -435,7 +407,7 @@ class HttpServer:
 
     def _stats_payload(self) -> dict[str, Any]:
         snap = self.stats.snapshot()
-        # Uniform across thread/process/cluster: clients key on one field
+        # Uniform across thread/process: clients key on one field
         # instead of sniffing target kinds out of the describe() strings.
         snap["backend"] = self.config.backend
         snap["targets"] = {
@@ -501,12 +473,3 @@ class HttpServer:
         finally:
             self._inflight.discard(region)
         return 200, encrypted, [("Content-Type", "application/octet-stream")]
-
-
-def probe_port(host: str, port: int, timeout: float = 0.5) -> bool:
-    """True if something accepts TCP connections at host:port (CI probe)."""
-    try:
-        with socket.create_connection((host, port), timeout=timeout):
-            return True
-    except OSError:
-        return False

@@ -3,7 +3,8 @@
 Stands up a real process-backend :class:`~repro.serve.server.HttpServer`,
 drives a closed-loop burst through it, hard-kills one worker process while
 requests are in flight (:func:`repro.check.faults.kill_worker` — the same
-fault the dist phase injects), and then checks the serving-level contract:
+fault the remote-lane phase's process row injects), and then checks the
+serving-level contract:
 
 * **no hangs** — every issued request produced a response (the whole
   scenario runs under a hard timeout; tripping it is itself a violation);
