@@ -168,19 +168,19 @@ def register_asyncio_edt(
     loop: asyncio.AbstractEventLoop | None = None,
     *,
     queue_capacity: int | None = None,
-    rejection_policy: str | None = None,
+    rejection_policy: str = "block",
 ) -> AsyncioEdtTarget:
     """Register a (running) asyncio loop as virtual target *name*.
 
     Call from inside the loop (``loop`` defaults to the running loop) or
-    from another thread with an explicit loop object.  Capacity/policy
-    default to the runtime's ``queue_capacity_var``/``rejection_policy_var``
-    ICVs, like every other target factory.
+    from another thread with an explicit loop object.  The queue is
+    unbounded unless *queue_capacity* is given, like every other target
+    factory's.
     """
     if loop is None:
         loop = asyncio.get_running_loop()
     target = AsyncioEdtTarget(
-        name, loop, **runtime._queue_options(queue_capacity, rejection_policy)
+        name, loop, queue_capacity=queue_capacity, rejection_policy=rejection_policy
     )
     runtime.register_target(target)
     return target

@@ -39,7 +39,7 @@ from functools import partial
 from typing import Callable
 
 from ..core import injection as _inj
-from ..core.errors import PyjamaError, RegionFailedError, TagError
+from ..core.errors import PyjamaError, RegionFailedError
 from ..core.region import RegionState, TargetRegion
 from ..core.runtime import PjRuntime
 from ..core.targets import REJECTION_POLICIES
@@ -85,8 +85,8 @@ class StressProfile:
     use_policy: bool = False
     jitter_probability: float = 0.15
     jitter_max_s: float = 0.002
-    # Scheduling-policy ICVs applied to every stress iteration's runtime
-    # (docs/TUNING.md).  The defaults reproduce the unpoliced runtime;
+    # Scheduling policies (docs/TUNING.md) of both worker pools of every
+    # stress iteration.  The defaults reproduce the unpoliced runtime;
     # tests/check/test_steal_invariants.py forces stealing and batching on
     # through these to prove the invariants survive the policies.
     steal: bool = False
@@ -201,12 +201,9 @@ def run_iteration(
     _inj.install(_inj.InjectionHooks(jitter=jitter, force_queue_full=force_full))
 
     rt = PjRuntime()
-    rt.default_timeout_var = 5.0
-    # Profile-driven scheduling policies: targets created below inherit
-    # these ICVs, so one profile knob subjects the whole iteration to
-    # stealing/batching without touching the op mix.
-    rt.steal_var = profile.steal
-    rt.batch_max_var = profile.batch_max
+    # One profile knob subjects both pools to stealing/batching without
+    # touching the op mix.
+    policies = {"steal": profile.steal, "batch_max": profile.batch_max}
     handles: list[tuple[str, TargetRegion]] = []  # driver-issued regions
     inner: list[tuple[str, TargetRegion]] = []  # regions created inside bodies
     ran: dict[int, tuple[str, str]] = {}  # callable _trace_id -> (label, outcome)
@@ -226,8 +223,9 @@ def run_iteration(
             r.choice([1, 2, 3]),
             queue_capacity=r.choice([None, 2, 4]),
             rejection_policy=r.choice(list(REJECTION_POLICIES)),
+            **policies,
         )
-        rt.create_worker("w1", r.choice([1, 2]))
+        rt.create_worker("w1", r.choice([1, 2]), **policies)
         have_edt = r.random() < 0.7
         if have_edt:
             rt.start_edt("edt")
@@ -243,7 +241,8 @@ def run_iteration(
         next_tid = -1
 
         def dispatch(tname: str, label: str, body: Callable, mode: str = "nowait",
-                     *, book: list = handles, **clauses) -> None:
+                     *, book: list = handles, timeout: float = 5.0,
+                     tag: str | None = None) -> None:
             """Issue one region and *book* its handle (bodies book theirs
             under ``inner``).  A refused or timed-out dispatch resolves the
             handle, so no waiter or tag group is stranded on a region that
@@ -251,7 +250,7 @@ def run_iteration(
             reg = TargetRegion(body, name=label)
             book.append((label, reg))
             try:
-                rt.invoke_target_block(tname, reg, mode, **clauses)
+                rt.invoke_target_block(tname, reg, mode, tag=tag, timeout=timeout)
             except (PyjamaError, TimeoutError) as exc:
                 reg.request_cancel(exc)
 
@@ -358,8 +357,6 @@ def run_iteration(
                     rt.wait_tag(r.choice(tags), timeout=5.0)
                 except RegionFailedError:
                     pass  # failing/cancelled bodies are part of the workload
-                except TagError:
-                    pass
                 except TimeoutError:
                     violations.append(Violation(
                         "stuck-tag",
@@ -418,9 +415,7 @@ def run_remote_phase(profile: StressProfile, seed: int, backend: str) -> PhaseOu
     agents = []
     try:
         if backend == "process":
-            target = rt.create_process_worker(
-                label, 2, max_restarts=2, heartbeat_interval=0.25
-            )
+            target = rt.create_process_worker(label, 2, heartbeat_interval=0.25)
             kill = partial(kill_worker, target, 0)
         else:
             # Lazy: the cluster machinery is only needed when this row runs.
@@ -429,8 +424,7 @@ def run_remote_phase(profile: StressProfile, seed: int, backend: str) -> PhaseOu
             for _ in range(2):
                 agents.append(spawn_agent_process())
             target = rt.create_cluster(
-                label, [a.endpoint for a in agents],
-                max_restarts=2, heartbeat_interval=0.25,
+                label, [a.endpoint for a in agents], heartbeat_interval=0.25
             )
             kill = agents[0].terminate
         for i in range(10):
@@ -488,7 +482,6 @@ def run_policy_phase(profile: StressProfile, seed: int) -> PhaseOutcome:
     session = _obs.session()
     session.start(buffer_size=profile.buffer_size)
     rt = PjRuntime()
-    rt.default_timeout_var = 10.0
     handles: list[tuple[str, TargetRegion]] = []
     try:
         rt.create_worker("hot", 1, steal=True, batch_max=4)
@@ -503,7 +496,7 @@ def run_policy_phase(profile: StressProfile, seed: int) -> PhaseOutcome:
             )
             handles.append((label, reg))
             try:
-                rt.invoke_target_block(tname, reg, "nowait")
+                rt.invoke_target_block(tname, reg, "nowait", timeout=10.0)
             except PyjamaError as exc:
                 reg.request_cancel(exc)
         found = _stuck_handles(handles, 15.0)

@@ -20,15 +20,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
-
-from .check.faults import TAMPERS
-from .kernels import KERNELS, get_kernel, time_kernel
-from .sim import GUI_KERNELS, GuiBenchConfig, TraceRecorder, figures, render_ascii
-from .sim.approaches import APPROACHES, _HANDLERS, _build_world
-from .sim.workload import fire_open_loop
+from typing import Collection, Sequence
 
 __all__ = ["main"]
+
+# Each command imports the subsystem it drives, so a command that needs
+# none of them (``cluster-worker``, the agent other processes spawn) starts
+# without loading numpy or the simulator.
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -38,17 +36,32 @@ def _parse_int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _unknown(what: str, name: str | None, have: Collection[str]) -> bool:
+    """True, after naming the valid choices on stderr, if *name* is given
+    and not one of *have* (the command then exits 2)."""
+    if name is None or name in have:
+        return False
+    print(f"unknown {what} {name!r} (have: {', '.join(sorted(have))})", file=sys.stderr)
+    return True
+
+
 def cmd_fig1(args: argparse.Namespace) -> int:
+    from .sim import figures
+
     _, lines = figures.figure1(args.handler_ms, args.spacing_ms, args.events)
     print("\n".join(lines))
     return 0
 
 
 def cmd_fig7(args: argparse.Namespace) -> int:
+    from .sim import GUI_KERNELS, figures
+
+    if _unknown("kernel", args.kernel, GUI_KERNELS):
+        return 2
+    approaches = args.approaches.split(",") if args.approaches else figures.FIG7_APPROACHES
     try:
-        _, lines = figures.figure7(args.kernel, args.rates, args.events,
-                                   args.approaches.split(","), args.metric,
-                                   args.calibrate)
+        _, lines = figures.figure7(args.kernel, args.rates or figures.RATES, args.events,
+                                   approaches, args.metric, args.calibrate)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -57,44 +70,48 @@ def cmd_fig7(args: argparse.Namespace) -> int:
 
 
 def cmd_fig8(args: argparse.Namespace) -> int:
-    _, lines = figures.figure8(args.kernel, args.rates, args.events, args.team,
-                               args.calibrate)
+    from .sim import GUI_KERNELS, figures
+
+    if _unknown("kernel", args.kernel, GUI_KERNELS):
+        return 2
+    _, lines = figures.figure8(args.kernel, args.rates or figures.RATES, args.events,
+                               args.team, args.calibrate)
     print("\n".join(lines))
     return 0
 
 
 def cmd_fig9(args: argparse.Namespace) -> int:
-    _, lines = figures.figure9(args.workers, args.users, args.team)
+    from .sim import figures
+
+    _, lines = figures.figure9(args.workers or figures.WORKERS, args.users, args.team)
     print("\n".join(lines))
     return 0
 
 
 def cmd_timeline(args: argparse.Namespace) -> int:
     """Render an EDT/worker occupancy Gantt for one approach."""
-    if args.approach not in APPROACHES:
-        print(f"unknown approach {args.approach!r}", file=sys.stderr)
+    from .sim import (
+        APPROACHES,
+        GUI_KERNELS,
+        GuiBenchConfig,
+        TraceRecorder,
+        render_ascii,
+        run_gui_benchmark,
+    )
+
+    if _unknown("approach", args.approach, APPROACHES) or _unknown(
+        "kernel", args.kernel, GUI_KERNELS
+    ):
         return 2
-    cfg = GuiBenchConfig(approach=args.approach, kernel=GUI_KERNELS[args.kernel],
-                         rate=float(args.rate), n_events=args.events,
-                         await_style=args.await_style)
-    # Rebuild the approach world with tracing enabled.
     trace = TraceRecorder()
-    w = _build_world(cfg)
-    w.edt.trace = trace
-    for pool in w.pools.values():
-        pool.trace = trace
-    handler = _HANDLERS[cfg.approach]
-
-    def fire(i: int) -> None:
-        fired_at = w.sim.now
-        w.edt.post(lambda: handler(w, lambda: w.stats.record(fired_at, w.sim.now)))
-
-    fire_open_loop(w.sim, cfg.rate, cfg.n_events, fire)
-    w.sim.run()
+    result = run_gui_benchmark(GuiBenchConfig(
+        approach=args.approach, kernel=GUI_KERNELS[args.kernel],
+        rate=float(args.rate), n_events=args.events, await_style=args.await_style,
+    ), trace=trace)
     print(f"timeline: {args.approach} on {args.kernel}, {args.rate} req/s, "
           f"{args.events} events")
     print(render_ascii(trace, width=args.width))
-    print(f"mean response: {w.stats.mean * 1000:.1f} ms; "
+    print(f"mean response: {result.response.mean * 1000:.1f} ms; "
           f"EDT busy: {trace.lane_busy_time('edt') * 1000:.1f} ms")
     return 0
 
@@ -183,6 +200,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     """
     from . import check as c
 
+    if _unknown("inject mode", args.inject, c.TAMPERS):
+        return 2
     result = c.run_check(
         profile=args.profile,
         seed=args.seed,
@@ -340,6 +359,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 
 def cmd_kernels(args: argparse.Namespace) -> int:
+    from .kernels import KERNELS, get_kernel, time_kernel
+
     print(f"{'kernel':>12} | {'size':>8} | {'valid':>5} | {'t (ms)':>8} | paper | description")
     for name in sorted(KERNELS):
         spec = get_kernel(name)
@@ -359,6 +380,7 @@ def cmd_dist_info(args: argparse.Namespace) -> int:
     from .cluster.transport import MAX_FRAME_BYTES
     from .dist.arena import ARENA_MAX_BYTES
     from .dist.process_target import DEFAULT_START_METHOD
+    from .dist.remote_target import RemoteLaneTarget as Lanes
     from .dist.wire import ATTACH_MIN_BYTES, HAVE_CLOUDPICKLE, PROTOCOL_VERSION
 
     try:
@@ -372,7 +394,8 @@ def cmd_dist_info(args: argparse.Namespace) -> int:
         ("start_methods (available)", ", ".join(multiprocessing.get_all_start_methods())),
         ("cloudpickle", "yes (closures/lambdas cross the wire)" if HAVE_CLOUDPICKLE
          else "no (module-level functions only)"),
-        ("defaults", "max_restarts=3 heartbeat=1.0sx3 cancel_grace=5.0s"),
+        ("defaults", f"max_restarts={Lanes.max_restarts} "
+         f"heartbeat=1.0sx{Lanes.heartbeat_misses} cancel_grace={Lanes.cancel_grace}s"),
         ("cluster protocol", f"version {PROTOCOL_VERSION} "
          "(hello handshake on every connection)"),
         ("cluster framing", "length-prefixed pickled message, payload of "
@@ -406,10 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fig1)
 
     p = sub.add_parser("fig7", help="GUI response time vs load (Figure 7)")
-    p.add_argument("--kernel", choices=sorted(GUI_KERNELS), default="crypt")
-    p.add_argument("--rates", type=_parse_int_list, default=list(figures.RATES))
+    p.add_argument("--kernel", default="crypt")
+    p.add_argument("--rates", type=_parse_int_list, default=None)
     p.add_argument("--events", type=int, default=200)
-    p.add_argument("--approaches", default=",".join(figures.FIG7_APPROACHES))
+    p.add_argument("--approaches", default=None)
     p.add_argument("--metric", choices=["response", "dispatch"], default="response",
                    help="dispatch = EDT responsiveness (fire -> handler start)")
     p.add_argument("--calibrate", action="store_true",
@@ -417,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fig7)
 
     p = sub.add_parser("fig8", help="async vs async-parallel (Figure 8)")
-    p.add_argument("--kernel", choices=sorted(GUI_KERNELS), default="crypt")
-    p.add_argument("--rates", type=_parse_int_list, default=list(figures.RATES))
+    p.add_argument("--kernel", default="crypt")
+    p.add_argument("--rates", type=_parse_int_list, default=None)
     p.add_argument("--events", type=int, default=200)
     p.add_argument("--team", type=int, default=3)
     p.add_argument("--calibrate", action="store_true",
@@ -426,14 +449,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fig8)
 
     p = sub.add_parser("fig9", help="HTTP throughput vs workers (Figure 9)")
-    p.add_argument("--workers", type=_parse_int_list, default=list(figures.WORKERS))
+    p.add_argument("--workers", type=_parse_int_list, default=None)
     p.add_argument("--users", type=int, default=100)
     p.add_argument("--team", type=int, default=8)
     p.set_defaults(func=cmd_fig9)
 
     p = sub.add_parser("timeline", help="ASCII EDT/worker occupancy Gantt")
     p.add_argument("--approach", default="pyjama_async")
-    p.add_argument("--kernel", choices=sorted(GUI_KERNELS), default="crypt")
+    p.add_argument("--kernel", default="crypt")
     p.add_argument("--rate", type=float, default=30.0)
     p.add_argument("--events", type=int, default=8)
     p.add_argument("--width", type=int, default=72)
@@ -482,8 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the profile's iteration count")
     p.add_argument("--ops", type=int, default=None,
                    help="override the profile's operations per iteration")
-    p.add_argument("--inject", nargs="?", const="lying-exec-outcome",
-                   choices=sorted(TAMPERS), default=None,
+    p.add_argument("--inject", nargs="?", const="lying-exec-outcome", default=None,
                    help="tamper with iteration 0's recorded events to prove "
                         "the checker catches a lying trace (forces exit 1)")
     p.add_argument("--dist", action=argparse.BooleanOptionalAction,
@@ -560,8 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preemptions", type=int, default=-1,
                    help="preemption bound per schedule (CHESS-style); "
                         "-1 = unbounded (exhaustive)")
-    p.add_argument("--inject", nargs="?", const="lying-exec-outcome",
-                   choices=sorted(TAMPERS), default=None,
+    p.add_argument("--inject", nargs="?", const="lying-exec-outcome", default=None,
                    help="tamper with each run's recorded events to prove "
                         "the explorer catches a lying trace (forces exit 1)")
     p.add_argument("--seed", type=int, default=None,

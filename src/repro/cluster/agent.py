@@ -46,7 +46,7 @@ from typing import Any
 
 from ..core.errors import ProtocolVersionError, RuntimeStateError
 from ..dist import wire
-from ..dist.worker import WorkerConfig, _Current, control_loop, task_loop
+from ..dist.worker import _Current, control_loop, task_loop
 from . import transport as _transport
 
 __all__ = ["ClusterAgent", "AgentHandle", "spawn_agent_process", "announce_line"]
@@ -223,10 +223,7 @@ class ClusterAgent:
             if self._stop.is_set():
                 return  # accepted while stop() was closing the others
             if hello.role == "task":
-                task_loop(
-                    tr, WorkerConfig(hello.target_name, hello.slot), current,
-                    executed=self._count_task,
-                )
+                task_loop(tr, current, executed=self._count_task)
             elif hello.role == "ctrl":
                 control_loop(tr, current)
             else:

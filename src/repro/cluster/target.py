@@ -54,12 +54,11 @@ class _ClusterSlot(RemoteLane):
     __slots__ = ("host", "port")
 
     noun = "lane"
+    #: Per connection attempt: TCP connect, hello, clock probe 1.
+    open_timeout = 10.0
 
-    def __init__(
-        self, index: int, target_name: str, connect_timeout: float,
-        host: str, port: int,
-    ) -> None:
-        super().__init__(index, target_name, connect_timeout)
+    def __init__(self, index: int, target_name: str, host: str, port: int) -> None:
+        super().__init__(index, target_name)
         self.host = host
         self.port = port
 
@@ -124,10 +123,10 @@ class ClusterTarget(RemoteLaneTarget):
 
     Created by ``virtual_target_create_cluster(tname, endpoints)`` /
     :meth:`PjRuntime.create_cluster`.  Parameters beyond the common target
-    options and those of
-    :class:`~repro.dist.remote_target.RemoteLaneTarget` (``max_restarts``
-    is the *reconnect* budget per slot, ``heartbeat_*`` probe over the ctrl
-    connection, ``cancel_grace`` bounds how long a remote body may ignore a
+    options and ``heartbeat_interval`` (the idle probe runs over the ctrl
+    connection; of :class:`~repro.dist.remote_target.RemoteLaneTarget`'s
+    supervision constants, ``max_restarts`` is the *reconnect* budget per
+    slot and ``cancel_grace`` bounds how long a remote body may ignore a
     cancellation before its connections are torn):
 
     endpoints:
@@ -139,8 +138,6 @@ class ClusterTarget(RemoteLaneTarget):
         queue, so dispatch is least-loaded across hosts by construction.
         Slots of a surviving endpoint are unaffected by a dead one — that
         is the shard-failover path.
-    connect_timeout:
-        Budget per connection attempt (TCP connect + hello + clock probe 1).
     """
 
     kind = "cluster"
@@ -155,11 +152,7 @@ class ClusterTarget(RemoteLaneTarget):
         shards: int = 1,
         queue_capacity: int | None = None,
         rejection_policy: str = "block",
-        max_restarts: int = 3,
         heartbeat_interval: float = 1.0,
-        heartbeat_misses: int = 3,
-        cancel_grace: float = 5.0,
-        connect_timeout: float = 10.0,
     ) -> None:
         if not endpoints:
             raise ValueError("cluster target needs at least one endpoint")
@@ -168,21 +161,17 @@ class ClusterTarget(RemoteLaneTarget):
         parsed = [_transport.parse_endpoint(e) for e in endpoints]
         self.endpoints = [f"{h}:{p}" for h, p in parsed]
         self.shards = shards
-        self.connect_timeout = connect_timeout
         super().__init__(
             name,
             # Interleave: slot i lives on endpoint i % len(endpoints), so the
             # first len(endpoints) slots already span every host.
             [
-                _ClusterSlot(i, name, connect_timeout, *parsed[i % len(parsed)])
+                _ClusterSlot(i, name, *parsed[i % len(parsed)])
                 for i in range(len(parsed) * shards)
             ],
             queue_capacity=queue_capacity,
             rejection_policy=rejection_policy,
-            max_restarts=max_restarts,
             heartbeat_interval=heartbeat_interval,
-            heartbeat_misses=heartbeat_misses,
-            cancel_grace=cancel_grace,
         )
 
     @property

@@ -35,7 +35,6 @@ from .errors import (
     RemoteExecutionError,
     RuntimeStateError,
     SerializationError,
-    TagError,
     TargetExistsError,
     TargetShutdownError,
     UnknownTargetError,
@@ -64,8 +63,8 @@ __all__ = [
     "AwaitTimeoutError", "DirectiveSyntaxError", "PyjamaError",
     "QueueFullError", "RegionCancelledError", "RegionFailedError",
     "RemoteExecutionError", "RuntimeStateError", "SerializationError",
-    "TagError", "TargetExistsError",
-    "TargetShutdownError", "UnknownTargetError", "WorkerCrashedError",
+    "TargetExistsError", "TargetShutdownError", "UnknownTargetError",
+    "WorkerCrashedError",
     # region / runtime / targets
     "CancelToken", "RegionState", "TargetRegion", "current_region",
     "PjRuntime", "default_runtime",

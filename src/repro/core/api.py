@@ -84,9 +84,9 @@ def virtual_target_create_process_worker(
     The process counterpart of :func:`virtual_target_create_worker`: same
     name-based directive surface and scheduling clauses, but region bodies
     run outside this interpreter's GIL, so CPU-bound blocks scale with cores
-    instead of serializing.  *options* forwards the supervision knobs of
-    :meth:`PjRuntime.create_process_worker` (``max_restarts``,
-    ``start_method``, ``heartbeat_interval``, ``cancel_grace``, ...).
+    instead of serializing.  *options* forwards the arguments of
+    :meth:`PjRuntime.create_process_worker` (``queue_capacity``,
+    ``rejection_policy``, ``start_method``, ``heartbeat_interval``).
     """
     return (runtime or default_runtime()).create_process_worker(tname, m, **options)
 
@@ -106,9 +106,8 @@ def virtual_target_create_cluster(
     directive surface, but region bodies execute on agents started with
     ``python -m repro cluster-worker`` at the given ``host:port``
     *endpoints*, *shards* lanes per endpoint.  *options* forwards the
-    supervision knobs of :meth:`PjRuntime.create_cluster`
-    (``max_restarts``, ``heartbeat_interval``, ``cancel_grace``,
-    ``connect_timeout``, ...).
+    arguments of :meth:`PjRuntime.create_cluster` (``queue_capacity``,
+    ``rejection_policy``, ``heartbeat_interval``).
     """
     return (runtime or default_runtime()).create_cluster(
         tname, endpoints, shards=shards, **options
@@ -202,11 +201,10 @@ def wait_for(
     tag: str,
     *,
     timeout: float | None = None,
-    strict: bool = False,
     runtime: PjRuntime | None = None,
 ) -> None:
     """The ``wait(name-tag)`` clause: join every block posted under *tag*."""
-    (runtime or default_runtime()).wait_tag(tag, timeout=timeout, strict=strict)
+    (runtime or default_runtime()).wait_tag(tag, timeout=timeout)
 
 
 def shutdown_all(*, wait: bool = True, runtime: PjRuntime | None = None) -> None:

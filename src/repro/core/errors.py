@@ -57,8 +57,7 @@ class TargetShutdownError(PyjamaError):
 class RuntimeStateError(PyjamaError):
     """The runtime was used in a way that violates its lifecycle.
 
-    Examples: waiting with ``await`` from a thread that belongs to no virtual
-    target while strict mode is enabled, or pumping an EDT from a foreign
+    Examples: ``name_as`` without a tag, or pumping an EDT from a foreign
     thread.
     """
 
@@ -130,11 +129,6 @@ class AwaitTimeoutError(PyjamaError, TimeoutError):
         if diagnostics:
             message = f"{message}\n{diagnostics}"
         super().__init__(message)
-
-
-class TagError(PyjamaError):
-    """Invalid use of a ``name_as``/``wait`` tag (e.g. waiting on an unknown tag
-    in strict mode)."""
 
 
 class WorkerCrashedError(PyjamaError):

@@ -52,34 +52,12 @@ class PjRuntime:
     Pyjama's static ``PjRuntime``; tests create private instances for
     isolation.
 
-    Internal control variables (ICVs), in the spirit of OpenMP's
-    ``default-device-var``:
-
-    * ``default_target_var`` — the virtual target used when a directive omits
-      the target-property clause.
-    * ``await_poll_var`` — the poll interval (seconds) of the logical barrier.
-    * ``strict_await_var`` — if True, ``await`` from a thread that belongs to
-      no virtual target raises instead of degrading to a blocking wait.
-    * ``queue_capacity_var`` — default bounded-queue capacity for targets
-      created through this runtime (None = unbounded).
-    * ``rejection_policy_var`` — default full-queue policy for those targets
-      (``block`` / ``reject`` / ``caller_runs``).
-    * ``default_timeout_var`` — default deadline (seconds) applied to waiting
-      dispatches when the directive/call gives none (None = wait forever).
-    * ``trace_enabled_var`` — event tracing on/off.  Tracing state is
-      process-global (one :class:`~repro.obs.TraceSession` spans every
-      runtime, like ``OMP_TOOL`` spans every device); this ICV is the
-      runtime-level view of that switch, also settable via ``REPRO_TRACE=1``.
-    * ``steal_var`` — default work-stealing enablement for worker targets
-      created through this runtime (default off).  Opted-in targets join
-      the runtime's :class:`~repro.policy.StealRing` as both thief and
-      victim.
-    * ``batch_max_var`` — default dequeue batch bound for worker targets
-      (default 1 = no batching).
-
-    The two policy ICVs are resolved at :meth:`create_worker` time and are
-    documented, with their decision rules and trace-event signatures, in
-    docs/TUNING.md.
+    One internal control variable (ICV), in the spirit of OpenMP's
+    ``default-device-var``: ``default_target_var``, the virtual target used
+    when a directive omits the target-property clause (the first target
+    registered, until it goes).  Everything else a dispatch or a target can
+    be told — queue bounds, rejection policy, deadline, stealing, batching
+    — is a per-call argument with a built-in default (docs/TUNING.md).
     """
 
     def __init__(self) -> None:
@@ -92,16 +70,7 @@ class PjRuntime:
         self._targets_view: dict[str, VirtualTarget] = {}
         self._lock = threading.Lock()
         self.tags = TagRegistry()
-        # ICVs
         self.default_target_var: str | None = None
-        self.await_poll_var: float = 0.05
-        self.strict_await_var: bool = False
-        self.queue_capacity_var: int | None = None
-        self.rejection_policy_var: str = "block"
-        self.default_timeout_var: float | None = None
-        # Scheduling-policy ICVs (docs/TUNING.md); both default to off.
-        self.steal_var: bool = False
-        self.batch_max_var: int = 1
         # One steal ring per runtime: worker targets with stealing enabled
         # join at registration and leave at shutdown.
         self._steal_ring = StealRing()
@@ -121,21 +90,6 @@ class PjRuntime:
         with self._counters_lock:
             for k in keys:
                 self.counters[k] += 1
-
-    # ------------------------------------------------------------ tracing ICV
-
-    @property
-    def trace_enabled_var(self) -> bool:
-        """Whether the process-global trace session is recording."""
-        return _obs.is_enabled()
-
-    @trace_enabled_var.setter
-    def trace_enabled_var(self, value: bool) -> None:
-        if value:
-            if not _obs.is_enabled():
-                _obs.enable()
-        else:
-            _obs.disable()
 
     def reset_counters(self) -> None:
         with self._counters_lock:
@@ -159,18 +113,6 @@ class PjRuntime:
             target.join_ring(self._steal_ring)
         return target
 
-    def _queue_options(
-        self, queue_capacity: int | None, rejection_policy: str | None
-    ) -> dict[str, Any]:
-        return {
-            "queue_capacity": (
-                queue_capacity if queue_capacity is not None else self.queue_capacity_var
-            ),
-            "rejection_policy": (
-                rejection_policy if rejection_policy is not None else self.rejection_policy_var
-            ),
-        }
-
     def _register_new(self, target):
         """Register a target this runtime just built; a name clash must not
         leak the threads/processes its constructor already started."""
@@ -187,23 +129,23 @@ class PjRuntime:
         max_threads: int,
         *,
         queue_capacity: int | None = None,
-        rejection_policy: str | None = None,
-        steal: bool | None = None,
-        batch_max: int | None = None,
+        rejection_policy: str = "block",
+        steal: bool = False,
+        batch_max: int = 1,
     ) -> WorkerTarget:
         """``virtual_target_create_worker`` (paper Table II).
 
-        *queue_capacity* / *rejection_policy* default to the
-        ``queue_capacity_var`` / ``rejection_policy_var`` ICVs; the
-        scheduling policies (*steal*, *batch_max* — see docs/TUNING.md)
-        default to the ``steal_var`` / ``batch_max_var`` ICVs.
+        The queue is unbounded unless *queue_capacity* is given; the
+        scheduling policies (*steal*, *batch_max* — see docs/TUNING.md) are
+        off by default.
         """
         target = WorkerTarget(
             name,
             max_threads,
-            steal=self.steal_var if steal is None else steal,
-            batch_max=self.batch_max_var if batch_max is None else batch_max,
-            **self._queue_options(queue_capacity, rejection_policy),
+            queue_capacity=queue_capacity,
+            rejection_policy=rejection_policy,
+            steal=steal,
+            batch_max=batch_max,
         )
         return self._register_new(target)
 
@@ -213,13 +155,9 @@ class PjRuntime:
         max_workers: int,
         *,
         queue_capacity: int | None = None,
-        rejection_policy: str | None = None,
-        max_restarts: int = 3,
+        rejection_policy: str = "block",
         start_method: str | None = None,
         heartbeat_interval: float = 1.0,
-        heartbeat_misses: int = 3,
-        cancel_grace: float = 5.0,
-        spawn_timeout: float = 60.0,
     ):
         """``virtual_target_create_process_worker(tname, m)``: a worker
         virtual target backed by *max_workers* supervised OS processes.
@@ -229,21 +167,17 @@ class PjRuntime:
         rejection policies), but region bodies execute outside the GIL of
         this process — the device layer for CPU-bound kernels.  See
         ``docs/DISTRIBUTION.md`` for when to choose process over thread
-        targets, and :class:`~repro.dist.ProcessTarget` for the supervision
-        knobs (*max_restarts*, heartbeats, *cancel_grace*).
+        targets, and :class:`~repro.dist.ProcessTarget` for supervision.
         """
         from ..dist import ProcessTarget  # lazy: dist imports core
 
         target = ProcessTarget(
             name,
             max_workers,
-            max_restarts=max_restarts,
+            queue_capacity=queue_capacity,
+            rejection_policy=rejection_policy,
             start_method=start_method,
             heartbeat_interval=heartbeat_interval,
-            heartbeat_misses=heartbeat_misses,
-            cancel_grace=cancel_grace,
-            spawn_timeout=spawn_timeout,
-            **self._queue_options(queue_capacity, rejection_policy),
         )
         return self._register_new(target)
 
@@ -254,12 +188,8 @@ class PjRuntime:
         *,
         shards: int = 1,
         queue_capacity: int | None = None,
-        rejection_policy: str | None = None,
-        max_restarts: int = 3,
+        rejection_policy: str = "block",
         heartbeat_interval: float = 1.0,
-        heartbeat_misses: int = 3,
-        cancel_grace: float = 5.0,
-        connect_timeout: float = 10.0,
     ):
         """``virtual_target_create_cluster(tname, endpoints)``: a worker
         virtual target backed by socket-connected remote worker agents.
@@ -269,8 +199,8 @@ class PjRuntime:
         worker agents (``python -m repro cluster-worker``) at the given
         ``host:port`` *endpoints* — *shards* lanes per endpoint, all pulling
         one shared queue (least-loaded routing across hosts).  See
-        :class:`~repro.cluster.ClusterTarget` for the reconnect/heartbeat
-        knobs and ``docs/DISTRIBUTION.md`` for failure semantics.
+        :class:`~repro.cluster.ClusterTarget` for reconnects and
+        ``docs/DISTRIBUTION.md`` for failure semantics.
         """
         from ..cluster import ClusterTarget  # lazy: cluster imports core
 
@@ -278,12 +208,9 @@ class PjRuntime:
             name,
             endpoints,
             shards=shards,
-            max_restarts=max_restarts,
+            queue_capacity=queue_capacity,
+            rejection_policy=rejection_policy,
             heartbeat_interval=heartbeat_interval,
-            heartbeat_misses=heartbeat_misses,
-            cancel_grace=cancel_grace,
-            connect_timeout=connect_timeout,
-            **self._queue_options(queue_capacity, rejection_policy),
         )
         return self._register_new(target)
 
@@ -292,11 +219,13 @@ class PjRuntime:
         name: str,
         *,
         queue_capacity: int | None = None,
-        rejection_policy: str | None = None,
+        rejection_policy: str = "block",
     ) -> EdtTarget:
         """``virtual_target_register_edt`` (paper Table II): the calling
         thread becomes the EDT of a new target named *name*."""
-        target = EdtTarget(name, **self._queue_options(queue_capacity, rejection_policy))
+        target = EdtTarget(
+            name, queue_capacity=queue_capacity, rejection_policy=rejection_policy
+        )
         self.register_target(target)
         target.register_current_thread()
         return target
@@ -306,10 +235,12 @@ class PjRuntime:
         name: str,
         *,
         queue_capacity: int | None = None,
-        rejection_policy: str | None = None,
+        rejection_policy: str = "block",
     ) -> EdtTarget:
         """Spawn a dedicated EDT thread (headless convenience)."""
-        target = EdtTarget(name, **self._queue_options(queue_capacity, rejection_policy))
+        target = EdtTarget(
+            name, queue_capacity=queue_capacity, rejection_policy=rejection_policy
+        )
         self.register_target(target)
         target.start_in_thread()
         return target
@@ -365,8 +296,7 @@ class PjRuntime:
         Returns the region (usable as a handle: ``.wait()``, ``.result()``).
         For ``DEFAULT`` and ``AWAIT`` the call returns only after the block
         finished, re-raising any exception from the block's body.  *timeout*
-        (or the ``default_timeout_var`` ICV) bounds the waiting modes: past
-        the deadline the region is withdrawn if still queued and
+        bounds the waiting modes: past the deadline the region is withdrawn if still queued and
         :class:`AwaitTimeoutError` is raised with a diagnostic dump.
         """
         if isinstance(mode, str):
@@ -375,8 +305,6 @@ class PjRuntime:
             mode = _MODE_BY_VALUE.get(mode) or SchedulingMode(mode)
         if not isinstance(region, TargetRegion):
             region = TargetRegion(region)
-        if timeout is None:
-            timeout = self.default_timeout_var
         if region.state is RegionState.CANCELLED:
             # An already-cancelled handle must not be posted: run() would
             # no-op on the executor, leaving fire-and-forget callers with a
@@ -486,24 +414,19 @@ class PjRuntime:
         If the thread belongs to a virtual target, pump that target's queue
         ("T.processAnotherEventHandler()") in :meth:`VirtualTarget.pump_until`
         until *region*'s completion wakes it; otherwise degrade to a blocking
-        wait (or raise, under ``strict_await_var``).  *timeout* arms the
+        wait.  *timeout* arms the
         barrier watchdog: past the deadline the region is withdrawn and
         :class:`AwaitTimeoutError` raised with a full diagnostic dump.
         """
         mine = current_target()
         if mine is None:
-            if self.strict_await_var:
-                raise RuntimeStateError(
-                    "await used from a thread that belongs to no virtual target; "
-                    "it would block instead of processing other events"
-                )
             if not region.wait(timeout):
                 self._on_deadline(region, executor, timeout, kind="await")
             return
         region.add_done_callback(lambda _r: mine.wakeup())
         try:
             mine.pump_until(
-                lambda: region.done, self.await_poll_var, timeout=timeout,
+                lambda: region.done, timeout=timeout,
                 region=region.seq, name=region.label,
             )
         except AwaitTimeoutError:
@@ -544,7 +467,7 @@ class PjRuntime:
 
     # ------------------------------------------------------------------ waits
 
-    def wait_tag(self, tag: str, *, timeout: float | None = None, strict: bool = False) -> None:
+    def wait_tag(self, tag: str, *, timeout: float | None = None) -> None:
         """The ``wait(name-tag)`` clause: join all blocks named *tag*.
 
         When called from a thread that belongs to a virtual target, other
@@ -560,13 +483,10 @@ class PjRuntime:
             session.emit(EventKind.TAG_WAIT_BEGIN, target=where, name=tag)
         try:
             if mine is None:
-                tags.wait(tag, timeout=timeout, strict=strict)
+                tags.wait(tag, timeout=timeout)
             else:
-                if strict:
-                    tags.require_known(tag)
                 mine.pump_until(
-                    partial(tags.drained, tag, mine.wakeup), self.await_poll_var,
-                    timeout=timeout, name=tag,
+                    partial(tags.drained, tag, mine.wakeup), timeout=timeout, name=tag
                 )
                 tags.raise_errors(tag)
         finally:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 from typing import Callable
 
-from .errors import AwaitTimeoutError, RegionCancelledError, RegionFailedError, TagError
+from .errors import AwaitTimeoutError, RegionCancelledError, RegionFailedError
 from .region import RegionState, TargetRegion
 
 __all__ = ["TagRegistry"]
@@ -25,16 +25,12 @@ class TagRegistry:
         self._outstanding: dict[str, set[TargetRegion]] = {}
         self._completed_with_error: dict[str, list[RegionFailedError]] = {}
         self._cond = threading.Condition(self._lock)
-        # Tags that have ever been used; lets strict waits distinguish
-        # "never registered" from "all done".
-        self._known: set[str] = set()
         # Per tag, what to call when its group next empties (see drained()).
         self._wakers: dict[str, set[Callable[[], None]]] = {}
 
     def register(self, tag: str, region: TargetRegion) -> None:
         """Attach *region* to *tag*; automatically detaches on completion."""
         with self._cond:
-            self._known.add(tag)
             self._outstanding.setdefault(tag, set()).add(region)
         region.add_done_callback(lambda r: self._on_done(tag, r))
 
@@ -67,15 +63,6 @@ class TagRegistry:
         with self._lock:
             return len(self._outstanding.get(tag, ()))
 
-    def is_known(self, tag: str) -> bool:
-        with self._lock:
-            return tag in self._known
-
-    def require_known(self, tag: str) -> None:
-        """The strict-wait check: a never-registered *tag* is a typo."""
-        if not self.is_known(tag):
-            raise TagError(f"wait on unknown name_as tag {tag!r}")
-
     def drained(self, tag: str, wake: Callable[[], None]) -> bool:
         """True if no region under *tag* is outstanding; otherwise False,
         having arranged one call of *wake* when the group next empties.
@@ -90,36 +77,20 @@ class TagRegistry:
             self._wakers.setdefault(tag, set()).add(wake)
             return False
 
-    def wait(
-        self,
-        tag: str,
-        *,
-        timeout: float | None = None,
-        strict: bool = False,
-        raise_on_error: bool = True,
-    ) -> None:
-        """Block until every region registered under *tag* has finished.
+    def wait(self, tag: str, *, timeout: float | None = None) -> None:
+        """Block until every region registered under *tag* has finished,
+        then re-raise the first :class:`RegionFailedError` recorded under it.
 
-        Parameters
-        ----------
-        strict:
-            If True, waiting on a tag that was never registered raises
-            :class:`TagError` (catches typos); the paper's semantics treat an
-            unknown tag as trivially complete, which is the default.
-        raise_on_error:
-            If any region under *tag* failed, re-raise the first recorded
-            :class:`RegionFailedError` after the group completes.
+        A tag that was never registered is trivially complete, as in the
+        paper.
         """
-        if strict:
-            self.require_known(tag)
         with self._cond:
             ok = self._cond.wait_for(
                 lambda: not self._outstanding.get(tag), timeout=timeout
             )
         if not ok:
             raise AwaitTimeoutError(f"timed out waiting for tag {tag!r}")
-        if raise_on_error:
-            self.raise_errors(tag)
+        self.raise_errors(tag)
 
     def raise_errors(self, tag: str) -> None:
         """Consume the failures recorded under *tag* and raise the first."""
@@ -139,7 +110,6 @@ class TagRegistry:
             self._outstanding.clear()
             if not keep_errors:
                 self._completed_with_error.clear()
-            self._known.clear()
             wakers = set().union(*self._wakers.values())
             self._wakers.clear()
             self._cond.notify_all()

@@ -585,6 +585,11 @@ class VirtualTarget(abc.ABC):
     #: ``PjRuntime.diagnostic_dump`` so mixed deployments read at a glance.
     kind: str = "virtual"
 
+    #: How stale :meth:`pump_until` lets its predicate get (seconds) when no
+    #: :meth:`wakeup` cuts a wait short.  Class attribute so tests can
+    #: lengthen it to prove a barrier ended on its wakeup, not its poll.
+    _barrier_poll = 0.05
+
     @property
     def pool_size(self) -> int:
         """Number of execution lanes (threads or processes) this target owns."""
@@ -749,7 +754,6 @@ class VirtualTarget(abc.ABC):
     def pump_until(
         self,
         predicate: Callable[[], bool],
-        poll: float = 0.05,
         *,
         timeout: float | None = None,
         region: int | None = None,
@@ -760,12 +764,12 @@ class VirtualTarget(abc.ABC):
         The logical barrier of Algorithm 1 (lines 13-16), and the only loop
         of its kind: ``await``, a member thread's ``wait(tag)`` and the modal
         dialog end up here too.  The calling thread must belong to this
-        target and the target must be pumpable.  *poll* only bounds how stale
-        the predicate can get; a caller that wants out the moment it holds
-        arranges a :meth:`wakeup`, and a barrier that nevertheless ended on
-        its poll is counted in ``stats["barriers_ended_by_poll"]``.  Past
-        *timeout* the barrier raises :class:`AwaitTimeoutError` with this
-        target's diagnostics.  *region* and *name* identify it in the trace
+        target and the target must be pumpable.  ``_barrier_poll`` only
+        bounds how stale the predicate can get; a caller that wants out the
+        moment it holds arranges a :meth:`wakeup`, and a barrier that
+        nevertheless ended on its poll is counted in
+        ``stats["barriers_ended_by_poll"]``.  Past *timeout* the barrier
+        raises :class:`AwaitTimeoutError` with this target's diagnostics.  *region* and *name* identify it in the trace
         and in that error, nothing else.
         """
         if not self.contains():
@@ -789,6 +793,7 @@ class VirtualTarget(abc.ABC):
         # deadlines); only trace timestamps use the perf_counter_ns clock.
         deadline = None if timeout is None else time.monotonic() + timeout
         q = self._queue
+        poll = self._barrier_poll
         # Read before the predicate: a wakeup owed to a completion the
         # predicate has not seen yet then differs from ``seen`` and ends the
         # next slice at once.
@@ -815,7 +820,7 @@ class VirtualTarget(abc.ABC):
                 polled = not ran and seen == before
             if polled:
                 # The predicate came true during a slice that nothing cut
-                # short: the barrier outlived its condition by up to *poll*.
+                # short: the barrier outlived its condition by up to a poll.
                 self._bump("barriers_ended_by_poll")
         finally:
             if session.enabled:
@@ -917,7 +922,6 @@ class WorkerTarget(VirtualTarget):
         name: str,
         max_threads: int,
         *,
-        daemon: bool = True,
         queue_capacity: int | None = None,
         rejection_policy: str = "block",
         steal: bool = False,
@@ -936,7 +940,7 @@ class WorkerTarget(VirtualTarget):
         self._steal_ring = None  # attached by PjRuntime.register_target
         self._threads = [
             threading.Thread(
-                target=self._worker_loop, name=f"pyjama-{name}-{i}", daemon=daemon
+                target=self._worker_loop, name=f"pyjama-{name}-{i}", daemon=True
             )
             for i in range(max_threads)
         ]

@@ -38,8 +38,11 @@ class _WorkerSlot(RemoteLane):
 
     __slots__ = ("process", "_ctx")
 
-    def __init__(self, index: int, target_name: str, spawn_timeout: float, ctx) -> None:
-        super().__init__(index, target_name, spawn_timeout)
+    #: Covers interpreter start and imports under ``spawn``.
+    open_timeout = 60.0
+
+    def __init__(self, index: int, target_name: str, ctx) -> None:
+        super().__init__(index, target_name)
         self.process: multiprocessing.process.BaseProcess | None = None
         self._ctx = ctx
 
@@ -111,17 +114,13 @@ class ProcessTarget(RemoteLaneTarget):
 
     Created by ``virtual_target_create_process_worker(tname, m)`` /
     :meth:`PjRuntime.create_process_worker`.  Parameters beyond the common
-    target options and those of
-    :class:`~repro.dist.remote_target.RemoteLaneTarget` (``max_restarts``,
-    ``heartbeat_interval``/``heartbeat_misses``, ``cancel_grace``):
+    target options and ``heartbeat_interval`` (supervision is
+    :class:`~repro.dist.remote_target.RemoteLaneTarget`'s):
 
     max_workers:
         Pool size — one worker process (and one shipper thread) per lane.
     start_method:
         ``spawn`` (default, safe under threads) / ``fork`` / ``forkserver``.
-    spawn_timeout:
-        Budget for a new worker to come up and answer the clock handshake
-        (covers interpreter start + imports under ``spawn``).
     """
 
     kind = "process"
@@ -133,27 +132,19 @@ class ProcessTarget(RemoteLaneTarget):
         *,
         queue_capacity: int | None = None,
         rejection_policy: str = "block",
-        max_restarts: int = 3,
         start_method: str | None = None,
         heartbeat_interval: float = 1.0,
-        heartbeat_misses: int = 3,
-        cancel_grace: float = 5.0,
-        spawn_timeout: float = 60.0,
     ) -> None:
         if max_workers < 1:
             raise ValueError(
                 f"process target needs at least 1 worker, got {max_workers}"
             )
         self.max_workers = max_workers
-        self.spawn_timeout = spawn_timeout
         ctx = multiprocessing.get_context(start_method or DEFAULT_START_METHOD)
         super().__init__(
             name,
-            [_WorkerSlot(i, name, spawn_timeout, ctx) for i in range(max_workers)],
+            [_WorkerSlot(i, name, ctx) for i in range(max_workers)],
             queue_capacity=queue_capacity,
             rejection_policy=rejection_policy,
-            max_restarts=max_restarts,
             heartbeat_interval=heartbeat_interval,
-            heartbeat_misses=heartbeat_misses,
-            cancel_grace=cancel_grace,
         )

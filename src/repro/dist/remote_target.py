@@ -145,7 +145,7 @@ class RemoteLane:
     """
 
     __slots__ = (
-        "index", "target_name", "open_timeout", "task", "ctrl", "pid",
+        "index", "target_name", "task", "ctrl", "pid",
         "clock_offset", "spawns", "disabled", "unanswered_pings", "thread",
     )
 
@@ -153,12 +153,13 @@ class RemoteLane:
     noun = "worker"
     #: ``host:port`` the worker lives at; empty for a local child process.
     endpoint = ""
+    #: Seconds a fresh worker has to come up and answer clock probe 1; each
+    #: strategy sets its own.
+    open_timeout: float
 
-    def __init__(self, index: int, target_name: str, open_timeout: float) -> None:
+    def __init__(self, index: int, target_name: str) -> None:
         self.index = index
         self.target_name = target_name
-        #: Budget for a fresh worker to come up and answer clock probe 1.
-        self.open_timeout = open_timeout
         self.task: Any = None
         self.ctrl: Any = None
         self.pid: int | None = None  # from the clock handshake
@@ -257,21 +258,8 @@ class RemoteLaneTarget(VirtualTarget):
     health checks, restart budgets, cancellation and ``timeout=`` reclaim,
     result delivery, trace merge, shutdown — written once against the
     :class:`RemoteLane` interface.  Subclasses build the lanes and set the
-    class-level facts below.  Parameters shared by every backend:
-
-    max_restarts:
-        Reopen budget *per lane*.  A lane whose worker keeps dying is
-        disabled once the budget is spent; when the last lane disables, the
-        backlog is failed (cancelled with the crash as reason) and the
-        target refuses further posts.
-    heartbeat_interval / heartbeat_misses:
-        How often a shipper checks its idle lane, and how many of its pings
-        may go unanswered before the idle worker is declared wedged and
-        replaced.
-    cancel_grace:
-        Seconds a worker may ignore a forwarded cancellation before it is
-        terminated and the lane reclaimed (this is what makes ``timeout=``
-        effective against a stuck worker).
+    class-level facts below.  The one parameter shared by every backend,
+    *heartbeat_interval*, is how often a shipper checks its idle lane.
     """
 
     supports_inline = False   # different address space: elision would lie
@@ -282,6 +270,21 @@ class RemoteLaneTarget(VirtualTarget):
     _EV_LOST = EventKind.WORKER_CRASH
     _EV_DOWN = EventKind.WORKER_EXIT
 
+    # Supervision constants.  Class attributes, read by the shipper threads
+    # the constructor starts, so a test patches one before it builds a target.
+    #: Reopen budget *per lane*.  A lane whose worker keeps dying is disabled
+    #: once the budget is spent; when the last lane disables, the backlog is
+    #: failed (cancelled with the crash as reason) and the target refuses
+    #: further posts.
+    max_restarts = 3
+    #: Pings in a row an idle worker may leave unanswered before it is
+    #: declared wedged and replaced.
+    heartbeat_misses = 3
+    #: Seconds a worker may ignore a forwarded cancellation before it is
+    #: terminated and the lane reclaimed (this is what makes ``timeout=``
+    #: effective against a stuck worker).
+    cancel_grace = 5.0
+
     def __init__(
         self,
         name: str,
@@ -289,30 +292,16 @@ class RemoteLaneTarget(VirtualTarget):
         *,
         queue_capacity: int | None,
         rejection_policy: str,
-        max_restarts: int,
         heartbeat_interval: float,
-        heartbeat_misses: int,
-        cancel_grace: float,
     ) -> None:
-        if max_restarts < 0:
-            raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
-        if cancel_grace <= 0:
-            raise ValueError(f"cancel_grace must be > 0, got {cancel_grace}")
         if heartbeat_interval <= 0:
             raise ValueError(
                 f"heartbeat interval must be > 0, got {heartbeat_interval}"
             )
-        if heartbeat_misses < 1:
-            raise ValueError(
-                f"heartbeat misses must be >= 1, got {heartbeat_misses}"
-            )
         super().__init__(
             name, queue_capacity=queue_capacity, rejection_policy=rejection_policy
         )
-        self.max_restarts = max_restarts
         self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_misses = heartbeat_misses
-        self.cancel_grace = cancel_grace
         self._hard_stop = threading.Event()
         with self._stats_lock:
             self._stats.update({"worker_crashes": 0, "worker_restarts": 0})

@@ -110,9 +110,7 @@ def _error_result(seq: int, exc: BaseException, log: WorkerEventLog) -> wire.Res
     return wire.ResultMsg(seq, False, None, blob, text, tb, log.drain(), log.dropped)
 
 
-def _run_task(
-    msg: wire.TaskMsg, config: WorkerConfig, current: _Current
-) -> wire.ResultMsg:
+def _run_task(msg: wire.TaskMsg, current: _Current) -> wire.ResultMsg:
     """Execute one task; always returns a ResultMsg (never raises)."""
     log = WorkerEventLog()
     try:
@@ -149,10 +147,7 @@ def _run_task(
 
 
 def task_loop(
-    task: Any,
-    config: WorkerConfig,
-    current: _Current,
-    executed: Callable[[], None] | None = None,
+    task: Any, current: _Current, executed: Callable[[], None] | None = None
 ) -> None:
     """Serve one lane's task channel until a
     :class:`~repro.dist.wire.StopMsg` arrives or the parent disappears.
@@ -179,7 +174,7 @@ def task_loop(
             return
         if not isinstance(msg, wire.TaskMsg):
             continue  # unknown message from a newer parent: skip, stay alive
-        result = _run_task(msg, config, current)
+        result = _run_task(msg, current)
         if executed is not None:
             executed()
         try:
@@ -212,6 +207,6 @@ def worker_main(config: WorkerConfig, task_conn: Any, ctrl_conn: Any) -> None:
         label=f"worker {config.worker_id} of {config.target_name!r} (pid {os.getpid()})",
     )
     try:
-        task_loop(task, config, current)
+        task_loop(task, current)
     finally:
         task.close()  # unmap with no view alive, not at interpreter teardown

@@ -39,7 +39,7 @@ class EventLoop:
         name: str = "edt",
         *,
         queue_capacity: int | None = None,
-        rejection_policy: str | None = None,
+        rejection_policy: str = "block",
     ) -> None:
         self.runtime = runtime
         self.name = name

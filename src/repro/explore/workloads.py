@@ -375,6 +375,7 @@ class BarrierWakeupVsSiblingLane(Workload):
 
     def setup(self, ctx: ExploreContext) -> None:
         self.w = EdtTarget("w")
+        self.w._barrier_poll = self.POLL
         self.other = EdtTarget("other")
         self.r1 = TargetRegion(region_body(0.0, False, "r1"), name="r1")
         # Driver-side, as in ``_logical_barrier`` up to its pump: the region
@@ -396,7 +397,7 @@ class BarrierWakeupVsSiblingLane(Workload):
         def member() -> None:
             self.w._enter_member()
             try:
-                self.w.pump_until(finished, self.POLL, region=self.r1.seq, name="r1")
+                self.w.pump_until(finished, region=self.r1.seq, name="r1")
             finally:
                 self.barrier_over = True
                 self.w._exit_member()

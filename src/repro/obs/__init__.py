@@ -21,8 +21,8 @@ Or from the command line::
 
     python -m repro trace examples/traced_gui_pipeline.py -o trace.json
 
-Knobs: the ``trace_enabled_var`` ICV on :class:`~repro.core.runtime.PjRuntime`,
-or environment variables ``REPRO_TRACE=1`` / ``REPRO_TRACE_BUFFER=<n>``.
+Knobs: :func:`enable` / :func:`disable`, or the environment variables
+``REPRO_TRACE=1`` / ``REPRO_TRACE_BUFFER=<n>``.
 See ``docs/OBSERVABILITY.md`` for the full taxonomy and Perfetto workflow.
 """
 

@@ -19,10 +19,8 @@ Design constraints (mirroring what production tracers like Extrae do):
   un-guarded call sites stay correct, just marginally slower.)
 
 The process-global :func:`session` is enabled either programmatically
-(``repro.obs.enable()``), through the ``trace_enabled_var`` ICV on
-:class:`~repro.core.runtime.PjRuntime`, or by the ``REPRO_TRACE=1``
-environment variable at import time (``REPRO_TRACE_BUFFER`` sizes the
-per-thread rings).
+(``repro.obs.enable()``) or by the ``REPRO_TRACE=1`` environment variable
+at import time (``REPRO_TRACE_BUFFER`` sizes the per-thread rings).
 """
 
 from __future__ import annotations

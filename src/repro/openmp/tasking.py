@@ -15,15 +15,16 @@ demonstrable in code:
 * an *orphaned* task (no enclosing region, or a serialised team of one)
   executes immediately, sequentially, in the encountering thread.
 
-Simplifications vs the full spec (documented): :func:`taskwait` waits for
-*all* pending team tasks, not only children of the current task; ``untied``
-and task dependencies are out of scope.
+A :func:`taskwait` waits for the deferred children of the current task
+(the region body's implicit task, or the deferred task the thread is
+running), helping execute pending team tasks meanwhile.  ``untied`` and
+task dependencies are out of scope.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
+import time
 from typing import Any, Callable
 
 from .team import Team, current_context
@@ -34,13 +35,18 @@ __all__ = ["task", "taskwait", "TaskHandle"]
 class TaskHandle:
     """Completion handle for a deferred task."""
 
-    __slots__ = ("_done", "_result", "_error", "deferred")
+    __slots__ = ("_done", "_result", "_error", "deferred", "parent", "children")
 
-    def __init__(self, deferred: bool) -> None:
+    def __init__(self, deferred: bool, parent: Any = None) -> None:
         self._done = threading.Event()
         self._result: Any = None
         self._error: BaseException | None = None
         self.deferred = deferred
+        #: The task (handle or implicit-task context) whose ``children``
+        #: counts this one while it is unfinished.
+        self.parent = parent
+        #: Deferred children of this task not yet finished.
+        self.children = 0
 
     def _finish(self, result: Any, error: BaseException | None) -> None:
         self._result = result
@@ -59,18 +65,7 @@ class TaskHandle:
         return self._result
 
 
-def _task_pool(team: Team) -> deque:
-    """The team-wide pending-task deque (created lazily, under the team lock)."""
-    with team._lock:
-        pool = getattr(team, "_task_pool", None)
-        if pool is None:
-            pool = deque()
-            team._task_pool = pool  # type: ignore[attr-defined]
-        return pool
-
-
-def _run_task(item: tuple[Callable[[], Any], TaskHandle]) -> None:
-    body, handle = item
+def _run_task(body: Callable[[], Any], handle: TaskHandle) -> None:
     try:
         result = body()
     except BaseException as exc:  # noqa: BLE001 - reported via the handle
@@ -89,32 +84,43 @@ def task(body: Callable[[], Any], *, if_clause: bool = True) -> TaskHandle:
     ctx = current_context()
     if ctx is None or ctx.team.num_threads == 1 or not if_clause:
         handle = TaskHandle(deferred=False)
-        _run_task((body, handle))
+        _run_task(body, handle)
         return handle
-    handle = TaskHandle(deferred=True)
-    pool = _task_pool(ctx.team)
-    with ctx.team._lock:
-        pool.append((body, handle))
+    team = ctx.team
+    handle = TaskHandle(deferred=True, parent=ctx.task or ctx)
+    with team._lock:
+        handle.parent.children += 1
+        team._task_pool.append((body, handle))
+        team._tasks_changed.notify_all()
     return handle
 
 
 def _drain(team: Team) -> int:
     """Execute pending team tasks in the calling thread until the pool is
     empty; returns the number executed."""
-    pool = _task_pool(team)
+    ctx = current_context()
+    pool = team._task_pool
     executed = 0
     while True:
         with team._lock:
             if not pool:
                 return executed
-            item = pool.popleft()
-        _run_task(item)
+            body, handle = pool.popleft()
+        outer, ctx.task = ctx.task, handle
+        try:
+            _run_task(body, handle)
+        finally:
+            ctx.task = outer
+        with team._lock:
+            handle.parent.children -= 1
+            team._tasks_changed.notify_all()
         executed += 1
 
 
 def taskwait(timeout: float | None = 30.0) -> int:
-    """``#pragma omp taskwait``: help execute pending tasks, then wait until
-    every team task completed.  Returns the number this thread executed.
+    """``#pragma omp taskwait``: help execute pending tasks until every
+    deferred child of the current task has finished.  Returns the number
+    this thread executed.
 
     Outside a parallel region this is a no-op (there can be no deferred
     tasks).
@@ -123,22 +129,22 @@ def taskwait(timeout: float | None = 30.0) -> int:
     if ctx is None:
         return 0
     team = ctx.team
-    executed = _drain(team)
-    # Tasks already claimed by other threads may still be running; their
-    # handles are the source of truth.  We conservatively re-drain in case
-    # running tasks spawn more tasks.
-    import time
-
+    waiter = ctx.task or ctx
     deadline = None if timeout is None else time.monotonic() + timeout
+    executed = 0
     while True:
         executed += _drain(team)
         with team._lock:
-            pending = bool(getattr(team, "_task_pool", None))
-        if not pending:
-            return executed
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("taskwait timed out")
-        time.sleep(0.0005)
+            if not waiter.children:
+                return executed
+            if team._task_pool:
+                continue  # queued since the drain: help with it first
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                raise TimeoutError("taskwait timed out")
+            # A child still runs on another thread: sleep until a task
+            # finishes or is queued.
+            team._tasks_changed.wait(remaining)
 
 
 def drain_tasks_at_barrier(team: Team) -> None:

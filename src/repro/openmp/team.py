@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from collections import deque
 from typing import Any, Callable
 
 from .icv import ICVs
@@ -24,13 +25,21 @@ _team_ids = itertools.count()
 
 
 class ThreadContext:
-    """Per-thread view of its team (what omp_get_thread_num() etc. read)."""
+    """Per-thread view of its team (what omp_get_thread_num() etc. read).
 
-    __slots__ = ("team", "thread_num")
+    It is also the thread's *implicit task*: ``task`` is the deferred task
+    the thread is running now (None: the region body itself) and
+    ``children`` the implicit task's deferred children not yet finished
+    (see :mod:`repro.openmp.tasking`).
+    """
+
+    __slots__ = ("team", "thread_num", "task", "children")
 
     def __init__(self, team: "Team", thread_num: int) -> None:
         self.team = team
         self.thread_num = thread_num
+        self.task: Any = None
+        self.children = 0
 
 
 def _stack() -> list[ThreadContext]:
@@ -72,6 +81,10 @@ class Team:
         self._workshares: dict[int, dict[str, Any]] = {}
         self._ws_counters: dict[int, int] = {}
         self._exceptions: list[tuple[int, BaseException]] = []
+        # Deferred tasks not yet claimed, and the condition a taskwait sleeps
+        # on: notified when a task is queued or finishes.
+        self._task_pool: deque = deque()
+        self._tasks_changed = threading.Condition(self._lock)
 
     # ----------------------------------------------------------------- sync
 

@@ -11,8 +11,8 @@ behaviour bit-for-bit unless asked:
   to ``batch_max`` small regions per queue acquisition, amortising the
   ~8 µs dispatch fast-path.
 
-Each has an ICV on :class:`~repro.core.runtime.PjRuntime` (``steal_var``,
-``batch_max_var``), overridable per target at ``create_worker`` time.
+Both are off unless a target asks for them at ``create_worker`` time
+(``steal=``, ``batch_max=``).
 docs/TUNING.md is the reference table and decision-rule documentation; it
 also records why a pool's lane count is fixed at creation.
 """

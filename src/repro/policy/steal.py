@@ -1,7 +1,7 @@
 """Work stealing: idle worker lanes drain the most-backlogged sibling.
 
 Membership is the consent model: only targets that opted in (``steal=True``
-at creation, or the ``steal_var`` ICV) join a runtime's ring, so a thief can
+at creation) join a runtime's ring, so a thief can
 never pull work into the wrong execution environment — process- and
 cluster-backed targets never join because their queued bodies must not run
 in this process.

@@ -51,6 +51,11 @@ __all__ = ["ServeConfig", "HttpServer", "encrypt_payload", "REASONS"]
 
 _logger = logging.getLogger(__name__)
 
+#: Longest a ``block``-policy post may park the loop before it becomes a 503.
+ADMISSION_TIMEOUT = 0.5
+#: Largest request body accepted; a longer Content-Length is answered 413.
+MAX_REQUEST_BYTES = 1 << 20
+
 REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -100,11 +105,9 @@ class ServeConfig:
     workers: int = 4
     queue_capacity: int = 64
     policy: str = "reject"           # block | reject | caller_runs
-    admission_timeout: float = 0.5   # bounds a block-policy post from the loop
     request_timeout: float = 10.0    # deadline until 504
     drain_grace: float = 5.0         # graceful-drain budget before hard cancel
     rounds: int = 1                  # encrypt passes per request (CPU knob)
-    max_request_bytes: int = 1 << 20
     edt_name: str = "http-edt"
     cpu_target: str = "http-cpu"
 
@@ -322,7 +325,7 @@ class HttpServer:
             # is not a count, or a line past StreamReader's limit (readline
             # raises ValueError for it): answered, counted, closed.
             return {"error": 400, "detail": "malformed request"}
-        if length > self.config.max_request_bytes:
+        if length > MAX_REQUEST_BYTES:
             return {"error": 413,
                     "detail": f"body of {length} bytes exceeds limit"}
         body = await reader.readexactly(length) if length else b""
@@ -426,7 +429,7 @@ class HttpServer:
         The whole policy surface of the runtime shows up here:
 
         * ``nowait`` dispatch + ``as_future`` keeps the loop free;
-        * ``QueueFullError`` (reject, or block past ``admission_timeout``)
+        * ``QueueFullError`` (reject, or block past ``ADMISSION_TIMEOUT``)
           becomes 503 with the refusing target and policy in headers;
         * ``asyncio.wait_for`` past ``request_timeout`` becomes 504 and the
           region is withdrawn (pending) or flagged (running);
@@ -444,7 +447,7 @@ class HttpServer:
         try:
             self.runtime.invoke_target_block(
                 cfg.cpu_target, region, "nowait",
-                timeout=cfg.admission_timeout,
+                timeout=ADMISSION_TIMEOUT,
             )
         except QueueFullError as exc:
             self.stats.bump("rejected")

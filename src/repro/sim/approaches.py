@@ -32,6 +32,7 @@ from .des import SimEvent, Simulator
 from .machine import Machine, MachineConfig
 from .metrics import ResponseStats
 from .threadsim import AwaitBlock, SimEventLoop, SimThreadPool, ThreadCosts, spawn_thread
+from .trace import TraceRecorder
 from .workload import fire_open_loop
 
 __all__ = ["GuiBenchConfig", "GuiBenchResult", "APPROACHES", "run_gui_benchmark"]
@@ -108,20 +109,23 @@ class _World:
     cfg: GuiBenchConfig
 
 
-def _build_world(cfg: GuiBenchConfig) -> _World:
+def _build_world(cfg: GuiBenchConfig, trace: TraceRecorder | None = None) -> _World:
     sim = Simulator()
     machine = Machine(
         sim, MachineConfig(cores=cfg.cores, switch_overhead=cfg.switch_overhead)
     )
-    edt = SimEventLoop(sim, machine, costs=cfg.costs, await_style=cfg.await_style)
+    edt = SimEventLoop(
+        sim, machine, costs=cfg.costs, trace=trace, await_style=cfg.await_style
+    )
     pools: dict[str, SimThreadPool] = {}
     if cfg.approach in ("executor", "pyjama_async", "async_parallel"):
         pools["worker"] = SimThreadPool(
-            sim, machine, cfg.worker_pool, name="worker", costs=cfg.costs
+            sim, machine, cfg.worker_pool, name="worker", costs=cfg.costs, trace=trace
         )
     if cfg.approach == "swingworker":
         pools["swing"] = SimThreadPool(
-            sim, machine, cfg.swingworker_pool, name="swing", costs=cfg.costs
+            sim, machine, cfg.swingworker_pool, name="swing", costs=cfg.costs,
+            trace=trace,
         )
     return _World(sim, machine, edt, pools, ResponseStats(), ResponseStats(), cfg)
 
@@ -232,12 +236,16 @@ _HANDLERS = {
 # ------------------------------------------------------------------ driver
 
 
-def run_gui_benchmark(cfg: GuiBenchConfig) -> GuiBenchResult:
+def run_gui_benchmark(
+    cfg: GuiBenchConfig, trace: TraceRecorder | None = None
+) -> GuiBenchResult:
     """Run one (approach, kernel, rate) cell.
 
-    Deterministic: same config → identical statistics.
+    Deterministic: same config → identical statistics.  *trace*, when
+    given, records the EDT's handler segments and the pools' tasks (what
+    ``python -m repro timeline`` renders).
     """
-    w = _build_world(cfg)
+    w = _build_world(cfg, trace)
     handler = _HANDLERS[cfg.approach]
 
     def fire(i: int) -> None:

@@ -14,6 +14,7 @@ it.  This test keeps the copies from growing back.
 
 from __future__ import annotations
 
+import ast
 import collections
 import pathlib
 import re
@@ -64,9 +65,19 @@ def test_each_figure_is_swept_in_one_place():
     figure_scripts = [p for p in BENCH_SCRIPTS
                       if re.match(r"bench_fig[1789]_", p.name)]
     assert len(figure_scripts) == 4
-    for path in [REPO / "src" / "repro" / "cli.py", *figure_scripts]:
+    for path in figure_scripts:
         text = path.read_text()
         assert "run_gui_benchmark(" not in text and "run_http_benchmark(" not in text, path.name
+    # The CLI prints each figure from repro.sim.figures; only `timeline`
+    # drives one cell itself, to trace it.
+    cli = ast.parse((REPO / "src" / "repro" / "cli.py").read_text())
+    callers = {
+        fn.name for fn in ast.walk(cli) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None)
+        in ("run_gui_benchmark", "run_http_benchmark")
+    }
+    assert callers == {"cmd_timeline"}
 
 
 def test_the_server_has_no_self_load_half():

@@ -9,6 +9,8 @@ import pytest
 
 from repro import obs
 from repro.core import PjRuntime, virtual_target_create_cluster
+from repro.cluster import ClusterTarget
+from repro.cluster.target import _ClusterSlot
 from repro.cluster.transport import MAX_FRAME_BYTES
 from repro.core.errors import (
     ProtocolVersionError,
@@ -74,12 +76,13 @@ class TestDispatch:
 
 
 class TestFaults:
-    def test_agent_killed_mid_region_raises_worker_crashed(self, two_agents):
+    def test_agent_killed_mid_region_raises_worker_crashed(self, two_agents, monkeypatch):
         a, b = two_agents
+        # One endpoint, no reconnects: the kill verdict must be crisp.
+        monkeypatch.setattr(ClusterTarget, "max_restarts", 0)
         rt = PjRuntime()
         try:
-            # One endpoint, no reconnects: the kill verdict must be crisp.
-            rt.create_cluster("frail", [a.endpoint], max_restarts=0)
+            rt.create_cluster("frail", [a.endpoint])
             region = TargetRegion(bodies.sleepy, 30.0, name="doomed")
             rt.invoke_target_block("frail", region, "nowait")
             _wait_until(lambda: region.state is RegionState.RUNNING)
@@ -126,10 +129,11 @@ class TestFaults:
         assert pids == {b.pid}, "failover did not route to the survivor"
         assert target.stats["worker_crashes"] >= 1
 
-    def test_all_endpoints_dead_fails_backlog_and_declares_death(self, agent):
+    def test_all_endpoints_dead_fails_backlog_and_declares_death(self, agent, monkeypatch):
+        monkeypatch.setattr(ClusterTarget, "max_restarts", 0)
         rt = PjRuntime()
         try:
-            rt.create_cluster("doom", [agent.endpoint], max_restarts=0)
+            rt.create_cluster("doom", [agent.endpoint])
             # Establish the lane, then kill the only agent.
             rt.invoke_target_block("doom", TargetRegion(bodies.square, 2))
             agent.terminate()
@@ -193,8 +197,7 @@ class TestHeartbeats:
         rt = PjRuntime()
         try:
             target = rt.create_cluster(
-                "idle", [agent.endpoint], shards=2,
-                heartbeat_interval=0.1, heartbeat_misses=3,
+                "idle", [agent.endpoint], shards=2, heartbeat_interval=0.1
             )
             assert _wait_until(lambda: target.connected_count == 2)
             time.sleep(1.0)  # three miss budgets' worth of sweeps
@@ -264,10 +267,13 @@ class TestTags:
 
 
 class TestConnectedCount:
-    def test_a_stalled_handshake_is_not_a_connection(self):
+    def test_a_stalled_handshake_is_not_a_connection(self, monkeypatch):
         """An endpoint that accepts and says hello but never answers the
         clock probe: both sockets exist, yet no lane is connected."""
         from repro.cluster import transport
+
+        monkeypatch.setattr(ClusterTarget, "max_restarts", 0)
+        monkeypatch.setattr(_ClusterSlot, "open_timeout", 2.0)
 
         listener = transport.listen()
         accepted = []
@@ -285,10 +291,7 @@ class TestConnectedCount:
         thread.start()
         rt = PjRuntime()
         try:
-            target = rt.create_cluster(
-                "stalled", [f"127.0.0.1:{listener.port}"], max_restarts=0,
-                connect_timeout=2.0,
-            )
+            target = rt.create_cluster("stalled", [f"127.0.0.1:{listener.port}"])
             slot = target._slots[0]
             assert _wait_until(lambda: len(accepted) == 2 and not slot.torn())
             assert target.connected_count == 0
@@ -313,9 +316,10 @@ class TestVersionGate:
         # the handshake with ProtocolVersionError, the lane burns its budget
         # and the region fails — no hang, no misparse.
         monkeypatch.setattr(wire, "PROTOCOL_VERSION", 999)
+        monkeypatch.setattr(ClusterTarget, "max_restarts", 0)
         rt = PjRuntime()
         try:
-            rt.create_cluster("stale", [agent.endpoint], max_restarts=0)
+            rt.create_cluster("stale", [agent.endpoint])
             region = TargetRegion(bodies.square, 2, name="refused")
             try:
                 rt.invoke_target_block("stale", region, "nowait")

@@ -154,33 +154,35 @@ class TestTelemetry:
 
 
 class TestQueueCapacityICV:
+    """With no per-call argument, a target inherits the runtime's queue
+    defaults: unbounded, ``block``."""
+
     def test_create_worker_inherits_icv(self):
         rt = PjRuntime()
-        rt.queue_capacity_var = 3
-        rt.rejection_policy_var = "reject"
         try:
             target = rt.create_worker("w", 1)
-            assert target.queue_capacity == 3
-            assert target.rejection_policy == "reject"
-        finally:
-            rt.shutdown(wait=False)
-
-    def test_explicit_arguments_beat_icv(self):
-        rt = PjRuntime()
-        rt.queue_capacity_var = 3
-        try:
-            target = rt.create_worker("w", 1, queue_capacity=9, rejection_policy="caller_runs")
-            assert target.queue_capacity == 9
-            assert target.rejection_policy == "caller_runs"
+            assert target.queue_capacity is None
+            assert target.rejection_policy == "block"
         finally:
             rt.shutdown(wait=False)
 
     def test_start_edt_inherits_icv(self):
         rt = PjRuntime()
-        rt.queue_capacity_var = 5
         try:
             target = rt.start_edt("edt")
-            assert target.queue_capacity == 5
+            assert target.queue_capacity is None
+            assert target.rejection_policy == "block"
+        finally:
+            rt.shutdown(wait=False)
+
+
+class TestFactoryQueueOptions:
+    def test_explicit_arguments_reach_the_target(self):
+        rt = PjRuntime()
+        try:
+            target = rt.create_worker("w", 1, queue_capacity=9, rejection_policy="caller_runs")
+            assert target.queue_capacity == 9
+            assert target.rejection_policy == "caller_runs"
         finally:
             rt.shutdown(wait=False)
 
@@ -242,19 +244,6 @@ class TestDeadlines:
         finally:
             rt.shutdown(wait=False)
 
-    def test_default_timeout_icv_applies(self):
-        rt = PjRuntime()
-        rt.default_timeout_var = 0.2
-        try:
-            rt.create_worker("w", 1)
-            gate = threading.Event()
-            rt.invoke_target_block("w", gate.wait, "nowait")
-            with pytest.raises(AwaitTimeoutError):
-                rt.invoke_target_block("w", lambda: 1)
-            gate.set()
-        finally:
-            rt.shutdown(wait=False)
-
     def test_compiled_timeout_clause_reaches_runtime(self):
         """End to end: a ``timeout(...)`` pragma must flow through the
         compiler bridge and actually arm the deadline."""
@@ -286,7 +275,7 @@ class TestDeadlines:
 
             def body():
                 try:
-                    target.pump_until(lambda: False, poll=0.01, timeout=0.2)
+                    target.pump_until(lambda: False, timeout=0.2)
                 except AwaitTimeoutError as exc:
                     hit.append(exc)
                 finally:

@@ -149,11 +149,6 @@ class TestAwait:
         assert h.done
         assert h.result() == 9
 
-    def test_strict_await_raises_without_membership(self, worker_rt):
-        worker_rt.strict_await_var = True
-        with pytest.raises(RuntimeStateError):
-            worker_rt.invoke_target_block("worker", lambda: 9, "await")
-
     def test_await_processes_other_events(self, edt_rt):
         """The logical barrier: while the EDT awaits an offloaded block, other
         events posted to the EDT run *before* the continuation (paper Table I

@@ -17,7 +17,7 @@ import pytest
 
 from repro import obs
 from repro.check.invariants import verify_events
-from repro.core import RegionFailedError, TargetRegion
+from repro.core import RegionFailedError, TargetRegion, VirtualTarget
 from repro.obs import EventKind
 
 
@@ -77,12 +77,6 @@ class TestNameAsWaitClause:
 
     def test_wait_on_unknown_tag_is_noop_by_default(self, worker_rt):
         worker_rt.wait_tag("never-used", timeout=1)
-
-    def test_wait_on_unknown_tag_strict(self, worker_rt):
-        from repro.core import TagError
-
-        with pytest.raises(TagError):
-            worker_rt.wait_tag("never-used", strict=True)
 
     def test_independent_tags_do_not_interfere(self, worker_rt):
         slow_gate = threading.Event()
@@ -216,9 +210,11 @@ class TestTagJoinFromMemberThread:
         "host, lanes", [("edt", 1), ("pool", 1), ("pool", 2)],
         ids=["edt", "pool", "pool-2-lanes"],
     )
-    def test_join_ends_when_the_group_drains_whatever_the_poll(self, edt_rt, host, lanes):
+    def test_join_ends_when_the_group_drains_whatever_the_poll(
+        self, edt_rt, host, lanes, monkeypatch
+    ):
         edt_rt.create_worker("pool", lanes)
-        edt_rt.await_poll_var = 2.0
+        monkeypatch.setattr(VirtualTarget, "_barrier_poll", 2.0)
         took, order = self._join_on(edt_rt, host)
         # With a sibling lane the follow-ups run beside the handler's pump.
         assert sorted(order[:-1]) == ["event-0", "event-1", "event-2"]
@@ -289,10 +285,10 @@ class TestBarrierOnAMultiLanePool:
         assert rt.get_target("pool").stats["barriers_ended_by_poll"] == 0
 
     @pytest.mark.parametrize("lanes", [2, 4])
-    def test_await_from_a_member_returns_on_its_wakeup(self, worker_rt, lanes):
+    def test_await_from_a_member_returns_on_its_wakeup(self, worker_rt, lanes, monkeypatch):
         rt = worker_rt
         rt.create_worker("pool", lanes)
-        rt.await_poll_var = self.POLL
+        monkeypatch.setattr(VirtualTarget, "_barrier_poll", self.POLL)
         awaits = self._timed(
             lambda: rt.invoke_target_block("worker", self._one_ms, "await"), 50
         )
@@ -300,10 +296,12 @@ class TestBarrierOnAMultiLanePool:
         self._assert_prompt(rt, took)
 
     @pytest.mark.parametrize("lanes", [2, 4])
-    def test_wait_tag_from_a_member_returns_when_the_group_drains(self, worker_rt, lanes):
+    def test_wait_tag_from_a_member_returns_when_the_group_drains(
+        self, worker_rt, lanes, monkeypatch
+    ):
         rt = worker_rt
         rt.create_worker("pool", lanes)
-        rt.await_poll_var = self.POLL
+        monkeypatch.setattr(VirtualTarget, "_barrier_poll", self.POLL)
 
         def join():
             for _ in range(4):
@@ -313,12 +311,12 @@ class TestBarrierOnAMultiLanePool:
         (took,) = self._on_members(rt, [self._timed(join, 25)])
         self._assert_prompt(rt, took)
 
-    def test_two_members_awaiting_at_once_each_get_their_wakeup(self, worker_rt):
+    def test_two_members_awaiting_at_once_each_get_their_wakeup(self, worker_rt, monkeypatch):
         # Three lanes: two guests on one queue and an idle sibling.  Each
         # completion wakes both guests; each re-checks its own predicate.
         rt = worker_rt
         rt.create_worker("pool", 3)
-        rt.await_poll_var = self.POLL
+        monkeypatch.setattr(VirtualTarget, "_barrier_poll", self.POLL)
         awaits = self._timed(
             lambda: rt.invoke_target_block("worker", self._one_ms, "await"), 50
         )

@@ -206,7 +206,7 @@ class TestSentinelRepost:
             pumping.set()
             # The logical barrier: the pool's only thread pumps its own queue
             # while the sentinel is already enqueued.
-            target.pump_until(release.is_set, poll=0.01)
+            target.pump_until(release.is_set)
 
         target.post(TargetRegion(barrier_body))
         assert pumping.wait(timeout=2)

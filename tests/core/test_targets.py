@@ -170,7 +170,7 @@ class TestPumping:
         seen = []
         t.post(lambda: seen.append(1))
         t.post(lambda: seen.append(2))
-        t.pump_until(lambda: len(seen) == 2, poll=0.01)
+        t.pump_until(lambda: len(seen) == 2)
         assert seen == [1, 2]
         t._exit_member()
 

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from repro.core import PjRuntime
+from repro.dist import ProcessTarget
 from repro.dist.arena import SEGMENT_PREFIX
 
 SHM_DIR = "/dev/shm"
@@ -75,12 +76,11 @@ def proc_rt():
 
 
 @pytest.fixture()
-def solo_rt():
+def solo_rt(monkeypatch):
     """Runtime with a 1-worker process target named 'solo' and a short
     cancel grace, for stuck-worker and crash-ordering tests."""
+    monkeypatch.setattr(ProcessTarget, "cancel_grace", 1.0)
     runtime = PjRuntime()
-    runtime.create_process_worker(
-        "solo", 1, cancel_grace=1.0, heartbeat_interval=0.25
-    )
+    runtime.create_process_worker("solo", 1, heartbeat_interval=0.25)
     yield runtime
     runtime.shutdown(wait=False)

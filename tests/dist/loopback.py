@@ -13,7 +13,7 @@ import threading
 
 from repro.cluster.transport import loopback_pair
 from repro.dist import RemoteLane, RemoteLaneTarget
-from repro.dist.worker import WorkerConfig, _Current, control_loop, task_loop
+from repro.dist.worker import _Current, control_loop, task_loop
 
 #: The lane operations `LoopbackLane.calls` records.
 LANE_OPERATIONS = (
@@ -23,8 +23,10 @@ LANE_OPERATIONS = (
 
 
 class LoopbackLane(RemoteLane):
+    open_timeout = 5.0
+
     def __init__(self, index, target_name, deaf_opens=0):
-        super().__init__(index, target_name, open_timeout=5.0)
+        super().__init__(index, target_name)
         self.calls = []  # (operation, thread that ran it)
         self.deaf_opens = deaf_opens  # opens whose worker never answers ctrl
 
@@ -36,8 +38,7 @@ class LoopbackLane(RemoteLane):
         self.task, remote_task = loopback_pair()
         self.ctrl, remote_ctrl = loopback_pair()
         current = _Current()
-        config = WorkerConfig(self.target_name, self.index)
-        loops = [(task_loop, (remote_task, config, current))]
+        loops = [(task_loop, (remote_task, current))]
         if self.deaf_opens > 0:
             self.deaf_opens -= 1
         else:
@@ -79,16 +80,17 @@ class LoopbackLane(RemoteLane):
 
 
 class LoopbackTarget(RemoteLaneTarget):
-    """*lanes* loopback lanes.  The default heartbeat is one an 8 MiB pickle
-    holding this process's GIL cannot miss."""
+    """*lanes* loopback lanes that are never reopened.  The default
+    heartbeat is one an 8 MiB pickle holding this process's GIL cannot
+    miss."""
 
     kind = "loopback"
+    max_restarts = 0
 
     def __init__(self, name, lanes, *, lane=LoopbackLane, heartbeat_interval=1.0,
-                 heartbeat_misses=3, max_restarts=0, deaf_opens=0):
+                 deaf_opens=0):
         super().__init__(
             name, [lane(i, name, deaf_opens) for i in range(lanes)],
             queue_capacity=None, rejection_policy="block",
-            max_restarts=max_restarts, heartbeat_interval=heartbeat_interval,
-            heartbeat_misses=heartbeat_misses, cancel_grace=5.0,
+            heartbeat_interval=heartbeat_interval,
         )

@@ -22,7 +22,7 @@ import pytest
 from repro.core import PjRuntime
 from repro.core.errors import RegionFailedError, WorkerCrashedError
 from repro.core.region import RegionState, TargetRegion
-from repro.dist import RemoteLaneTarget
+from repro.dist import ProcessTarget, RemoteLaneTarget
 
 from . import bodies
 from .loopback import LoopbackTarget
@@ -83,12 +83,12 @@ class FakeTarget(RemoteLaneTarget):
     with no lanes, so no shipper starts, then handed one fake slot."""
 
     kind = "fake"
+    heartbeat_misses = MISSES
 
     def __init__(self, slot):
         super().__init__(
             "fake", [], queue_capacity=None, rejection_policy="block",
-            max_restarts=3, heartbeat_interval=0.1, heartbeat_misses=MISSES,
-            cancel_grace=1.0,
+            heartbeat_interval=0.1,
         )
         self._slots = [slot]
 
@@ -168,15 +168,14 @@ def quiet_rt():
 
 
 class TestRealTransport:
-    def test_stalled_busy_worker_survives_idle_checks(self):
+    def test_stalled_busy_worker_survives_idle_checks(self, monkeypatch):
         # A region sixteen heartbeat intervals long, then idle checks every
         # 50 ms with a budget of one unanswered ping: the lane is pinged
         # only while idle, so the long region is never judged silence.
+        monkeypatch.setattr(ProcessTarget, "heartbeat_misses", 1)
         rt = PjRuntime()
         try:
-            target = rt.create_process_worker(
-                "hb", 1, heartbeat_interval=0.05, heartbeat_misses=1
-            )
+            target = rt.create_process_worker("hb", 1, heartbeat_interval=0.05)
             region = TargetRegion(bodies.sleepy, 0.8, name="slow")
             rt.invoke_target_block("hb", region, "nowait")
             slot = target._slots[0]
@@ -190,15 +189,14 @@ class TestRealTransport:
         finally:
             rt.shutdown(wait=False)
 
-    def test_back_to_back_regions_then_idle_cause_no_reconnect(self):
+    def test_back_to_back_regions_then_idle_cause_no_reconnect(self, monkeypatch):
         # Busy for ten miss budgets with no pause long enough for an idle
         # check, then idle: silence is counted in unanswered pings, and a
         # busy lane sends none, so nothing stale is judged when it idles.
+        monkeypatch.setattr(ProcessTarget, "heartbeat_misses", MISSES)
         rt = PjRuntime()
         try:
-            target = rt.create_process_worker(
-                "b2b", 1, heartbeat_interval=0.05, heartbeat_misses=2
-            )
+            target = rt.create_process_worker("b2b", 1, heartbeat_interval=0.05)
             payload = bytes(64)
             assert rt.invoke_target_block(
                 "b2b", TargetRegion(bytes, payload)
@@ -216,15 +214,16 @@ class TestRealTransport:
         finally:
             rt.shutdown(wait=False)
 
-    def test_idle_wedged_worker_is_replaced(self):
+    def test_idle_wedged_worker_is_replaced(self, monkeypatch):
         # The first worker's control loop never runs: alive, but deaf to
         # pings.  Its shipper terminates it after two unanswered pings and
         # reopens the lane; the second worker answers and stays.
+        monkeypatch.setattr(LoopbackTarget, "heartbeat_misses", MISSES)
+        monkeypatch.setattr(LoopbackTarget, "max_restarts", 1)
         rt = PjRuntime()
         try:
             target = rt.register_target(LoopbackTarget(
-                "deaf", 1, heartbeat_interval=0.05, heartbeat_misses=2,
-                max_restarts=1, deaf_opens=1,
+                "deaf", 1, heartbeat_interval=0.05, deaf_opens=1,
             ))
             slot = target._slots[0]
             assert _wait_until(

@@ -211,12 +211,14 @@ _SCENARIO = """
     import sys, time
     from repro.core import PjRuntime
     from repro.core.region import TargetRegion
+    from repro.dist import ProcessTarget
     from tests.dist import bodies
 
     def main():
+        ProcessTarget.max_restarts = 0
         rt = PjRuntime()
         target = rt.create_process_worker(
-            "p", 2, max_restarts=0, heartbeat_interval=0.25, start_method={method!r}
+            "p", 2, heartbeat_interval=0.25, start_method={method!r}
         )
         big = bytes(range(256)) * 4096
         for _ in range(4):  # both lanes, both directions

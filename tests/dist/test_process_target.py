@@ -178,9 +178,7 @@ class TestRegistration:
         with pytest.raises(ValueError):
             ProcessTarget("bad", 0)
         with pytest.raises(ValueError):
-            ProcessTarget("bad", 1, max_restarts=-1)
-        with pytest.raises(ValueError):
-            ProcessTarget("bad", 1, cancel_grace=0)
+            ProcessTarget("bad", 1, heartbeat_interval=0)
 
 
 class TestBackpressure:

@@ -112,7 +112,7 @@ def test_the_second_lane_owner_and_the_tag_side_channel_stay_gone():
 
 def test_a_lane_holds_no_lock():
     lock_types = (type(threading.Lock()), type(threading.RLock()))
-    lane = RemoteLane(0, "t", 1.0)
+    lane = RemoteLane(0, "t")
     assert not [name for name in RemoteLane.__slots__ if re.search(r"(^|_)lock$", name)]
     assert not [
         name for name in RemoteLane.__slots__

@@ -13,6 +13,7 @@ from repro.core.errors import (
     WorkerCrashedError,
 )
 from repro.core.region import TargetRegion
+from repro.dist import ProcessTarget
 
 from . import bodies
 
@@ -71,10 +72,11 @@ class TestIdleCrash:
 
 
 class TestRestartBudget:
-    def test_exhausted_budget_fails_backlog_and_refuses_posts(self):
+    def test_exhausted_budget_fails_backlog_and_refuses_posts(self, monkeypatch):
+        monkeypatch.setattr(ProcessTarget, "max_restarts", 0)
         rt = PjRuntime()
         try:
-            rt.create_process_worker("frail", 1, max_restarts=0)
+            rt.create_process_worker("frail", 1)
             with pytest.raises(RegionFailedError) as exc_info:
                 rt.invoke_target_block(
                     "frail", TargetRegion(bodies.hard_exit), timeout=30.0

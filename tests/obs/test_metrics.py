@@ -148,14 +148,3 @@ def test_diagnostic_dump_reports_trace_state(tracing, worker_rt):
     assert "trace: on" in dump
     obs.disable()
     assert "trace: off" in worker_rt.diagnostic_dump()
-
-
-def test_trace_enabled_icv_proxies_global_session(rt):
-    assert rt.trace_enabled_var is False
-    rt.trace_enabled_var = True
-    try:
-        assert obs.is_enabled()
-        assert rt.trace_enabled_var is True
-    finally:
-        rt.trace_enabled_var = False
-    assert not obs.is_enabled()

@@ -158,6 +158,45 @@ class TestDeferredTasks:
         omp.parallel(body, num_threads=2)
         assert sorted(hits) == ["inner", "outer"]
 
+    def test_taskwait_outwaits_a_child_another_member_runs(self):
+        """An empty pool is not a finished child: a task another member
+        already claimed may still be running when its spawner's taskwait
+        drains the pool."""
+        queued, claimed = threading.Event(), threading.Event()
+
+        def slow():
+            claimed.set()
+            time.sleep(0.2)
+
+        def body(tid):
+            if tid == 0:
+                handle = omp.task(slow)
+                queued.set()
+                assert claimed.wait(5)
+                omp.taskwait()
+                return handle.done
+            assert queued.wait(5)
+            omp.taskwait()  # member 1 claims and runs the task
+
+        assert omp.parallel(body, num_threads=2)[0] is True
+
+    def test_taskwait_inside_a_task_waits_for_its_own_children(self):
+        """A task that spawns and joins its own children finishes after
+        them, and its taskwait does not wait for itself."""
+        order = []
+
+        def body():
+            def parent_task():
+                omp.task(lambda: (time.sleep(0.05), order.append("child")))
+                omp.taskwait()
+                order.append("parent")
+
+            omp.single(lambda: omp.task(parent_task), nowait=True)
+            omp.taskwait()
+
+        omp.parallel(body, num_threads=2)
+        assert order == ["child", "parent"]
+
     def test_work_stealing_across_members(self):
         """Tasks spawned by one member may be executed by others (the team
         pool is shared)."""

@@ -15,6 +15,7 @@ import socket
 import pytest
 
 from repro.serve import HttpServer, ServeConfig, encrypt_payload, make_payload
+from repro.serve import server as server_module
 from repro.serve.loadgen import _Client, run_closed_loop
 
 
@@ -43,9 +44,10 @@ def cfg(**overrides) -> ServeConfig:
 
 
 @pytest.mark.parametrize("policy", ["block", "reject", "caller_runs"])
-def test_roundtrip_under_every_rejection_policy(policy):
+def test_roundtrip_under_every_rejection_policy(policy, monkeypatch):
     """A concurrent burst completes under each admission policy: every
     request is answered, and the only outcomes are success or rejection."""
+    monkeypatch.setattr(server_module, "ADMISSION_TIMEOUT", 0.2)
 
     async def body(server):
         return await run_closed_loop(
@@ -53,7 +55,7 @@ def test_roundtrip_under_every_rejection_policy(policy):
             payload_bytes=64,
         )
 
-    result = serve(cfg(policy=policy, admission_timeout=0.2), body)
+    result = serve(cfg(policy=policy), body)
     assert result.requests == 60
     assert result.errors == 0
     assert set(result.statuses) <= {200, 503}, result.statuses

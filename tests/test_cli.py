@@ -1,12 +1,16 @@
 """Tests for the figure-regeneration CLI."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import main
 
-RESULTS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+REPO = pathlib.Path(__file__).resolve().parents[1]
+RESULTS = REPO / "benchmarks" / "results"
 
 
 @pytest.mark.parametrize("command, archive", [
@@ -147,3 +151,27 @@ class TestKernels:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestLazyImports:
+    def test_importing_the_cli_loads_no_subsystem(self):
+        """``python -m repro cluster-worker`` (the agent the cluster target
+        spawns) must not pay for numpy, the simulator or the checkers: each
+        command imports what it drives."""
+        probe = (
+            "import sys, repro.cli; print(sorted(m for m in sys.modules if m == 'numpy'"
+            " or m.split('.')[:2] in (['repro', 'sim'], ['repro', 'kernels'],"
+            " ['repro', 'check'], ['repro', 'explore'])))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        ).stdout
+        assert out.strip() == "[]"
+
+    @pytest.mark.parametrize("command", ["check", "explore"])
+    def test_unknown_inject_mode_exits_2_naming_the_valid_ones(self, capsys, command):
+        assert main([command, "--inject", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert "bogus" in err and "lost-dequeue" in err

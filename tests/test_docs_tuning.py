@@ -42,8 +42,8 @@ def test_every_env_knob_is_documented():
 
 def test_every_runtime_icv_is_documented():
     icvs = _runtime_icvs()
-    assert icvs >= {"steal_var", "batch_max_var"}, (
-        "extraction broke — the policy ICVs are not optional"
+    assert icvs == {"default_target_var"}, (
+        "PjRuntime has one ICV; a new one needs a caller outside tests/"
     )
     missing = sorted(v for v in icvs if f"`{v}`" not in TUNING)
     assert not missing, (
@@ -52,7 +52,7 @@ def test_every_runtime_icv_is_documented():
 
 
 def test_policy_env_names_match_the_code():
-    # The code reads no environment twin for the policy ICVs, so the guide
+    # The code reads no environment twin for the policy arguments, so the guide
     # must not offer one: every variable it names is one src/ reads.
     stale = sorted(set(_ENV.findall(TUNING)) - _source_env_vars())
     assert not stale, f"docs/TUNING.md documents variables nothing reads: {stale}"
