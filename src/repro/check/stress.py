@@ -34,6 +34,7 @@ from __future__ import annotations
 import logging
 import random
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
@@ -406,6 +407,8 @@ def run_remote_phase(profile: StressProfile, seed: int, backend: str) -> PhaseOu
     backend's lane-up instant was recorded, and that the merged trace — the
     remote workers' own tracks included — still verifies: the lost region's
     queue events resolve and no half-open worker-side EXEC span leaks.
+    Default-mode regions from a second caller, on idle lanes before the kill
+    and after failover, must put a caller-shipped DEQUEUE on that trace.
     """
     label = "dist" if backend == "process" else "cluster"
     session = _obs.session()
@@ -413,6 +416,15 @@ def run_remote_phase(profile: StressProfile, seed: int, backend: str) -> PhaseOu
     rt = PjRuntime()
     handles: list[tuple[str, TargetRegion]] = []
     agents = []
+
+    def from_second_caller(name: str) -> None:
+        reg = TargetRegion(time.sleep, 0.05, name=name)
+        handles.append((name, reg))
+        with ThreadPoolExecutor(1, thread_name_prefix=f"{label}-caller") as caller:
+            exc = caller.submit(rt.invoke_target_block, label, reg, timeout=10.0).exception()
+        if exc is not None and not isinstance(exc, (PyjamaError, TimeoutError)):
+            raise exc  # a failed region is the verdict's to judge; anything else is a bug
+
     try:
         if backend == "process":
             target = rt.create_process_worker(label, 2, heartbeat_interval=0.25)
@@ -427,6 +439,10 @@ def run_remote_phase(profile: StressProfile, seed: int, backend: str) -> PhaseOu
                 label, [a.endpoint for a in agents], heartbeat_interval=0.25
             )
             kill = agents[0].terminate
+        deadline = time.monotonic() + 30.0
+        while None in target.worker_pids and time.monotonic() < deadline:
+            time.sleep(0.01)
+        from_second_caller(f"{label}-direct-before")
         for i in range(10):
             if i == 6:
                 time.sleep(0.3)  # let both lanes pick up work
@@ -450,6 +466,7 @@ def run_remote_phase(profile: StressProfile, seed: int, backend: str) -> PhaseOu
                 "no post-kill region completed on a surviving lane",
                 name=f"{label}-failover",
             ))
+        from_second_caller(f"{label}-direct-after")
         rt.shutdown(wait=True)
     finally:
         rt.shutdown(wait=False)
@@ -459,8 +476,13 @@ def run_remote_phase(profile: StressProfile, seed: int, backend: str) -> PhaseOu
     up = target._EV_UP
     lane_up = _recorded(lambda e: e.kind is up, "no-lane-up",
                         f"{label} phase recorded no {up.name} instant", f"{label}-trace")
+    shippers = {slot.thread.name for slot in target._slots}
+    direct = _recorded(lambda e: e.kind is EventKind.DEQUEUE and e.thread not in shippers,
+                       "no-direct-ship", f"{label} phase shipped no region on a caller's "
+                       "thread", f"{label}-direct")
     return PhaseOutcome(label, verify_session(
-        session, found=found, regions=handles, targets=[target], expect=lane_up,
+        session, found=found, regions=handles, targets=[target],
+        expect=lambda events: lane_up(events) + direct(events),
     ))
 
 

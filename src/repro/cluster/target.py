@@ -80,7 +80,7 @@ class _ClusterSlot(RemoteLane):
 
     def torn(self) -> bool:
         """A tear was already observed on either channel.  Does no IO, so
-        unlike :meth:`is_alive` it is safe to call off the shipper thread."""
+        unlike :meth:`is_alive` it is safe to call without the lane's lease."""
         task, ctrl = self.task, self.ctrl
         return (
             task is None or ctrl is None
@@ -91,9 +91,9 @@ class _ClusterSlot(RemoteLane):
         """The lane is believed live: both channels open, no EOF seen.
 
         A remote tear is only *observed* on IO, so this also drives a quick
-        zero-timeout poll on the ctrl channel (hence: call only from the
-        lane's shipper) — sufficient for finding an idle corpse, while
-        mid-region tears are caught by the shipper's result-wait loop.
+        zero-timeout poll on the ctrl channel (hence: call only with the
+        lane's lease held) — sufficient for finding an idle corpse, while
+        mid-region tears are caught by the result-wait loop.
         """
         ctrl = self.ctrl
         if ctrl is None or self.torn():

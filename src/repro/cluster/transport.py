@@ -250,8 +250,8 @@ class TcpTransport:
 
     Sends are serialized under a lock (frames must not interleave); recv
     and poll are intended for one consuming thread, matching how the dist
-    machinery already partitions pipe ends (one shipper or one control
-    loop per end).
+    machinery already partitions pipe ends (the lane's lease holder or one
+    control loop per end).
     """
 
     def __init__(self, sock: socket.socket) -> None:

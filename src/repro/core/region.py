@@ -289,8 +289,8 @@ class TargetRegion:
     def mark_running(self) -> bool:
         """Transition PENDING → RUNNING without executing the body locally.
 
-        The claim step of remote dispatch: a process target's shipper thread
-        calls this before serializing the region so that a concurrent
+        The claim step of remote dispatch: the thread shipping it to a remote
+        lane calls this before serializing the region so that a concurrent
         ``cancel()`` either wins (this returns False and nothing is shipped)
         or loses (the region is RUNNING and only its cooperative token can
         stop it).  Returns False if the region was not PENDING.

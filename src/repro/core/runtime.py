@@ -358,13 +358,17 @@ class PjRuntime:
             return region
 
         self._count("posted", mode.value)
+        # Default mode blocks here anyway: a remote target may ship it here.
+        shipped = (executor.ships_on_caller and mode is SchedulingMode.DEFAULT
+                   and executor._ship_on_caller(region, timeout))
         # The deadline bounds *admission* too: a bounded target under the
         # ``block`` policy parks the poster for at most ``timeout`` seconds
         # before raising QueueFullError, so a fire-and-forget dispatch into a
         # saturated queue cannot wedge the encountering thread forever (an
         # event loop posting with nowait depends on this).  Waiting modes
         # re-budget the wait after admission — the deadline is per phase.
-        executor.post(region, timeout=timeout)  # line 8
+        if not shipped:
+            executor.post(region, timeout=timeout)  # line 8
 
         if mode in _FIRE_AND_FORGET:  # lines 10-12
             return region
@@ -372,7 +376,7 @@ class PjRuntime:
         if mode is SchedulingMode.AWAIT:  # lines 13-16
             self._logical_barrier(region, executor, timeout=timeout)
         else:  # line 17, default: T.wait()
-            if not region.wait(timeout):
+            if not (region.done if shipped else region.wait(timeout)):
                 self._on_deadline(region, executor, timeout, kind="wait")
         region.result()  # surface exceptions exactly like inline execution
         return region

@@ -188,9 +188,9 @@ class _TargetQueue:
             self._not_empty.notify_all()
 
     def wakeup(self) -> None:
-        """Make every guest blocked in :meth:`get` return and re-check its
-        predicate.  Nothing is queued: an owner loop woken by the notify
-        finds no item and goes back to sleep."""
+        """Make every guest in :meth:`get` (or owner passing *seen*) return
+        and re-check its predicate.  Nothing is queued: any other owner
+        loop woken by the notify finds no item and goes back to sleep."""
         with self._not_empty:
             self.wakeups += 1
             self._not_empty.notify_all()
@@ -237,7 +237,9 @@ class _TargetQueue:
                     raise queue.Empty
             return self._pop(self._oldest_work())
 
-    def get_batch(self, max_items: int, timeout: float | None = None) -> list[Any]:
+    def get_batch(self, max_items: int, timeout: float | None = None,
+                  seen: int | None = None, claim: Callable[[], bool] | None = None,
+                  ) -> list[Any]:
         """Owner dequeue: up to *max_items* head items in one acquisition.
 
         The dequeue-batching primitive: FIFO order is preserved exactly, and
@@ -245,13 +247,16 @@ class _TargetQueue:
         alone, and collection stops *before* a later one, so "everything
         queued before the marker still runs first" holds exactly as with
         item-at-a-time dequeue.  Raises ``queue.Empty`` if nothing arrived
-        within *timeout*.
+        within *timeout* (or before :attr:`wakeups` moved past *seen*), or
+        if *claim*, called with the lock held, refuses the head work item.
         """
         with self._not_empty:
             items = self._items
-            if not items and not self._not_empty.wait_for(
-                lambda: items, timeout=timeout
-            ):
+            if not items:
+                self._not_empty.wait_for(
+                    lambda: items or (seen is not None and self.wakeups != seen), timeout
+                )
+            if not items or (claim and items[0] is not _SHUTDOWN and not claim()):
                 raise queue.Empty
             batch = [self._pop()]
             if batch[0] is not _SHUTDOWN:
@@ -578,6 +583,10 @@ class VirtualTarget(abc.ABC):
     #: router in ``invoke_target_block`` consults this before ``contains()``.
     supports_inline: bool = True
 
+    #: Whether a default-mode dispatch first offers its region to
+    #: ``_ship_on_caller`` (remote lanes); others pay one attribute read.
+    ships_on_caller: bool = False
+
     #: Target taxonomy for diagnostics: ``worker`` (thread pool), ``edt``
     #: (event-dispatch thread), ``process`` (worker processes), ``cluster``
     #: (socket-connected remote workers), ``asyncio`` (foreign-loop
@@ -628,21 +637,30 @@ class VirtualTarget(abc.ABC):
         poll: float | None = None,
         idle: Callable[[], bool] | None = None,
         ready: Callable[[], bool] | None = None,
+        claim: Callable[[], bool] | None = None,
     ) -> None:
         """The loop-owner side of the queue, and the one place the shutdown
         marker is acted on: dequeue FIFO and *run* each work item until a
         marker (shutdown queues one per loop) ends exactly the loop that
         dequeued it.  ``get_batch`` returns a marker alone, so everything
         queued before it has already run.  *ready* is consulted
-        before every dequeue (False ends the loop without taking an item);
-        with *poll*, an empty queue calls *idle* every *poll* seconds, and
-        a True result (it found work elsewhere) rechecks the queue at once.
+        before every dequeue (False ends the loop without taking an item)
+        and then a :meth:`wakeup` ends the wait; a work item *claim* refuses
+        stays queued.  With *poll*, an empty queue calls *idle* every *poll*
+        seconds, and a True result (it found work elsewhere) rechecks the
+        queue at once.
         """
-        get_batch = self._queue.get_batch
+        q = self._queue
+        get_batch = q.get_batch
         eager = False
-        while ready is None or ready():
+        seen = None
+        while True:
+            if ready is not None:
+                seen = q.wakeups  # read before ready()
+                if not ready():
+                    return
             try:
-                batch = get_batch(batch_max, 0.0 if eager else poll)
+                batch = get_batch(batch_max, 0.0 if eager else poll, seen, claim)
             except queue.Empty:
                 eager = idle()
                 continue

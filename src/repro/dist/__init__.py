@@ -12,8 +12,8 @@ Module map:
 
 * :mod:`~repro.dist.remote_target` — :class:`RemoteLaneTarget`, the one
   parent-side core every remote backend shares: one shipper thread per
-  lane, which alone opens, health-checks (idle heartbeats, idle-corpse
-  reopen), ships to and retires it;
+  lane, which opens, health-checks (idle heartbeats, idle-corpse
+  reopen), ships to and retires it under a lease a caller may also take;
   crash-to-:class:`~repro.core.errors.WorkerCrashedError` conversion,
   restart budgets, cross-boundary cancellation, shutdown semantics — written
   against the :class:`RemoteLane` slot interface;

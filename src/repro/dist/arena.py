@@ -38,8 +38,10 @@ one) selects the in-band path for that payload: slower, never wrong.
 
 from __future__ import annotations
 
+import atexit
 import logging
 import os
+import threading
 import weakref
 from typing import Any
 
@@ -70,22 +72,36 @@ def _release(lent: list, steps: tuple) -> None:
         step()
 
 
+#: Held around creating and releasing an arena, so a daemon frozen at exit
+#: never splits a segment from its tracker entry: an exit hook keeps it, and
+#: the main thread (re-entering) releases every arena left.
+_STEPS = threading.RLock()
+if hasattr(os, "register_at_fork"):  # a forked worker must not inherit it held
+    os.register_at_fork(after_in_child=_STEPS._at_fork_reinit)
+
+
 class Arena:
     """One mapped shared-memory segment, created (owned) or attached, and
     the one view at a time lent out of it."""
 
-    __slots__ = ("name", "size", "_buf", "_lent", "release", "__weakref__")
+    __slots__ = ("name", "size", "_buf", "_lent", "_finalizer", "__weakref__")
 
     def __init__(self, name: str, buf: memoryview, *undo: Any) -> None:
         self.name = name
         self.size = len(buf)
         self._buf = buf
         self._lent: list[memoryview] = []
-        #: Take back the lent view, then undo the mapping (and, if owned,
-        #: the name).  Runs once: when called, or at interpreter exit for an
-        #: arena whose lane was never reaped (a daemon shipper cut short by
-        #: ``shutdown(wait=False)``).
-        self.release = weakref.finalize(self, _release, self._lent, undo)
+        # Runs once: from release(), or at interpreter exit for an arena
+        # whose lane was never reaped (a daemon shipper cut short by
+        # ``shutdown(wait=False)``).
+        self._finalizer = weakref.finalize(self, _release, self._lent, undo)
+        atexit.unregister(_STEPS.acquire)  # last registered runs first: before
+        atexit.register(_STEPS.acquire)    # the finalizers' own exit hook
+
+    def release(self) -> None:
+        """Take back the lent view, then undo the mapping (and the name)."""
+        with _STEPS:
+            self._finalizer()
 
     @classmethod
     def create(cls, nbytes: int) -> "Arena":
@@ -97,18 +113,19 @@ class Arena:
 
         size = 1 << (nbytes - 1).bit_length()
         name = f"{SEGMENT_PREFIX}{os.getpid()}-{os.urandom(4).hex()}"
-        shm = shared_memory.SharedMemory(name=name, create=True, size=size)
-        try:
-            # ftruncate on tmpfs reserves nothing: without this a full
-            # /dev/shm is a SIGBUS at the first write, not an error here.
-            fd = getattr(shm, "_fd", -1)
-            if fd >= 0 and hasattr(os, "posix_fallocate"):
-                os.posix_fallocate(fd, 0, size)
-        except OSError:
-            shm.unlink()
-            shm.close()
-            raise
-        return cls(shm.name, shm.buf, shm.unlink, shm.close)
+        with _STEPS:
+            shm = shared_memory.SharedMemory(name=name, create=True, size=size)
+            try:
+                # ftruncate on tmpfs reserves nothing: without this a full
+                # /dev/shm is a SIGBUS at the first write, not an error here.
+                fd = getattr(shm, "_fd", -1)
+                if fd >= 0 and hasattr(os, "posix_fallocate"):
+                    os.posix_fallocate(fd, 0, size)
+            except OSError:
+                shm.unlink()
+                shm.close()
+                raise
+            return cls(shm.name, shm.buf, shm.unlink, shm.close)
 
     @classmethod
     def attach(cls, name: str) -> "Arena":

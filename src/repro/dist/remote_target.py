@@ -18,16 +18,16 @@ behind two framed sockets.
 Architecture (per target)::
 
     poster threads ──post()──▶ _TargetQueue (inherited: capacity, policies)
-                                   │  (shared: pull = least-loaded routing)
-                 ┌─────────────────┼─────────────────┐
-        shipper thread 0   shipper thread 1   ...  (one per lane)
+         │                         │  (shared: pull = least-loaded routing)
+         │       ┌─────────────────┼─────────────────┐
+         │  shipper thread 0   shipper thread 1   ...  (one per lane)
+         └─ default mode, empty queue, free lease: the caller ships itself
                  │ SyncMsg / TaskMsg / ResultMsg over the lane's task channel
                  │ PingMsg/PongMsg + CancelMsg over the lane's ctrl channel
         remote worker 0    remote worker 1    ...  (repro.dist.worker loops)
 
-Each lane owns one remote worker and one parent-side *shipper* thread,
-and the shipper is the lane's only owner: it opens, watches, pings and
-retires the lane, so no lane state is shared between threads.  The
+Each lane owns one remote worker, one parent-side *shipper* thread that
+opens, pings and retires it, and one *lease* (:class:`RemoteLane`).  The
 shipper pulls the next item off the shared queue, serializes the
 region's ``(body, args, kwargs)`` (:func:`~repro.dist.wire.dumps_parts`: a
 large payload becomes :class:`~repro.dist.wire.Parts`, an attachment the
@@ -73,6 +73,7 @@ import time
 from functools import partial
 from typing import Any, Callable, Sequence
 
+from ..core import injection as _inj
 from ..core.errors import (
     RuntimeStateError,
     SerializationError,
@@ -124,18 +125,20 @@ class RemoteLane:
     ``send_ping()``, ``send_cancel(seq)``; and the text facts ``noun`` and
     ``endpoint`` used in log, error and trace labels.
 
-    One owner
+    One lease
     ---------
-    Every operation above runs on the lane's shipper thread (``thread``),
-    so a lane holds no lock.  Channels are single-consumer (a
-    ``TcpTransport`` reassembles frames in an unlocked buffer); a second
-    thread that reads or writes either channel breaks that.
+    Every operation above runs with the lane's ``lease`` held, so channels
+    stay single-consumer (a ``TcpTransport`` reassembles frames in an
+    unlocked buffer).  The shipper (``thread``) holds it per step, never
+    while it waits on the queue; a default-mode caller holds it to ship
+    its own region.  ``handback`` is a region a caller left running at its
+    deadline, with its cancel time; the shipper finishes it first.
 
     One attachment in flight
     ------------------------
     The task channel strictly alternates one task message and its result,
-    and a lane ships its next region only after the last one's result was
-    delivered.  So at most **one attachment per direction per lane**
+    and the lease is held from a region's send to its result's delivery.
+    So at most **one attachment per direction per lane**
     exists at a time, and a received ``blob`` is read
     (:func:`~repro.dist.wire.loads`) before the next ``send`` or ``recv``
     on the channel.  The shared-memory arenas of a pipe lane
@@ -147,6 +150,7 @@ class RemoteLane:
     __slots__ = (
         "index", "target_name", "task", "ctrl", "pid",
         "clock_offset", "spawns", "disabled", "unanswered_pings", "thread",
+        "lease", "handback",
     )
 
     #: What log and error text calls this lane.
@@ -168,6 +172,8 @@ class RemoteLane:
         self.disabled = False
         self.unanswered_pings = 0
         self.thread: threading.Thread | None = None
+        self.lease = threading.Lock()
+        self.handback: tuple[TargetRegion, float] | None = None
 
     @property
     def restarts(self) -> int:
@@ -264,6 +270,7 @@ class RemoteLaneTarget(VirtualTarget):
 
     supports_inline = False   # different address space: elision would lie
     supports_pumping = False  # no parent thread is ever a member
+    ships_on_caller = True
 
     #: Trace instants for a lane coming up / dying unasked / being retired.
     _EV_UP = EventKind.WORKER_SPAWN
@@ -495,7 +502,8 @@ class RemoteLaneTarget(VirtualTarget):
         is wedged: it is terminated and reaped as a crashed one, and
         ``ready`` (:meth:`_ensure_worker`), which runs next, replaces it.  A
         dead lane gets no IO here; ``ready`` reopens it.  No ping goes out
-        while a region runs, so a busy worker is never judged silent.
+        while a region runs (the lease is only tried), so a busy worker is
+        never judged silent.
         Always False: the check finds no work.
         """
         if not slot.is_alive():
@@ -538,15 +546,78 @@ class RemoteLaneTarget(VirtualTarget):
         try:
             # A lane whose worker cannot be brought up stops consuming
             # *before* it takes an item it could not ship; an empty queue
-            # hands the idle lane to its health check.
+            # hands the idle lane to its health check.  An item leaves the
+            # queue only under the lease of an up lane (``_claim``).
             self._serve_queue(
-                partial(self._execute_remote, slot),
+                partial(self._ship_claimed, slot),
                 poll=self.heartbeat_interval,
-                idle=partial(self._idle_check, slot),
-                ready=partial(self._ensure_worker, slot),
+                idle=partial(self._leased, self._idle_check, slot, False),
+                ready=partial(self._leased, self._ensure_worker, slot),
+                claim=partial(self._claim, slot),
             )
         finally:
-            self._retire_slot(slot)
+            self._leased(self._retire_slot, slot)
+
+    def _leased(self, step: Callable[..., Any], slot: RemoteLane,
+                wait: bool = True) -> Any:
+        """The shipper's *step*, lease held (False if busy and not *wait*)."""
+        if not slot.lease.acquire(wait):
+            return False
+        try:
+            if slot.handback is not None:
+                region, cancel_sent_at = slot.handback
+                slot.handback = None
+                self._await_result(slot, region, cancel_sent_at=cancel_sent_at)
+            return step(slot)
+        finally:
+            slot.lease.release()
+
+    @staticmethod
+    def _claim(slot: RemoteLane) -> bool:
+        """Take a free lease of an up lane with nothing handed back."""
+        if slot.lease.acquire(blocking=False):
+            if slot.connected and slot.handback is None:
+                return True
+            slot.lease.release()
+        return False
+
+    def _ship_claimed(self, slot: RemoteLane, item: Any) -> None:
+        try:
+            self._execute_remote(slot, item)
+        finally:
+            slot.lease.release()
+
+    def _ship_on_caller(self, region: TargetRegion, timeout: float | None) -> bool:
+        """Ship and await *region* on this thread, on a lane whose lease is
+        free and worker alive (its one liveness check), while nothing is
+        queued; False, with nothing done, if no lane qualifies.  Past the
+        *timeout* deadline the region is handed back to the lane, running."""
+        if self._shutdown.is_set() or self._queue._work:
+            return False
+        hooks = _inj.hooks
+        if hooks is not None:
+            hooks.fire("post", self.name)  # before any lease: a seam holds no lock
+        deadline = None if timeout is None else time.monotonic() + timeout
+        for slot in self._slots:
+            if not self._claim(slot):
+                continue
+            try:
+                shipped = not self._shutdown.is_set() and slot.is_alive()
+                if shipped:
+                    self._bump("posted")  # and its ENQUEUE, as post() books it
+                    session = _obs.session()
+                    if session.enabled:
+                        session.emit(EventKind.ENQUEUE, target=self.name,
+                                     region=region.seq, name=region.label)
+                        self._trace_depth(session)
+                    self._execute_remote(slot, region, deadline)
+            finally:
+                slot.lease.release()
+            if not (shipped and region.done and slot.connected):
+                self.wakeup()  # the shipper reopens or finishes it now
+            if shipped:
+                return True
+        return False
 
     def _retire_slot(self, slot: RemoteLane) -> None:
         """Stop the lane's worker on shipper exit (drain or hard stop)."""
@@ -567,7 +638,10 @@ class RemoteLaneTarget(VirtualTarget):
         _rid, label = _item_identity(item)
         return TargetRegion(item, name=label)
 
-    def _execute_remote(self, slot: RemoteLane, item: Any) -> None:
+    def _execute_remote(self, slot: RemoteLane, item: Any,
+                        deadline: float | None = None) -> None:
+        """Ship *item* and await its verdict, lease held (and liveness
+        checked when it was taken: a lane torn since fails the send)."""
         session = _obs.session()
         region = self._wrap_item(item)
         if session.enabled:
@@ -589,13 +663,9 @@ class RemoteLaneTarget(VirtualTarget):
             return
         if not region.mark_running():
             return  # cancelled between dequeue and ship
-        if not slot.is_alive():
-            self._handle_worker_failure(slot, region, "died before dispatch")
-            return
-        task = slot.task
         try:
             try:
-                task.send(
+                slot.task.send(
                     wire.TaskMsg(
                         region.seq, region.name, region.source, blob,
                         session.enabled,
@@ -611,16 +681,22 @@ class RemoteLaneTarget(VirtualTarget):
                     slot, region, f"task send failed: {exc!r}"
                 )
                 return
-            self._await_result(slot, task, region)
+            self._await_result(slot, region, deadline=deadline)
         finally:
             self._log_plain_failure(item, region)
 
-    def _await_result(self, slot: RemoteLane, task: Any, region: TargetRegion) -> None:
-        """Wait for the worker's verdict while watching for crash/cancel/stop."""
-        cancel_sent_at: float | None = None
+    def _await_result(self, slot: RemoteLane, region: TargetRegion, *,
+                      deadline: float | None = None,
+                      cancel_sent_at: float | None = None) -> None:
+        """Wait for the worker's verdict while watching for crash/cancel/stop.
+        Past a caller's *deadline* the region is cancelled and handed back
+        (``slot.handback``); *cancel_sent_at* resumes one."""
+        task = slot.task
         while True:
+            tick = _POLL_TICK if deadline is None else min(
+                _POLL_TICK, max(0.0, deadline - time.monotonic()))
             try:
-                if task.poll(_POLL_TICK):
+                if task.poll(tick):
                     msg = task.recv()
                     if isinstance(msg, wire.ResultMsg) and msg.seq == region.seq:
                         self._deliver(slot, region, msg)
@@ -641,6 +717,9 @@ class RemoteLaneTarget(VirtualTarget):
             if not slot.is_alive():
                 self._handle_worker_failure(slot, region, "found dead mid-region")
                 return
+            expired = deadline is not None and time.monotonic() >= deadline
+            if expired:
+                region.request_cancel()
             if region.cancel_token.cancelled:
                 now = time.monotonic()
                 if cancel_sent_at is None:
@@ -658,6 +737,9 @@ class RemoteLaneTarget(VirtualTarget):
                         self._lane_label(slot), region.name, self.cancel_grace,
                     )
                     slot.terminate()
+            if expired:
+                slot.handback = (region, cancel_sent_at)
+                return
 
     def _deliver(self, slot: RemoteLane, region: TargetRegion, msg: wire.ResultMsg) -> None:
         session = _obs.session()

@@ -15,12 +15,12 @@ protocol reads in one place:
   on every hop and the fixed ``__reduce__`` below keeps them stable across
   interpreter versions).  Two channels per worker:
 
-  - the *task* channel (parent shipper thread ↔ worker main thread):
+  - the *task* channel (parent lease holder ↔ worker main thread):
     :class:`SyncMsg`/:class:`SyncAck` clock handshake at spawn, then
     :class:`TaskMsg` → :class:`ResultMsg` pairs — exactly one reply per
     task, on every lane kind — terminated by :class:`StopMsg`;
-  - the *control* channel (the same parent shipper thread → worker
-    control thread): :class:`PingMsg` → :class:`PongMsg` heartbeats and
+  - the *control* channel (the same lease holder → worker control
+    thread): :class:`PingMsg` → :class:`PongMsg` heartbeats and
     :class:`CancelMsg` cooperative-cancellation requests, which must remain
     deliverable *while the worker's main thread is busy executing a region*
     — the reason control rides a separate pipe.

@@ -42,6 +42,24 @@ class TestDispatch:
         )
         assert region.result() == 144
 
+    def test_a_default_region_on_an_idle_lane_ships_on_the_callers_thread(
+        self, cluster_rt
+    ):
+        target = cluster_rt.get_target("cw")
+        assert _wait_until(lambda: target.connected_count == 2)
+        session = obs.enable()
+        try:
+            region = cluster_rt.invoke_target_block("cw", TargetRegion(bodies.square, 9))
+            events = list(session.events())
+        finally:
+            obs.disable()
+        assert region.result() == 81
+        dequeues = {
+            e.thread for e in events
+            if e.kind.name == "DEQUEUE" and e.region == region.seq
+        }
+        assert dequeues == {threading.current_thread().name}
+
     def test_work_spreads_across_both_agents(self, cluster_rt, two_agents):
         a, b = two_agents
         regions = [

@@ -2,9 +2,10 @@
 
 The worker is two threads running the shared `repro.dist.worker` loops over
 `repro.cluster.transport.loopback_pair` channels.  Every lane operation is
-recorded with the thread that ran it, and a lane can be opened *deaf*: its
-control loop never runs, so pings go unanswered exactly as for a wedged
-worker whose process is still alive.
+recorded with the thread that ran it and whether that thread held the
+lane's lease, and a lane can be opened *deaf*: its control loop never
+runs, so pings go unanswered exactly as for a wedged worker whose process
+is still alive.
 """
 
 from __future__ import annotations
@@ -17,9 +18,51 @@ from repro.dist.worker import _Current, control_loop, task_loop
 
 #: The lane operations `LoopbackLane.calls` records.
 LANE_OPERATIONS = (
-    "open", "is_alive", "drain_control", "send_ping", "send_cancel",
-    "terminate", "stop", "reap",
+    "open", "is_alive", "send", "recv", "drain_control", "send_ping",
+    "send_cancel", "terminate", "stop", "reap",
 )
+
+
+class OwnedLock:
+    """A `threading.Lock` that knows which thread holds it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.owner = None
+
+    def acquire(self, blocking=True):
+        got = self._lock.acquire(blocking)
+        if got:
+            self.owner = threading.current_thread()
+        return got
+
+    def release(self):
+        self.owner = None
+        self._lock.release()
+
+    __enter__ = acquire
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+class _RecordedTask:
+    """A lane's task channel that records each send and recv on the lane."""
+
+    def __init__(self, lane, chan):
+        self._lane = lane
+        self._chan = chan
+
+    def send(self, msg):
+        self._lane._record("send")
+        self._chan.send(msg)
+
+    def recv(self):
+        self._lane._record("recv")
+        return self._chan.recv()
+
+    def __getattr__(self, name):
+        return getattr(self._chan, name)
 
 
 class LoopbackLane(RemoteLane):
@@ -27,15 +70,18 @@ class LoopbackLane(RemoteLane):
 
     def __init__(self, index, target_name, deaf_opens=0):
         super().__init__(index, target_name)
-        self.calls = []  # (operation, thread that ran it)
+        self.lease = OwnedLock()
+        self.calls = []  # (operation, thread that ran it, it held the lease)
         self.deaf_opens = deaf_opens  # opens whose worker never answers ctrl
 
     def _record(self, operation):
-        self.calls.append((operation, threading.current_thread()))
+        thread = threading.current_thread()
+        self.calls.append((operation, thread, self.lease.owner is thread))
 
     def open(self):
         self._record("open")
-        self.task, remote_task = loopback_pair()
+        task, remote_task = loopback_pair()
+        self.task = _RecordedTask(self, task)
         self.ctrl, remote_ctrl = loopback_pair()
         current = _Current()
         loops = [(task_loop, (remote_task, current))]

@@ -262,8 +262,36 @@ def test_no_segment_and_no_tracker_warning_survive_the_runtime(ending, method, t
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method here")
     steps = textwrap.indent(textwrap.dedent(_ENDINGS[ending]), " " * 4).strip()
+    _run_clean_child(tmp_path, textwrap.dedent(_SCENARIO).format(steps=steps, method=method))
+
+
+# Daemon threads creating and releasing arenas as fast as they can when the
+# interpreter exits: one is frozen mid-step almost every run, and must
+# leave neither a segment nor a tracker entry behind.
+_CHURN = """
+    import threading, time
+    from repro.dist.arena import Arena
+
+    def churn():
+        while True:
+            Arena.create(1 << 16).release()
+
+    for _ in range(2):
+        threading.Thread(target=churn, daemon=True).start()
+    time.sleep(0.3)
+    print("done", flush=True)
+"""
+
+
+def test_daemons_cut_off_mid_arena_step_leave_nothing_behind(tmp_path):
+    _run_clean_child(tmp_path, _CHURN)
+
+
+def _run_clean_child(tmp_path, source):
+    """Run *source* in a child interpreter; it must print ``done``, and
+    neither a tracker warning nor a segment of its own may outlive it."""
     script = tmp_path / "scenario.py"
-    script.write_text(textwrap.dedent(_SCENARIO).format(steps=steps, method=method))
+    script.write_text(textwrap.dedent(source))
     repo = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

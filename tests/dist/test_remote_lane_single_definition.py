@@ -4,9 +4,9 @@
 class.  They are now backends of `RemoteLaneTarget`; this test keeps the
 copy from growing back — a backend that redefines a core method, or an
 agent that re-implements the worker loops, fails here.  It also keeps a
-lane to one owner: its shipper thread, with no second thread (the removed
-supervisor), no lane lock and no side channel beside the one reply per
-task.
+lane to one lease: one parent-side thread of its own (its shipper, no
+supervisor), one lock (the lease) and no side channel beside the one reply
+per task.
 """
 
 from __future__ import annotations
@@ -110,11 +110,11 @@ def test_the_second_lane_owner_and_the_tag_side_channel_stay_gone():
     assert _modules_spelling(r"\b(" + "|".join(gone) + r")\b") == set()
 
 
-def test_a_lane_holds_no_lock():
+def test_a_lane_holds_one_lock_its_lease():
     lock_types = (type(threading.Lock()), type(threading.RLock()))
     lane = RemoteLane(0, "t")
     assert not [name for name in RemoteLane.__slots__ if re.search(r"(^|_)lock$", name)]
-    assert not [
+    assert [
         name for name in RemoteLane.__slots__
         if isinstance(getattr(lane, name, None), lock_types)
-    ]
+    ] == ["lease"]
