@@ -7,9 +7,11 @@ ExecutorService pattern it replaces.  Here we measure, on real threads:
 * dispatch+join through the plain ExecutorService baseline, vs
 * the compiled-pragma path (``@omp`` output calling the same runtime).
 
-The three should be within the same order of magnitude; Algorithm 1 adds a
-registry lookup and a context check on top of the queue hand-off.  Each set-up
-below returns ``(op, cleanup)``; pytest-benchmark times ``op``.
+The baseline posts to the same kind of pool (an ``ExecutorService`` is a view
+over a ``WorkerTarget``), so the manual-vs-directive gap is exactly what
+Algorithm 1 adds on top of the queue hand-off: a registry lookup and a context
+check.  Each set-up below returns ``(op, cleanup)``; pytest-benchmark times
+``op``.
 """
 
 from __future__ import annotations

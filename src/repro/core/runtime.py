@@ -24,7 +24,7 @@ from typing import Any, Callable
 from ..obs import EventKind
 from ..obs import recorder as _obs
 from ..policy import StealRing
-from .directives import SchedulingMode, TargetDirective, TargetKind
+from .directives import SchedulingMode
 from .errors import (
     AwaitTimeoutError,
     RuntimeStateError,
@@ -435,39 +435,6 @@ class PjRuntime:
             )
         except AwaitTimeoutError:
             self._on_deadline(region, mine, timeout, kind="await")
-
-    # ----------------------------------------------------------- directives
-
-    def execute_directive(
-        self,
-        directive: TargetDirective,
-        body: Callable[[], Any],
-        *,
-        condition: bool = True,
-    ) -> TargetRegion:
-        """Execute *body* under a resolved :class:`TargetDirective`.
-
-        ``condition=False`` models a false ``if`` clause: per OpenMP rules the
-        construct executes as if the directive were absent, i.e. inline and
-        synchronous in the encountering thread.
-        """
-        region = TargetRegion(body)
-        if not condition:
-            region.run()
-            region.result()
-            return region
-        if directive.target.kind is TargetKind.DEVICE:
-            raise RuntimeStateError(
-                "physical device targets are out of scope for the virtual-target "
-                "runtime; use an OpenMP implementation with accelerator support"
-            )
-        return self.invoke_target_block(
-            directive.target.name,
-            region,
-            directive.mode,
-            tag=directive.tag,
-            timeout=directive.timeout,
-        )
 
     # ------------------------------------------------------------------ waits
 

@@ -7,12 +7,7 @@ dispatch thread with a FIFO queue, the two manual offloading baselines
 
 from .edt import EventLoop
 from .events import Event, EventRecord
-from .executor_service import (
-    ExecutorService,
-    Future,
-    ThreadPerRequestExecutor,
-    new_fixed_thread_pool,
-)
+from .executor_service import ExecutorService, Future
 from .gui import Button, EDTViolationError, Label, ModalDialog, Panel, ProgressBar, Widget
 from .swing_worker import MAX_WORKER_THREADS, SwingWorker, swing_worker_pool, worker_from_callables
 from .timer import Timer
@@ -23,8 +18,6 @@ __all__ = [
     "EventRecord",
     "ExecutorService",
     "Future",
-    "ThreadPerRequestExecutor",
-    "new_fixed_thread_pool",
     "Button",
     "EDTViolationError",
     "Label",

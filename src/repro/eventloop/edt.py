@@ -33,23 +33,14 @@ class EventLoop:
         Virtual-target name of the EDT (directives say ``virtual(<name>)``).
     """
 
-    def __init__(
-        self,
-        runtime: PjRuntime,
-        name: str = "edt",
-        *,
-        queue_capacity: int | None = None,
-        rejection_policy: str = "block",
-    ) -> None:
+    def __init__(self, runtime: PjRuntime, name: str = "edt") -> None:
         self.runtime = runtime
         self.name = name
         self._listeners: dict[str, list[Callable[[Event], Any]]] = {}
         self._listeners_lock = threading.Lock()
         self._records: list[EventRecord] = []
         self._records_lock = threading.Lock()
-        self.target: EdtTarget = runtime.start_edt(
-            name, queue_capacity=queue_capacity, rejection_policy=rejection_policy
-        )
+        self.target: EdtTarget = runtime.start_edt(name)
 
     # ------------------------------------------------------------- listeners
 

@@ -25,7 +25,7 @@ __all__ = ["SwingWorker", "swing_worker_pool"]
 T = TypeVar("T")
 V = TypeVar("V")
 
-_shared_pools: dict[int, ExecutorService] = {}
+_shared_pool: ExecutorService | None = None
 _shared_lock = threading.Lock()
 
 MAX_WORKER_THREADS = 10  # javax.swing.SwingWorker's hard-coded bound
@@ -33,12 +33,11 @@ MAX_WORKER_THREADS = 10  # javax.swing.SwingWorker's hard-coded bound
 
 def swing_worker_pool() -> ExecutorService:
     """The process-wide 10-thread pool shared by all SwingWorkers."""
+    global _shared_pool
     with _shared_lock:
-        pool = _shared_pools.get(0)
-        if pool is None or pool._shutdown:
-            pool = ExecutorService(MAX_WORKER_THREADS, name="swingworker")
-            _shared_pools[0] = pool
-        return pool
+        if _shared_pool is None or not _shared_pool.target.alive:
+            _shared_pool = ExecutorService(MAX_WORKER_THREADS, name="swingworker")
+        return _shared_pool
 
 
 class SwingWorker(Generic[T, V]):

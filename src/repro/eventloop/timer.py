@@ -102,7 +102,10 @@ class Timer:
 
     def _expire(self) -> None:
         with self._lock:
-            if not self._running:
+            # Only the current chain may fire.  A timer that expired while
+            # stop()/restart() held the lock is stale even once the timer
+            # runs again; firing it would also start a second chain.
+            if threading.current_thread() is not self._timer:
                 return
             self.fired += 1
             skip = self.coalesce and self._pending_dispatch

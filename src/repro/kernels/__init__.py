@@ -6,7 +6,7 @@ form and an independent-chunk decomposition along the axis the original
 benchmark parallelises with ``omp for``.
 """
 
-from . import crypt, montecarlo, raytracer, series, sor, sparsematmult
+from . import crypt, montecarlo, raytracer, series, sor
 from .harness import (
     KERNELS,
     KernelSpec,
@@ -22,7 +22,6 @@ __all__ = [
     "raytracer",
     "series",
     "sor",
-    "sparsematmult",
     "KERNELS",
     "KernelSpec",
     "get_kernel",

@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import crypt, montecarlo, raytracer, series, sor, sparsematmult
+from . import crypt, montecarlo, raytracer, series, sor
 
 __all__ = [
     "KernelSpec",
@@ -39,8 +39,8 @@ class KernelSpec:
     """Uniform kernel description.
 
     ``in_paper`` marks the four kernels the paper's §V-A evaluation selects;
-    the registry also carries extension kernels from the same Java Grande
-    suite (SOR, SparseMatMult) for schedule/structure variety.
+    the registry also carries one extension kernel from the same Java Grande
+    suite (SOR), which the worksharing examples and benchmarks run.
     """
 
     name: str
@@ -172,34 +172,6 @@ def _sor_validate(n: int) -> bool:
     return residual(grid) < 0.25 * residual(sor.initial_grid(n))
 
 
-# -------------------------------------------------------------------- sparse
-
-
-def _sparse_inputs(n: int):
-    m = sparsematmult.random_csr(n)
-    rng = np.random.default_rng(n)
-    return m, rng.standard_normal(n)
-
-
-def _sparse_seq(n: int) -> "np.ndarray":
-    m, x = _sparse_inputs(n)
-    return sparsematmult.matvec(m, x)
-
-
-def _sparse_chunk(n: int, chunk_id: int, n_chunks: int) -> "np.ndarray":
-    m, x = _sparse_inputs(n)
-    base, extra = divmod(n, n_chunks)
-    start = chunk_id * base + min(chunk_id, extra)
-    rows = base + (1 if chunk_id < extra else 0)
-    return sparsematmult.matvec_rows(m, x, start, start + rows)
-
-
-def _sparse_validate(n: int) -> bool:
-    n = min(max(n, 10), 400)
-    m, x = _sparse_inputs(n)
-    return bool(np.allclose(sparsematmult.matvec(m, x), m.to_dense() @ x))
-
-
 # ----------------------------------------------------------------- raytracer
 
 _RT_SCENE = raytracer.default_scene()
@@ -266,15 +238,6 @@ KERNELS: dict[str, KernelSpec] = {
         description="Red-black successive over-relaxation (extension)",
         in_paper=False,
         stitch_reference=_sor_stitch_reference,
-    ),
-    "sparse": KernelSpec(
-        name="sparse",
-        sizes={"A": 2000, "B": 10_000, "C": 40_000},
-        run_sequential=_sparse_seq,
-        run_chunk=_sparse_chunk,
-        validate=_sparse_validate,
-        description="CSR sparse matrix-vector product (extension)",
-        in_paper=False,
     ),
 }
 

@@ -21,6 +21,7 @@ from repro.cluster import ClusterTarget
 from repro.core import PjRuntime, WorkerTarget, api
 from repro.core.tags import TagRegistry
 from repro.dist import ProcessTarget, RemoteLaneTarget
+from repro.eventloop import EventLoop, ExecutorService
 from repro.serve import ServeConfig
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -57,6 +58,14 @@ def test_default_target_is_the_only_icv():
 def test_no_removed_parameter_is_back(callable_):
     params = set(inspect.signature(callable_).parameters)
     assert not params & REMOVED_PARAMETERS
+
+
+@pytest.mark.parametrize("cls", [EventLoop, ExecutorService], ids=lambda c: c.__name__)
+def test_eventloop_classes_take_no_queue_options(cls):
+    # The baselines' pools are WorkerTargets/EdtTargets built with the
+    # defaults; nothing outside tests/ ever bounded them.
+    params = set(inspect.signature(cls).parameters)
+    assert not params & {"queue_capacity", "rejection_policy"}
 
 
 def test_serve_config_has_no_removed_field():

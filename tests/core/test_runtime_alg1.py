@@ -10,9 +10,7 @@ from repro.core import (
     RegionFailedError,
     RuntimeStateError,
     SchedulingMode,
-    TargetDirective,
     TargetExistsError,
-    TargetProperty,
     TargetRegion,
     UnknownTargetError,
 )
@@ -235,37 +233,6 @@ class TestAwait:
         assert done.wait(timeout=5)
         assert order.index("other-work") < order.index("worker-cont")
         assert order.index("edt-part") < order.index("worker-cont")
-
-
-class TestExecuteDirective:
-    def test_directive_dispatch(self, worker_rt):
-        d = TargetDirective(target=TargetProperty.virtual("worker"))
-        h = worker_rt.execute_directive(d, lambda: "via-directive")
-        assert h.result() == "via-directive"
-
-    def test_false_if_clause_runs_inline(self, worker_rt):
-        d = TargetDirective(target=TargetProperty.virtual("worker"))
-        h = worker_rt.execute_directive(
-            d, threading.current_thread, condition=False
-        )
-        assert h.result() is threading.current_thread()
-
-    def test_device_target_unsupported(self, worker_rt):
-        d = TargetDirective(target=TargetProperty.device(0))
-        with pytest.raises(RuntimeStateError):
-            worker_rt.execute_directive(d, lambda: None)
-
-    def test_name_as_directive_joins_by_tag(self, worker_rt):
-        d = TargetDirective(
-            target=TargetProperty.virtual("worker"),
-            mode=SchedulingMode.NAME_AS,
-            tag="grp",
-        )
-        counter = []
-        for _ in range(4):
-            worker_rt.execute_directive(d, lambda: counter.append(1))
-        worker_rt.wait_tag("grp", timeout=5)
-        assert len(counter) == 4
 
 
 class TestShutdown:

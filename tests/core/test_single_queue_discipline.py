@@ -54,11 +54,18 @@ def test_rejection_policy_is_decided_once(decision):
 
 
 def test_queue_full_error_is_raised_by_one_target_path():
-    hits = _hits(r"(?<!class )QueueFullError\(")
-    # ExecutorService is the paper's non-target baseline with its own list
-    # queue; among virtual targets only VirtualTarget.post may reject.
-    hits.pop("eventloop/executor_service.py", None)
-    assert hits == {TARGETS: 1}
+    assert _hits(r"(?<!class )QueueFullError\(") == {TARGETS: 1}
+
+
+def test_eventloop_keeps_no_pool_of_its_own():
+    # ExecutorService and the SwingWorker pool are WorkerTargets; the
+    # Swing Timer's threading.Timer is a clock, not a pool.
+    pool_parts = re.compile(r"\bThread\(|\bCondition\(|\bdeque\b")
+    hits = [
+        str(path.relative_to(SRC)) for path in sorted((SRC / "eventloop").glob("*.py"))
+        if pool_parts.search(path.read_text())
+    ]
+    assert hits == []
 
 
 def test_sentinels_are_triaged_by_the_owner_loop_only():

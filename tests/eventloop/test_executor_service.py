@@ -1,11 +1,16 @@
-"""Tests for the ExecutorService and thread-per-request baselines."""
+"""Tests for the ExecutorService baseline: a Java-named view over a
+WorkerTarget, so its tasks follow the one target queue discipline."""
 
 import threading
-import time
 
 import pytest
 
-from repro.eventloop import ExecutorService, ThreadPerRequestExecutor, new_fixed_thread_pool
+from repro import obs
+from repro.check.invariants import verify_events
+from repro.core import RegionCancelledError, RegionFailedError, TargetShutdownError
+from repro.core.targets import WorkerTarget
+from repro.eventloop import ExecutorService
+from repro.obs.events import EventKind
 
 
 @pytest.fixture()
@@ -24,7 +29,7 @@ class TestSubmit:
 
     def test_tasks_run_on_pool_threads(self, pool):
         f = pool.submit(lambda: threading.current_thread().name)
-        assert f.get(timeout=2).startswith("test-pool-")
+        assert f.get(timeout=2).startswith("pyjama-test-pool-")
 
     def test_parallel_threads(self, pool):
         barrier = threading.Barrier(3, timeout=2)
@@ -33,8 +38,6 @@ class TestSubmit:
             f.get(timeout=2)  # would deadlock if not parallel
 
     def test_exception_surfaces_on_get(self, pool):
-        from repro.core import RegionFailedError
-
         f = pool.submit(lambda: 1 / 0)
         with pytest.raises(RegionFailedError):
             f.get(timeout=2)
@@ -44,26 +47,23 @@ class TestSubmit:
         pool.execute(done.set)
         assert done.wait(timeout=2)
 
-    def test_invoke_all(self, pool):
-        futures = pool.invoke_all([lambda i=i: i * i for i in range(6)], timeout=5)
-        assert [f.get(timeout=1) for f in futures] == [0, 1, 4, 9, 16, 25]
-
     def test_queue_length_under_saturation(self, pool):
+        # The backlog lives on the pool's WorkerTarget queue.
         gate = threading.Event()
+        started = threading.Barrier(4, timeout=2)
         for _ in range(3):
-            pool.submit(gate.wait)
-        time.sleep(0.05)
+            pool.submit(lambda: (started.wait(), gate.wait()))
+        started.wait()
         for _ in range(5):
             pool.submit(lambda: None)
-        assert pool.queue_length >= 4
-        assert pool.active_count == 3
+        assert pool.target.work_count() == 5
         gate.set()
 
 
 class TestShutdown:
     def test_submit_after_shutdown_raises(self, pool):
         pool.shutdown()
-        with pytest.raises(RuntimeError):
+        with pytest.raises(TargetShutdownError):
             pool.submit(lambda: None)
 
     def test_shutdown_drains_queue_first(self):
@@ -71,47 +71,54 @@ class TestShutdown:
         results = []
         for i in range(5):
             p.submit(lambda i=i: results.append(i))
-        p.shutdown()
-        assert p.await_termination(timeout=5)
+        p.shutdown()  # drains the backlog and joins the thread
         assert results == [0, 1, 2, 3, 4]
+        assert not any(t.is_alive() for t in p.target._threads)
 
     def test_shutdown_now_cancels_queued(self):
         p = ExecutorService(1)
-        gate = threading.Event()
-        p.submit(gate.wait)
-        time.sleep(0.02)
+        started, gate = threading.Event(), threading.Event()
+        running = p.submit(lambda: (started.set(), gate.wait())[1])
+        assert started.wait(timeout=2)
         queued = [p.submit(lambda: None) for _ in range(4)]
-        dropped = p.shutdown_now()
-        assert len(dropped) == 4
-        assert all(not f.is_done() or f._region.state.name == "CANCELLED" for f in queued)
+        p.shutdown_now()
+        for f in queued:
+            with pytest.raises(RegionCancelledError):
+                f.get(timeout=2)
         gate.set()
-        assert p.await_termination(timeout=5)
+        assert running.get(timeout=2) is True
 
     def test_rejects_zero_threads(self):
         with pytest.raises(ValueError):
             ExecutorService(0)
 
-    def test_factory_function(self):
-        p = new_fixed_thread_pool(2, "factory")
+
+class TestOnePool:
+    def test_pool_is_an_unregistered_worker_target(self):
+        p = ExecutorService(2, name="view")
         try:
-            assert p.submit(lambda: "ok").get(timeout=2) == "ok"
+            assert type(p.target) is WorkerTarget
+            assert p.target.name == "view" and p.target.pool_size == 2
         finally:
-            p.shutdown_now()
+            p.shutdown()
 
-
-class TestThreadPerRequest:
-    def test_every_task_gets_new_thread(self):
-        ex = ThreadPerRequestExecutor()
-        names = [ex.submit(lambda: threading.current_thread().name).get(timeout=2) for _ in range(4)]
-        assert len(set(names)) == 4
-        assert ex.spawned == 4
-
-    def test_result_delivery(self):
-        ex = ThreadPerRequestExecutor()
-        assert ex.submit(lambda x: x + 1, 41).get(timeout=2) == 42
-
-    def test_cancel_before_run_is_racy_but_safe(self):
-        ex = ThreadPerRequestExecutor()
-        f = ex.submit(lambda: "ran")
-        f.cancel()  # either cancels or the task already ran; must not hang
-        f._region.wait(timeout=2)
+    def test_tasks_land_on_the_verified_trace(self):
+        obs.disable()
+        obs.session().clear()
+        session = obs.enable()
+        try:
+            p = ExecutorService(2, name="traced-pool")
+            futures = [p.submit(lambda i=i: i * i) for i in range(4)]
+            assert [f.get(timeout=2) for f in futures] == [0, 1, 4, 9]
+            p.shutdown()
+            obs.disable()
+            events = session.events()
+            kinds = {e.kind for e in events if e.target == "traced-pool"}
+            assert {
+                EventKind.ENQUEUE, EventKind.DEQUEUE,
+                EventKind.EXEC_BEGIN, EventKind.EXEC_END,
+            } <= kinds
+            assert verify_events(events) == []
+        finally:
+            obs.disable()
+            obs.session().clear()

@@ -137,7 +137,7 @@ class TestSharedPool:
         # a default 10-thread-max thread pool."
         assert MAX_WORKER_THREADS == 10
         pool = swing_worker_pool()
-        assert len(pool._threads) == 10
+        assert pool.target.pool_size == 10
 
     def test_shared_pool_reused(self):
         assert swing_worker_pool() is swing_worker_pool()

@@ -93,6 +93,26 @@ class TestTimer:
         with pytest.raises(ValueError):
             Timer(loop, 0.0, lambda: None)
 
+    def test_stale_expiry_after_restart_does_not_fire(self, loop):
+        """A timer thread that expired but lost the lock to restart() is
+        stale: it must neither fire nor schedule a second chain."""
+        t = Timer(loop, 10.0, lambda: None)
+        t.start()
+        try:
+            t.restart()
+            stale = threading.Thread(target=t._expire)  # not the live timer
+            stale.start()
+            stale.join(timeout=2)
+            assert t.fired == 0
+            pending = [
+                th for th in threading.enumerate()
+                if isinstance(th, threading.Timer) and th.function == t._expire
+                and not th.finished.is_set()
+            ]
+            assert pending == [t._timer]
+        finally:
+            t.stop()
+
     def test_double_start_is_idempotent(self, loop):
         hits = []
         t = Timer(loop, 0.03, lambda: hits.append(1), repeats=False)

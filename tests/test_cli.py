@@ -143,7 +143,7 @@ class TestKernels:
     def test_kernels_table(self, capsys):
         assert main(["kernels", "--size", "A"]) == 0
         out = capsys.readouterr().out
-        for name in ("crypt", "series", "montecarlo", "raytracer", "sor", "sparse"):
+        for name in ("crypt", "series", "montecarlo", "raytracer", "sor"):
             assert name in out
         assert "True" in out
         assert "ext" in out
