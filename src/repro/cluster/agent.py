@@ -93,7 +93,7 @@ class ClusterAgent:
         self._lock = threading.Lock()
         self._currents: dict[tuple[str, int], _Current] = {}
         self._transports: list[Any] = []
-        self._threads: list[threading.Thread] = []
+        self._threads: set[threading.Thread] = set()  # one per live connection
         self.connections_served = 0
         self.tasks_executed = 0
 
@@ -177,7 +177,7 @@ class ClusterAgent:
                 daemon=True,
             )
             with self._lock:
-                self._threads.append(th)
+                self._threads.add(th)
                 self.connections_served += 1
             th.start()
 
@@ -236,6 +236,7 @@ class ClusterAgent:
             with self._lock:
                 if tr in self._transports:
                     self._transports.remove(tr)
+                self._threads.discard(threading.current_thread())
 
     def _current_for(self, target_name: str, slot: int) -> _Current:
         # task and ctrl connections of one lane meet here: the ctrl loop

@@ -13,29 +13,30 @@ ride on, and the two concrete implementations the cluster layer uses:
   loopback pairs and sockets without caring which it holds.
 * :class:`LoopbackTransport` — an in-process pair
   (:func:`loopback_pair`) backed by deques and condition variables.
-  Messages still make a full pickle round trip, so tests exercise the real
-  serialization constraints without opening sockets.
+  Messages still cross as the frames a socket would carry, so tests
+  exercise the real codec without opening sockets.
 * :class:`TcpTransport` — a TCP socket carrying length-prefixed frames
-  (layout below): the pickled message, then the serialized payload the
+  (layout below): the message's envelope, then the serialized payload the
   message carries, beside it rather than inside it.  ``TCP_NODELAY`` is
   set (one small frame per dispatch hop; Nagle would serialize the
   protocol's ping-pongs at 40 ms each).
 
-Frame layout (since protocol version 2; version 3 changed only the
-message set), integers unsigned 32-bit big-endian::
+Frame layout (since protocol version 2; versions 3 and 4 changed only
+what the envelope holds), integers unsigned 32-bit big-endian::
 
     [ A<<31 | size ]  [ attachment ]?  envelope ...  attachment ...
          word 1        word 2 iff A    size - attachment   attachment
 
 ``size`` counts envelope plus attachment and is at most
-:data:`MAX_FRAME_BYTES`.  The envelope is the message pickled *without*
-its ``blob`` (:func:`repro.dist.wire.dump_frame`); the attachment is the
+:data:`MAX_FRAME_BYTES`.  The envelope is the pickled tuple ``(code,
+*fields)`` of the message, with None for a ``blob`` that travels as the
+attachment (:func:`repro.dist.wire.dump_frame`); the attachment is the
 blob's pickle stream, sent from the caller's own buffers by one
 ``sendmsg`` and received by ``recv_into`` one pre-sized buffer, which the
-receiver's :func:`repro.dist.wire.loads` reads in place.  A frame without
-an attachment — every hello, ping and ack — has ``A`` clear and is
-byte-for-byte a version-1 frame, so a peer of any earlier version can
-read a current hello (and the reverse) and fail on the number in it.
+receiver's :func:`repro.dist.wire.loads` reads in place.  Only the hello
+is a pickled :class:`~repro.dist.wire.HelloMsg`, in a frame with ``A``
+clear: byte-for-byte a version-1 frame, so a peer of any earlier version
+can read a current hello (and the reverse) and fail on the number in it.
 
 Failure mapping mirrors pipes so existing error handling transfers: a send
 on a closed/torn transport raises :class:`OSError`, a recv past the peer's
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 import collections
 import os
-import pickle
 import select
 import socket
 import struct
@@ -137,14 +137,14 @@ class _LoopbackChannel:
 
     def __init__(self) -> None:
         self.cond = threading.Condition()
-        self.items: collections.deque[bytes] = collections.deque()
+        self.items: collections.deque[tuple] = collections.deque()
         self.closed = False
 
-    def put(self, blob: bytes) -> None:
+    def put(self, frame: tuple) -> None:
         with self.cond:
             if self.closed:
                 raise OSError("loopback transport is closed")
-            self.items.append(blob)
+            self.items.append(frame)
             self.cond.notify_all()
 
     def close(self) -> None:
@@ -157,9 +157,9 @@ class LoopbackTransport:
     """In-process :class:`Transport` end; create pairs with
     :func:`loopback_pair`.
 
-    Messages pickle on send and unpickle on recv — the full serialization
-    constraint of the real wire, minus the socket — so a payload that
-    cannot cross a TCP transport cannot sneak through tests either.
+    Messages are encoded and decoded as TCP frames are — the full
+    serialization constraint of the real wire, minus the socket — so a
+    payload that cannot cross a TCP transport cannot sneak through tests.
     """
 
     def __init__(self, tx: _LoopbackChannel, rx: _LoopbackChannel, label: str) -> None:
@@ -180,7 +180,8 @@ class LoopbackTransport:
     def send(self, msg: Any) -> None:
         if self._closed:
             raise OSError("transport is closed")
-        self._tx.put(pickle.dumps(msg, wire.PICKLE_PROTOCOL))
+        body, attached = wire.dump_frame(msg)
+        self._tx.put((b"".join(body), attached))
 
     def recv(self) -> Any:
         with self._rx.cond:
@@ -188,8 +189,8 @@ class LoopbackTransport:
                 if self._rx.closed or self._closed:
                     raise EOFError("loopback peer closed")
                 self._rx.cond.wait()
-            blob = self._rx.items.popleft()
-        return pickle.loads(blob)
+            frame = self._rx.items.popleft()
+        return _load_frame(*frame)
 
     def poll(self, timeout: float = 0.0) -> bool:
         with self._rx.cond:
@@ -221,6 +222,14 @@ def loopback_pair() -> tuple[LoopbackTransport, LoopbackTransport]:
         LoopbackTransport(a2b, b2a, "a"),
         LoopbackTransport(b2a, a2b, "b"),
     )
+
+
+def _load_frame(body: Any, attached: int | None) -> Any:
+    """The message in a frame *body* ending in an *attached*-byte attachment."""
+    if attached is None:
+        return wire.load_frame(body, None)
+    view, split = memoryview(body), len(body) - attached
+    return wire.load_frame(view[:split], view[split:])
 
 
 # ----------------------------------------------------------------------- TCP
@@ -380,12 +389,8 @@ class TcpTransport:
             # one syscall: MSG_WAITALL returns short only on a tear.
             if self._eof or not self._read(sock, socket.MSG_WAITALL):
                 raise EOFError(f"peer {self._peer} closed the connection")
-        (body, attached), self._frame = self._frame, None
-        if attached is None:
-            return wire.load_frame(body, None)
-        view = memoryview(body)
-        split = len(body) - attached
-        return wire.load_frame(view[:split], view[split:])
+        frame, self._frame = self._frame, None
+        return _load_frame(*frame)
 
     def poll(self, timeout: float = 0.0) -> bool:
         """True when :meth:`recv` would not block (data *or* a tear)."""

@@ -7,9 +7,11 @@ side, every step into a fresh megabyte.  :class:`ArenaChannel` wraps a lane's ta
 large serialized payload — the :class:`~repro.dist.wire.Parts` in a
 message's ``blob`` — is instead written once into a shared-memory
 :class:`Arena` and read once out of it by the receiver's
-:func:`~repro.dist.wire.loads`; the pipe carries the small envelope with an
-:class:`~repro.dist.wire.ArenaRef` in the blob's place.  Both ends of the
-pipe run this one class (``owner=True`` in the parent).
+:func:`~repro.dist.wire.loads`; the pipe carries the small envelope with
+the arena's ``(segment, nbytes)`` in the blob's place.  Both ends of the
+pipe run this one class (``owner=True`` in the parent), sending
+:func:`~repro.dist.wire.dumps_msg` bytes: ``Connection.send`` would copy
+copyreg's dispatch table into a new ``ForkingPickler`` per message.
 
 Ownership: the **parent end creates, grows and unlinks both arenas** of a
 lane, one per direction; the worker end only attaches — a bare
@@ -178,6 +180,7 @@ class ArenaChannel:
 
     def __init__(self, conn: Any, *, owner: bool, label: str) -> None:
         self._conn = conn
+        self._put, self._get = conn.send_bytes, conn.recv_bytes
         self._owner = owner
         self._label = label
         self._out: Arena | None = None   # this end writes, the peer reads
@@ -216,8 +219,7 @@ class ArenaChannel:
     def send(self, msg: Any) -> None:
         if self._in is not None:
             self._in.reclaim()
-        ref = None
-        blob = getattr(msg, "blob", None)
+        blob = msg.blob
         if type(blob) is wire.Parts:
             nbytes = blob.nbytes
             out = self._out
@@ -227,34 +229,32 @@ class ArenaChannel:
                 out = self._out = self._grown(out, nbytes)
             if out is not None and out.size >= nbytes:
                 out.write(blob)
-                ref = wire.ArenaRef(out.name, nbytes)
+                blob = (out.name, nbytes)
         if self._offer is not None:
             offer, self._offer = self._offer, None
-            self._conn.send(wire.ArenaOffer(offer))
-        if ref is None:
-            self._conn.send(msg)
-        else:
-            wire.dump_without_blob(msg, self._conn.send, ref)
+            self._put(wire.dumps_msg(wire.ArenaOffer(offer), None))
+        self._put(wire.dumps_msg(msg, blob))
 
     def recv(self) -> Any:
         if self._in is not None:
             self._in.reclaim()
-        msg = self._conn.recv()
+        msg = wire.load_frame(self._get(), None)
         while type(msg) is wire.ArenaOffer and not self._owner:
             try:
                 self._out = self._attach(self._out, msg.segment)
             except OSError as exc:
                 self._out = None  # results stay in-band; the parent copes
                 _logger.warning("%s: cannot attach %s: %r", self._label, msg.segment, exc)
-            msg = self._conn.recv()
-        blob = getattr(msg, "blob", None)
-        if type(blob) is wire.ArenaRef:
+            msg = wire.load_frame(self._get(), None)
+        blob = msg.blob
+        if type(blob) is tuple:  # (segment, nbytes): the blob is in an arena
+            segment, nbytes = blob
             arena = self._in
-            if arena is None or arena.name != blob.segment:
+            if arena is None or arena.name != segment:
                 if self._owner:
-                    raise OSError(f"{self._label}: peer wrote to unknown segment {blob.segment}")
-                arena = self._in = self._attach(arena, blob.segment)
-            msg.blob = arena.lend(blob.nbytes)
+                    raise OSError(f"{self._label}: peer wrote to unknown segment {segment}")
+                arena = self._in = self._attach(arena, segment)
+            msg.blob = arena.lend(nbytes)
         elif (
             self._owner and type(blob) is bytes
             and wire.ATTACH_MIN_BYTES <= len(blob) <= ARENA_MAX_BYTES

@@ -7,9 +7,10 @@ a spawned child process running :func:`repro.dist.worker.worker_main`
 behind two ``multiprocessing`` pipes, so a dead worker has an *exit code*
 (surfaced on ``WORKER_CRASH``/``WORKER_EXIT`` instants and
 :class:`~repro.core.errors.WorkerCrashedError`), ``terminate()`` really
-kills the region body, and a graceful stop joins the child.  The task pipe
-is wrapped in an :class:`~repro.dist.arena.ArenaChannel`, so payloads too
-large for the pipe's buffer cross in shared memory the parent end owns.
+kills the region body, and a graceful stop joins the child.  Both pipes
+are wrapped in an :class:`~repro.dist.arena.ArenaChannel`, so messages
+cross them in the wire codec and payloads too large for the task pipe's
+buffer cross in shared memory the parent end owns.
 """
 
 from __future__ import annotations
@@ -47,11 +48,10 @@ class _WorkerSlot(RemoteLane):
         self._ctx = ctx
 
     def open(self) -> None:
-        task, child_task = self._ctx.Pipe()
-        self.task = ArenaChannel(
-            task, owner=True, label=f"worker {self.index} of {self.target_name!r}"
-        )
-        self.ctrl, child_ctrl = self._ctx.Pipe()
+        label = f"worker {self.index} of {self.target_name!r}"
+        (task, child_task), (ctrl, child_ctrl) = self._ctx.Pipe(), self._ctx.Pipe()
+        self.task = ArenaChannel(task, owner=True, label=label)
+        self.ctrl = ArenaChannel(ctrl, owner=True, label=f"control of {label}")
         proc = self._ctx.Process(
             target=worker_main,
             args=(WorkerConfig(self.target_name, self.index), child_task, child_ctrl),

@@ -8,12 +8,12 @@ protocol reads in one place:
   pickler refuses lambdas, closures and locally defined functions, so we
   prefer `cloudpickle <https://github.com/cloudpipe/cloudpickle>`_ when the
   interpreter ships it and fall back to plain :mod:`pickle` otherwise, both
-  at :data:`PICKLE_PROTOCOL`.  Serialization failures are wrapped in
+  at :data:`PICKLE_PROTOCOL`, cloudpickle only where something must go by
+  value (:class:`_ByReference`).  Failures are wrapped in
   :class:`~repro.core.errors.SerializationError` with guidance, never
   surfaced as a raw ``TypeError`` from pickler internals.
-* **Messages** — small slotted classes (not dataclasses: they are pickled
-  on every hop and the fixed ``__reduce__`` below keeps them stable across
-  interpreter versions).  Two channels per worker:
+* **Messages** — small slotted classes, each but :class:`HelloMsg` sent
+  as a flat tuple (:func:`load_frame`).  Two channels per worker:
 
   - the *task* channel (parent lease holder ↔ worker main thread):
     :class:`SyncMsg`/:class:`SyncAck` clock handshake at spawn, then
@@ -39,11 +39,11 @@ for the message's ``blob`` field and everything is as it always was.  From
 there up it gives :class:`Parts` — the buffers the pickler wrote, where
 every ``bytes``/``bytearray``/contiguous array of 64 KiB or more is *the
 caller's own object*, not a copy — and the channel decides how the parts
-cross: a pipe lane writes them into a shared-memory arena and ships an
-:class:`ArenaRef` in their place (:mod:`repro.dist.arena`), a TCP lane
-hands them to ``sendmsg`` after the pickled envelope
-(:mod:`repro.cluster.transport`), and a channel that simply pickles the
-message delivers them in-band as one ``bytes`` after all
+cross: a pipe lane writes them into a shared-memory arena and ships the
+arena's ``(segment, nbytes)`` in their place (:mod:`repro.dist.arena`), a
+TCP lane hands them to ``sendmsg`` after the pickled envelope
+(:mod:`repro.cluster.transport`), and a channel that keeps them in the
+envelope delivers them in-band as one ``bytes`` after all
 (:meth:`Parts.__reduce__`).  The receiver finds ``bytes`` or a
 ``memoryview`` in ``blob`` and gives it to :func:`loads` — the one copy on
 its end of the hop, into the final object.
@@ -53,19 +53,19 @@ from __future__ import annotations
 
 import pickle
 import traceback
+from types import FunctionType
 from typing import Any, Union
 
 from ..core.errors import ProtocolVersionError, RemoteExecutionError, SerializationError
 
 try:  # cloudpickle widens what can cross the wire (lambdas, closures, ...)
-    import cloudpickle as _pickler
+    import cloudpickle
     HAVE_CLOUDPICKLE = True
 except ImportError:  # pragma: no cover - environment-dependent
-    _pickler = pickle
     HAVE_CLOUDPICKLE = False
     _Pickler = pickle.Pickler
 else:
-    _Pickler = _pickler.CloudPickler
+    _Pickler = cloudpickle.CloudPickler
 
 __all__ = [
     "HAVE_CLOUDPICKLE",
@@ -75,12 +75,11 @@ __all__ = [
     "check_protocol_version",
     "ATTACH_MIN_BYTES",
     "ArenaOffer",
-    "ArenaRef",
     "Blob",
     "Parts",
     "dump_frame",
-    "dump_without_blob",
     "dumps",
+    "dumps_msg",
     "dumps_parts",
     "load_frame",
     "loads",
@@ -104,11 +103,10 @@ __all__ = [
 #: a different checkout — so every socket connection opens with a
 #: :class:`HelloMsg` carrying this number, and a mismatch raises a
 #: structured :class:`ProtocolVersionError` instead of undefined behaviour
-#: deep inside message dispatch.  Version 3 dropped the cluster-only tagged
-#: task and its tag-progress reply, so a task channel carries one reply per
-#: task; a version-2 peer is refused at hello instead of waiting forever for
-#: the reply to a task message this end skips as unknown.
-PROTOCOL_VERSION = 3
+#: deep inside message dispatch.  Version 3 dropped the tagged task and its
+#: second reply, so a v2 peer is refused at hello rather than left waiting
+#: for it; version 4 sends all but the hello as flat tuples (:func:`load_frame`).
+PROTOCOL_VERSION = 4
 
 #: Pickle protocol of every payload and envelope.  Pinned, not "highest":
 #: 5 is what makes the pickler hand a large buffer to its sink whole
@@ -173,6 +171,32 @@ class Parts(list):
 Blob = Union[bytes, memoryview]
 
 
+try:  # cloudpickle's own by-reference test, for the C-speed path below
+    from cloudpickle.cloudpickle import (
+        _BUILTIN_TYPE_NAMES, _PICKLE_BY_VALUE_MODULES, _should_pickle_by_reference,
+    )
+    _CLOUD_REDUCED = _Pickler._dispatch_table
+except (ImportError, AttributeError):  # pragma: no cover - another cloudpickle
+    _ByReference = None
+else:
+    #: What cloudpickle pickles by reference: module attributes, never closures.
+    _BY_REFERENCE: set = set()
+
+    class _ByReference(pickle.Pickler):
+        """The C pickler, raising wherever cloudpickle would do otherwise."""
+
+        def reducer_override(self, obj: Any) -> Any:
+            # CloudPickler.reducer_override's tests, in its order.
+            if issubclass(type(obj), type) or isinstance(obj, FunctionType):
+                if obj not in _BY_REFERENCE:
+                    if obj in _BUILTIN_TYPE_NAMES or not _should_pickle_by_reference(obj):
+                        raise pickle.PicklingError("pickled by value")
+                    _BY_REFERENCE.add(obj)
+            elif type(obj) in _CLOUD_REDUCED:
+                raise pickle.PicklingError("reduced by cloudpickle")
+            return NotImplemented  # save_global fails on a rebound attribute
+
+
 def _dump_parts(pickler: type, obj: Any) -> "bytes | Parts":
     parts = Parts()
     pickler(parts, PICKLE_PROTOCOL).dump(obj)
@@ -192,7 +216,14 @@ def dumps_parts(obj: Any, *, what: str = "payload") -> "bytes | Parts":
     """Serialize *obj* completely — nothing is left to fail at send time —
     for a message's ``blob``: one ``bytes`` below :data:`ATTACH_MIN_BYTES`
     (the in-band payload there has always been), :class:`Parts` from there
-    up; raise :class:`SerializationError` naming *what*."""
+    up; raise :class:`SerializationError` naming *what*.  Cloudpickle only
+    redoes what the C pickler cannot, or any value while a module is
+    registered to be pickled by value."""
+    if _ByReference is not None and not _PICKLE_BY_VALUE_MODULES:
+        try:
+            return _dump_parts(_ByReference, obj)
+        except Exception:  # noqa: BLE001 - by value, or an error: ask cloudpickle
+            pass
     try:
         return _dump_parts(_Pickler, obj)
     except Exception as exc:  # noqa: BLE001 - picklers raise a zoo of types
@@ -202,10 +233,8 @@ def dumps_parts(obj: Any, *, what: str = "payload") -> "bytes | Parts":
 def dumps(obj: Any, *, what: str = "payload") -> bytes:
     """Serialize *obj* to one ``bytes``; raise :class:`SerializationError`
     naming *what*."""
-    try:
-        return _pickler.dumps(obj, PICKLE_PROTOCOL)
-    except Exception as exc:  # noqa: BLE001 - picklers raise a zoo of types
-        raise SerializationError(what, exc) from exc
+    blob = dumps_parts(obj, what=what)
+    return blob if type(blob) is bytes else b"".join(blob)
 
 
 def loads(blob: Blob, *, what: str = "payload") -> Any:
@@ -213,7 +242,7 @@ def loads(blob: Blob, *, what: str = "payload") -> Any:
     aliases it); failures (e.g. a module importable in the parent but not
     in the worker) become :class:`SerializationError`."""
     try:
-        return _pickler.loads(blob)
+        return pickle.loads(blob)
     except Exception as exc:  # noqa: BLE001
         raise SerializationError(what, exc) from exc
 
@@ -227,8 +256,8 @@ def pack_exception(exc: BaseException) -> tuple[bytes | None, str, str]:
     """
     tb = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
     try:
-        blob = _pickler.dumps(exc, PICKLE_PROTOCOL)
-    except Exception:  # noqa: BLE001 - unpicklable exception: ship text only
+        blob = dumps(exc)
+    except SerializationError:  # unpicklable exception: ship text only
         blob = None
     return blob, repr(exc), tb
 
@@ -238,7 +267,7 @@ def unpack_exception(blob: bytes | None, text: str, tb: str) -> BaseException:
     when the original exception could not make the trip."""
     if blob is not None:
         try:
-            exc = _pickler.loads(blob)
+            exc = pickle.loads(blob)
         except Exception:  # noqa: BLE001
             return RemoteExecutionError(text, tb)
         if isinstance(exc, BaseException):
@@ -250,16 +279,26 @@ def unpack_exception(blob: bytes | None, text: str, tb: str) -> BaseException:
 
 
 class _Msg:
-    """Base for wire messages: slotted, field-order pickled, repr'd."""
+    """Base for wire messages: slotted, repr'd, sent as ``envelope(blob)``:
+    ``(code, *fields)`` with *blob*, the payload or its stand-in, as blob."""
 
     __slots__: tuple[str, ...] = ()
 
     #: What a message without a ``blob`` field carries as attachment.
     blob = None
 
-    def __init__(self, *values: Any) -> None:
-        for field, value in zip(self.__slots__, values):
-            setattr(self, field, value)
+    def __init_subclass__(cls) -> None:
+        # Spelled out per class: twice as fast as a loop over the slots.
+        fields = cls.__slots__
+        stored = "".join(f"    self.{f} = {f}\n" for f in fields)
+        listed = "".join("blob, " if f == "blob" else f"self.{f}, " for f in fields)
+        ns: dict[str, Any] = {}
+        exec(
+            f"def __init__(self, {', '.join(fields)}):\n{stored}    pass\n"
+            f"def envelope(self, blob):\n    return (self.code, {listed})\n",
+            ns,
+        )
+        cls.__init__, cls.envelope = ns["__init__"], ns["envelope"]
 
     def __reduce__(self):
         return (type(self), tuple(getattr(self, f) for f in self.__slots__))
@@ -269,58 +308,47 @@ class _Msg:
         return f"<{type(self).__name__} {fields}>"
 
 
-def dump_without_blob(msg: "_Msg", dump: Any, stand_in: Any = None) -> Any:
-    """``dump(msg)`` while *stand_in* sits in the message's ``blob`` field:
-    how a channel ships an envelope apart from its attachment.  The caller
-    owns *msg* for the duration, as it does for any send."""
-    blob, msg.blob = msg.blob, stand_in
-    try:
-        return dump(msg)
-    finally:
-        msg.blob = blob
-
-
-def _dump_envelope(msg: "_Msg") -> bytes:
-    return pickle.dumps(msg, PICKLE_PROTOCOL)
+def dumps_msg(msg: "_Msg", blob: Any) -> bytes:
+    """*msg*'s envelope with *blob* in its ``blob`` field, pickled; but a
+    :class:`HelloMsg` as itself, the version gate every version can read."""
+    if type(msg) is HelloMsg:
+        return pickle.dumps(msg, PICKLE_PROTOCOL)
+    return pickle.dumps(msg.envelope(blob), PICKLE_PROTOCOL)
 
 
 def dump_frame(msg: Any) -> tuple[list, int | None]:
     """``(body, attached)`` for a channel that frames bytes itself: the
     buffers to send, in order, and how many bytes at their end are the
     attachment (None without one).  A message whose ``blob`` is
-    :class:`Parts` is pickled without it and the parts follow; any other
-    message is pickled whole, as ever.  A bare object (no message, so no
-    telling how large) is all envelope, in parts if large so that it is not
-    copied either."""
+    :class:`Parts` is its envelope without it, then the parts; any other
+    message is its envelope alone.  A bare object (no message, so no
+    telling how large) is all envelope, code 0, in parts if large."""
     if isinstance(msg, _Msg):
         blob = msg.blob
         if type(blob) is Parts:
-            return [dump_without_blob(msg, _dump_envelope), *blob], blob.nbytes
-        return [_dump_envelope(msg)], None
-    body = _dump_parts(pickle.Pickler, msg)
+            return [dumps_msg(msg, None), *blob], blob.nbytes
+        return [dumps_msg(msg, blob)], None
+    body = _dump_parts(pickle.Pickler, (0, msg))
     return (body if type(body) is Parts else [body]), None
 
 
 def load_frame(envelope: Blob, attachment: Blob | None) -> Any:
-    """Inverse of :func:`dump_frame`: the message, with *attachment* (still
-    serialized — :func:`loads` is the consumer's one copy) as its blob."""
-    msg = pickle.loads(envelope)
-    if attachment is not None:
-        if not isinstance(msg, _Msg) or "blob" not in msg.__slots__:
-            raise OSError(
-                f"attachment on a {type(msg).__name__}, which has no blob; "
-                "stream desynchronized"
-            )
-        msg.blob = attachment
+    """Inverse of :func:`dump_frame` and :func:`dumps_msg`: the message,
+    with *attachment* (still serialized — :func:`loads` is the consumer's
+    one copy) as its blob; any mismatch is a desynchronized ``OSError``."""
+    try:
+        msg = pickle.loads(envelope)
+        if type(msg) is tuple:
+            msg = _KINDS[msg[0]](*msg[1:])
+        elif type(msg) is not HelloMsg:
+            raise TypeError(f"a {type(msg).__name__} is no envelope")
+        if attachment is not None:
+            if "blob" not in type(msg).__slots__:  # AttributeError: a bare object
+                raise TypeError(f"an attachment on a {type(msg).__name__}")
+            msg.blob = attachment
+    except Exception as exc:  # noqa: BLE001 - whatever the bytes were
+        raise OSError(f"malformed envelope ({exc!r}); stream desynchronized") from exc
     return msg
-
-
-class ArenaRef(_Msg):
-    """In a ``blob`` field on a pipe lane: the attachment is the first
-    ``nbytes`` of shared-memory segment ``segment``
-    (:mod:`repro.dist.arena`), valid until the receiver's next ``recv``."""
-
-    __slots__ = ("segment", "nbytes")
 
 
 class ArenaOffer(_Msg):
@@ -427,3 +455,11 @@ class CancelMsg(_Msg):
     — the region may have finished while the message was in flight)."""
 
     __slots__ = ("seq",)
+
+
+#: What an envelope's ``code`` decodes to: 0 a bare object (anything sent
+#: that is no message), then the messages.  A change is a new protocol version.
+_KINDS: dict[Any, Any] = dict(enumerate((lambda value: value, ArenaOffer, SyncMsg,
+    SyncAck, TaskMsg, ResultMsg, StopMsg, PingMsg, PongMsg, CancelMsg)))
+for _code, _kind in _KINDS.items():
+    _kind.code = _code

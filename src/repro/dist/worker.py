@@ -193,19 +193,17 @@ def task_loop(
 
 def worker_main(config: WorkerConfig, task_conn: Any, ctrl_conn: Any) -> None:
     """Entry point of one worker process (the ``Process`` target): the
-    control loop on a daemon thread, the task loop on the main thread, the
-    task pipe behind the worker end of the lane's shared-memory arenas."""
+    control loop on a daemon thread, the task loop on the main thread, each
+    pipe behind the worker end of an :class:`ArenaChannel`."""
     current = _Current()
+    label = f"worker {config.worker_id} of {config.target_name!r} (pid {os.getpid()})"
     threading.Thread(
         target=control_loop,
-        args=(ctrl_conn, current),
+        args=(ArenaChannel(ctrl_conn, owner=False, label=f"control of {label}"), current),
         name=f"repro-dist-ctrl-{config.target_name}-{config.worker_id}",
         daemon=True,
     ).start()
-    task = ArenaChannel(
-        task_conn, owner=False,
-        label=f"worker {config.worker_id} of {config.target_name!r} (pid {os.getpid()})",
-    )
+    task = ArenaChannel(task_conn, owner=False, label=label)
     try:
         task_loop(task, current)
     finally:

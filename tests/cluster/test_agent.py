@@ -26,6 +26,26 @@ def open_channel(agent, role, *, slot=0, target_name="t"):
     return tr
 
 
+def _refused_both_ways(old):
+    """A peer at protocol version *old* fails at the hello, as parent and
+    as agent, with the structured error on the current end."""
+    with ClusterAgent() as agent:  # an old parent meets a current agent
+        tr = connect(agent.host, agent.port)
+        try:
+            tr.send(wire.HelloMsg(old, "task", "t", 0, {}))
+            assert tr.recv().version == wire.PROTOCOL_VERSION
+            assert tr.poll(5.0)
+            with pytest.raises(EOFError):
+                tr.recv()
+        finally:
+            tr.close()
+    parent, old_agent = loopback_pair()  # a current parent meets an old agent
+    old_agent.send(wire.HelloMsg(old, "agent", None, None, {}))
+    with pytest.raises(ProtocolVersionError) as exc_info:
+        expect_hello(parent, peer=f"v{old} agent")
+    assert (exc_info.value.ours, exc_info.value.theirs) == (wire.PROTOCOL_VERSION, old)
+
+
 class TestHandshake:
     def test_agent_answers_with_versioned_hello(self):
         with ClusterAgent() as agent:
@@ -59,22 +79,13 @@ class TestHandshake:
     def test_a_version_2_peer_is_refused_at_hello(self):
         # Version 2 had a tagged task message with a second reply that
         # version 3 dropped: a v2 peer must fail at hello, not wait for it.
-        assert wire.PROTOCOL_VERSION == 3
-        with ClusterAgent() as agent:  # a v2 parent meets a v3 agent
-            tr = connect(agent.host, agent.port)
-            try:
-                tr.send(wire.HelloMsg(2, "task", "t", 0, {}))
-                assert tr.recv().version == 3
-                assert tr.poll(5.0)
-                with pytest.raises(EOFError):
-                    tr.recv()
-            finally:
-                tr.close()
-        parent, v2_agent = loopback_pair()  # a v3 parent meets a v2 agent
-        v2_agent.send(wire.HelloMsg(2, "agent", None, None, {}))
-        with pytest.raises(ProtocolVersionError) as exc_info:
-            expect_hello(parent, peer="v2 agent")
-        assert (exc_info.value.ours, exc_info.value.theirs) == (3, 2)
+        assert wire.PROTOCOL_VERSION == 4
+        _refused_both_ways(2)
+
+    def test_a_version_3_peer_is_refused_at_hello(self):
+        # Version 3 pickled every message as its class; version 4 sends a
+        # flat tuple that a v3 peer cannot read, so the hello must stop it.
+        _refused_both_ways(3)
 
     def test_garbage_first_frame_closes_the_connection(self):
         with ClusterAgent() as agent:
@@ -181,6 +192,31 @@ class TestSlotCap:
                     second.close()
             finally:
                 first.close()
+
+
+    def test_a_closed_task_connection_frees_its_slot(self):
+        with ClusterAgent(max_slots=1) as agent:
+            for slot in range(3):
+                open_channel(agent, "task", slot=slot).close()
+                assert _soon(lambda: not agent._threads)
+
+
+def _soon(predicate, budget=10.0):
+    deadline = time.monotonic() + budget
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return predicate()
+
+
+class TestConnectionThreads:
+    def test_closed_connections_leave_no_thread_behind(self):
+        # Nothing an agent keeps may grow with uptime: a connection's
+        # thread goes when the connection does.
+        with ClusterAgent() as agent:
+            for _ in range(1000):
+                open_channel(agent, "ctrl").close()
+            assert _soon(lambda: len(agent._threads) <= 2), len(agent._threads)
+            assert agent.connections_served == 1000
 
 
 class TestSpawnedAgent:

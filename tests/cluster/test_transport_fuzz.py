@@ -1,13 +1,14 @@
-"""Hypothesis at the byte boundary of the version-2 frame decoder.
+"""Hypothesis at the byte boundary of the frame and envelope decoders.
 
 `TcpTransport.recv`/`poll` are driven from a scripted socket that delivers
 a stream of valid frames — attachments sized around zero, around the
 in-band/attached switch and at 64 KiB multiples — cut at arbitrary chunk
 boundaries, coalesced, truncated anywhere, or followed by a header that is
-oversized or inconsistent.  Every case must end in the messages that were
-sent, `EOFError`, or the documented desynchronization `OSError`; never a
-partial object, and (the socket never blocks, so a hang would be a spin)
-never a hang.
+oversized or inconsistent, or by a whole frame whose envelope decodes to no
+message.  Every case must end in the messages that were sent, `EOFError`,
+or the documented desynchronization `OSError`; never a partial object,
+never another exception type, and (the socket never blocks, so a hang
+would be a spin) never a hang.
 """
 
 from __future__ import annotations
@@ -192,6 +193,89 @@ def test_a_bad_length_after_good_frames_is_the_documented_oserror(msgs, header, 
     assert type(end) is OSError and "desynchronized" in str(end)
 
 
+def framed(envelope: bytes, attachment: bytes | None = None) -> bytes:
+    """One whole frame around raw *envelope* bytes, as a sender writes it."""
+    if attachment is None:
+        return struct.pack(">I", len(envelope)) + envelope
+    size = len(envelope) + len(attachment)
+    return struct.pack(">II", (1 << 31) | size, len(attachment)) + envelope + attachment
+
+
+def _arity(code):
+    kind = wire._KINDS[code]
+    return len(kind.__slots__) if isinstance(kind, type) else 1
+
+
+@st.composite
+def wrong_arity(draw):
+    """A known code with too few or too many fields."""
+    code = draw(st.sampled_from(sorted(wire._KINDS)))
+    n = draw(st.integers(0, 10).filter(lambda n: n != _arity(code)))
+    return framed(pickle.dumps((code, *[None] * n)))
+
+
+@st.composite
+def truncated(draw):
+    """A whole frame around pickle bytes cut short."""
+    envelope = wire.dump_frame(draw(st.one_of(_blobless, messages())))[0][0]
+    return framed(envelope[:draw(st.integers(0, len(envelope) - 1))])
+
+
+_values = st.one_of(st.none(), st.integers(), st.text(max_size=4), st.binary(max_size=8))
+_blobless = st.sampled_from([
+    wire.PingMsg(1), wire.PongMsg(1, 2), wire.CancelMsg(3), wire.StopMsg(),
+    wire.SyncMsg(4), wire.SyncAck(5, 6), wire.ArenaOffer("seg"),
+    wire.HelloMsg(wire.PROTOCOL_VERSION, "task", "t", 0, {}), "a bare object",
+])
+malformed = st.one_of(
+    # A tuple whose code no message has.
+    st.builds(
+        lambda code, rest: framed(pickle.dumps((code, *rest))),
+        st.one_of(st.integers().filter(lambda c: c not in wire._KINDS),
+                  st.text(max_size=3), st.none(), st.just(())),
+        st.lists(_values, max_size=9),
+    ),
+    wrong_arity(),
+    st.just(framed(pickle.dumps(()))),
+    # Not a tuple, and not a hello: a version-3 message among them.
+    st.one_of(
+        st.integers(), st.text(max_size=4), st.lists(st.integers(), max_size=3),
+        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+        st.just(wire.PingMsg(1)), st.just(wire.TaskMsg(1, "r", None, b"x", False)),
+    ).map(lambda obj: framed(pickle.dumps(obj))),
+    # An attachment on a message without a blob field.
+    st.builds(
+        lambda msg, attachment: framed(wire.dump_frame(msg)[0][0], attachment),
+        _blobless, st.binary(min_size=1, max_size=64),
+    ),
+    truncated(),
+)
+
+
+@fuzz
+@given(st.lists(messages(), max_size=3), malformed, cuts, polls)
+def test_an_envelope_that_decodes_to_no_message_is_the_documented_oserror(
+    msgs, frame, cuts, polls,
+):
+    stream, _ = encode(msgs)
+    got, end = drain(stream + frame + framed(pickle.dumps((wire.PingMsg.code, 9))), cuts, polls)
+    assert got == [plain(m) for m in msgs]
+    assert type(end) is OSError and "desynchronized" in str(end)
+
+
+def test_a_version_3_hello_is_a_protocol_version_error():
+    # A version-3 peer's hello, class-pickled and framed as every version
+    # frames it: refused at the gate, before any envelope is decoded.
+    hello = pickle.dumps(wire.HelloMsg(3, "task", "t", 0, {"pid": 1}), wire.PICKLE_PROTOCOL)
+    sock = _Script(framed(hello), [1 << 16])
+    try:
+        with pytest.raises(ProtocolVersionError) as exc_info:
+            expect_hello(TcpTransport(sock), timeout=1.0, peer="v3")
+        assert (exc_info.value.ours, exc_info.value.theirs) == (wire.PROTOCOL_VERSION, 3)
+    finally:
+        sock.done()
+
+
 @fuzz
 @given(st.integers(0, 2**31).filter(lambda v: v != wire.PROTOCOL_VERSION), cuts)
 def test_a_version_1_hello_is_a_protocol_version_error(version, cuts):
@@ -244,7 +328,7 @@ def test_a_version_2_hello_reads_under_the_version_1_framing():
     (size,) = struct.unpack_from(">I", capture.stream)  # all a v1 peer parses
     assert size == len(capture.stream) - 4 < MAX_FRAME_BYTES
     hello = pickle.loads(bytes(capture.stream[4:]))
-    assert isinstance(hello, wire.HelloMsg) and hello.version == wire.PROTOCOL_VERSION == 3
+    assert isinstance(hello, wire.HelloMsg) and hello.version == wire.PROTOCOL_VERSION == 4
 
 
 def test_poll_zero_is_one_zero_timeout_look(monkeypatch):

@@ -95,7 +95,9 @@ class TestParts:
     def test_dump_frame_splits_at_the_threshold_and_restores_the_message(self):
         small = wire.TaskMsg(1, "r", None, wire.dumps_parts(b"x" * 64), False)
         body, attached = wire.dump_frame(small)
-        assert attached is None and body == [pickle.dumps(small, wire.PICKLE_PROTOCOL)]
+        assert attached is None and body == [
+            pickle.dumps((wire.TaskMsg.code, 1, "r", None, small.blob, False), wire.PICKLE_PROTOCOL)
+        ]
         assert wire.loads(wire.load_frame(body[0], None).blob) == b"x" * 64
         payload = os.urandom(MIB)
         large = wire.TaskMsg(2, "r", None, wire.dumps_parts(payload), False)
