@@ -157,7 +157,7 @@ class AsyncioEdtTarget(VirtualTarget):
                 )
         if not wait:
             self._cancel_pending()
-        thread = next(iter(self._members), None)
+        thread = next(iter(self._members.values()), None)
         if thread is not None:
             self._exit_member(thread)
 

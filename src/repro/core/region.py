@@ -92,6 +92,11 @@ class RegionState(enum.Enum):
         return self in (RegionState.COMPLETED, RegionState.FAILED, RegionState.CANCELLED)
 
 
+# Module-level aliases: the dispatch path reads a global, not an enum class
+# attribute, per transition.
+_PENDING, _RUNNING, _COMPLETED, _FAILED, _CANCELLED = RegionState
+
+
 class TargetRegion:
     """A one-shot unit of work lifted from a target block.
 
@@ -132,18 +137,20 @@ class TargetRegion:
         self.source = source
         #: Process-unique id correlating this region's trace events.
         self.seq = next(_region_seq)
-        self._state = RegionState.PENDING
+        self._state = _PENDING
         self._result: Any = None
         self._exception: BaseException | None = None
         # Dispatch is the runtime's hot path, so the waiter machinery is
-        # lazy: the done Event exists only once someone blocks on the region
+        # lazy: the done latch exists only once someone blocks on the region
         # (inline and fire-and-forget dispatches never pay for it), and the
         # cancel token only once someone asks for it.  ``_finished`` is the
         # lock-free done flag (a plain bool write is atomic under the GIL).
+        # The latch is a lock held until the region ends (an Event is ~50x).
         self._finished = False
-        self._done: threading.Event | None = None
+        self._done: threading.Lock | None = None
         self._lock = threading.Lock()
-        self._callbacks: list[Callable[["TargetRegion"], None]] = []
+        # A tuple: most regions get no callback, and need no list to scan.
+        self._callbacks: tuple[Callable[["TargetRegion"], None], ...] = ()
         self._cancel_token: CancelToken | None = None
 
     # ------------------------------------------------------------------ state
@@ -169,7 +176,7 @@ class TargetRegion:
                 tok = self._cancel_token
                 if tok is None:
                     tok = self._cancel_token = CancelToken()
-                    if self._state is RegionState.CANCELLED:
+                    if self._state is _CANCELLED:
                         tok.set()
         return tok
 
@@ -205,21 +212,18 @@ class TargetRegion:
         benign withdrawal, invisible to tag waits.
         """
         with self._lock:
-            if self._state is not RegionState.PENDING:
+            if self._state is not _PENDING:
                 return False
-            self._state = RegionState.CANCELLED
-            if reason is not None:
-                self._exception = reason
+            self._state = _CANCELLED
+            self._exception = reason
             # The done flag flips inside the transition lock so a concurrent
-            # wait() either sees it or has already installed the event we
+            # wait() either sees it or has already installed the latch we
             # release below — no lost wakeup either way.
             self._finished = True
-            ev = self._done
-            callbacks = list(self._callbacks)
-            self._callbacks.clear()
+            latch, callbacks, self._callbacks = self._done, self._callbacks, ()
         self.cancel_token.set()
-        if ev is not None:
-            ev.set()
+        if latch is not None:
+            latch.release()
         if _trace.is_enabled():
             _trace.emit(
                 EventKind.CANCEL,
@@ -253,53 +257,58 @@ class TargetRegion:
         cancellation) is a no-op so that racy dispatch cannot double-run user
         code.
         """
-        with self._lock:
-            if self._state is not RegionState.PENDING:
-                return
-            self._state = RegionState.RUNNING
-        previous = current_region()
+        if not self.mark_running():
+            return
+        previous = getattr(_current_region, "value", None)
         _current_region.value = self
         try:
             result = self.body(*self.args, **self.kwargs)
         except BaseException as exc:  # noqa: BLE001 - must capture to re-raise at wait()
-            with self._lock:
-                self._exception = exc
-                self._state = RegionState.FAILED
-                self._finished = True
-                ev = self._done
-                callbacks = list(self._callbacks)
-                self._callbacks.clear()
+            state, result, exception = _FAILED, None, exc
         else:
-            with self._lock:
-                self._result = result
-                self._state = RegionState.COMPLETED
-                self._finished = True
-                ev = self._done
-                callbacks = list(self._callbacks)
-                self._callbacks.clear()
+            state, exception = _COMPLETED, None
         finally:
             _current_region.value = previous
-        if ev is not None:
-            ev.set()
+        self._settle(state, result, exception)
+
+    def _settle(self, state: RegionState, result: Any, exception: BaseException | None) -> bool:
+        """Record the outcome of a region that ran here or remotely, then
+        open the latch and run the callbacks outside the lock (taken by
+        ``acquire``/``release``: half the cost of ``with``); False if done."""
+        lock = self._lock
+        lock.acquire()
+        if self._finished:
+            lock.release()
+            return False
+        self._result = result
+        self._exception = exception
+        self._state = state
+        self._finished = True
+        latch, callbacks, self._callbacks = self._done, self._callbacks, ()
+        lock.release()
+        if latch is not None:
+            latch.release()
         for cb in callbacks:
             cb(self)
+        return True
 
     # ------------------------------------------------- remote execution hooks
 
     def mark_running(self) -> bool:
         """Transition PENDING → RUNNING without executing the body locally.
 
-        The claim step of remote dispatch: the thread shipping it to a remote
-        lane calls this before serializing the region so that a concurrent
-        ``cancel()`` either wins (this returns False and nothing is shipped)
-        or loses (the region is RUNNING and only its cooperative token can
-        stop it).  Returns False if the region was not PENDING.
+        The claim step of :meth:`run` and of remote dispatch (before the
+        region is serialized), so that a concurrent ``cancel()`` either wins
+        (this returns False and nothing runs or is shipped) or loses (the
+        region is RUNNING and only its cooperative token can stop it).
         """
-        with self._lock:
-            if self._state is not RegionState.PENDING:
-                return False
-            self._state = RegionState.RUNNING
-        return True
+        lock = self._lock
+        lock.acquire()
+        claimed = self._state is _PENDING
+        if claimed:
+            self._state = _RUNNING
+        lock.release()
+        return claimed
 
     def fulfill(self, result: Any = None, *, exception: BaseException | None = None) -> bool:
         """Complete a region whose body ran outside this process.
@@ -311,24 +320,9 @@ class TargetRegion:
         the region is already terminal — e.g. fulfilled by a crash handler
         racing a late result.
         """
-        with self._lock:
-            if self._state.is_terminal:
-                return False
-            if exception is not None:
-                self._exception = exception
-                self._state = RegionState.FAILED
-            else:
-                self._result = result
-                self._state = RegionState.COMPLETED
-            self._finished = True
-            ev = self._done
-            callbacks = list(self._callbacks)
-            self._callbacks.clear()
-        if ev is not None:
-            ev.set()
-        for cb in callbacks:
-            cb(self)
-        return True
+        if exception is not None:
+            return self._settle(_FAILED, None, exception)
+        return self._settle(_COMPLETED, result, None)
 
     # ----------------------------------------------------------- completion
 
@@ -339,22 +333,27 @@ class TargetRegion:
         the calling thread (same contract as ``Future.add_done_callback``).
         """
         with self._lock:
-            if not self._state.is_terminal:
-                self._callbacks.append(cb)
+            if not self._finished:
+                self._callbacks += (cb,)
                 return
         cb(self)
 
     def wait(self, timeout: float | None = None) -> bool:
-        """Block until terminal; returns False on timeout."""
+        """Block until terminal; returns False on timeout.  The region's end
+        releases the latch once; each waiter that gets it passes it on."""
         if self._finished:
             return True
         with self._lock:
             if self._finished:
                 return True
-            ev = self._done
-            if ev is None:
-                ev = self._done = threading.Event()
-        return ev.wait(timeout)
+            latch = self._done
+            if latch is None:
+                latch = self._done = threading.Lock()
+                latch.acquire()
+        if not latch.acquire(True, -1 if timeout is None else max(timeout, 0)):
+            return False
+        latch.release()
+        return True
 
     def result(self, timeout: float | None = None) -> Any:
         """Block until terminal and return the body's return value.
@@ -366,7 +365,7 @@ class TargetRegion:
         """
         if not self.wait(timeout):
             raise TimeoutError(f"timed out waiting for {self.name}")
-        if self._state is RegionState.CANCELLED:
+        if self._state is _CANCELLED:
             raise RegionCancelledError(self.name, self._exception)
         if self._exception is not None:
             raise RegionFailedError(self.name, self._exception)

@@ -31,18 +31,18 @@ from .errors import (
     TargetExistsError,
     UnknownTargetError,
 )
-from .region import RegionState, TargetRegion
-from .targets import EdtTarget, VirtualTarget, WorkerTarget, current_target
+from .region import _CANCELLED, TargetRegion
+from .targets import _SESSION, EdtTarget, VirtualTarget, WorkerTarget, current_target
 from .tags import TagRegistry
 
 __all__ = ["PjRuntime", "default_runtime", "set_default_runtime", "reset_default_runtime"]
 
-# Dispatch-plan tables, precomputed so the per-dispatch clause decision is a
-# dict/frozenset lookup instead of enum construction and per-call tuple
-# building (SchedulingMode.is_fire_and_forget allocates a tuple each call).
+# The dispatch plan: a clause string resolves by one dict lookup, and the
+# modes are told apart by identity, so no Python-level enum ``.value``
+# descriptor or ``__hash__`` runs per dispatch.
 _MODE_BY_VALUE = {m.value: m for m in SchedulingMode}
-_FIRE_AND_FORGET = frozenset((SchedulingMode.NOWAIT, SchedulingMode.NAME_AS))
-_WAITING_MODES = frozenset((SchedulingMode.DEFAULT, SchedulingMode.AWAIT))
+_DEFAULT, _NOWAIT, _NAME_AS, _AWAIT = SchedulingMode
+_COUNTERS = ("inline", "posted", *_MODE_BY_VALUE)
 
 
 class PjRuntime:
@@ -75,26 +75,39 @@ class PjRuntime:
         # join at registration and leave at shutdown.
         self._steal_ring = StealRing()
         # Observability: dispatch counters (inline = Algorithm 1 line 7,
-        # posted = line 8; per-mode tallies for the scheduling clauses).
-        self._counters_lock = threading.Lock()
-        self.counters: dict[str, int] = {
-            "inline": 0,
-            "posted": 0,
-            "default": 0,
-            "nowait": 0,
-            "name_as": 0,
-            "await": 0,
-        }
+        # posted = line 8; per-mode tallies).  A dispatch books into its
+        # thread's own tally without a lock; ``counters`` sums the tallies
+        # and ``_retired``, where those of ended threads fold.
+        self._local = threading.local()
+        self._counters_lock = threading.RLock()
+        self._tallies: dict[threading.Thread, dict[str, int]] = {}
+        self._retired = dict.fromkeys(_COUNTERS, 0)
 
-    def _count(self, *keys: str) -> None:
+    def _open_tally(self) -> dict[str, int]:
+        """The calling thread's tally, made at its first dispatch."""
+        tally = self._local.tally = dict.fromkeys(_COUNTERS, 0)
         with self._counters_lock:
-            for k in keys:
-                self.counters[k] += 1
+            for ended in [t for t in self._tallies if not t.is_alive()]:
+                for k, v in self._tallies.pop(ended).items():
+                    self._retired[k] += v
+            self._tallies[threading.current_thread()] = tally
+        return tally
+
+    @property
+    def counters(self) -> dict[str, int]:
+        """Dispatches since the last :meth:`reset_counters`, by kind."""
+        with self._counters_lock:
+            total = dict(self._retired)
+            for tally in self._tallies.values():
+                for k, v in tally.items():
+                    total[k] += v
+        return total
 
     def reset_counters(self) -> None:
+        # An offset, not zeroed tallies: only its own thread writes a tally.
         with self._counters_lock:
-            for k in self.counters:
-                self.counters[k] = 0
+            for k, v in self.counters.items():
+                self._retired[k] -= v
 
     # -------------------------------------------------------------- registry
 
@@ -300,39 +313,40 @@ class PjRuntime:
         :class:`AwaitTimeoutError` is raised with a diagnostic dump.
         """
         if isinstance(mode, str):
-            # Table lookup on the hot path; fall back to the enum
-            # constructor so an unknown value raises the same ValueError.
-            mode = _MODE_BY_VALUE.get(mode) or SchedulingMode(mode)
+            mode = _MODE_BY_VALUE.get(mode) or SchedulingMode(mode)  # ValueError if unknown
+        key = mode._value_
         if not isinstance(region, TargetRegion):
             region = TargetRegion(region)
-        if region.state is RegionState.CANCELLED:
+        elif region._state is _CANCELLED:
             # An already-cancelled handle must not be posted: run() would
             # no-op on the executor, leaving fire-and-forget callers with a
             # silently dead handle and waiting callers with the right error
             # only by accident.  Surface it deterministically here.
-            if mode in _FIRE_AND_FORGET:
+            if mode is _NOWAIT or mode is _NAME_AS:
                 return region
             region.result()  # raises RegionCancelledError
             return region
-        if mode is SchedulingMode.NAME_AS:
+        if mode is _NAME_AS:
             if tag is None:
                 raise RuntimeStateError("name_as scheduling requires a tag")
             self.tags.register(tag, region)
 
         name = target_name if target_name is not None else self.default_target_var
-        if name is None:
-            raise UnknownTargetError("<default>")
         # Lock-free registry snapshot read (copy-on-write, see __init__).
         executor = self._targets_view.get(name)
         if executor is None:
-            raise UnknownTargetError(name)
+            raise UnknownTargetError("<default>" if name is None else name)
 
-        session = _obs.session()
+        session = _SESSION
         if session.enabled:
             session.emit(
                 EventKind.REGION_SUBMIT, target=name, region=region.seq,
-                name=region.label, arg=mode.value,
+                name=region.label, arg=key,
             )
+        try:
+            tally = self._local.tally
+        except AttributeError:
+            tally = self._open_tally()
 
         # Affinity router (Algorithm 1 lines 6-7).  Inline elision applies
         # only to thread-backed targets: membership means the calling thread
@@ -342,9 +356,11 @@ class PjRuntime:
         # their execution environment is a different address space, and no
         # parent thread ever qualifies — so their regions always take the
         # posted path below.
-        if executor.supports_inline and executor.contains():
+        inline = executor.supports_inline and executor.contains()
+        tally["inline" if inline else "posted"] += 1
+        tally[key] += 1
+        if inline:
             # Line 6-7: already in the target's context -> run synchronously.
-            self._count("inline", mode.value)
             if session.enabled:
                 session.emit(
                     EventKind.INLINE_ELIDE, target=name, region=region.seq,
@@ -353,13 +369,12 @@ class PjRuntime:
                 executor._run_traced(session, region, region.seq, region.label)
             else:
                 region.run()
-            if mode in _WAITING_MODES:
+            if mode is _DEFAULT or mode is _AWAIT:
                 region.result()  # re-raise body exception for waiting modes
             return region
 
-        self._count("posted", mode.value)
         # Default mode blocks here anyway: a remote target may ship it here.
-        shipped = (executor.ships_on_caller and mode is SchedulingMode.DEFAULT
+        shipped = (executor.ships_on_caller and mode is _DEFAULT
                    and executor._ship_on_caller(region, timeout))
         # The deadline bounds *admission* too: a bounded target under the
         # ``block`` policy parks the poster for at most ``timeout`` seconds
@@ -370,10 +385,10 @@ class PjRuntime:
         if not shipped:
             executor.post(region, timeout=timeout)  # line 8
 
-        if mode in _FIRE_AND_FORGET:  # lines 10-12
+        if mode is _NOWAIT or mode is _NAME_AS:  # lines 10-12
             return region
 
-        if mode is SchedulingMode.AWAIT:  # lines 13-16
+        if mode is _AWAIT:  # lines 13-16
             self._logical_barrier(region, executor, timeout=timeout)
         else:  # line 17, default: T.wait()
             if not (region.done if shipped else region.wait(timeout)):
@@ -476,8 +491,7 @@ class PjRuntime:
             targets = list(self._targets.values())
         lines = [f"runtime diagnostics ({len(targets)} target(s)):"]
         lines.extend(f"  {t.describe()}" for t in targets)
-        with self._counters_lock:
-            lines.append(f"  dispatch counters: {dict(self.counters)}")
+        lines.append(f"  dispatch counters: {self.counters}")
         lines.append(f"  {_obs.session().describe()}")
         return "\n".join(lines)
 

@@ -24,19 +24,18 @@ class TagRegistry:
         self._lock = threading.Lock()
         self._outstanding: dict[str, set[TargetRegion]] = {}
         self._completed_with_error: dict[str, list[RegionFailedError]] = {}
-        self._cond = threading.Condition(self._lock)
         # Per tag, what to call when its group next empties (see drained()).
         self._wakers: dict[str, set[Callable[[], None]]] = {}
 
     def register(self, tag: str, region: TargetRegion) -> None:
         """Attach *region* to *tag*; automatically detaches on completion."""
-        with self._cond:
+        with self._lock:
             self._outstanding.setdefault(tag, set()).add(region)
         region.add_done_callback(lambda r: self._on_done(tag, r))
 
     def _on_done(self, tag: str, region: TargetRegion) -> None:
         wakers = ()
-        with self._cond:
+        with self._lock:
             live = self._outstanding.get(tag)
             if live is not None:
                 live.discard(region)
@@ -55,7 +54,6 @@ class TagRegistry:
                 self._completed_with_error.setdefault(tag, []).append(
                     err_cls(region.name, region.exception)
                 )
-            self._cond.notify_all()
         for wake in wakers:  # outside the lock: a waker takes a queue lock
             wake()
 
@@ -67,9 +65,9 @@ class TagRegistry:
         """True if no region under *tag* is outstanding; otherwise False,
         having arranged one call of *wake* when the group next empties.
 
-        The predicate of a waiter that pumps a queue instead of blocking on
-        this registry's condition.  Re-arming with an equal callable is
-        idempotent, so however often it re-checks, one wakeup is owed.
+        The predicate of every waiter, so one wakes only when its own group
+        drains.  Re-arming with an equal callable is idempotent, so however
+        often it re-checks, one wakeup is owed.
         """
         with self._lock:
             if not self._outstanding.get(tag):
@@ -84,12 +82,13 @@ class TagRegistry:
         A tag that was never registered is trivially complete, as in the
         paper.
         """
-        with self._cond:
-            ok = self._cond.wait_for(
-                lambda: not self._outstanding.get(tag), timeout=timeout
-            )
-        if not ok:
-            raise AwaitTimeoutError(f"timed out waiting for tag {tag!r}")
+        woken = threading.Condition()  # this waiter's own
+        def wake() -> None:
+            with woken:
+                woken.notify()
+        with woken:  # held across the arming in drained(): no lost wakeup
+            if not woken.wait_for(lambda: self.drained(tag, wake), timeout):
+                raise AwaitTimeoutError(f"timed out waiting for tag {tag!r}")
         self.raise_errors(tag)
 
     def raise_errors(self, tag: str) -> None:
@@ -106,12 +105,11 @@ class TagRegistry:
         uses it so waiters released by the teardown still learn that their
         regions were cancelled rather than observing a clean join.
         """
-        with self._cond:
+        with self._lock:
             self._outstanding.clear()
             if not keep_errors:
                 self._completed_with_error.clear()
             wakers = set().union(*self._wakers.values())
             self._wakers.clear()
-            self._cond.notify_all()
         for wake in wakers:
             wake()

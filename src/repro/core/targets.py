@@ -50,6 +50,7 @@ __all__ = [
 
 _thread_target = threading.local()
 _logger = logging.getLogger(__name__)
+_SESSION = _obs.session()  # the process-global trace session, never rebound
 
 #: Valid values for a target's bounded-queue rejection policy:
 #: ``block`` parks the poster until space frees (or its timeout elapses),
@@ -120,6 +121,10 @@ class _TargetQueue:
     guest it is owed to: :meth:`wakeup` bumps :attr:`wakeups` and notifies,
     and a guest's :meth:`get` gives up once the count has moved past the
     value the guest read before it last checked its predicate.
+
+    The hot path takes the raw ``_lock`` (by ``acquire``/``release``, half
+    the cost of ``with`` on CPython 3.11), and a producer notifies only
+    while :attr:`_asleep` counts a consumer in a not-empty wait.
     """
 
     def __init__(self, owner: str, capacity: int | None = None) -> None:
@@ -137,16 +142,23 @@ class _TargetQueue:
         # O(1) at put/get so capacity checks and depth samples never rescan
         # the backlog.  Guarded by ``_lock``; read lock-free for telemetry.
         self._work = 0
+        #: Work admitted by ``VirtualTarget.post``, booked like ``_work``.
+        self.posted = 0
+        #: Consumers in a not-empty wait (an exception may leave it high).
+        self._asleep = 0
         #: Wakeups issued so far.  Bumped under ``_lock``; a guest reads it
         #: lock-free *before* its predicate and hands the value to ``get``.
         self.wakeups = 0
 
     # ------------------------------------------------------------- producers
 
-    def put(self, item: Any, *, block: bool = True, timeout: float | None = None) -> bool:
+    def put(self, item: Any, block: bool = True, timeout: float | None = None,
+            admit: bool = False) -> bool:
         """Enqueue work *item*; returns False if a bounded queue stayed full.
 
-        With ``block=True`` waits for space (bounded by *timeout*).  Raises
+        With ``block=True`` waits for space (bounded by *timeout*).  *admit*
+        books the item in :attr:`posted`, as ``VirtualTarget.post`` does; a
+        raw put leaves the counter alone.  Raises
         :class:`TargetShutdownError` once the queue is closed — also out of
         the wait, so a poster blocked on a full queue cannot outlive the
         target.
@@ -164,7 +176,8 @@ class _TargetQueue:
                 # reachable without actually wedging the queue.  An unbounded
                 # queue can never be full and never consults the hook.
                 return False
-        with self._not_full:
+        self._lock.acquire()
+        try:
             if cap is not None and self._work >= cap:
                 if not block or not self._not_full.wait_for(
                     lambda: self._closed or self._work < cap, timeout=timeout
@@ -173,10 +186,14 @@ class _TargetQueue:
             if self._closed:
                 raise TargetShutdownError(self._owner)
             self._items.append(item)
-            self._work += 1
-            if self._work > self.high_water:
-                self.high_water = self._work
-            self._not_empty.notify()
+            work = self._work = self._work + 1
+            self.posted += admit
+            if work > self.high_water:
+                self.high_water = work
+            if self._asleep:
+                self._not_empty.notify()
+        finally:
+            self._lock.release()
         return True
 
     def put_shutdown(self) -> None:
@@ -191,9 +208,10 @@ class _TargetQueue:
         """Make every guest in :meth:`get` (or owner passing *seen*) return
         and re-check its predicate.  Nothing is queued: any other owner
         loop woken by the notify finds no item and goes back to sleep."""
-        with self._not_empty:
+        with self._lock:
             self.wakeups += 1
-            self._not_empty.notify_all()
+            if self._asleep:
+                self._not_empty.notify_all()
 
     # ------------------------------------------------------------- consumers
 
@@ -226,13 +244,13 @@ class _TargetQueue:
         so a wakeup that landed after the guest read *seen* is never slept
         through — and then raises ``queue.Empty``.
         """
-        with self._not_empty:
+        with self._lock:
             if not self._work:
                 if seen is None:
                     seen = self.wakeups
-                self._not_empty.wait_for(
-                    lambda: self._work or self.wakeups != seen, timeout=timeout
-                )
+                self._asleep += 1
+                self._not_empty.wait_for(lambda: self._work or self.wakeups != seen, timeout)
+                self._asleep -= 1
                 if not self._work:
                     raise queue.Empty
             return self._pop(self._oldest_work())
@@ -250,12 +268,15 @@ class _TargetQueue:
         within *timeout* (or before :attr:`wakeups` moved past *seen*), or
         if *claim*, called with the lock held, refuses the head work item.
         """
-        with self._not_empty:
+        self._lock.acquire()
+        try:
             items = self._items
             if not items:
+                self._asleep += 1
                 self._not_empty.wait_for(
                     lambda: items or (seen is not None and self.wakeups != seen), timeout
                 )
+                self._asleep -= 1
             if not items or (claim and items[0] is not _SHUTDOWN and not claim()):
                 raise queue.Empty
             batch = [self._pop()]
@@ -267,6 +288,8 @@ class _TargetQueue:
                 ):
                     batch.append(self._pop())
             return batch
+        finally:
+            self._lock.release()
 
     def steal_work(self) -> Any | None:
         """Remove and return the oldest queued work item for a ring thief.
@@ -342,7 +365,7 @@ class VirtualTarget(abc.ABC):
         self.name = name
         self.rejection_policy = rejection_policy
         self._queue = _TargetQueue(name, queue_capacity)
-        self._members: set[threading.Thread] = set()
+        self._members: dict[int, threading.Thread] = {}
         self._members_lock = threading.Lock()
         # Queue-depth sampling state: (trace-session generation, atomic
         # transition counter for that generation).  The counter is an
@@ -370,24 +393,27 @@ class VirtualTarget(abc.ABC):
         target's execution environment (Algorithm 1 line 6).
 
         Lock-free on purpose: this check sits on every dispatch (the
-        affinity router consults it before posting), and CPython set
-        membership is a single C-level operation the GIL keeps consistent
+        affinity router consults it before posting), and a CPython dict
+        lookup is a single C-level operation the GIL keeps consistent
         against the guarded mutations in ``_enter_member``/``_exit_member``.
+        A hit is confirmed against the thread object: a new thread may
+        reuse the ident of a member that ended without leaving.
         """
-        thread = thread or threading.current_thread()
-        return thread in self._members
+        member = self._members.get(threading.get_ident() if thread is None else thread.ident)
+        return member is not None and member is (thread or threading.current_thread())
 
     def _enter_member(self, thread: threading.Thread | None = None) -> None:
         thread = thread or threading.current_thread()
         with self._members_lock:
-            self._members.add(thread)
+            self._members[thread.ident] = thread
         if thread is threading.current_thread():
             _thread_target.value = self
 
     def _exit_member(self, thread: threading.Thread | None = None) -> None:
         thread = thread or threading.current_thread()
         with self._members_lock:
-            self._members.discard(thread)
+            if self._members.get(thread.ident) is thread:
+                del self._members[thread.ident]
         if thread is threading.current_thread() and current_target() is self:
             _thread_target.value = None
 
@@ -436,7 +462,7 @@ class VirtualTarget(abc.ABC):
         dropped = 0
         if reason is None:
             reason = TargetShutdownError(self.name)
-        session = _obs.session()
+        session = _SESSION
         for item in self._queue.drain_work():
             if isinstance(item, TargetRegion):
                 if item.cancel(reason):
@@ -477,7 +503,8 @@ class VirtualTarget(abc.ABC):
         synchronously in the posting thread.  Returns True if *item* was
         queued, False if ``caller_runs`` already disposed of it here.
         """
-        if self._shutdown.is_set():
+        q = self._queue
+        if q._closed:
             raise TargetShutdownError(self.name)
         hooks = _inj.hooks
         if hooks is not None:
@@ -485,10 +512,10 @@ class VirtualTarget(abc.ABC):
         # Timestamp *before* the (possibly blocking) put: the consumer may
         # dequeue the instant the item lands, and its DEQUEUE stamp must sort
         # after this ENQUEUE stamp on the shared perf_counter_ns clock.
-        session = _obs.session()
+        session = _SESSION
         enq_ts = now_ns() if session.enabled else 0
         policy = self.rejection_policy
-        if not self._queue.put(item, block=policy == "block", timeout=timeout):
+        if not q.put(item, policy == "block", timeout, True):
             runs_here = policy == "caller_runs"
             if runs_here and isinstance(item, TargetRegion) and item.done:
                 # A cancel (or shutdown) won the race while this poster
@@ -509,10 +536,9 @@ class VirtualTarget(abc.ABC):
                     name=label, arg=policy,
                 )
             if not runs_here:
-                raise QueueFullError(self.name, self._queue.capacity, policy)
+                raise QueueFullError(self.name, q.capacity, policy)
             self._dispatch(item, dequeued=False)
             return False
-        self._bump("posted")
         if session.enabled:
             region, label = _item_identity(item)
             session.emit(
@@ -562,6 +588,7 @@ class VirtualTarget(abc.ABC):
         """Snapshot of lifecycle counters (plus the high-water mark)."""
         with self._stats_lock:
             snap = dict(self._stats)
+        snap["posted"] += self._queue.posted  # _stats: a remote lane's direct ships
         snap["high_water"] = self._queue.high_water
         return snap
 
@@ -694,27 +721,25 @@ class VirtualTarget(abc.ABC):
         hooks = _inj.hooks
         if hooks is not None:
             hooks.fire("dispatch", self.name)
-        session = _obs.session()
-        enabled = session.enabled
-        if enabled:
-            region, label = _item_identity(item)
-            if dequeued:
-                session.emit(
-                    EventKind.DEQUEUE, target=self.name, region=region, name=label
-                )
-                self._trace_depth(session)
-        if isinstance(item, TargetRegion) and item.done:
+        session = _SESSION
+        if not session.enabled:
+            if not isinstance(item, TargetRegion):
+                self._run_item(item)
+            elif not item._finished:  # the corpse check, as below
+                item.run()  # a region captures its own exceptions
+            return
+        region, label = _item_identity(item)
+        if dequeued:
+            session.emit(EventKind.DEQUEUE, target=self.name, region=region, name=label)
+            self._trace_depth(session)
+        if isinstance(item, TargetRegion) and item._finished:
             # Withdrawn (cancelled) while queued, or cancelled mid
             # caller_runs handoff: discard the corpse without touching it.
             # An EXEC span here would lie, so none is emitted — and the
-            # check must not depend on tracing being on: with the session
-            # off, skipping it used to leave corpse safety resting on
-            # ``run()``'s internal state guard alone.
+            # untraced path makes the same check, rather than leave corpse
+            # safety resting on ``run()``'s internal state guard alone.
             return
-        if enabled:
-            self._run_traced(session, item, region, label)
-        else:
-            self._run_item(item)
+        self._run_traced(session, item, region, label)
 
     def _run_traced(
         self, session: "_obs.TraceSession", item: Any, region: int | None, label: str
@@ -803,7 +828,7 @@ class VirtualTarget(abc.ABC):
                 f"pumped re-entrantly (barrier {name!r}); use nowait plus the "
                 "adapter's as_future()/completion hooks, or wait elsewhere"
             )
-        session = _obs.session()
+        session = _SESSION
         ident = {"target": self.name, "region": region, "name": name}
         if session.enabled:
             session.emit(EventKind.BARRIER_ENTER, **ident)
@@ -868,7 +893,7 @@ class VirtualTarget(abc.ABC):
     def describe(self) -> str:
         """One-line diagnostic: queue depth, capacity, members, counters."""
         with self._members_lock:
-            members = sorted(t.name for t in self._members)
+            members = sorted(t.name for t in self._members.values())
         stats = self.stats
         cap = "unbounded" if self._queue.capacity is None else str(self._queue.capacity)
         return (
@@ -1001,7 +1026,7 @@ class WorkerTarget(VirtualTarget):
         if stolen is None:
             return False
         victim, item = stolen
-        session = _obs.session()
+        session = _SESSION
         if session.enabled:
             region, label = _item_identity(item)
             victim._trace_steal(session, self, "steal", region=region, name=label)

@@ -55,6 +55,7 @@ _logger = logging.getLogger(__name__)
 ADMISSION_TIMEOUT = 0.5
 #: Largest request body accepted; a longer Content-Length is answered 413.
 MAX_REQUEST_BYTES = 1 << 20
+_DEADLINE = "request deadline"  # a timer's cancel message, not a teardown's
 
 REASONS = {
     200: "OK",
@@ -431,8 +432,8 @@ class HttpServer:
         * ``nowait`` dispatch + ``as_future`` keeps the loop free;
         * ``QueueFullError`` (reject, or block past ``ADMISSION_TIMEOUT``)
           becomes 503 with the refusing target and policy in headers;
-        * ``asyncio.wait_for`` past ``request_timeout`` becomes 504 and the
-          region is withdrawn (pending) or flagged (running);
+        * a timer past ``request_timeout`` cancels the one future: 504, and
+          the region is withdrawn (pending) or flagged (running);
         * a worker crash mid-request becomes 500 with the crash detail —
           an error response, never a hang.
         """
@@ -457,11 +458,13 @@ class HttpServer:
                 ("X-Rejection-Policy", exc.policy or "unknown"),
             ]
         self._inflight.add(region)
+        future = as_future(region)
+        timer = future.get_loop().call_later(cfg.request_timeout, future.cancel, _DEADLINE)
         try:
-            encrypted = await asyncio.wait_for(
-                as_future(region), timeout=cfg.request_timeout
-            )
-        except asyncio.TimeoutError:
+            encrypted = await future
+        except asyncio.CancelledError as exc:
+            if exc.args != (_DEADLINE,):
+                raise  # the handler itself was cancelled
             self.stats.bump("timeouts")
             region.request_cancel()
             return (504,
@@ -474,5 +477,6 @@ class HttpServer:
                         [("X-Worker-Fault", "crash")])
             return 500, str(exc).encode(), []
         finally:
+            timer.cancel()
             self._inflight.discard(region)
         return 200, encrypted, [("Content-Type", "application/octet-stream")]
