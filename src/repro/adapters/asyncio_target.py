@@ -30,7 +30,7 @@ from typing import Any, Callable
 from ..core.errors import RuntimeStateError, TargetShutdownError
 from ..core.region import TargetRegion
 from ..core.runtime import PjRuntime
-from ..core.targets import VirtualTarget, _item_identity
+from ..core.targets import VirtualTarget, _item_label
 
 __all__ = ["AsyncioEdtTarget", "register_asyncio_edt", "as_future", "run_blocking_io"]
 
@@ -112,7 +112,7 @@ class AsyncioEdtTarget(VirtualTarget):
                 "the event loop thread; CPU-bound work will stall every other "
                 "callback — prefer rejection_policy='reject' (surface a 503) "
                 "or 'block' with a post timeout",
-                self.name, _item_identity(item)[1],
+                self.name, _item_label(item),
             )
         super()._dispatch(item, dequeued=dequeued)
 

@@ -119,7 +119,7 @@ class TargetRegion:
     __slots__ = (
         "body", "args", "kwargs", "_name", "source", "seq", "_state", "_result",
         "_exception", "_finished", "_done", "_lock", "_callbacks",
-        "_cancel_token",
+        "_cancel_token", "_trace_window",
     )
 
     def __init__(
@@ -199,6 +199,19 @@ class TargetRegion:
             return f"{self.name}@{self.source}"
         return self.name
 
+    def _trace_name(self, window: int) -> str | None:
+        """The name for this region's next trace event in recording *window*
+        (``TraceSession.generation``): its :attr:`label` on the first event,
+        None after — ``TraceSession.events()`` names those from the first.
+        ``_trace_window`` stays unset until a traced event asks."""
+        try:
+            if self._trace_window == window:
+                return None
+        except AttributeError:
+            pass
+        self._trace_window = window
+        return self.label
+
     def cancel(self, reason: BaseException | None = None) -> bool:
         """Cancel the region if it has not started running.
 
@@ -224,11 +237,12 @@ class TargetRegion:
         self.cancel_token.set()
         if latch is not None:
             latch.release()
-        if _trace.is_enabled():
-            _trace.emit(
+        session = _trace.session()
+        if session.enabled:
+            session.emit(
                 EventKind.CANCEL,
                 region=self.seq,
-                name=self.label,
+                name=self._trace_name(session.generation),
                 arg=type(reason).__name__ if reason is not None else None,
             )
         for cb in callbacks:

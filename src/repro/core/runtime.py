@@ -43,6 +43,8 @@ __all__ = ["PjRuntime", "default_runtime", "set_default_runtime", "reset_default
 _MODE_BY_VALUE = {m.value: m for m in SchedulingMode}
 _DEFAULT, _NOWAIT, _NAME_AS, _AWAIT = SchedulingMode
 _COUNTERS = ("inline", "posted", *_MODE_BY_VALUE)
+#: Recorded as plain ints, as ``repro.core.targets`` records its kinds.
+_SUBMIT, _INLINE_ELIDE = EventKind.REGION_SUBMIT.value, EventKind.INLINE_ELIDE.value
 
 
 class PjRuntime:
@@ -339,9 +341,10 @@ class PjRuntime:
 
         session = _SESSION
         if session.enabled:
+            # The region's one label; its later events pass name=None.
             session.emit(
-                EventKind.REGION_SUBMIT, target=name, region=region.seq,
-                name=region.label, arg=key,
+                _SUBMIT, target=name, region=region.seq,
+                name=region._trace_name(session.generation), arg=key,
             )
         try:
             tally = self._local.tally
@@ -362,11 +365,8 @@ class PjRuntime:
         if inline:
             # Line 6-7: already in the target's context -> run synchronously.
             if session.enabled:
-                session.emit(
-                    EventKind.INLINE_ELIDE, target=name, region=region.seq,
-                    name=region.label,
-                )
-                executor._run_traced(session, region, region.seq, region.label)
+                session.emit(_INLINE_ELIDE, target=name, region=region.seq)
+                executor._run_traced(session, region, region.seq, None)
             else:
                 region.run()
             if mode is _DEFAULT or mode is _AWAIT:

@@ -37,7 +37,7 @@ from .errors import (
     RuntimeStateError,
     TargetShutdownError,
 )
-from .region import RegionState, TargetRegion
+from .region import _CANCELLED, TargetRegion
 
 __all__ = [
     "VirtualTarget",
@@ -51,6 +51,15 @@ __all__ = [
 _thread_target = threading.local()
 _logger = logging.getLogger(__name__)
 _SESSION = _obs.session()  # the process-global trace session, never rebound
+
+# The per-region emit sites record their kinds as plain ints, bound once:
+# a record holding an enum member stays tracked by the garbage collector as
+# long as its ring keeps it, and on Python 3.11 reading a member off its
+# class goes through ``EnumType.__getattr__`` (~130 ns).
+_ENQUEUE, _DEQUEUE, _EXEC_BEGIN, _EXEC_END, _QUEUE_DEPTH = (
+    k.value for k in (EventKind.ENQUEUE, EventKind.DEQUEUE, EventKind.EXEC_BEGIN,
+                      EventKind.EXEC_END, EventKind.QUEUE_DEPTH)
+)
 
 #: Valid values for a target's bounded-queue rejection policy:
 #: ``block`` parks the poster until space frees (or its timeout elapses),
@@ -82,22 +91,36 @@ def current_target() -> "VirtualTarget | None":
 _SHUTDOWN: Any = object()
 
 
-def _item_identity(item: Any) -> tuple[int | None, str]:
-    """(region id, trace label) of a queued item.
-
-    Regions carry their own ``seq``/``label``; plain callables may be stamped
-    by higher layers (the event loop tags dispatch closures with
-    ``_trace_id``/``_trace_name`` so GUI events correlate too).
-    """
+def _item_label(item: Any) -> str:
+    """Trace label of a queued item: a region's :attr:`~TargetRegion.label`;
+    for a plain callable the stamp a higher layer gave it (the event loop
+    names its dispatch closures ``_trace_name``), else its qualified name."""
     if isinstance(item, TargetRegion):
-        return item.seq, item.label
-    rid = getattr(item, "_trace_id", None)
-    label = (
+        return item.label
+    return (
         getattr(item, "_trace_name", None)
         or getattr(item, "__qualname__", None)
         or type(item).__name__
     )
-    return rid, label
+
+
+def _item_identity(item: Any, window: int) -> tuple[int | None, str | None]:
+    """(region id, trace name) of a queued item for an event of recording
+    *window*.
+
+    Regions carry their own ``seq`` and are named on their first event of
+    the window only (:meth:`TargetRegion._trace_name`).  Plain callables
+    may be stamped by higher layers: the event loop tags dispatch closures
+    with ``_trace_id`` so GUI events correlate too, and with
+    ``_trace_window`` when their SUBMIT carried the name.  Any other
+    callable is named on every event, as nothing else names it.
+    """
+    if isinstance(item, TargetRegion):
+        return item.seq, item._trace_name(window)
+    rid = getattr(item, "_trace_id", None)
+    if rid is not None and getattr(item, "_trace_window", None) == window:
+        return rid, None
+    return rid, _item_label(item)
 
 
 class _TargetQueue:
@@ -474,7 +497,7 @@ class VirtualTarget(abc.ABC):
                     # Dropped callables have no handle to carry the news, so
                     # the trace must: their ENQUEUE would otherwise dangle
                     # forever (every enqueue resolves as dequeue or cancel).
-                    region, label = _item_identity(item)
+                    region, label = _item_identity(item, session.generation)
                     session.emit(
                         EventKind.CANCEL, target=self.name, region=region,
                         name=label, arg=type(reason).__name__,
@@ -530,7 +553,7 @@ class VirtualTarget(abc.ABC):
                 # The REJECT marker (arg: policy) is what lets a trace
                 # verifier tell a legitimate queue-less caller_runs
                 # execution apart from a lost dequeue.
-                region, label = _item_identity(item)
+                region, label = _item_identity(item, session.generation)
                 session.emit(
                     EventKind.REJECT, target=self.name, region=region,
                     name=label, arg=policy,
@@ -540,9 +563,9 @@ class VirtualTarget(abc.ABC):
             self._dispatch(item, dequeued=False)
             return False
         if session.enabled:
-            region, label = _item_identity(item)
+            region, label = _item_identity(item, session.generation)
             session.emit(
-                EventKind.ENQUEUE, target=self.name, region=region, name=label,
+                _ENQUEUE, target=self.name, region=region, name=label,
                 ts=enq_ts,
             )
             self._trace_depth(session)
@@ -715,7 +738,7 @@ class VirtualTarget(abc.ABC):
             # at worst re-emits one window-opening sample, never skews ticks.
             self._depth_tick = (gen, counter)
         if next(counter) % QUEUE_DEPTH_SAMPLE_STRIDE == 0:
-            session.emit(EventKind.QUEUE_DEPTH, target=self.name, arg=self._queue._work)
+            session.emit(_QUEUE_DEPTH, target=self.name, arg=self._queue._work)
 
     def _dispatch(self, item: Any, *, dequeued: bool = True) -> None:
         hooks = _inj.hooks
@@ -728,9 +751,9 @@ class VirtualTarget(abc.ABC):
             elif not item._finished:  # the corpse check, as below
                 item.run()  # a region captures its own exceptions
             return
-        region, label = _item_identity(item)
+        region, label = _item_identity(item, session.generation)
         if dequeued:
-            session.emit(EventKind.DEQUEUE, target=self.name, region=region, name=label)
+            session.emit(_DEQUEUE, target=self.name, region=region, name=label)
             self._trace_depth(session)
         if isinstance(item, TargetRegion) and item._finished:
             # Withdrawn (cancelled) while queued, or cancelled mid
@@ -742,14 +765,16 @@ class VirtualTarget(abc.ABC):
         self._run_traced(session, item, region, label)
 
     def _run_traced(
-        self, session: "_obs.TraceSession", item: Any, region: int | None, label: str
+        self, session: "_obs.TraceSession", item: Any, region: int | None,
+        label: str | None,
     ) -> None:
         """The execution span: ``EXEC_BEGIN``, run *item* here, ``EXEC_END``
         with the truthful outcome.  Dequeued and caller-runs items
         (:meth:`_dispatch`) and Algorithm 1's inline elision
-        (``PjRuntime.invoke_target_block``) both execute through it."""
+        (``PjRuntime.invoke_target_block``) both execute through it; *label*
+        is None when an earlier event of *region* carried its name."""
         session.emit(
-            EventKind.EXEC_BEGIN, target=self.name, region=region, name=label
+            _EXEC_BEGIN, target=self.name, region=region, name=label
         )
         outcome = "completed"
         try:
@@ -760,16 +785,16 @@ class VirtualTarget(abc.ABC):
                 # that raised is "failed", and a cancel that won the race
                 # against the caller's corpse check (run() then no-opped) is
                 # "cancelled" — never a fabricated "completed".
-                if item.state is RegionState.CANCELLED:
+                if item._state is _CANCELLED:
                     outcome = "cancelled"
-                elif item.exception is not None:
+                elif item._exception is not None:
                     outcome = "failed"
         except Exception:  # pragma: no cover - _run_item never raises
             outcome = "failed"
             raise
         finally:
             session.emit(
-                EventKind.EXEC_END, target=self.name, region=region, name=label,
+                _EXEC_END, target=self.name, region=region, name=label,
                 arg=outcome,
             )
 
@@ -1028,7 +1053,7 @@ class WorkerTarget(VirtualTarget):
         victim, item = stolen
         session = _SESSION
         if session.enabled:
-            region, label = _item_identity(item)
+            region, label = _item_identity(item, session.generation)
             victim._trace_steal(session, self, "steal", region=region, name=label)
         victim._dispatch(item)
         return True

@@ -25,8 +25,8 @@ Module map:
   parts that travel beside their message) and the message protocol;
 * :mod:`~repro.dist.arena` — the shared-memory arenas large payloads cross
   a pipe lane in, and the channel wrapper both ends of the pipe run;
-* :mod:`~repro.dist.remote_obs` — worker-side event capture and re-stamping
-  onto the parent's trace clock.
+* :mod:`~repro.dist.remote_obs` — re-stamping worker-side events onto the
+  parent's trace clock.
 
 The wire protocol carries an explicit version
 (:data:`~repro.dist.wire.PROTOCOL_VERSION`): cluster connections open with
@@ -38,12 +38,7 @@ See ``docs/DISTRIBUTION.md`` for the architecture discussion.
 
 from ..core.errors import ProtocolVersionError
 from .process_target import DEFAULT_START_METHOD, ProcessTarget
-from .remote_obs import (
-    WorkerEventLog,
-    estimate_offset_ns,
-    merge_worker_events,
-    worker_track,
-)
+from .remote_obs import estimate_offset_ns, merge_worker_events, worker_track
 from .remote_target import RemoteLane, RemoteLaneTarget
 from .wire import HAVE_CLOUDPICKLE, PROTOCOL_VERSION
 from .worker import WorkerConfig, worker_main
@@ -57,7 +52,6 @@ __all__ = [
     "RemoteLane",
     "RemoteLaneTarget",
     "WorkerConfig",
-    "WorkerEventLog",
     "estimate_offset_ns",
     "merge_worker_events",
     "worker_main",

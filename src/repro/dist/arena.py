@@ -248,12 +248,22 @@ class ArenaChannel:
             msg = wire.load_frame(self._get(), None)
         blob = msg.blob
         if type(blob) is tuple:  # (segment, nbytes): the blob is in an arena
+            if len(blob) != 2 or type(blob[0]) is not str or type(blob[1]) is not int:
+                raise OSError(
+                    f"{self._label}: malformed arena stand-in {blob!r}; "
+                    "stream desynchronized"
+                )
             segment, nbytes = blob
             arena = self._in
             if arena is None or arena.name != segment:
                 if self._owner:
                     raise OSError(f"{self._label}: peer wrote to unknown segment {segment}")
                 arena = self._in = self._attach(arena, segment)
+            if not 0 <= nbytes <= arena.size:
+                raise OSError(
+                    f"{self._label}: {nbytes} bytes claimed in a {arena.size}-byte "
+                    "arena; stream desynchronized"
+                )
             msg.blob = arena.lend(nbytes)
         elif (
             self._owner and type(blob) is bytes

@@ -1,4 +1,4 @@
-"""Cross-process observability: worker-side event capture + clock merge.
+"""Cross-process observability: clock handshake and worker-event merge.
 
 The obs layer's contract (``docs/OBSERVABILITY.md``) is a single timeline on
 one ``perf_counter_ns`` clock.  A worker process has its *own*
@@ -12,16 +12,17 @@ parent.  The fix is the classic two-step of distributed tracers:
    time ``(t0 + t1) / 2``, giving ``offset = (t0 + t1) // 2 - w``.  Pipe
    hops on one host are tens of microseconds, so the estimate is far finer
    than the millisecond-scale spans it positions.
-2. **Re-stamping at merge.**  Worker events ship back as plain tuples with
-   each result; :func:`merge_worker_events` adds the offset and replays them
-   into the parent's :class:`~repro.obs.TraceSession` under a per-worker
-   track name, so Chrome/Perfetto shows one process row per worker with its
-   ``run`` spans aligned against the parent's SUBMIT/ENQUEUE/DEQUEUE events.
-
-Worker-side capture is a deliberately tiny bounded list, not a full
-:class:`~repro.obs.TraceSession`: a worker emits a handful of events per
-region (EXEC_BEGIN/EXEC_END today) and ships them immediately, so rings,
-thread-locals and generation counters would be dead weight.
+2. **Re-stamping at merge.**  A worker records a task's events as plain
+   ``(kind, ts, region, name, arg)`` tuples on its own clock and ships them
+   with the task's result (:func:`repro.dist.worker._run_task`; no session,
+   ring or thread-local there: a task has two events).
+   :func:`merge_worker_events` adds the offset, puts the worker's track in
+   the target slot — the parent recorder's layout — and appends them
+   through :meth:`~repro.obs.TraceSession.extend` to a recorder registered
+   under the worker's thread label, so Chrome/Perfetto shows one process
+   row per worker with its ``run`` spans aligned against the parent's
+   SUBMIT/ENQUEUE/DEQUEUE events.  The worker's events carry no name: the
+   parent's events of the region carry its label.
 """
 
 from __future__ import annotations
@@ -29,15 +30,9 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..obs import EventKind
-from ..obs.events import now_ns
 from ..obs.recorder import TraceSession
 
-__all__ = ["WorkerEventLog", "estimate_offset_ns", "merge_worker_events", "worker_track"]
-
-#: Cap on events buffered per task worker-side.  EXEC begin/end is 2; the
-#: headroom is for future per-region kinds without unbounded growth if a
-#: region body itself emits.
-DEFAULT_LOG_LIMIT = 256
+__all__ = ["estimate_offset_ns", "merge_worker_events", "worker_track"]
 
 
 def estimate_offset_ns(t0_parent: int, t1_parent: int, worker_ns: int) -> int:
@@ -55,42 +50,6 @@ def worker_track(target_name: str, worker_id: int) -> str:
     return f"{target_name}[w{worker_id}]"
 
 
-class WorkerEventLog:
-    """Bounded in-worker event buffer, shipped back with each result.
-
-    Records ``(kind_value, ts_ns, region, name, arg)`` tuples on the
-    worker's own clock.  Tuples — not :class:`~repro.obs.TraceEvent` —
-    because they are pickled on every result hop and must stay cheap and
-    version-stable.
-    """
-
-    __slots__ = ("limit", "items", "dropped")
-
-    def __init__(self, limit: int = DEFAULT_LOG_LIMIT) -> None:
-        self.limit = limit
-        self.items: list[tuple[int, int, int | None, str | None, object]] = []
-        self.dropped = 0
-
-    def emit(
-        self,
-        kind: EventKind,
-        *,
-        region: int | None = None,
-        name: str | None = None,
-        arg: object = None,
-    ) -> None:
-        """Record one event at the worker's current ``perf_counter_ns``."""
-        if len(self.items) >= self.limit:
-            self.dropped += 1
-            return
-        self.items.append((int(kind), now_ns(), region, name, arg))
-
-    def drain(self) -> list[tuple[int, int, int | None, str | None, object]]:
-        """Hand over (and clear) the buffered events for shipping."""
-        items, self.items = self.items, []
-        return items
-
-
 def merge_worker_events(
     session: TraceSession,
     events: Iterable[tuple[int, int, int | None, str | None, object]],
@@ -99,22 +58,20 @@ def merge_worker_events(
     track: str,
     thread: str,
 ) -> int:
-    """Replay worker events into the parent session on the shared clock.
+    """Append worker events to the parent session on the shared clock.
 
-    *track* becomes the event's target (one Chrome process row per worker),
-    *thread* its thread label (``pid <n>``).  Returns how many events were
-    merged.  Unknown kind values (a newer worker talking to an older parent)
-    are skipped rather than corrupting the stream.
+    *track* becomes each event's target (one Chrome process row per worker),
+    *thread* the label of the recorder they join (``pid <n>``).  Returns
+    how many events were merged.  Unknown kind values (a newer worker
+    talking to an older parent) are skipped rather than corrupting the
+    stream.
     """
-    merged = 0
-    for kind_value, ts, region, name, arg in events:
+    records = []
+    for kind, ts, region, name, arg in events:
         try:
-            kind = EventKind(kind_value)
+            kind = EventKind(kind).value
         except ValueError:
             continue
-        session.emit(
-            kind, target=track, region=region, name=name, arg=arg,
-            ts=ts + offset_ns, thread=thread,
-        )
-        merged += 1
-    return merged
+        records.append((kind, ts + offset_ns, track, region, name, arg))
+    session.extend(thread, records)
+    return len(records)

@@ -81,7 +81,7 @@ from ..core.errors import (
     WorkerCrashedError,
 )
 from ..core.region import TargetRegion
-from ..core.targets import VirtualTarget, _item_identity
+from ..core.targets import VirtualTarget, _item_label
 from ..obs import EventKind
 from ..obs import recorder as _obs
 from ..obs.events import now_ns
@@ -608,7 +608,7 @@ class RemoteLaneTarget(VirtualTarget):
                     session = _obs.session()
                     if session.enabled:
                         session.emit(EventKind.ENQUEUE, target=self.name,
-                                     region=region.seq, name=region.label)
+                                     region=region.seq)  # named by its SUBMIT
                         self._trace_depth(session)
                     self._execute_remote(slot, region, deadline)
             finally:
@@ -635,8 +635,7 @@ class RemoteLaneTarget(VirtualTarget):
         # Plain callables (events posted by higher layers) ride as anonymous
         # regions; failures are logged parent-side, same policy as the
         # thread-backed dispatch loop.
-        _rid, label = _item_identity(item)
-        return TargetRegion(item, name=label)
+        return TargetRegion(item, name=_item_label(item))
 
     def _execute_remote(self, slot: RemoteLane, item: Any,
                         deadline: float | None = None) -> None:
@@ -647,7 +646,7 @@ class RemoteLaneTarget(VirtualTarget):
         if session.enabled:
             session.emit(
                 EventKind.DEQUEUE, target=self.name, region=region.seq,
-                name=region.label,
+                name=region._trace_name(session.generation),
             )
             self._trace_depth(session)
         if region.done:

@@ -413,10 +413,11 @@ class ResultMsg(_Msg):
 
     ``ok`` selects the branch: on success ``blob`` is the serialized return
     value (as in :class:`TaskMsg`); on failure
-    ``exc_blob``/``exc_text``/``exc_tb`` are the :func:`pack_exception` triple.  ``events`` is the worker-side event
-    log (list of ``(kind, ts_ns, region, name, arg)`` tuples on the
-    *worker's* clock) and ``events_dropped`` how many were discarded when
-    the bounded log overflowed.
+    ``exc_blob``/``exc_text``/``exc_tb`` are the :func:`pack_exception`
+    triple.  ``events`` is the task's worker-side trace (a list of
+    ``(kind, ts_ns, region, name, arg)`` tuples on the *worker's* clock)
+    and ``events_dropped`` how many of its events the worker discarded:
+    0, as a worker keeps every event of a task.
     """
 
     __slots__ = (

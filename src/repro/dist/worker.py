@@ -43,7 +43,6 @@ from ..obs import EventKind
 from ..obs.events import now_ns
 from . import wire
 from .arena import ArenaChannel
-from .remote_obs import WorkerEventLog
 
 __all__ = ["WorkerConfig", "control_loop", "task_loop", "worker_main"]
 
@@ -105,18 +104,24 @@ def control_loop(ctrl: Any, current: _Current) -> None:
             return
 
 
-def _error_result(seq: int, exc: BaseException, log: WorkerEventLog) -> wire.ResultMsg:
+def _error_result(seq: int, exc: BaseException, events: list[tuple]) -> wire.ResultMsg:
     blob, text, tb = wire.pack_exception(exc)
-    return wire.ResultMsg(seq, False, None, blob, text, tb, log.drain(), log.dropped)
+    return wire.ResultMsg(seq, False, None, blob, text, tb, events, 0)
 
 
 def _run_task(msg: wire.TaskMsg, current: _Current) -> wire.ResultMsg:
-    """Execute one task; always returns a ResultMsg (never raises)."""
-    log = WorkerEventLog()
+    """Execute one task; always returns a ResultMsg (never raises).
+
+    With ``msg.trace`` the result carries the task's EXEC span as
+    ``(kind, ts, region, name, arg)`` records on this process's clock
+    (:func:`repro.dist.remote_obs.merge_worker_events`); the name is None,
+    as the parent's events of the region carry its label.
+    """
+    events: list[tuple] = []
     try:
         body, args, kwargs = wire.loads(msg.blob, what=f"payload of region {msg.name!r}")
     except Exception as exc:  # noqa: BLE001 - SerializationError or worse
-        return _error_result(msg.seq, exc, log)
+        return _error_result(msg.seq, exc, events)
     msg.blob = None  # read: a receive buffer is freed before the body runs, not after
 
     region = TargetRegion(body, *args, **kwargs)
@@ -127,23 +132,21 @@ def _run_task(msg: wire.TaskMsg, current: _Current) -> wire.ResultMsg:
     current.set(msg.seq, region)
     try:
         if msg.trace:
-            log.emit(EventKind.EXEC_BEGIN, region=msg.seq, name=region.label)
+            events.append((EventKind.EXEC_BEGIN.value, now_ns(), msg.seq, None, None))
         region.run()  # captures body exceptions on the region
         if msg.trace:
-            log.emit(
-                EventKind.EXEC_END, region=msg.seq, name=region.label,
-                arg="failed" if region.exception is not None else "completed",
-            )
+            outcome = "failed" if region.exception is not None else "completed"
+            events.append((EventKind.EXEC_END.value, now_ns(), msg.seq, None, outcome))
     finally:
         current.clear()
 
     if region.exception is not None:
-        return _error_result(msg.seq, region.exception, log)
+        return _error_result(msg.seq, region.exception, events)
     try:
         blob = wire.dumps_parts(region.result(), what=f"result of region {msg.name!r}")
     except Exception as exc:  # noqa: BLE001 - unpicklable result
-        return _error_result(msg.seq, exc, log)
-    return wire.ResultMsg(msg.seq, True, blob, None, None, None, log.drain(), log.dropped)
+        return _error_result(msg.seq, exc, events)
+    return wire.ResultMsg(msg.seq, True, blob, None, None, None, events, 0)
 
 
 def task_loop(

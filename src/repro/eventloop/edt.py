@@ -94,11 +94,13 @@ class EventLoop:
         # stamping the closure makes them named, correlated spans in the
         # trace (ENQUEUE -> DEQUEUE -> EXEC on the EDT track) rather than
         # anonymous callables.  The negative id space keeps synthetic GUI
-        # event ids disjoint from TargetRegion.seq.
+        # event ids disjoint from TargetRegion.seq.  The SUBMIT carries the
+        # name; ``_trace_window`` tells the target's events they need not.
         dispatch._trace_name = f"event:{event.name}"  # type: ignore[attr-defined]
         dispatch._trace_id = -(event.event_id + 1)  # type: ignore[attr-defined]
         session = _obs.session()
         if session.enabled:
+            dispatch._trace_window = session.generation  # type: ignore[attr-defined]
             session.emit(
                 EventKind.REGION_SUBMIT, target=self.name,
                 region=dispatch._trace_id,  # type: ignore[attr-defined]

@@ -1,11 +1,15 @@
 """``repro.obs`` — structured event tracing and metrics for the runtime.
 
 The observability layer of the reproduction: a typed event taxonomy
-(:mod:`~repro.obs.events`), lock-free per-thread ring-buffer recorders
-behind one process-global session (:mod:`~repro.obs.recorder`), Chrome
-trace-event / plain-text exporters (:mod:`~repro.obs.exporters`), and
-latency histograms computed from the event stream
-(:mod:`~repro.obs.metrics`).
+(:mod:`~repro.obs.events`), lock-free per-thread recorders behind one
+process-global session (:mod:`~repro.obs.recorder`), Chrome trace-event /
+plain-text exporters (:mod:`~repro.obs.exporters`), and latency histograms
+computed from the event stream (:mod:`~repro.obs.metrics`).
+
+An event is a plain tuple in its thread's bounded ``collections.deque``
+until :meth:`TraceSession.events` reads it; that read is the one place a
+:class:`TraceEvent` is built, and it names each region's events from the
+label the region's first event carried.
 
 Quick use::
 
@@ -21,8 +25,8 @@ Or from the command line::
 
     python -m repro trace examples/traced_gui_pipeline.py -o trace.json
 
-Knobs: :func:`enable` / :func:`disable`, or the environment variables
-``REPRO_TRACE=1`` / ``REPRO_TRACE_BUFFER=<n>``.
+Knobs: :func:`enable` / :func:`disable` (``buffer_size=`` sizes each
+thread's ring), or the environment variable ``REPRO_TRACE=1``.
 See ``docs/OBSERVABILITY.md`` for the full taxonomy and Perfetto workflow.
 """
 
@@ -37,8 +41,6 @@ from .metrics import (
 )
 from .recorder import (
     DEFAULT_BUFFER_SIZE,
-    NullRecorder,
-    RingRecorder,
     TraceSession,
     disable,
     emit,
@@ -51,8 +53,6 @@ __all__ = [
     "EventKind",
     "TraceEvent",
     "now_ns",
-    "RingRecorder",
-    "NullRecorder",
     "TraceSession",
     "DEFAULT_BUFFER_SIZE",
     "session",

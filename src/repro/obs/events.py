@@ -71,7 +71,7 @@ class EventKind(enum.IntEnum):
     WORKER_EXIT = 16     # worker process stopped cleanly (arg: pid)
     WORKER_CRASH = 17    # worker process died unexpectedly (arg: exitcode)
     # Appended (never renumbered): these values cross process boundaries in
-    # pickled worker event logs, so existing values are frozen.
+    # pickled worker events, so existing values are frozen.
     WORKER_CONNECT = 18     # cluster lane connected + clock-synced (arg: pid)
     WORKER_DISCONNECT = 19  # cluster lane lost its connection (arg: detail)
 
@@ -89,8 +89,9 @@ class EventKind(enum.IntEnum):
 
 
 class TraceEvent:
-    """One recorded event.  Deliberately a plain slotted object, not a
-    dataclass: these are allocated on the runtime's hot paths.
+    """One recorded event, as :meth:`repro.obs.TraceSession.events` returns
+    it — the only place one is built; the runtime's hot paths record plain
+    tuples.
 
     Attributes
     ----------
@@ -101,10 +102,11 @@ class TraceEvent:
     region:  the region's process-unique sequence number (``TargetRegion.seq``),
              or a synthetic id for GUI events; correlates the SUBMIT →
              ENQUEUE → DEQUEUE → EXEC chain and draws the async arrows.
-    name:    human label (region name, ``file:line`` source stamp, tag, ...).
+    name:    human label (region name, ``file:line`` source stamp, tag, ...);
+             an event of a region recorded without one gets its region's.
     arg:     kind-specific payload (queue depth, exec outcome, mode, ...).
-    seq:     per-recorder append counter — stable sort tiebreak for events
-             whose coarse-clock timestamps collide.
+    seq:     the event's append index in its recorder — stable sort
+             tiebreak for events whose coarse-clock timestamps collide.
     """
 
     __slots__ = ("kind", "ts", "thread", "target", "region", "name", "arg", "seq")

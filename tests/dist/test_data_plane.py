@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import inspect
 import logging
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -20,6 +21,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterAgent
 from repro.cluster.transport import TcpTransport
@@ -176,6 +179,56 @@ class TestArena:
             assert a.name in own_segments() and not told
         finally:
             a.release()
+
+
+_ARENA = "<the arena>"  # stands for the parent arena's name, known only at run time
+_OTHER = st.one_of(st.none(), st.integers(), st.floats(), st.text(max_size=4),
+                   st.binary(max_size=4), st.booleans())
+_FORGED_STAND_INS = st.one_of(
+    # the wrong arity
+    st.lists(st.one_of(st.just(_ARENA), _OTHER), max_size=4)
+    .filter(lambda fields: len(fields) != 2).map(tuple),
+    # a size that is no int
+    st.tuples(st.just(_ARENA), _OTHER.filter(lambda v: type(v) is not int)),
+    # a size outside the segment
+    st.tuples(st.just(_ARENA), st.one_of(st.integers(max_value=-1),
+                                          st.integers(min_value=K + 1))),
+    # a segment name that is no str
+    st.tuples(_OTHER.filter(lambda v: type(v) is not str), st.integers(0, K)),
+)
+
+
+@needs_shm
+def test_a_forged_arena_stand_in_is_a_desynchronized_stream():
+    """Whatever tuple the peer puts in a blob's place, the parent end's
+    ``recv`` either lends a view inside its arena or raises the
+    ``OSError`` a malformed envelope raises — never ``ValueError``,
+    ``TypeError`` or a view cut short of what was claimed."""
+    parent_end, raw = multiprocessing.Pipe()
+    chan = ArenaChannel(parent_end, owner=True, label="parent")
+    chan._in = Arena.create(K)
+    name = chan._in.name
+
+    def forge(stand_in):
+        fields = tuple(name if f == _ARENA else f for f in stand_in)
+        msg = wire.ResultMsg(1, True, None, None, None, None, [], 0)
+        raw.send_bytes(wire.dumps_msg(msg, fields))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_FORGED_STAND_INS)
+    def forged(stand_in):
+        forge(stand_in)
+        with pytest.raises(OSError, match="desynchronized"):
+            chan.recv()
+
+    try:
+        forged()
+        for nbytes in (0, K):  # the edges are no forgery
+            forge((_ARENA, nbytes))
+            assert len(chan.recv().blob) == nbytes
+    finally:
+        chan.close()
+        raw.close()
 
 
 def _solo(rt, **kwargs):

@@ -6,12 +6,9 @@ import pytest
 
 from repro import obs
 from repro.core.region import TargetRegion
-from repro.dist.remote_obs import (
-    WorkerEventLog,
-    estimate_offset_ns,
-    merge_worker_events,
-    worker_track,
-)
+from repro.dist import wire
+from repro.dist.remote_obs import estimate_offset_ns, merge_worker_events, worker_track
+from repro.dist.worker import _Current, _run_task
 from repro.obs import EventKind
 from repro.obs.recorder import TraceSession
 
@@ -33,24 +30,22 @@ class TestWorkerTrack:
         assert worker_track("gpu", 3) == "gpu[w3]"
 
 
-class TestWorkerEventLog:
-    def test_records_and_drains(self):
-        log = WorkerEventLog()
-        log.emit(EventKind.EXEC_BEGIN, region=7, name="r")
-        log.emit(EventKind.EXEC_END, region=7, name="r", arg="completed")
-        items = log.drain()
-        assert [i[0] for i in items] == [
-            int(EventKind.EXEC_BEGIN), int(EventKind.EXEC_END),
-        ]
-        assert items[0][2] == 7 and items[1][4] == "completed"
-        assert log.drain() == []  # drained means drained
+class TestWorkerEvents:
+    def test_task_ships_its_exec_span_unnamed(self):
+        msg = wire.TaskMsg(7, "r", None, wire.dumps_parts((bodies.add, (1, 2), {})), True)
+        result = _run_task(msg, _Current())
+        assert result.ok and result.events_dropped == 0
+        (begin, end) = result.events
+        # (kind, ts, region, name, arg) on the worker's clock; the parent's
+        # events of region 7 carry its label.
+        assert begin[0] == int(EventKind.EXEC_BEGIN) and end[0] == int(EventKind.EXEC_END)
+        assert begin[2:] == (7, None, None)
+        assert end[2:] == (7, None, "completed")
+        assert begin[1] <= end[1]
 
-    def test_bounded(self):
-        log = WorkerEventLog(limit=2)
-        for _ in range(5):
-            log.emit(EventKind.EXEC_BEGIN)
-        assert len(log.items) == 2
-        assert log.dropped == 3
+    def test_untraced_task_ships_none(self):
+        msg = wire.TaskMsg(7, "r", None, wire.dumps_parts((bodies.add, (1, 2), {})), False)
+        assert _run_task(msg, _Current()).events == []
 
 
 class TestMerge:
@@ -69,6 +64,21 @@ class TestMerge:
         assert event.target == "pool[w0]"
         assert event.thread == "pid 42"
         assert event.kind is EventKind.EXEC_BEGIN
+
+    def test_joins_the_workers_recorder_and_takes_the_region_label(self):
+        session = TraceSession()
+        session.start()
+        session.emit(EventKind.DEQUEUE, target="pool", region=7, name="r@app.py:3")
+        for ts in (1000, 2000):
+            merge_worker_events(
+                session, [(int(EventKind.EXEC_BEGIN), ts, 7, None, None)],
+                offset_ns=0, track="pool[w0]", thread="pid 42",
+            )
+        session.stop()
+        assert [e.name for e in session.events()] == ["r@app.py:3"] * 3
+        stats = session.stats()
+        assert stats["threads"] == 2  # this thread's recorder + pid 42's
+        assert stats["per_thread"]["pid 42"]["recorded"] == 2
 
     def test_unknown_kind_values_skipped(self):
         session = TraceSession()
@@ -101,6 +111,19 @@ class TestEndToEndTrace:
         # events -- the whole point of the clock handshake.
         dequeues = [e for e in events if e.kind.name == "DEQUEUE"]
         assert min(e.ts for e in execs) >= max(e.ts for e in dequeues)
+
+    def test_every_event_of_a_process_lane_region_carries_its_label(self, proc_rt):
+        region = TargetRegion(bodies.sleepy, 0.01, name="far", source="app.py:9")
+        session = obs.enable()
+        try:
+            proc_rt.invoke_target_block("pool", region)
+            events = [e for e in session.events() if e.region == region.seq]
+        finally:
+            obs.disable()
+        assert {"REGION_SUBMIT", "ENQUEUE", "DEQUEUE", "EXEC_BEGIN", "EXEC_END"} <= {
+            e.kind.name for e in events
+        }
+        assert [e.name for e in events] == ["far@app.py:9"] * len(events)
 
     def test_chrome_export_gives_workers_their_own_track(self, proc_rt):
         session = obs.enable()

@@ -1,5 +1,5 @@
-"""Ring-buffer mechanics: wraparound, drop accounting, null mode,
-per-thread isolation, and the disabled fast path."""
+"""Recorder mechanics through the session: wraparound, drop accounting,
+null mode, per-thread isolation, and the disabled fast path."""
 
 from __future__ import annotations
 
@@ -8,54 +8,63 @@ import threading
 import pytest
 
 from repro import obs
-from repro.obs import EventKind, NullRecorder, RingRecorder, TraceEvent, now_ns
+from repro.obs import EventKind
 
 
-def _ev(i: int) -> TraceEvent:
-    return TraceEvent(EventKind.EXEC_BEGIN, now_ns(), "t", None, i, None, None)
+def _emit_regions(n: int) -> None:
+    for i in range(n):
+        obs.emit(EventKind.EXEC_BEGIN, region=i)
 
 
 class TestRingRecorder:
+    """A thread's ring is a ``deque(maxlen=buffer_size)`` of records."""
+
     def test_append_below_capacity_keeps_everything(self):
-        ring = RingRecorder(8, generation=0, thread_name="t")
-        for i in range(5):
-            ring.append(_ev(i))
-        assert len(ring) == 5
-        assert ring.recorded == 5
-        assert ring.dropped == 0
-        assert [e.region for e in ring.events()] == [0, 1, 2, 3, 4]
+        obs.enable(buffer_size=8)
+        _emit_regions(5)
+        stats = obs.session().stats()
+        assert (stats["recorded"], stats["retained"], stats["dropped"]) == (5, 5, 0)
+        assert [e.region for e in obs.session().events()] == [0, 1, 2, 3, 4]
 
     def test_wraparound_drops_oldest_and_counts(self):
-        ring = RingRecorder(8, generation=0, thread_name="t")
-        for i in range(20):
-            ring.append(_ev(i))
-        assert len(ring) == 8
-        assert ring.recorded == 20
-        assert ring.dropped == 12
-        # The retained window is the newest 8, still oldest-first.
-        assert [e.region for e in ring.events()] == list(range(12, 20))
+        # Each thread's ring wraps on its own: the busy one keeps its newest
+        # 8, still oldest-first, and the quiet one loses nothing.
+        obs.enable(buffer_size=8)
+        _emit_regions(20)
+        quiet = threading.Thread(
+            target=lambda: obs.emit(EventKind.EXEC_END, region=99), name="quiet"
+        )
+        quiet.start()
+        quiet.join()
+        rows = obs.session().stats()["per_thread"]
+        busy = rows[threading.current_thread().name]
+        assert (busy["recorded"], busy["retained"], busy["dropped"]) == (20, 8, 12)
+        assert (rows["quiet"]["retained"], rows["quiet"]["dropped"]) == (1, 0)
+        events = obs.session().events()
+        assert [e.region for e in events if e.thread != "quiet"] == list(range(12, 20))
+        assert [e.region for e in events if e.thread == "quiet"] == [99]
 
     def test_seq_is_monotonic_across_wraparound(self):
-        ring = RingRecorder(4, generation=0, thread_name="t")
-        for i in range(10):
-            ring.append(_ev(i))
-        seqs = [e.seq for e in ring.events()]
-        assert seqs == sorted(seqs)
-        assert seqs == [6, 7, 8, 9]
+        obs.enable(buffer_size=4)
+        _emit_regions(10)
+        seqs = [e.seq for e in obs.session().events()]
+        assert seqs == [6, 7, 8, 9]  # the append index of each retained event
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
-            RingRecorder(0, generation=0, thread_name="t")
+            obs.enable(buffer_size=0)
 
 
 class TestNullRecorder:
+    """Null mode is a ring of capacity 0."""
+
     def test_counts_but_stores_nothing(self):
-        rec = NullRecorder(generation=0, thread_name="t")
-        for i in range(100):
-            rec.append(_ev(i))
-        assert rec.recorded == 100
-        assert len(rec) == 0
-        assert rec.events() == []
+        obs.enable(null=True)
+        _emit_regions(100)
+        stats = obs.session().stats()
+        assert stats["null"] is True
+        assert (stats["recorded"], stats["retained"], stats["dropped"]) == (100, 0, 100)
+        assert obs.session().events() == []
 
 
 class TestTraceSession:
@@ -107,6 +116,23 @@ class TestTraceSession:
         assert stats["threads"] == 4  # main + 3 workers
         assert stats["recorded"] == 7
         assert set(stats["per_thread"]) >= {"rec-0", "rec-1", "rec-2"}
+
+    def test_per_thread_rows_add_up_to_recorded(self, tracing):
+        # A re-created pool reuses its lane names: two threads of one name
+        # are one row, and no recorder's count goes missing from it.
+        def lane():
+            obs.emit(EventKind.EXEC_BEGIN, target="w")
+
+        for _ in range(2):
+            t = threading.Thread(target=lane, name="lane-0")
+            t.start()
+            t.join()
+        stats = obs.session().stats()
+        assert stats["threads"] == 2
+        assert stats["per_thread"]["lane-0"]["recorded"] == 2
+        rows = stats["per_thread"].values()
+        for key in ("recorded", "retained", "dropped"):
+            assert sum(row[key] for row in rows) == stats[key]
 
     def test_restart_abandons_stale_recorders(self, tracing):
         obs.emit(EventKind.ENQUEUE, target="w")
