@@ -426,11 +426,13 @@ class VirtualTarget(abc.ABC):
         return member is not None and member is (thread or threading.current_thread())
 
     def _enter_member(self, thread: threading.Thread | None = None) -> None:
+        """A thread named explicitly, even the caller, joins as a guest:
+        only an omitted *thread* makes this the caller's current_target()."""
+        if thread is None:
+            _thread_target.value = self
         thread = thread or threading.current_thread()
         with self._members_lock:
             self._members[thread.ident] = thread
-        if thread is threading.current_thread():
-            _thread_target.value = self
 
     def _exit_member(self, thread: threading.Thread | None = None) -> None:
         thread = thread or threading.current_thread()
@@ -947,8 +949,8 @@ class VirtualTarget(abc.ABC):
     def drain(self) -> int:
         """Process queued items in the calling thread until the queue is empty.
 
-        Returns the number of real work items executed.  Intended for tests
-        and for single-threaded (manually pumped) EDT usage.  It is
+        Returns the number of real work items executed.  Used by tests,
+        manually pumped EDTs and OpenMP team barriers.  It is
         :meth:`process_one` repeated, so the caller is a guest — a shutdown
         marker stays queued for the loop that owns it — and a target that
         refuses pumping refuses this too.

@@ -26,15 +26,14 @@ def _default_threads() -> int:
 
 @dataclass
 class ICVs:
-    """The subset of ICVs the substrate honours."""
+    """The subset of ICVs the substrate honours, each set by its
+    ``omp_set_*`` routine (:mod:`repro.openmp.runtime_api`)."""
 
     nthreads_var: int = field(default_factory=_default_threads)
-    dyn_var: bool = False
     nest_var: bool = True
     max_active_levels_var: int = 4
     run_sched_var: str = "static"
     run_sched_chunk: int | None = None
-    thread_limit_var: int = 256
 
     def copy(self) -> "ICVs":
         return replace(self)

@@ -6,8 +6,13 @@ Faithful to the semantics the paper leans on:
   it does **not** return until every team member finished (the synchronous
   "join" the paper calls out as incompatible with event loops; there is no
   ``nowait`` on ``parallel``);
+* the join is OpenMP's implicit barrier too: the region's tasks have finished;
 * an ``if`` clause false-value serialises the region (team of 1);
 * nesting honours ``nest_var`` and ``max_active_levels_var``.
+
+Members 1..n-1 are regions on a *hot team*, a :class:`WorkerTarget` leased
+from a per-size free list by one region at a time; the master joins it as a
+guest, so its own ``current_target()`` (an EDT's, say) is left alone.
 
 Exceptions raised by any team member are collected and re-raised in the
 master after the join as :class:`ParallelRegionError`.
@@ -15,13 +20,18 @@ master after the join as :class:`ParallelRegionError`.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Any, Callable
 
+from ..core.region import TargetRegion
+from ..core.targets import WorkerTarget
 from .icv import ICVs, global_icvs
 from .team import Team, ThreadContext, current_context, pop_context, push_context
 
 __all__ = ["ParallelRegionError", "parallel"]
+
+THREAD_LIMIT = 256  # OpenMP's thread-limit-var
 
 
 class ParallelRegionError(Exception):
@@ -35,6 +45,11 @@ class ParallelRegionError(Exception):
             self.__cause__ = failures[0][1]
 
 
+# Idle hot teams by lane count (list pop/append are atomic under the GIL).
+_idle: dict[int, list[WorkerTarget]] = {}
+_hot_team_ids = itertools.count()
+
+
 def _resolve_team_size(num_threads: int | None, icvs: ICVs, level: int) -> int:
     if num_threads is not None:
         if num_threads < 1:
@@ -44,7 +59,7 @@ def _resolve_team_size(num_threads: int | None, icvs: ICVs, level: int) -> int:
         requested = icvs.nthreads_var
     if level > icvs.max_active_levels_var or (level > 1 and not icvs.nest_var):
         return 1
-    return min(requested, icvs.thread_limit_var)
+    return min(requested, THREAD_LIMIT)
 
 
 def parallel(
@@ -52,7 +67,6 @@ def parallel(
     *,
     num_threads: int | None = None,
     if_clause: bool = True,
-    icvs: ICVs | None = None,
 ) -> list[Any]:
     """Execute ``body`` in a freshly forked team; returns per-thread results.
 
@@ -65,16 +79,22 @@ def parallel(
     """
     parent = current_context()
     level = (parent.team.level + 1) if parent else 1
-    region_icvs = (icvs or global_icvs()).copy()
+    region_icvs = global_icvs().copy()
 
     size = _resolve_team_size(num_threads, region_icvs, level) if if_clause else 1
     team = Team(size, region_icvs, level)
     results: list[Any] = [None] * size
 
     wants_tid = _accepts_positional(body)
+    started = itertools.count(1)
 
     def run_as(thread_num: int) -> None:
         push_context(ThreadContext(team, thread_num))
+        team.thread_nums[threading.get_ident()] = thread_num
+        if next(started) == size:
+            team.all_started.set()
+        elif thread_num:  # a lane: no pump of its own may meet a queued member
+            team.all_started.wait()
         try:
             results[thread_num] = body(thread_num) if wants_tid else body()
         except BaseException as exc:  # noqa: BLE001 - reported after join
@@ -85,20 +105,24 @@ def parallel(
         finally:
             pop_context()
 
-    workers = [
-        threading.Thread(
-            target=run_as,
-            args=(tid,),
-            name=f"omp-team{team.team_id}-{tid}",
-            daemon=True,
-        )
-        for tid in range(1, size)
-    ]
-    for w in workers:
-        w.start()
-    run_as(0)  # the master participates — the fork-join property
-    for w in workers:
-        w.join()  # the synchronous join; no nowait exists on parallel
+    if size == 1:
+        run_as(0)
+    else:
+        try:
+            target = team.target = _idle.setdefault(size - 1, []).pop()
+        except IndexError:
+            target = team.target = WorkerTarget(f"omp-team{next(_hot_team_ids)}", size - 1)
+        target._enter_member(threading.current_thread())  # a guest
+        members = [TargetRegion(run_as, tid) for tid in range(1, size)]
+        for member in members:
+            target.post(member)
+        run_as(0)  # the master participates — the fork-join property
+        for member in members:
+            member.wait()  # the synchronous join; no nowait exists on parallel
+        if team.tasks:  # the implicit barrier's tasks, before the team is reused
+            target.pump_until(lambda: not team.tasks, name="parallel")
+        target._exit_member()
+        _idle[size - 1].append(target)
 
     failures = team.exceptions
     if failures:

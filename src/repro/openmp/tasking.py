@@ -9,73 +9,71 @@ OpenMP tasks are confined within an OpenMP parallel region."*
 This module implements exactly that confined behaviour so the contrast is
 demonstrable in code:
 
-* inside a parallel region, :func:`task` defers the block to the team's
-  shared task pool; team members execute pending tasks at :func:`taskwait`
-  and at team barriers;
+* inside a parallel region, :func:`task` posts the block as a target region
+  to the team's target; its lanes, and members at :func:`taskwait` and team
+  barriers, run it, and the region ends only after it has;
 * an *orphaned* task (no enclosing region, or a serialised team of one)
   executes immediately, sequentially, in the encountering thread.
 
 A :func:`taskwait` waits for the deferred children of the current task
 (the region body's implicit task, or the deferred task the thread is
-running), helping execute pending team tasks meanwhile.  ``untied`` and
-task dependencies are out of scope.
+running), pumping the team's target meanwhile.  ``untied`` and task
+dependencies are out of scope.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Callable
 
-from .team import Team, current_context
+from ..core.region import TargetRegion
+from .team import Team, ThreadContext, current_context, pop_context, push_context
 
 __all__ = ["task", "taskwait", "TaskHandle"]
 
 
 class TaskHandle:
-    """Completion handle for a deferred task."""
+    """Completion handle for a task: a view over its target region."""
 
-    __slots__ = ("_done", "_result", "_error", "deferred", "parent", "children")
+    __slots__ = ("region", "deferred", "children")
 
-    def __init__(self, deferred: bool, parent: Any = None) -> None:
-        self._done = threading.Event()
-        self._result: Any = None
-        self._error: BaseException | None = None
+    def __init__(self, region: TargetRegion, deferred: bool) -> None:
+        self.region = region
         self.deferred = deferred
-        #: The task (handle or implicit-task context) whose ``children``
-        #: counts this one while it is unfinished.
-        self.parent = parent
         #: Deferred children of this task not yet finished.
         self.children = 0
 
-    def _finish(self, result: Any, error: BaseException | None) -> None:
-        self._result = result
-        self._error = error
-        self._done.set()
-
     @property
     def done(self) -> bool:
-        return self._done.is_set()
+        return self.region.done
 
     def result(self, timeout: float | None = None) -> Any:
-        if not self._done.wait(timeout):
+        """The body's return value; re-raises the body's own exception."""
+        region = self.region
+        if not region.wait(timeout):
             raise TimeoutError("task not finished")
-        if self._error is not None:
-            raise self._error
-        return self._result
+        if region.exception is not None:
+            raise region.exception
+        return region.result()
 
 
-def _run_task(body: Callable[[], Any], handle: TaskHandle) -> None:
+def _run_deferred(team: Team, handle: TaskHandle, body: Callable[[], Any]) -> Any:
+    """A deferred task's region body: the current task of the team thread
+    that dequeued it, counted as run by the context it pumped from."""
+    outer = current_context()
+    if outer is not None:
+        outer.ran += 1
+    ctx = ThreadContext(team, team.thread_nums.get(threading.get_ident(), 0))
+    ctx.task = handle
+    push_context(ctx)
     try:
-        result = body()
-    except BaseException as exc:  # noqa: BLE001 - reported via the handle
-        handle._finish(None, exc)
-    else:
-        handle._finish(result, None)
+        return body()
+    finally:
+        pop_context()
 
 
 def task(body: Callable[[], Any], *, if_clause: bool = True) -> TaskHandle:
-    """``#pragma omp task``: defer *body* to the team's task pool.
+    """``#pragma omp task``: post *body* to the team's target.
 
     Orphaned (no enclosing parallel region / team of one) or with a false
     ``if`` clause, the body runs immediately and sequentially — the paper's
@@ -83,74 +81,44 @@ def task(body: Callable[[], Any], *, if_clause: bool = True) -> TaskHandle:
     """
     ctx = current_context()
     if ctx is None or ctx.team.num_threads == 1 or not if_clause:
-        handle = TaskHandle(deferred=False)
-        _run_task(body, handle)
-        return handle
+        region = TargetRegion(body)
+        region.run()
+        return TaskHandle(region, deferred=False)
     team = ctx.team
-    handle = TaskHandle(deferred=True, parent=ctx.task or ctx)
+    parent = ctx.task or ctx  # the task whose ``children`` count this one
+    handle = TaskHandle(TargetRegion(lambda: _run_deferred(team, handle, body)), True)
+
+    def finished(_region: TargetRegion) -> None:
+        with team._lock:
+            parent.children -= 1
+            team.tasks -= 1
+        team.target.wakeup()
+
+    handle.region.add_done_callback(finished)
     with team._lock:
-        handle.parent.children += 1
-        team._task_pool.append((body, handle))
-        team._tasks_changed.notify_all()
+        parent.children += 1
+        team.tasks += 1
+    team.target.post(handle.region)
     return handle
 
 
-def _drain(team: Team) -> int:
-    """Execute pending team tasks in the calling thread until the pool is
-    empty; returns the number executed."""
-    ctx = current_context()
-    pool = team._task_pool
-    executed = 0
-    while True:
-        with team._lock:
-            if not pool:
-                return executed
-            body, handle = pool.popleft()
-        outer, ctx.task = ctx.task, handle
-        try:
-            _run_task(body, handle)
-        finally:
-            ctx.task = outer
-        with team._lock:
-            handle.parent.children -= 1
-            team._tasks_changed.notify_all()
-        executed += 1
-
-
 def taskwait(timeout: float | None = 30.0) -> int:
-    """``#pragma omp taskwait``: help execute pending tasks until every
-    deferred child of the current task has finished.  Returns the number
-    this thread executed.
+    """``#pragma omp taskwait``: run queued team tasks until every deferred
+    child of the current task has finished.  Returns the number of tasks
+    this thread ran meanwhile.
 
     Outside a parallel region this is a no-op (there can be no deferred
-    tasks).
+    tasks).  Past *timeout*: :class:`~repro.core.errors.AwaitTimeoutError`,
+    a ``TimeoutError``.
     """
     ctx = current_context()
     if ctx is None:
         return 0
-    team = ctx.team
     waiter = ctx.task or ctx
-    deadline = None if timeout is None else time.monotonic() + timeout
-    executed = 0
-    while True:
-        executed += _drain(team)
-        with team._lock:
-            if not waiter.children:
-                return executed
-            if team._task_pool:
-                continue  # queued since the drain: help with it first
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                raise TimeoutError("taskwait timed out")
-            # A child still runs on another thread: sleep until a task
-            # finishes or is queued.
-            team._tasks_changed.wait(remaining)
-
-
-def drain_tasks_at_barrier(team: Team) -> None:
-    """Hook for barrier integration: execute pending tasks before blocking.
-
-    OpenMP guarantees all tasks complete at a barrier; team barriers call
-    this first.
-    """
-    _drain(team)
+    ran = ctx.ran
+    if waiter.children:
+        ctx.team.all_started.wait()
+        ctx.team.target.pump_until(
+            lambda: not waiter.children, timeout=timeout, name="taskwait"
+        )
+    return ctx.ran - ran

@@ -1,4 +1,4 @@
-"""Thread teams: the fork-join engine.
+"""Teams: the fork-join engine's per-region state.
 
 A :class:`Team` is created at a ``parallel`` construct: the encountering
 thread becomes the master (thread 0) and *participates in the work-sharing
@@ -6,40 +6,40 @@ region* — the property the paper identifies as fundamentally incompatible
 with event-driven programming ("the traditional fork-join model forces the
 master thread … to participate").  The event-driven extension escapes this by
 wrapping the whole region in a worker virtual target; the fork-join substrate
-itself stays faithful to OpenMP.
+itself stays faithful to OpenMP.  The other members and the team's
+deferred tasks are regions on :attr:`Team.target`, the region's hot team.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
-from collections import deque
 from typing import Any, Callable
 
+from ..core.targets import WorkerTarget
 from .icv import ICVs
 
 __all__ = ["Team", "ThreadContext", "current_context", "push_context", "pop_context"]
 
 _tls = threading.local()
-_team_ids = itertools.count()
 
 
 class ThreadContext:
     """Per-thread view of its team (what omp_get_thread_num() etc. read).
 
     It is also the thread's *implicit task*: ``task`` is the deferred task
-    the thread is running now (None: the region body itself) and
-    ``children`` the implicit task's deferred children not yet finished
-    (see :mod:`repro.openmp.tasking`).
+    the thread is running now (None: the region body itself), ``children``
+    the implicit task's deferred children not yet finished and ``ran`` the
+    tasks run under it (see :mod:`repro.openmp.tasking`).
     """
 
-    __slots__ = ("team", "thread_num", "task", "children")
+    __slots__ = ("team", "thread_num", "task", "children", "ran")
 
     def __init__(self, team: "Team", thread_num: int) -> None:
         self.team = team
         self.thread_num = thread_num
         self.task: Any = None
         self.children = 0
+        self.ran = 0
 
 
 def _stack() -> list[ThreadContext]:
@@ -70,21 +70,24 @@ class Team:
     def __init__(self, num_threads: int, icvs: ICVs, level: int = 1) -> None:
         if num_threads < 1:
             raise ValueError("a team needs at least one thread")
-        self.team_id = next(_team_ids)
         self.num_threads = num_threads
         self.icvs = icvs
         self.level = level
+        #: Runs members 1..n-1 and every task (None for a team of one).
+        self.target: WorkerTarget | None = None
+        self.thread_nums: dict[int, int] = {}  # thread ident -> member number
+        self.tasks = 0  # deferred tasks not yet finished
         self._barrier = threading.Barrier(num_threads)
         self._lock = threading.Lock()
+        #: Set once every member has started.  Until then the target's queue
+        #: may hold a member, which a pump would run nested on its own thread,
+        #: so lane members and the master's pumps wait for it first.
+        self.all_started = threading.Event()
         # Worksharing constructs are identified by arrival order per thread:
         # the n-th construct each thread encounters maps to shared state n.
         self._workshares: dict[int, dict[str, Any]] = {}
         self._ws_counters: dict[int, int] = {}
         self._exceptions: list[tuple[int, BaseException]] = []
-        # Deferred tasks not yet claimed, and the condition a taskwait sleeps
-        # on: notified when a task is queued or finishes.
-        self._task_pool: deque = deque()
-        self._tasks_changed = threading.Condition(self._lock)
 
     # ----------------------------------------------------------------- sync
 
@@ -92,11 +95,11 @@ class Team:
         """Team-wide barrier.  Reusable (threading.Barrier cycles).
 
         Pending deferred tasks are executed first (OpenMP completes tasks at
-        barriers); see :mod:`repro.openmp.tasking`.
+        barriers).
         """
-        from .tasking import drain_tasks_at_barrier  # local: avoids cycle
-
-        drain_tasks_at_barrier(self)
+        if self.target is not None:
+            self.all_started.wait()
+            self.target.drain()
         self._barrier.wait()
 
     # ------------------------------------------------------------ workshares
@@ -133,4 +136,4 @@ class Team:
             return list(self._exceptions)
 
     def __repr__(self) -> str:
-        return f"<Team #{self.team_id} threads={self.num_threads} level={self.level}>"
+        return f"<Team threads={self.num_threads} level={self.level}>"

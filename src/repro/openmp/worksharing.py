@@ -83,20 +83,23 @@ def ordered(body: Callable[[], Any]) -> Any:
             "ordered used outside a for_loop(..., ordered=True) iteration"
         )
     state, index = ctx
-    with state["ordered_cond"]:
-        state["ordered_cond"].wait_for(lambda: state["ordered_next"] == index)
+    if state["ordered_next"] != index:  # wait for the turn in the one barrier
+        team = current_context().team
+        team.all_started.wait()
+        team.target.pump_until(lambda: state["ordered_next"] == index, name="ordered")
     return body()
 
 
 def _ordered_iteration_done(state: dict, index: int) -> None:
     """Mark iteration *index* complete; advance the turn past every finished
     iteration so skipped ordered regions never stall the loop."""
-    with state["ordered_cond"]:
+    with state["lock"]:
         state["ordered_done"].add(index)
         while state["ordered_next"] in state["ordered_done"]:
             state["ordered_done"].discard(state["ordered_next"])
             state["ordered_next"] += 1
-        state["ordered_cond"].notify_all()
+    if state["ordered_target"] is not None:
+        state["ordered_target"].wakeup()
 
 
 def for_loop(
@@ -164,7 +167,7 @@ def for_loop(
             "partials": [None] * team.num_threads,
             "ordered_next": 0,
             "ordered_done": set(),
-            "ordered_cond": threading.Condition(),
+            "ordered_target": team.target,
         },
     )
 

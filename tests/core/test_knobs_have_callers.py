@@ -4,7 +4,8 @@
 The supervision and serve limits below had no such caller and are now
 constants (``RemoteLaneTarget.max_restarts`` / ``heartbeat_misses`` /
 ``cancel_grace``, each lane strategy's ``open_timeout``, the module
-constants of ``repro.serve.server``); a test that needs another value
+constants of ``repro.serve.server``, the OpenMP thread limit
+``repro.openmp.parallel.THREAD_LIMIT``); a test that needs another value
 patches the constant.  This gate keeps them, and the runtime ICVs that went
 with them, from coming back as arguments.
 """
@@ -22,6 +23,7 @@ from repro.core import PjRuntime, WorkerTarget, api
 from repro.core.tags import TagRegistry
 from repro.dist import ProcessTarget, RemoteLaneTarget
 from repro.eventloop import EventLoop, ExecutorService
+from repro.openmp import ICVs, global_icvs, parallel, runtime_api
 from repro.serve import ServeConfig
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -80,3 +82,32 @@ def test_removed_name_appears_nowhere_in_src(name):
         if name in path.read_text()
     ]
     assert hits == []
+
+
+def test_parallel_takes_no_icv_set():
+    # Every region copies the global ICVs; nothing passed its own set.
+    assert list(inspect.signature(parallel).parameters) == ["body", "num_threads", "if_clause"]
+
+
+def test_every_openmp_icv_has_its_omp_set_routine():
+    # The one caller an ICV needs: its omp_set_* routine.  dyn_var had none
+    # (nothing read it) and thread_limit_var none (now THREAD_LIMIT).
+    setters = [
+        (runtime_api.omp_set_num_threads, (3,)),
+        (runtime_api.omp_set_nested, (False,)),
+        (runtime_api.omp_set_max_active_levels, (2,)),
+        (runtime_api.omp_set_schedule, ("dynamic", 5)),
+    ]
+    icvs = global_icvs()
+    saved = icvs.copy()
+    try:
+        for setter, args in setters:
+            setter(*args)
+        moved = {
+            f.name for f in dataclasses.fields(ICVs)
+            if getattr(icvs, f.name) != getattr(saved, f.name)
+        }
+    finally:
+        for f in dataclasses.fields(ICVs):
+            setattr(icvs, f.name, getattr(saved, f.name))
+    assert moved == {f.name for f in dataclasses.fields(ICVs)}

@@ -4,7 +4,8 @@ Algorithm 1 lines 13-16 (``while B is not finished:
 T.processAnotherEventHandler()``) is ``VirtualTarget.pump_until``.  ``await``
 (``PjRuntime._logical_barrier``), a member thread's ``wait(tag)``
 (``PjRuntime.wait_tag``), the modal dialog (``ModalDialog.show_modal``) and
-manual pumping once each spelled that loop themselves, and the copies
+manual pumping once each spelled that loop themselves (OpenMP's
+``taskwait`` kept a copy until it too became a ``pump_until``), and the copies
 drifted: one never woke its pumper, two traced no ``PUMP_STEAL``, a blown
 deadline raised four differently-shaped errors.  This test keeps the copies
 from growing back.
@@ -21,6 +22,7 @@ import pytest
 from repro.core.runtime import PjRuntime
 from repro.core.tags import TagRegistry
 from repro.eventloop.gui import ModalDialog
+from repro.openmp.tasking import taskwait
 
 from .test_single_queue_discipline import SRC, TARGETS, _hits
 
@@ -73,7 +75,7 @@ def test_one_predicate_pump_loop_and_it_is_pump_until():
 
 
 @pytest.mark.parametrize("caller", [
-    PjRuntime._logical_barrier, PjRuntime.wait_tag, ModalDialog.show_modal,
+    PjRuntime._logical_barrier, PjRuntime.wait_tag, ModalDialog.show_modal, taskwait,
 ])
 def test_every_barrier_site_calls_the_one_loop(caller):
     tree = ast.parse(textwrap.dedent(inspect.getsource(caller)))

@@ -59,13 +59,22 @@ def test_queue_full_error_is_raised_by_one_target_path():
 
 def test_eventloop_keeps_no_pool_of_its_own():
     # ExecutorService and the SwingWorker pool are WorkerTargets; the
-    # Swing Timer's threading.Timer is a clock, not a pool.
+    # Swing Timer's threading.Timer is a clock, not a pool.  So are an
+    # OpenMP team's lanes, and its tasks are regions on their queue.
     pool_parts = re.compile(r"\bThread\(|\bCondition\(|\bdeque\b")
     hits = [
-        str(path.relative_to(SRC)) for path in sorted((SRC / "eventloop").glob("*.py"))
+        str(path.relative_to(SRC))
+        for package in ("eventloop", "openmp")
+        for path in sorted((SRC / package).glob("*.py"))
         if pool_parts.search(path.read_text())
     ]
     assert hits == []
+
+
+def test_task_handle_is_a_view_over_its_region():
+    from repro.openmp import TaskHandle
+
+    assert not {"_done", "_finish", "_result", "_error"} & set(dir(TaskHandle))
 
 
 def test_sentinels_are_triaged_by_the_owner_loop_only():

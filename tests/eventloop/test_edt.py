@@ -134,3 +134,44 @@ class TestInvoke:
     def test_is_edt(self, loop):
         assert not loop.is_edt()
         assert loop.invoke_and_wait(loop.is_edt) is True
+
+
+def test_parallel_in_a_handler_leaves_the_edt_current():
+    """The master of an OpenMP team joins the team's target as a guest: on
+    the EDT, current_target() stays the EDT before, inside and after the
+    region, so a later await still pumps the EDT's queue."""
+    import repro.openmp as omp
+    from repro.core import current_target
+
+    rt = PjRuntime()
+    loop = EventLoop(rt, "edt")
+    rt.create_worker("w", 1)
+    seen = {}
+    probed = threading.Event()
+
+    def body(tid):
+        if tid == 0:
+            seen["during"] = current_target()
+            omp.task(lambda: None)
+            seen["ran"] = omp.taskwait()
+
+    def offloaded():
+        loop.fire("probe")  # runs only if the awaiting EDT pumps its queue
+        return probed.wait(5)
+
+    def handler(event):
+        seen["before"] = current_target()
+        omp.parallel(body, num_threads=2)
+        seen["after"] = current_target()
+        seen["pumped"] = rt.invoke_target_block("w", offloaded, "await").result()
+
+    loop.on("click", handler)
+    loop.on("probe", lambda event: probed.set())
+    try:
+        loop.fire("click")
+        assert loop.wait_all_finished()
+        assert seen["before"] is seen["during"] is seen["after"] is loop.target
+        assert isinstance(seen["ran"], int)
+        assert seen["pumped"] is True
+    finally:
+        rt.shutdown(wait=False)

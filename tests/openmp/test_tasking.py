@@ -219,4 +219,41 @@ class TestDeferredTasks:
         omp.parallel(body, num_threads=4)
         # At least the spawning thread helped; usually several do.
         assert len(executors) >= 1
-        assert all(name.startswith(("omp-team", "MainThread")) for name in executors)
+        assert all(name.startswith(("pyjama-omp-team", "MainThread")) for name in executors)
+
+
+class TestRegionEnd:
+    """OpenMP's implicit barrier at the end of a region completes every task
+    the region generated."""
+
+    def test_parallel_returns_after_every_deferred_task(self):
+        ran = omp.Atomic(0)
+
+        def slow():
+            time.sleep(0.02)
+            ran.add(1)
+
+        handles = omp.parallel(lambda: omp.task(slow), num_threads=2)
+        assert ran.value == 2
+        assert all(h.deferred and h.done for h in handles)
+
+    def test_single_nowait_tasks_finish_without_a_taskwait(self):
+        ran = omp.Atomic(0)
+
+        def body():
+            omp.single(lambda: [omp.task(lambda: ran.add(1)) for _ in range(4)], nowait=True)
+
+        omp.parallel(body, num_threads=2)
+        assert ran.value == 4
+
+
+def test_taskwait_counts_the_tasks_this_thread_ran():
+    def body(tid):
+        if tid == 0:
+            for _ in range(3):
+                omp.task(lambda: None)
+            return omp.taskwait()
+        return None
+
+    ran = omp.parallel(body, num_threads=2)[0]
+    assert isinstance(ran, int) and 0 <= ran <= 3
