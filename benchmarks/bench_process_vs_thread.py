@@ -26,6 +26,7 @@ import pytest
 
 from repro.core import PjRuntime
 from repro.core.region import TargetRegion
+from repro.dist import DEFAULT_START_METHOD
 from repro.dist.wire import HAVE_CLOUDPICKLE
 from repro.kernels.montecarlo import MonteCarloConfig, simulate_paths
 from repro.kernels.sor import run as sor_run
@@ -130,7 +131,7 @@ def test_process_vs_thread_kernels(capsys):
         "host": {
             "cpu_count": os.cpu_count(),
             "usable_cores": cores,
-            "start_method_default": "spawn",
+            "start_method_default": DEFAULT_START_METHOD,
             "available_start_methods": multiprocessing.get_all_start_methods(),
             "cloudpickle": HAVE_CLOUDPICKLE,
         },

@@ -72,7 +72,7 @@ def main() -> None:
     rt.create_process_worker("procs", POOL)
 
     # --- GIL-free offload -------------------------------------------------
-    # Warm every process lane first (spawn + import cost is not the story).
+    # Warm every process lane first (start-up cost is not the story).
     warm = [
         run_on("procs", count_primes, 0, 1000, mode="nowait", runtime=rt)
         for _ in range(POOL)

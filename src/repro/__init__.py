@@ -40,6 +40,36 @@ cli
 
 __version__ = "1.0.0"
 
-from . import core, obs
+
+def _reexport(namespace: dict, exports: dict[str, str]):
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of a package that
+    re-exports *exports* (name -> the submodule that defines it, relative
+    to the package; a submodule exports itself under its own name).
+
+    A name's submodule is imported on first access and the value is kept
+    in the package namespace, so ``pkg.X``, ``from pkg import X`` and
+    ``dir(pkg)`` read as they would after eager imports, while importing
+    the package imports none of its submodules: a worker process that
+    imports :mod:`repro.dist.worker` loads only what that module uses.
+    """
+    import importlib
+
+    package = namespace["__name__"]
+
+    def __getattr__(name: str):
+        source = exports.get(name)
+        if source is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        module = importlib.import_module(source, package)
+        value = module if source == "." + name else getattr(module, name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | exports.keys())
+
+    return __getattr__, __dir__
+
 
 __all__ = ["core", "obs", "__version__"]
+__getattr__, __dir__ = _reexport(globals(), {"core": ".core", "obs": ".obs"})

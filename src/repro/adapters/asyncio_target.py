@@ -160,6 +160,13 @@ class AsyncioEdtTarget(VirtualTarget):
         thread = next(iter(self._members.values()), None)
         if thread is not None:
             self._exit_member(thread)
+            if thread is not threading.current_thread():
+                # current_target() is the loop thread's own binding: only a
+                # callback on that thread can drop it.
+                try:
+                    self.loop.call_soon_threadsafe(self._exit_member)
+                except RuntimeError:  # closed: no callback reaches it now
+                    pass
 
 
 def register_asyncio_edt(

@@ -6,69 +6,34 @@ directive with ``virtual(...)`` targets and the ``nowait`` / ``name_as`` +
 Algorithm 1 and Table II of the paper.
 """
 
-from .api import (
-    on_target,
-    run_on,
-    shutdown_all,
-    start_edt,
-    virtual_target_create_cluster,
-    virtual_target_create_process_worker,
-    virtual_target_create_worker,
-    virtual_target_register_edt,
-    wait_for,
-)
-from .directives import (
-    DataClause,
-    DataSharing,
-    SchedulingMode,
-    TargetDirective,
-    TargetKind,
-    TargetProperty,
-)
-from .errors import (
-    AwaitTimeoutError,
-    DirectiveSyntaxError,
-    PyjamaError,
-    QueueFullError,
-    RegionCancelledError,
-    RegionFailedError,
-    RemoteExecutionError,
-    RuntimeStateError,
-    SerializationError,
-    TargetExistsError,
-    TargetShutdownError,
-    UnknownTargetError,
-    WorkerCrashedError,
-)
-from .region import CancelToken, RegionState, TargetRegion, current_region
-from .runtime import PjRuntime, default_runtime, reset_default_runtime, set_default_runtime
-from .tags import TagRegistry
-from .targets import (
-    REJECTION_POLICIES,
-    EdtTarget,
-    VirtualTarget,
-    WorkerTarget,
-    current_target,
-)
+from .. import _reexport
 
-__all__ = [
-    # api
-    "on_target", "run_on", "shutdown_all", "start_edt",
-    "virtual_target_create_worker", "virtual_target_create_process_worker",
-    "virtual_target_create_cluster", "virtual_target_register_edt", "wait_for",
-    # directives
-    "DataClause", "DataSharing", "SchedulingMode", "TargetDirective",
-    "TargetKind", "TargetProperty",
-    # errors
-    "AwaitTimeoutError", "DirectiveSyntaxError", "PyjamaError",
-    "QueueFullError", "RegionCancelledError", "RegionFailedError",
-    "RemoteExecutionError", "RuntimeStateError", "SerializationError",
-    "TargetExistsError", "TargetShutdownError", "UnknownTargetError",
-    "WorkerCrashedError",
-    # region / runtime / targets
-    "CancelToken", "RegionState", "TargetRegion", "current_region",
-    "PjRuntime", "default_runtime",
-    "reset_default_runtime", "set_default_runtime", "TagRegistry",
-    "EdtTarget", "VirtualTarget", "WorkerTarget", "current_target",
-    "REJECTION_POLICIES",
-]
+_EXPORTS = {
+    **dict.fromkeys((
+        "on_target", "run_on", "shutdown_all", "start_edt",
+        "virtual_target_create_worker", "virtual_target_create_process_worker",
+        "virtual_target_create_cluster", "virtual_target_register_edt", "wait_for",
+    ), ".api"),
+    **dict.fromkeys((
+        "DataClause", "DataSharing", "SchedulingMode", "TargetDirective",
+        "TargetKind", "TargetProperty",
+    ), ".directives"),
+    **dict.fromkeys((
+        "AwaitTimeoutError", "DirectiveSyntaxError", "PyjamaError",
+        "QueueFullError", "RegionCancelledError", "RegionFailedError",
+        "RemoteExecutionError", "RuntimeStateError", "SerializationError",
+        "TargetExistsError", "TargetShutdownError", "UnknownTargetError",
+        "WorkerCrashedError",
+    ), ".errors"),
+    **dict.fromkeys(("CancelToken", "RegionState", "TargetRegion", "current_region"), ".region"),
+    **dict.fromkeys((
+        "PjRuntime", "default_runtime", "reset_default_runtime", "set_default_runtime",
+    ), ".runtime"),
+    "TagRegistry": ".tags",
+    **dict.fromkeys((
+        "EdtTarget", "VirtualTarget", "WorkerTarget", "current_target", "REJECTION_POLICIES",
+    ), ".targets"),
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _reexport(globals(), _EXPORTS)

@@ -36,24 +36,22 @@ a hello handshake and fail with a structured
 See ``docs/DISTRIBUTION.md`` for the architecture discussion.
 """
 
-from ..core.errors import ProtocolVersionError
-from .process_target import DEFAULT_START_METHOD, ProcessTarget
-from .remote_obs import estimate_offset_ns, merge_worker_events, worker_track
-from .remote_target import RemoteLane, RemoteLaneTarget
-from .wire import HAVE_CLOUDPICKLE, PROTOCOL_VERSION
-from .worker import WorkerConfig, worker_main
+from .. import _reexport
 
-__all__ = [
-    "DEFAULT_START_METHOD",
-    "HAVE_CLOUDPICKLE",
-    "PROTOCOL_VERSION",
-    "ProcessTarget",
-    "ProtocolVersionError",
-    "RemoteLane",
-    "RemoteLaneTarget",
-    "WorkerConfig",
-    "estimate_offset_ns",
-    "merge_worker_events",
-    "worker_main",
-    "worker_track",
-]
+_EXPORTS = {
+    "DEFAULT_START_METHOD": ".process_target",
+    "HAVE_CLOUDPICKLE": ".wire",
+    "PROTOCOL_VERSION": ".wire",
+    "ProcessTarget": ".process_target",
+    "ProtocolVersionError": "..core.errors",
+    "RemoteLane": ".remote_target",
+    "RemoteLaneTarget": ".remote_target",
+    "WorkerConfig": ".worker",
+    "estimate_offset_ns": ".remote_obs",
+    "merge_worker_events": ".remote_obs",
+    "worker_main": ".worker",
+    "worker_track": ".remote_obs",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _reexport(globals(), _EXPORTS)

@@ -3,20 +3,30 @@
 The process backend of :class:`~repro.dist.remote_target.RemoteLaneTarget`
 (read that module for the architecture: shipper threads, health checks,
 cancellation, trace merge).  What is particular to it lives here: a lane is
-a spawned child process running :func:`repro.dist.worker.worker_main`
-behind two ``multiprocessing`` pipes, so a dead worker has an *exit code*
+a child process running :func:`repro.dist.worker.worker_main` behind two
+``multiprocessing`` pipes, so a dead worker has an *exit code*
 (surfaced on ``WORKER_CRASH``/``WORKER_EXIT`` instants and
 :class:`~repro.core.errors.WorkerCrashedError`), ``terminate()`` really
 kills the region body, and a graceful stop joins the child.  Both pipes
 are wrapped in an :class:`~repro.dist.arena.ArenaChannel`, so messages
 cross them in the wire codec and payloads too large for the task pipe's
 buffer cross in shared memory the parent end owns.
+
+Start-up: by default a worker is forked from ``multiprocessing``'s fork
+server, which the first process lane of an interpreter starts (one
+interpreter boot) and every later lane, restart and target reuses.  The
+child then imports :mod:`repro.dist.worker` and the few modules it uses,
+not the runtime.  A forked worker runs with ``sys.path`` and the working
+directory the parent has when the lane opens, but with the environment the
+fork server was started with: a variable the parent sets or changes after
+its first process lane opened does not reach later workers.
 """
 
 from __future__ import annotations
 
 import logging
 import multiprocessing
+import select
 
 from .arena import ArenaChannel
 from .remote_target import RemoteLane, RemoteLaneTarget
@@ -26,26 +36,33 @@ __all__ = ["ProcessTarget", "DEFAULT_START_METHOD"]
 
 _logger = logging.getLogger(__name__)
 
-#: ``spawn`` is the only start method that is safe in a multithreaded
-#: parent: this runtime *is* threads (thread targets, EDTs, shippers), and
-#: forking a threaded process can inherit locks mid-acquire.  ``fork`` /
-#: ``forkserver`` remain selectable for single-threaded embedders that want
-#: cheaper startup.
-DEFAULT_START_METHOD = "spawn"
+#: ``forkserver`` where the platform has one, else ``spawn``.  Both start
+#: a worker from a fresh single-threaded interpreter, never by forking this
+#: one: this runtime *is* threads (thread targets, EDTs, shippers), and a
+#: forked copy of a threaded process can inherit a lock held mid-acquire by
+#: a thread that does not exist in the child.  The fork server is such an
+#: interpreter, so forking *it* copies no held lock, and it boots once per
+#: parent instead of once per lane.  ``fork`` stays selectable for
+#: single-threaded embedders.
+DEFAULT_START_METHOD = (
+    "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
+)
 
 
 class _WorkerSlot(RemoteLane):
     """A lane whose worker is a child process behind two pipes."""
 
-    __slots__ = ("process", "_ctx")
+    __slots__ = ("process", "_ctx", "_exit_poll")
 
-    #: Covers interpreter start and imports under ``spawn``.
+    #: Covers the worker's imports, the fork server's boot on an
+    #: interpreter's first lane, and a whole interpreter start under ``spawn``.
     open_timeout = 60.0
 
     def __init__(self, index: int, target_name: str, ctx) -> None:
         super().__init__(index, target_name)
         self.process: multiprocessing.process.BaseProcess | None = None
         self._ctx = ctx
+        self._exit_poll = None
 
     def open(self) -> None:
         label = f"worker {self.index} of {self.target_name!r}"
@@ -66,10 +83,23 @@ class _WorkerSlot(RemoteLane):
             child_task.close()
             child_ctrl.close()
         self.process = proc
+        if hasattr(select, "poll"):  # POSIX: the sentinel is a pipe fd
+            self._exit_poll = select.poll()
+            self._exit_poll.register(proc.sentinel, select.POLLIN)
 
     def is_alive(self) -> bool:
+        """A worker's sentinel stays unreadable until it exits, so one
+        ``poll(2)`` answers for a live one, and ``Process.is_alive()`` runs
+        only once the sentinel is ready: under ``forkserver`` it builds a
+        selector per call to ask the fork server (≈ 10 µs, 5× a
+        ``waitpid``), and every region shipped on its caller's thread
+        checks liveness once."""
         proc = self.process
-        return proc is not None and proc.is_alive()
+        if proc is None:
+            return False
+        if self._exit_poll is not None and not self._exit_poll.poll(0):
+            return True
+        return proc.is_alive()
 
     def exit_label(self) -> str:
         proc = self.process
@@ -120,7 +150,8 @@ class ProcessTarget(RemoteLaneTarget):
     max_workers:
         Pool size — one worker process (and one shipper thread) per lane.
     start_method:
-        ``spawn`` (default, safe under threads) / ``fork`` / ``forkserver``.
+        :data:`DEFAULT_START_METHOD` (``forkserver``, else ``spawn``: both
+        safe under threads) / ``spawn`` / ``fork``.
     """
 
     kind = "process"

@@ -412,7 +412,7 @@ class RemoteLaneTarget(VirtualTarget):
         try:
             slot.open()
             # Two-round clock handshake.  Round 1 absorbs worker start-up
-            # (interpreter + imports under spawn, connection/thread warm-up
+            # (fork and imports of a process worker, connection/thread warm-up
             # over TCP: its round trip is wildly asymmetric, so its midpoint
             # would be tens of ms off); round 2 probes the warm worker,
             # where the trip is pure channel latency, and sets the offset.

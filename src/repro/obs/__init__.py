@@ -30,42 +30,19 @@ thread's ring), or the environment variable ``REPRO_TRACE=1``.
 See ``docs/OBSERVABILITY.md`` for the full taxonomy and Perfetto workflow.
 """
 
-from .events import EventKind, TraceEvent, now_ns
-from .exporters import to_chrome_trace, to_text_timeline, write_chrome_trace
-from .metrics import (
-    LatencyStats,
-    TargetMetrics,
-    TraceMetrics,
-    compute_metrics,
-    format_metrics,
-)
-from .recorder import (
-    DEFAULT_BUFFER_SIZE,
-    TraceSession,
-    disable,
-    emit,
-    enable,
-    is_enabled,
-    session,
-)
+from .. import _reexport
 
-__all__ = [
-    "EventKind",
-    "TraceEvent",
-    "now_ns",
-    "TraceSession",
-    "DEFAULT_BUFFER_SIZE",
-    "session",
-    "enable",
-    "disable",
-    "is_enabled",
-    "emit",
-    "to_chrome_trace",
-    "write_chrome_trace",
-    "to_text_timeline",
-    "LatencyStats",
-    "TargetMetrics",
-    "TraceMetrics",
-    "compute_metrics",
-    "format_metrics",
-]
+_EXPORTS = {
+    **dict.fromkeys(("EventKind", "TraceEvent", "now_ns"), ".events"),
+    **dict.fromkeys((
+        "TraceSession", "DEFAULT_BUFFER_SIZE", "session", "enable", "disable",
+        "is_enabled", "emit",
+    ), ".recorder"),
+    **dict.fromkeys(("to_chrome_trace", "write_chrome_trace", "to_text_timeline"), ".exporters"),
+    **dict.fromkeys((
+        "LatencyStats", "TargetMetrics", "TraceMetrics", "compute_metrics", "format_metrics",
+    ), ".metrics"),
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _reexport(globals(), _EXPORTS)

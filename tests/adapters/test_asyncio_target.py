@@ -15,6 +15,7 @@ from repro.core import (
     RuntimeStateError,
     TargetRegion,
     TargetShutdownError,
+    current_target,
 )
 
 
@@ -100,6 +101,19 @@ class TestRegistration:
                 target.post(lambda: None)
 
         run_async(main())
+
+    def test_shutdown_from_another_thread_unbinds_the_loop_thread(self, rt):
+        # As HttpServer.stop does: the target is shut down from an executor
+        # thread, but current_target() is the loop thread's own binding.
+        async def main():
+            target = register_asyncio_edt(rt, "aio")
+            await asyncio.sleep(0)
+            await asyncio.get_running_loop().run_in_executor(None, target.shutdown)
+            return current_target()
+
+        assert run_async(main()) is None
+        assert current_target() is None
+        assert rt.invoke_target_block("worker", lambda: 7, "await").result() == 7
 
     def test_drain_rejected(self, rt):
         # The backlog is loop-confined work: draining would run it here.

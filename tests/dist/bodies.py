@@ -8,9 +8,16 @@ reference under plain pickle and by value under cloudpickle alike.
 from __future__ import annotations
 
 import os
+import sys
 import time
 
 from repro.core.region import current_region
+
+
+def start_state(variable):
+    """What the worker started with: *variable* from its environment, its
+    working directory and its ``sys.path``."""
+    return os.environ.get(variable), os.getcwd(), list(sys.path)
 
 
 def square(x):

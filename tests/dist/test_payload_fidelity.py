@@ -256,7 +256,8 @@ _ENDINGS = {
 # as the worker exited.
 @pytest.mark.parametrize(
     "ending,method",
-    [(ending, "spawn") for ending in _ENDINGS] + [("shutdown-wait", "fork")],
+    [(ending, method) for method in ("spawn", "forkserver") for ending in _ENDINGS]
+    + [("shutdown-wait", "fork")],
 )
 def test_no_segment_and_no_tracker_warning_survive_the_runtime(ending, method, tmp_path):
     if method not in multiprocessing.get_all_start_methods():

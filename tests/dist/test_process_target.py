@@ -205,3 +205,27 @@ class TestBackpressure:
                     )
         finally:
             rt.shutdown(wait=False)
+
+
+class TestSpawnStartMethod:
+    def test_spawn_round_trip_crash_and_respawn(self):
+        # spawn is the default only where there is no fork server, so this
+        # keeps that path exercised on every platform that has one.
+        rt = PjRuntime()
+        try:
+            target = rt.create_process_worker("spawned", 1, start_method="spawn")
+            assert target._slots[0]._ctx.get_start_method() == "spawn"
+            assert rt.invoke_target_block(
+                "spawned", TargetRegion(bodies.square, 3), timeout=60.0
+            ).result() == 9
+            with pytest.raises(RegionFailedError) as exc_info:
+                rt.invoke_target_block(
+                    "spawned", TargetRegion(bodies.hard_exit, 7), timeout=60.0
+                )
+            assert exc_info.value.__cause__.exitcode == 7
+            assert rt.invoke_target_block(
+                "spawned", TargetRegion(bodies.square, 4), timeout=60.0
+            ).result() == 16
+            assert target.restart_count == 1
+        finally:
+            rt.shutdown(wait=False)
