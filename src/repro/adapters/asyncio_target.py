@@ -204,7 +204,8 @@ def as_future(
         result = await as_future(handle)     # loop keeps dispatching
 
     The future resolves with the region's result, or raises its
-    :class:`~repro.core.errors.RegionFailedError`.
+    :class:`~repro.core.errors.RegionFailedError`.  A region that settles
+    after *loop* closed leaves the abandoned future as it is.
     """
     if loop is None:
         loop = asyncio.get_running_loop()
@@ -219,7 +220,13 @@ def as_future(
             except BaseException as exc:  # noqa: BLE001 - forwarded to awaiter
                 future.set_exception(exc)
 
-        loop.call_soon_threadsafe(apply)
+        try:
+            loop.call_soon_threadsafe(apply)
+        except RuntimeError:
+            if not loop.is_closed():
+                raise
+            # The loop closed first: no one can await the future any more,
+            # and the settling thread (often a pool lane) must not fail.
 
     region.add_done_callback(resolve)
     return future

@@ -12,21 +12,21 @@ are wrapped in an :class:`~repro.dist.arena.ArenaChannel`, so messages
 cross them in the wire codec and payloads too large for the task pipe's
 buffer cross in shared memory the parent end owns.
 
-Start-up: by default a worker is forked from ``multiprocessing``'s fork
-server, which the first process lane of an interpreter starts (one
-interpreter boot) and every later lane, restart and target reuses.  The
-child then imports :mod:`repro.dist.worker` and the few modules it uses,
-not the runtime.  A forked worker runs with ``sys.path`` and the working
-directory the parent has when the lane opens, but with the environment the
-fork server was started with: a variable the parent sets or changes after
-its first process lane opened does not reach later workers.
+Start-up: by default a worker is forked from this interpreter's lane
+server (:mod:`repro.dist.lane_server`), which the first process lane of an
+interpreter starts (one interpreter boot, which also imports
+:mod:`repro.dist.worker` and the few modules it uses, not the runtime) and
+every later lane, restart and target reuses.  A lane's open is then one
+``fork()`` plus the handshake.  A forked worker runs with ``sys.path`` and
+the working directory the parent has when the lane opens, but with the
+environment the lane server was started with: a variable the parent sets or
+changes after its first process lane opened does not reach later workers.
 """
 
 from __future__ import annotations
 
 import logging
 import multiprocessing
-import select
 
 from .arena import ArenaChannel
 from .remote_target import RemoteLane, RemoteLaneTarget
@@ -40,10 +40,12 @@ _logger = logging.getLogger(__name__)
 #: a worker from a fresh single-threaded interpreter, never by forking this
 #: one: this runtime *is* threads (thread targets, EDTs, shippers), and a
 #: forked copy of a threaded process can inherit a lock held mid-acquire by
-#: a thread that does not exist in the child.  The fork server is such an
-#: interpreter, so forking *it* copies no held lock, and it boots once per
-#: parent instead of once per lane.  ``fork`` stays selectable for
-#: single-threaded embedders.
+#: a thread that does not exist in the child.  ``forkserver`` forks from
+#: the lane server, such an interpreter that has already imported the
+#: worker: it copies no held lock, and it boots (and imports) once per
+#: parent instead of once per lane.  ``spawn`` and ``fork`` are
+#: ``multiprocessing``'s own; ``fork`` stays selectable for single-threaded
+#: embedders.
 DEFAULT_START_METHOD = (
     "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
 )
@@ -52,17 +54,17 @@ DEFAULT_START_METHOD = (
 class _WorkerSlot(RemoteLane):
     """A lane whose worker is a child process behind two pipes."""
 
-    __slots__ = ("process", "_ctx", "_exit_poll")
+    __slots__ = ("process", "_ctx")
 
-    #: Covers the worker's imports, the fork server's boot on an
-    #: interpreter's first lane, and a whole interpreter start under ``spawn``.
+    #: Covers the lane server's boot and imports on an interpreter's first
+    #: lane, and a whole interpreter start and the worker's imports under
+    #: ``spawn``.
     open_timeout = 60.0
 
     def __init__(self, index: int, target_name: str, ctx) -> None:
         super().__init__(index, target_name)
         self.process: multiprocessing.process.BaseProcess | None = None
         self._ctx = ctx
-        self._exit_poll = None
 
     def open(self) -> None:
         label = f"worker {self.index} of {self.target_name!r}"
@@ -83,23 +85,10 @@ class _WorkerSlot(RemoteLane):
             child_task.close()
             child_ctrl.close()
         self.process = proc
-        if hasattr(select, "poll"):  # POSIX: the sentinel is a pipe fd
-            self._exit_poll = select.poll()
-            self._exit_poll.register(proc.sentinel, select.POLLIN)
 
     def is_alive(self) -> bool:
-        """A worker's sentinel stays unreadable until it exits, so one
-        ``poll(2)`` answers for a live one, and ``Process.is_alive()`` runs
-        only once the sentinel is ready: under ``forkserver`` it builds a
-        selector per call to ask the fork server (≈ 10 µs, 5× a
-        ``waitpid``), and every region shipped on its caller's thread
-        checks liveness once."""
         proc = self.process
-        if proc is None:
-            return False
-        if self._exit_poll is not None and not self._exit_poll.poll(0):
-            return True
-        return proc.is_alive()
+        return proc is not None and proc.is_alive()
 
     def exit_label(self) -> str:
         proc = self.process
@@ -150,8 +139,9 @@ class ProcessTarget(RemoteLaneTarget):
     max_workers:
         Pool size — one worker process (and one shipper thread) per lane.
     start_method:
-        :data:`DEFAULT_START_METHOD` (``forkserver``, else ``spawn``: both
-        safe under threads) / ``spawn`` / ``fork``.
+        :data:`DEFAULT_START_METHOD` (``forkserver``: fork from the lane
+        server, else ``spawn``: both safe under threads) / ``spawn`` /
+        ``fork``.
     """
 
     kind = "process"
@@ -172,6 +162,10 @@ class ProcessTarget(RemoteLaneTarget):
             )
         self.max_workers = max_workers
         ctx = multiprocessing.get_context(start_method or DEFAULT_START_METHOD)
+        if ctx.get_start_method() == "forkserver":
+            # Imported here: it needs fd passing, which a platform without
+            # a fork server (where the default is ``spawn``) may lack.
+            from .lane_server import CONTEXT as ctx
         super().__init__(
             name,
             [_WorkerSlot(i, name, ctx) for i in range(max_workers)],

@@ -250,6 +250,24 @@ class TestAsFuture:
 
         assert run_async(main())
 
+    def test_a_region_settling_after_its_loop_closed_is_a_no_op(self, rt, monkeypatch):
+        """The lane that settles the region outlives the loop (an HTTP CPU
+        lane after its server stopped): the future is abandoned, and the
+        lane must neither raise nor die."""
+        raised = []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        gate = threading.Event()
+        h = rt.invoke_target_block("worker", lambda: (gate.wait(5), "late")[1], "nowait")
+        loop = asyncio.new_event_loop()
+        fut = as_future(h, loop)
+        loop.close()
+        gate.set()
+        assert h.wait(timeout=5) and h.result() == "late"
+        assert not fut.done()
+        # The lane is still serving.
+        assert rt.invoke_target_block("worker", lambda: 7, timeout=5).result() == 7
+        assert raised == []
+
 
 class TestRunBlockingIo:
     def test_offloads_and_returns(self, rt):
