@@ -30,7 +30,7 @@ from typing import Any, Callable
 from ..core.errors import RuntimeStateError, TargetShutdownError
 from ..core.region import TargetRegion
 from ..core.runtime import PjRuntime
-from ..core.targets import VirtualTarget, _item_label
+from ..core.targets import VirtualTarget
 
 __all__ = ["AsyncioEdtTarget", "register_asyncio_edt", "as_future", "run_blocking_io"]
 
@@ -95,7 +95,7 @@ class AsyncioEdtTarget(VirtualTarget):
             self.loop.call_soon_threadsafe(VirtualTarget.process_one, self, 0)
         return queued
 
-    def _dispatch(self, item: Any, *, dequeued: bool = True) -> None:
+    def _dispatch(self, region: TargetRegion, *, dequeued: bool = True) -> None:
         """Adds the ``caller_runs`` hazard this adapter is uniquely exposed to.
 
         On a thread-backed target, caller_runs is backpressure: the posting
@@ -112,9 +112,9 @@ class AsyncioEdtTarget(VirtualTarget):
                 "the event loop thread; CPU-bound work will stall every other "
                 "callback — prefer rejection_policy='reject' (surface a 503) "
                 "or 'block' with a post timeout",
-                self.name, _item_label(item),
+                self.name, region.label,
             )
-        super()._dispatch(item, dequeued=dequeued)
+        super()._dispatch(region, dequeued=dequeued)
 
     def process_one(self, timeout: float | None = None) -> bool:
         """Refused, and :meth:`drain` with it: the backlog is loop-confined

@@ -35,10 +35,10 @@ Checked invariants (the names appear in ``repro check`` reports):
 ``backlog-leak``
     (:func:`verify_quiescence`) a quiesced target's ``work_count()`` is zero
     — control sentinels may remain, work may not.
-``outcome-lie`` / ``missing-exec-end`` / ``nonterminal-at-quiescence``
+``outcome-lie`` / ``nonterminal-at-quiescence``
     (:func:`crosscheck_outcomes`) the ``EXEC_END`` outcome in the trace must
     agree with the ground truth the harness holds in-process: the region's
-    terminal state, or what an instrumented callable actually did.
+    terminal state.
 ``trace-overflow``
     (:func:`verify_session`) the ring buffers dropped events, so the window
     cannot be verified at all.
@@ -50,7 +50,7 @@ region sequence numbers wherever a stable label exists: ``repro check
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from ..core.region import RegionState, TargetRegion
 from ..obs.events import EventKind, TraceEvent
@@ -308,16 +308,13 @@ def verify_quiescence(targets: Iterable[Any]) -> list[Violation]:
 def crosscheck_outcomes(
     events: Sequence[TraceEvent],
     regions: Iterable[tuple[str, TargetRegion]] = (),
-    callables: Mapping[int, tuple[str, str]] | None = None,
 ) -> list[Violation]:
     """Compare trace-recorded ``EXEC_END`` outcomes against ground truth.
 
     *regions* are ``(label, region)`` pairs the harness still holds; each
-    region's terminal state is authoritative.  *callables* maps the
-    ``_trace_id`` of an instrumented plain callable to ``(label, outcome)``
-    recorded by the callable body itself.  An execution the trace never saw
-    finish (no ``EXEC_END``) is only an error for callables that provably ran
-    — regions may legitimately have been cancelled before executing.
+    region's terminal state is authoritative.  A region the trace never saw
+    finish (no ``EXEC_END``) is not an error: it may legitimately have been
+    cancelled before executing, or died with a remote worker.
     """
     ends: dict[int, TraceEvent] = {}
     for e in events:
@@ -345,21 +342,6 @@ def crosscheck_outcomes(
                 f"its terminal state is {state.value!r}",
                 target=end.target, name=label,
             ))
-    for tid, (label, outcome) in (callables or {}).items():
-        end = ends.get(tid)
-        if end is None:
-            out.append(Violation(
-                "missing-exec-end",
-                f"callable {label!r} ran but the trace has no EXEC_END for it",
-                name=label,
-            ))
-        elif end.arg != outcome:
-            out.append(Violation(
-                "outcome-lie",
-                f"trace records outcome {end.arg!r} for callable {label!r} "
-                f"but it actually {outcome}",
-                target=end.target, name=label,
-            ))
     return _finalize(out)
 
 
@@ -368,7 +350,6 @@ def verify_session(
     *,
     found: Iterable[Violation] = (),
     regions: Iterable[tuple[str, TargetRegion]] = (),
-    callables: Mapping[int, tuple[str, str]] | None = None,
     targets: Iterable[Any] = (),
     tamper: Callable[[list[TraceEvent]], list[TraceEvent]] | None = None,
     expect: Callable[[list[TraceEvent]], Iterable[Violation]] | None = None,
@@ -380,8 +361,8 @@ def verify_session(
     unmatched spans would be ring overflow, not runtime bugs — so any
     dropped event adds one ``trace-overflow`` and nothing else.  Otherwise
     the events, after the optional *tamper*, go through
-    :func:`verify_events`, :func:`crosscheck_outcomes` against *regions* and
-    *callables*, :func:`verify_quiescence` of *targets*, and the phase's own
+    :func:`verify_events`, :func:`crosscheck_outcomes` against *regions*,
+    :func:`verify_quiescence` of *targets*, and the phase's own
     *expect*.  Returns everything sorted and deduplicated.
     """
     session.stop()
@@ -397,7 +378,7 @@ def verify_session(
     if tamper is not None:
         events = tamper(events)
     out += verify_events(events)
-    out += crosscheck_outcomes(events, regions, callables)
+    out += crosscheck_outcomes(events, regions)
     out += verify_quiescence(targets)
     if expect is not None:
         out += expect(events)

@@ -8,7 +8,8 @@ seeded stream of mixed operations through it:
 * ``nowait`` / ``default`` / ``name_as`` / ``await`` dispatches,
 * nested ``await`` logical barriers and nested ``wait(tag)`` joins issued
   *from inside* target members,
-* cross-target posts of instrumented plain callables,
+* direct posts (``E.post``, no dispatch), from the issuing thread and,
+  across targets, from inside target members,
 * randomly failing bodies,
 * a forced queue-full window (all three rejection policies get exercised),
 * an optional mid-flight ``shutdown(wait=True/False)`` of one target.
@@ -31,7 +32,6 @@ when the trace lies (see :data:`~repro.check.faults.TAMPERS`).
 
 from __future__ import annotations
 
-import logging
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -61,7 +61,7 @@ __all__ = [
     "run_policy_phase",
 ]
 
-#: Label of the guaranteed raising callable posted as op 0 of every
+#: Label of the guaranteed raising region posted as op 0 of every
 #: iteration.  The tampers key on it: it always enqueues (the queue is empty,
 #: the fault window has not opened) and always executes with outcome
 #: "failed", so a deterministic victim exists for every ``--inject`` mode.
@@ -133,25 +133,6 @@ def region_body(duration: float, fail: bool, label: str) -> Callable[[], str]:
     return body
 
 
-def _make_callable(
-    tid: int, label: str, duration: float, fail: bool, ran: dict
-) -> Callable[[], None]:
-    """An instrumented plain callable: stamps its trace identity and records
-    its true outcome in *ran* for the post-hoc crosscheck."""
-
-    def cb() -> None:
-        if duration:
-            time.sleep(duration)
-        if fail:
-            ran[tid] = (label, "failed")
-            raise StressBodyError(label)
-        ran[tid] = (label, "completed")
-
-    cb._trace_id = tid  # type: ignore[attr-defined]
-    cb._trace_name = label  # type: ignore[attr-defined]
-    return cb
-
-
 def _stuck_handles(
     handles: list[tuple[str, TargetRegion]], timeout: float
 ) -> list[Violation]:
@@ -207,13 +188,6 @@ def run_iteration(
     policies = {"steal": profile.steal, "batch_max": profile.batch_max}
     handles: list[tuple[str, TargetRegion]] = []  # driver-issued regions
     inner: list[tuple[str, TargetRegion]] = []  # regions created inside bodies
-    ran: dict[int, tuple[str, str]] = {}  # callable _trace_id -> (label, outcome)
-    # The workload raises on purpose (failing callables, dropped backlog);
-    # the runtime dutifully logs each one.  Silence that during the run —
-    # the verifier, not the log, is the oracle here.
-    target_logger = logging.getLogger("repro.core.targets")
-    old_level = target_logger.level
-    target_logger.setLevel(logging.CRITICAL)
     try:
         # Topology.  w0 is the stress focus: maybe bounded, random policy,
         # and the only target the forced-full hook targets.  w1 stays
@@ -239,7 +213,6 @@ def run_iteration(
         shutdown_target = r.choice(all_names)
         shutdown_wait = r.random() < 0.5
         window = (max(1, int(n_ops * 0.3)), max(2, int(n_ops * 0.45)))
-        next_tid = -1
 
         def dispatch(tname: str, label: str, body: Callable, mode: str = "nowait",
                      *, book: list = handles, timeout: float = 5.0,
@@ -253,6 +226,17 @@ def run_iteration(
             try:
                 rt.invoke_target_block(tname, reg, mode, tag=tag, timeout=timeout)
             except (PyjamaError, TimeoutError) as exc:
+                reg.request_cancel(exc)
+
+        def post(tname: str, label: str, body: Callable, *,
+                 book: list = handles) -> None:
+            """Post one region straight onto *tname*'s queue and *book* it;
+            a refused post resolves the handle, as in ``dispatch``."""
+            reg = TargetRegion(body, name=label)
+            book.append((label, reg))
+            try:
+                rt.get_target(tname).post(reg, timeout=0.5)
+            except PyjamaError as exc:
                 reg.request_cancel(exc)
 
         for k in range(n_ops):
@@ -272,9 +256,7 @@ def run_iteration(
             if k == 0:
                 # The designated raiser: guaranteed ENQUEUE -> DEQUEUE ->
                 # EXEC "failed" chain the tampers key on.
-                cb = _make_callable(next_tid, RAISER_LABEL, 0.0, True, ran)
-                next_tid -= 1
-                rt.get_target("w0").post(cb)
+                post("w0", RAISER_LABEL, region_body(0.0, True, RAISER_LABEL))
             elif x < 0.20:
                 dispatch(tname, label, region_body(duration, fail, label))
             elif x < 0.35:
@@ -336,23 +318,10 @@ def run_iteration(
                 # Cross-target post issued from inside a body: a member of
                 # one target feeds another target's queue directly.
                 dest = r.choice(all_names)
-                cb = _make_callable(next_tid, f"{label}-cb", duration, fail, ran)
-                next_tid -= 1
-
-                def poster(dest=dest, cb=cb) -> None:
-                    try:
-                        rt.get_target(dest).post(cb, timeout=0.5)
-                    except PyjamaError:
-                        pass  # full or shut down: the callable never enqueued
-
-                dispatch(tname, label, poster)
+                body = region_body(duration, fail, f"{label}-cb")
+                dispatch(tname, label, partial(post, dest, f"{label}-cb", body, book=inner))
             elif x < 0.92:
-                cb = _make_callable(next_tid, f"{label}-cb", duration, fail, ran)
-                next_tid -= 1
-                try:
-                    rt.get_target(tname).post(cb, timeout=0.5)
-                except PyjamaError:
-                    pass
+                post(tname, f"{label}-cb", region_body(duration, fail, f"{label}-cb"))
             else:
                 try:
                     rt.wait_tag(r.choice(tags), timeout=5.0)
@@ -387,11 +356,10 @@ def run_iteration(
     finally:
         _inj.uninstall()
         rt.shutdown(wait=False)
-        target_logger.setLevel(old_level)
 
     tamper = None if inject is None else partial(TAMPERS[inject], victim=RAISER_LABEL)
     return PhaseOutcome(str(index), verify_session(
-        session, found=violations, regions=handles + inner, callables=ran,
+        session, found=violations, regions=handles + inner,
         targets=targets, tamper=tamper,
     ))
 

@@ -366,7 +366,7 @@ class PjRuntime:
             # Line 6-7: already in the target's context -> run synchronously.
             if session.enabled:
                 session.emit(_INLINE_ELIDE, target=name, region=region.seq)
-                executor._run_traced(session, region, region.seq, None)
+                executor._run_traced(session, region, None)
             else:
                 region.run()
             if mode is _DEFAULT or mode is _AWAIT:

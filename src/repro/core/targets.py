@@ -25,6 +25,7 @@ import queue
 import threading
 import time
 from collections import deque
+from functools import partial
 from typing import Any, Callable
 
 from ..obs import EventKind
@@ -37,7 +38,7 @@ from .errors import (
     RuntimeStateError,
     TargetShutdownError,
 )
-from .region import _CANCELLED, TargetRegion
+from .region import _CANCELLED, _FAILED, TargetRegion
 
 __all__ = [
     "VirtualTarget",
@@ -91,36 +92,15 @@ def current_target() -> "VirtualTarget | None":
 _SHUTDOWN: Any = object()
 
 
-def _item_label(item: Any) -> str:
-    """Trace label of a queued item: a region's :attr:`~TargetRegion.label`;
-    for a plain callable the stamp a higher layer gave it (the event loop
-    names its dispatch closures ``_trace_name``), else its qualified name."""
-    if isinstance(item, TargetRegion):
-        return item.label
-    return (
-        getattr(item, "_trace_name", None)
-        or getattr(item, "__qualname__", None)
-        or type(item).__name__
-    )
-
-
-def _item_identity(item: Any, window: int) -> tuple[int | None, str | None]:
-    """(region id, trace name) of a queued item for an event of recording
-    *window*.
-
-    Regions carry their own ``seq`` and are named on their first event of
-    the window only (:meth:`TargetRegion._trace_name`).  Plain callables
-    may be stamped by higher layers: the event loop tags dispatch closures
-    with ``_trace_id`` so GUI events correlate too, and with
-    ``_trace_window`` when their SUBMIT carried the name.  Any other
-    callable is named on every event, as nothing else names it.
-    """
-    if isinstance(item, TargetRegion):
-        return item.seq, item._trace_name(window)
-    rid = getattr(item, "_trace_id", None)
-    if rid is not None and getattr(item, "_trace_window", None) == window:
-        return rid, None
-    return rid, _item_label(item)
+def _log_unhandled(target: str, region: TargetRegion) -> None:
+    """Done-callback of a callable :meth:`VirtualTarget.post` wrapped: it has
+    no waiter, so a failure is logged here (regions report via their handle;
+    a failing callable must not kill the dispatch loop, as on AWT's EDT)."""
+    if region._state is _FAILED:
+        _logger.error(
+            "unhandled exception in %r posted to %s", region.body, target,
+            exc_info=region._exception,
+        )
 
 
 class _TargetQueue:
@@ -131,8 +111,9 @@ class _TargetQueue:
     and a teardown must be able to atomically rip out every queued item to
     cancel it.  So this is a small purpose-built deque + condvars.
 
-    The queue holds work and, via :meth:`put_shutdown`, ``_SHUTDOWN``
-    markers — nothing else.  Capacity counts work only.
+    The queue holds work — :class:`TargetRegion` instances — and, via
+    :meth:`put_shutdown`, ``_SHUTDOWN`` markers: nothing else.  Capacity
+    counts work only.
 
     Which consumer may take which item is decided here and nowhere else:
     a loop owner (:meth:`get_batch`) takes the head whatever it is, a guest
@@ -369,8 +350,8 @@ class VirtualTarget(abc.ABC):
     """Common behaviour of all virtual targets.
 
     Subclasses provide the thread(s) that drain :attr:`_queue`.  The queue
-    holds :class:`TargetRegion` instances and plain callables (events posted
-    by higher layers).
+    holds :class:`TargetRegion` instances only: :meth:`post` wraps a plain
+    callable (an event posted by a higher layer) into one on admission.
     """
 
     def __init__(
@@ -473,41 +454,22 @@ class VirtualTarget(abc.ABC):
         return True
 
     def _cancel_pending(self, reason: BaseException | None = None) -> int:
-        """Atomically pull every queued work item and cancel it.
+        """Atomically pull every queued region and cancel it.
 
-        Queued :class:`TargetRegion` instances transition to ``CANCELLED``
-        with *reason* (default: a :class:`TargetShutdownError`), so every
-        waiter — ``region.wait()/result()``, ``wait_tag``, ``await`` logical
+        Each transitions to ``CANCELLED`` with *reason* (default: a
+        :class:`TargetShutdownError`), so every waiter —
+        ``region.wait()/result()``, ``wait_tag``, ``await`` logical
         barriers — unblocks promptly with a diagnosable error instead of
-        deadlocking on work that will never run.  Plain callables are
-        dropped and logged.  Shutdown markers keep their place.  Returns
-        the number of regions cancelled.
+        deadlocking on work that will never run.  Shutdown markers keep
+        their place.  Returns the number of regions cancelled.
         """
         cancelled = 0
-        dropped = 0
         if reason is None:
             reason = TargetShutdownError(self.name)
-        session = _SESSION
-        for item in self._queue.drain_work():
-            if isinstance(item, TargetRegion):
-                if item.cancel(reason):
-                    cancelled += 1
-                    self._bump("cancelled_on_shutdown")
-            else:
-                dropped += 1
-                if session.enabled:
-                    # Dropped callables have no handle to carry the news, so
-                    # the trace must: their ENQUEUE would otherwise dangle
-                    # forever (every enqueue resolves as dequeue or cancel).
-                    region, label = _item_identity(item, session.generation)
-                    session.emit(
-                        EventKind.CANCEL, target=self.name, region=region,
-                        name=label, arg=type(reason).__name__,
-                    )
-        if dropped:
-            _logger.warning(
-                "shutdown of target %r dropped %d queued callable(s)", self.name, dropped
-            )
+        for region in self._queue.drain_work():
+            if region.cancel(reason):
+                cancelled += 1
+                self._bump("cancelled_on_shutdown")
         return cancelled
 
     # --------------------------------------------------------------- posting
@@ -518,57 +480,64 @@ class VirtualTarget(abc.ABC):
         *,
         timeout: float | None = None,
     ) -> bool:
-        """Enqueue a region or a plain callable for asynchronous execution
-        (Algorithm 1 line 8: ``E.post(B)``).
+        """Enqueue a region for asynchronous execution (Algorithm 1 line 8:
+        ``E.post(B)``).
 
-        When the target has a bounded queue and it is full, the configured
+        A plain callable is wrapped here, once, into a :class:`TargetRegion`
+        named by its qualified name, whose failure is logged (it has no
+        waiter); past this point every layer sees regions only.  When the
+        target has a bounded queue and it is full, the configured
         :attr:`rejection_policy` decides: ``block`` parks the caller (up to
         *timeout* seconds, then :class:`QueueFullError`), ``reject`` raises
-        :class:`QueueFullError` immediately, ``caller_runs`` executes *item*
-        synchronously in the posting thread.  Returns True if *item* was
+        :class:`QueueFullError` immediately, ``caller_runs`` executes the
+        region synchronously in the posting thread.  Returns True if it was
         queued, False if ``caller_runs`` already disposed of it here.
         """
         q = self._queue
         if q._closed:
             raise TargetShutdownError(self.name)
+        region = item
+        if not isinstance(item, TargetRegion):  # the one admission check
+            region = TargetRegion(
+                item, name=getattr(item, "__qualname__", None) or type(item).__name__
+            )
+            region.add_done_callback(partial(_log_unhandled, self.name))
         hooks = _inj.hooks
         if hooks is not None:
             hooks.fire("post", self.name)
         # Timestamp *before* the (possibly blocking) put: the consumer may
-        # dequeue the instant the item lands, and its DEQUEUE stamp must sort
-        # after this ENQUEUE stamp on the shared perf_counter_ns clock.
+        # dequeue the instant the region lands, and its DEQUEUE stamp must
+        # sort after this ENQUEUE stamp on the shared perf_counter_ns clock.
         session = _SESSION
         enq_ts = now_ns() if session.enabled else 0
         policy = self.rejection_policy
-        if not q.put(item, policy == "block", timeout, True):
+        if not q.put(region, policy == "block", timeout, True):
             runs_here = policy == "caller_runs"
-            if runs_here and isinstance(item, TargetRegion) and item.done:
+            if runs_here and region._finished:
                 # A cancel (or shutdown) won the race while this poster
                 # was between the seam point and the full-queue verdict:
                 # the region is already terminal.  Emitting REJECT and
                 # bumping caller_runs here would claim a queue bypass
                 # for work that never ran — drop the corpse silently,
-                # exactly as a dequeue of a withdrawn item does.
+                # exactly as a dequeue of a withdrawn region does.
                 return False
             self._bump("caller_runs" if runs_here else "rejected")
             if session.enabled:
                 # The REJECT marker (arg: policy) is what lets a trace
                 # verifier tell a legitimate queue-less caller_runs
                 # execution apart from a lost dequeue.
-                region, label = _item_identity(item, session.generation)
                 session.emit(
-                    EventKind.REJECT, target=self.name, region=region,
-                    name=label, arg=policy,
+                    EventKind.REJECT, target=self.name, region=region.seq,
+                    name=region._trace_name(session.generation), arg=policy,
                 )
             if not runs_here:
                 raise QueueFullError(self.name, q.capacity, policy)
-            self._dispatch(item, dequeued=False)
+            self._dispatch(region, dequeued=False)
             return False
         if session.enabled:
-            region, label = _item_identity(item, session.generation)
             session.emit(
-                _ENQUEUE, target=self.name, region=region, name=label,
-                ts=enq_ts,
+                _ENQUEUE, target=self.name, region=region.seq,
+                name=region._trace_name(session.generation), ts=enq_ts,
             )
             self._trace_depth(session)
         return True
@@ -675,15 +644,15 @@ class VirtualTarget(abc.ABC):
         the wakeup count it read before checking its predicate.
         """
         try:
-            item = self._queue.get(timeout, _seen)
+            region = self._queue.get(timeout, _seen)
         except queue.Empty:
             return False
-        self._dispatch(item)
+        self._dispatch(region)
         return True
 
     def _serve_queue(
         self,
-        run: Callable[[Any], None],
+        run: Callable[[TargetRegion], None],
         *,
         batch_max: int = 1,
         poll: float | None = None,
@@ -742,84 +711,54 @@ class VirtualTarget(abc.ABC):
         if next(counter) % QUEUE_DEPTH_SAMPLE_STRIDE == 0:
             session.emit(_QUEUE_DEPTH, target=self.name, arg=self._queue._work)
 
-    def _dispatch(self, item: Any, *, dequeued: bool = True) -> None:
+    def _dispatch(self, region: TargetRegion, *, dequeued: bool = True) -> None:
         hooks = _inj.hooks
         if hooks is not None:
             hooks.fire("dispatch", self.name)
         session = _SESSION
         if not session.enabled:
-            if not isinstance(item, TargetRegion):
-                self._run_item(item)
-            elif not item._finished:  # the corpse check, as below
-                item.run()  # a region captures its own exceptions
+            if not region._finished:  # the corpse check, as below
+                region.run()  # a region captures its own exceptions
             return
-        region, label = _item_identity(item, session.generation)
+        label = region._trace_name(session.generation)
         if dequeued:
-            session.emit(_DEQUEUE, target=self.name, region=region, name=label)
+            session.emit(_DEQUEUE, target=self.name, region=region.seq, name=label)
             self._trace_depth(session)
-        if isinstance(item, TargetRegion) and item._finished:
+        if region._finished:
             # Withdrawn (cancelled) while queued, or cancelled mid
             # caller_runs handoff: discard the corpse without touching it.
             # An EXEC span here would lie, so none is emitted — and the
             # untraced path makes the same check, rather than leave corpse
             # safety resting on ``run()``'s internal state guard alone.
             return
-        self._run_traced(session, item, region, label)
+        self._run_traced(session, region, label)
 
     def _run_traced(
-        self, session: "_obs.TraceSession", item: Any, region: int | None,
-        label: str | None,
+        self, session: "_obs.TraceSession", region: TargetRegion, label: str | None,
     ) -> None:
-        """The execution span: ``EXEC_BEGIN``, run *item* here, ``EXEC_END``
-        with the truthful outcome.  Dequeued and caller-runs items
-        (:meth:`_dispatch`) and Algorithm 1's inline elision
+        """The execution span: ``EXEC_BEGIN``, run *region* here,
+        ``EXEC_END`` with the truthful outcome.  Dequeued and caller-runs
+        regions (:meth:`_dispatch`) and Algorithm 1's inline elision
         (``PjRuntime.invoke_target_block``) both execute through it; *label*
         is None when an earlier event of *region* carried its name."""
-        session.emit(
-            _EXEC_BEGIN, target=self.name, region=region, name=label
-        )
-        outcome = "completed"
+        seq = region.seq
+        session.emit(_EXEC_BEGIN, target=self.name, region=seq, name=label)
         try:
-            if not self._run_item(item):
-                outcome = "failed"  # plain callable raised
-            elif isinstance(item, TargetRegion):
-                # The region's terminal state is the ground truth: a body
-                # that raised is "failed", and a cancel that won the race
-                # against the caller's corpse check (run() then no-opped) is
-                # "cancelled" — never a fabricated "completed".
-                if item._state is _CANCELLED:
-                    outcome = "cancelled"
-                elif item._exception is not None:
-                    outcome = "failed"
-        except Exception:  # pragma: no cover - _run_item never raises
-            outcome = "failed"
-            raise
+            region.run()  # a region captures its own exceptions
         finally:
+            # The region's terminal state is the ground truth: a body that
+            # raised is "failed", and a cancel that won the race against the
+            # caller's corpse check (run() then no-opped) is "cancelled" —
+            # never a fabricated "completed".
+            if region._state is _CANCELLED:
+                outcome = "cancelled"
+            elif region._exception is not None:
+                outcome = "failed"
+            else:
+                outcome = "completed"
             session.emit(
-                _EXEC_END, target=self.name, region=region, name=label,
-                arg=outcome,
+                _EXEC_END, target=self.name, region=seq, name=label, arg=outcome,
             )
-
-    def _run_item(self, item: Any) -> bool:
-        """Run one dequeued item; True unless a plain callable raised.
-
-        Regions always return True here — they capture their own exceptions,
-        and ``_dispatch`` reads the truthful outcome off the region state.
-        The bool exists for plain callables, whose exception is swallowed by
-        design (a failing callable must not kill the dispatch loop — same
-        policy as AWT's EDT) and would otherwise leave the trace claiming
-        the execution completed.
-        """
-        if isinstance(item, TargetRegion):
-            item.run()  # regions capture their own exceptions
-            return True
-        try:
-            item()
-            return True
-        except Exception:  # noqa: BLE001
-            # Regions report via their handle; plain callables get logged.
-            _logger.exception("unhandled exception in %r posted to %s", item, self.name)
-            return False
 
     def pump_until(
         self,
@@ -1052,12 +991,12 @@ class WorkerTarget(VirtualTarget):
         stolen = ring.steal(self)
         if stolen is None:
             return False
-        victim, item = stolen
+        victim, region = stolen
         session = _SESSION
         if session.enabled:
-            region, label = _item_identity(item, session.generation)
-            victim._trace_steal(session, self, "steal", region=region, name=label)
-        victim._dispatch(item)
+            victim._trace_steal(session, self, "steal", region=region.seq,
+                                name=region._trace_name(session.generation))
+        victim._dispatch(region)
         return True
 
     # ------------------------------------------------------------- dispatch

@@ -81,7 +81,7 @@ from ..core.errors import (
     WorkerCrashedError,
 )
 from ..core.region import TargetRegion
-from ..core.targets import VirtualTarget, _item_label
+from ..core.targets import VirtualTarget
 from ..obs import EventKind
 from ..obs import recorder as _obs
 from ..obs.events import now_ns
@@ -574,24 +574,27 @@ class RemoteLaneTarget(VirtualTarget):
 
     @staticmethod
     def _claim(slot: RemoteLane) -> bool:
-        """Take a free lease of an up lane with nothing handed back."""
+        """Take a free lease of a lane with nothing handed back whose worker
+        is alive (checked with the lease held: a cluster lane's check reads
+        its control channel).  A lane whose worker died idle is refused, so
+        ``_ensure_worker`` reopens it before it is shipped anything."""
         if slot.lease.acquire(blocking=False):
-            if slot.connected and slot.handback is None:
+            if slot.connected and slot.handback is None and slot.is_alive():
                 return True
             slot.lease.release()
         return False
 
-    def _ship_claimed(self, slot: RemoteLane, item: Any) -> None:
+    def _ship_claimed(self, slot: RemoteLane, region: TargetRegion) -> None:
         try:
-            self._execute_remote(slot, item)
+            self._execute_remote(slot, region)
         finally:
             slot.lease.release()
 
     def _ship_on_caller(self, region: TargetRegion, timeout: float | None) -> bool:
-        """Ship and await *region* on this thread, on a lane whose lease is
-        free and worker alive (its one liveness check), while nothing is
-        queued; False, with nothing done, if no lane qualifies.  Past the
-        *timeout* deadline the region is handed back to the lane, running."""
+        """Ship and await *region* on this thread, on a lane ``_claim``
+        qualifies, while nothing is queued; False, with nothing done, if no
+        lane does.  Past the *timeout* deadline the region is handed back
+        to the lane, running."""
         if self._shutdown.is_set() or self._queue._work:
             return False
         hooks = _inj.hooks
@@ -602,7 +605,7 @@ class RemoteLaneTarget(VirtualTarget):
             if not self._claim(slot):
                 continue
             try:
-                shipped = not self._shutdown.is_set() and slot.is_alive()
+                shipped = not self._shutdown.is_set()
                 if shipped:
                     self._bump("posted")  # and its ENQUEUE, as post() books it
                     session = _obs.session()
@@ -629,20 +632,11 @@ class RemoteLaneTarget(VirtualTarget):
             slot.stop()
         self._lane_down(slot, self._EV_DOWN, "stop")
 
-    def _wrap_item(self, item: TargetRegion | Callable[[], Any]) -> TargetRegion:
-        if isinstance(item, TargetRegion):
-            return item
-        # Plain callables (events posted by higher layers) ride as anonymous
-        # regions; failures are logged parent-side, same policy as the
-        # thread-backed dispatch loop.
-        return TargetRegion(item, name=_item_label(item))
-
-    def _execute_remote(self, slot: RemoteLane, item: Any,
+    def _execute_remote(self, slot: RemoteLane, region: TargetRegion,
                         deadline: float | None = None) -> None:
-        """Ship *item* and await its verdict, lease held (and liveness
+        """Ship *region* and await its verdict, lease held (and liveness
         checked when it was taken: a lane torn since fails the send)."""
         session = _obs.session()
-        region = self._wrap_item(item)
         if session.enabled:
             session.emit(
                 EventKind.DEQUEUE, target=self.name, region=region.seq,
@@ -658,31 +652,27 @@ class RemoteLaneTarget(VirtualTarget):
             )
         except SerializationError as exc:
             region.fulfill(exception=exc)
-            self._log_plain_failure(item, region)
             return
         if not region.mark_running():
             return  # cancelled between dequeue and ship
         try:
-            try:
-                slot.task.send(
-                    wire.TaskMsg(
-                        region.seq, region.name, region.source, blob,
-                        session.enabled,
-                    )
+            slot.task.send(
+                wire.TaskMsg(
+                    region.seq, region.name, region.source, blob,
+                    session.enabled,
                 )
-            except SerializationError as exc:
-                # The channel refused the payload (too large for a frame)
-                # before writing any of it: the region fails, the lane lives.
-                region.fulfill(exception=exc)
-                return
-            except (OSError, ValueError) as exc:
-                self._handle_worker_failure(
-                    slot, region, f"task send failed: {exc!r}"
-                )
-                return
-            self._await_result(slot, region, deadline=deadline)
-        finally:
-            self._log_plain_failure(item, region)
+            )
+        except SerializationError as exc:
+            # The channel refused the payload (too large for a frame)
+            # before writing any of it: the region fails, the lane lives.
+            region.fulfill(exception=exc)
+            return
+        except (OSError, ValueError) as exc:
+            self._handle_worker_failure(
+                slot, region, f"task send failed: {exc!r}"
+            )
+            return
+        self._await_result(slot, region, deadline=deadline)
 
     def _await_result(self, slot: RemoteLane, region: TargetRegion, *,
                       deadline: float | None = None,
@@ -779,13 +769,4 @@ class RemoteLaneTarget(VirtualTarget):
         _logger.error(
             "%s (pid %s) crashed [%s] running region %r (exitcode %s)",
             self._lane_label(slot), slot.pid, detail, region.name, exitcode,
-        )
-
-    def _log_plain_failure(self, item: Any, region: TargetRegion) -> None:
-        """Plain callables have no waiter; surface their failures in the log."""
-        if isinstance(item, TargetRegion) or region.exception is None:
-            return
-        _logger.error(
-            "unhandled exception in %r posted to %s: %r",
-            item, self.name, region.exception,
         )

@@ -11,10 +11,12 @@ processed during the logical barrier.
 from __future__ import annotations
 
 import threading
+from functools import partial
 from typing import Any, Callable
 
+from ..core.region import TargetRegion
 from ..core.runtime import PjRuntime
-from ..core.targets import EdtTarget
+from ..core.targets import EdtTarget, _log_unhandled
 from ..obs import EventKind
 from ..obs import recorder as _obs
 from .events import Event, EventRecord
@@ -90,24 +92,18 @@ class EventLoop:
             if not deferred:
                 record.mark_finished()
 
-        # Trace identity: GUI events ride the same queue as target regions;
-        # stamping the closure makes them named, correlated spans in the
-        # trace (ENQUEUE -> DEQUEUE -> EXEC on the EDT track) rather than
-        # anonymous callables.  The negative id space keeps synthetic GUI
-        # event ids disjoint from TargetRegion.seq.  The SUBMIT carries the
-        # name; ``_trace_window`` tells the target's events they need not.
-        dispatch._trace_name = f"event:{event.name}"  # type: ignore[attr-defined]
-        dispatch._trace_id = -(event.event_id + 1)  # type: ignore[attr-defined]
+        # GUI events ride the same queue as target regions, as regions: a
+        # named, correlated span on the EDT track (SUBMIT -> ENQUEUE ->
+        # DEQUEUE -> EXEC), its failure logged as a posted callable's is.
+        region = TargetRegion(dispatch, name=f"event:{event.name}")
+        region.add_done_callback(partial(_log_unhandled, self.name))
         session = _obs.session()
         if session.enabled:
-            dispatch._trace_window = session.generation  # type: ignore[attr-defined]
             session.emit(
-                EventKind.REGION_SUBMIT, target=self.name,
-                region=dispatch._trace_id,  # type: ignore[attr-defined]
-                name=dispatch._trace_name,  # type: ignore[attr-defined]
-                arg="event",
+                EventKind.REGION_SUBMIT, target=self.name, region=region.seq,
+                name=region._trace_name(session.generation), arg="event",
             )
-        self.target.post(dispatch)
+        self.target.post(region)
         return record
 
     @staticmethod

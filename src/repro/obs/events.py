@@ -54,7 +54,8 @@ class EventKind(enum.IntEnum):
     """One observable step in a region's (or barrier's) lifecycle."""
 
     REGION_SUBMIT = 1   # invoke_target_block entered for this region
-    ENQUEUE = 2         # E.post(B): region/callable appended to a target queue
+    ENQUEUE = 2         # E.post(B): region appended to a target queue (a posted
+                        # callable is wrapped into one first)
     DEQUEUE = 3         # an executor thread pulled the item off the queue
     EXEC_BEGIN = 4      # body started executing
     EXEC_END = 5        # body finished (arg: "completed" | "failed" | "cancelled")

@@ -233,11 +233,3 @@ def test_crosscheck_flags_nonterminal_region():
     pending = TargetRegion(lambda: None, name="stuck")
     out = crosscheck_outcomes([], regions=[("stuck", pending)])
     assert invariants(out) == ["nonterminal-at-quiescence"]
-
-
-def test_crosscheck_audits_instrumented_callables():
-    events = [ev(K.EXEC_END, 0, region=-5, name="cb", arg="completed")]
-    lied = crosscheck_outcomes(events, callables={-5: ("cb", "failed")})
-    assert invariants(lied) == ["outcome-lie"]
-    missing = crosscheck_outcomes([], callables={-5: ("cb", "completed")})
-    assert invariants(missing) == ["missing-exec-end"]

@@ -17,6 +17,7 @@ import pytest
 
 from repro.adapters import AsyncioEdtTarget
 from repro.core import injection
+from repro.core.region import TargetRegion
 from repro.core.targets import EdtTarget, WorkerTarget
 
 
@@ -49,7 +50,7 @@ def _make(kind: str, name: str, **queue_options):
         # counters or the hook-call record under test.
         armed, injection.hooks = injection.hooks, None
         try:
-            target._queue.put(lambda: (parked.set(), release.wait()))
+            target._queue.put(TargetRegion(lambda: (parked.set(), release.wait())))
         finally:
             injection.hooks = armed
         assert parked.wait(2.0)

@@ -143,3 +143,50 @@ def test_one_dequeue_and_one_backlog_cancel():
     # ...and _cancel_pending is the only loop over a drained backlog.
     assert _hits(r"\.drain_work\(") == {TARGETS: 1}
     assert "drain_work()" in inspect.getsource(VirtualTarget._cancel_pending)
+
+
+def _isinstance_region_checks(rel: str) -> list[str]:
+    """Functions of *rel* (under ``src/repro``) that call
+    ``isinstance(..., TargetRegion)``, one entry per call."""
+    found: list[str] = []
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self) -> None:
+            self.scope = ["<module>"]
+
+        def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Call(self, node: ast.Call) -> None:
+            if (getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2
+                    and "TargetRegion" in ast.unparse(node.args[1])):
+                found.append(self.scope[-1])
+            self.generic_visit(node)
+
+    Visitor().visit(ast.parse((SRC / rel).read_text()))
+    return found
+
+
+def test_a_target_queue_holds_one_kind_of_work_item():
+    # post() wraps a plain callable into a region once, at admission; past
+    # it the queue, dispatch, the remote shippers and the checker see one
+    # type, so no layer asks which kind it holds.
+    assert _isinstance_region_checks(TARGETS) == ["post"]
+    assert _isinstance_region_checks("dist/remote_target.py") == []
+
+
+def test_trace_identity_is_stamped_by_regions_only():
+    # A region carries its own id and names itself once per window; no
+    # layer stamps a trace identity onto a callable any more.
+    stamps = {"_trace_id", "_trace_name", "_trace_window"}
+    stamped = sorted(
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in SRC.rglob("*.py")
+        if path != SRC / "core" / "region.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and node.attr in stamps
+    )
+    assert stamped == []

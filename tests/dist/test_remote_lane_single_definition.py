@@ -30,7 +30,6 @@ from repro.dist.process_target import _WorkerSlot
 CORE_METHODS = (
     "shutdown", "_ensure_worker", "_shipper_loop", "_execute_remote",
     "_await_result", "_deliver", "_handle_worker_failure", "_retire_slot",
-    "_log_plain_failure",
 )
 CHANNEL_GENERIC = ("send_ping", "send_cancel", "drain_control")
 

@@ -1,7 +1,8 @@
 """EXEC_END must record what actually happened — regression tests for the
-bug where a plain callable that raised was still traced as ``completed``
-(the dispatch loop swallows the exception by design, but the trace must
-not inherit the lie)."""
+bug where a plain callable that raised was still traced as ``completed``.
+A posted callable is wrapped into a region on admission, so its outcome is
+that region's terminal state, and its failure, which has no waiter, is
+logged."""
 
 from __future__ import annotations
 
@@ -33,23 +34,28 @@ def test_raising_callable_traced_as_failed(tracing, edt, caplog):
     def boom():
         raise RuntimeError("deliberate")
 
-    boom._trace_id = -7
-    boom._trace_name = "boom"
     edt.post(boom)
-    with caplog.at_level(logging.CRITICAL, logger="repro.core.targets"):
+    with caplog.at_level(logging.ERROR, logger="repro.core.targets"):
         assert edt.drain() == 1
-    ends = exec_ends(tracing, "boom")
+    # Found by the label post gave it: its qualified name.
+    ends = exec_ends(tracing, boom.__qualname__)
     assert [e.arg for e in ends] == ["failed"]
-    assert ends[0].region == -7
+    chain = [e for e in tracing.events() if e.region == ends[0].region]
+    assert [e.kind for e in chain] == [
+        EventKind.ENQUEUE, EventKind.DEQUEUE, EventKind.EXEC_BEGIN, EventKind.EXEC_END,
+    ]
+    (record,) = [r for r in caplog.records if "unhandled exception" in r.getMessage()]
+    assert "posted to outcome-edt" in record.getMessage()
+    assert record.exc_info[0] is RuntimeError
 
 
 def test_successful_callable_traced_as_completed(tracing, edt):
-    ok = lambda: None  # noqa: E731
-    ok._trace_id = -8
-    ok._trace_name = "ok"
+    def ok():
+        return None
+
     edt.post(ok)
     edt.drain()
-    assert [e.arg for e in exec_ends(tracing, "ok")] == ["completed"]
+    assert [e.arg for e in exec_ends(tracing, ok.__qualname__)] == ["completed"]
 
 
 def test_failing_region_traced_as_failed(tracing, edt):

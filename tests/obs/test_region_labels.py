@@ -61,17 +61,22 @@ def test_direct_post_is_named_by_its_enqueue(tracing, rt):
     })
 
 
-def test_edt_stamped_closure(tracing):
+def test_edt_event_is_a_named_region(tracing):
     runtime = PjRuntime()
     loop = EventLoop(runtime, "edt")
     done = threading.Event()
     loop.on("click", lambda event: done.set())
     try:
-        record = loop.fire("click")
+        loop.fire("click")
         assert done.wait(5)
     finally:
         runtime.shutdown(wait=False)
-    _assert_one_label(-(record.event.event_id + 1), "event:click", {
+    (submit,) = [
+        e for e in obs.session().events()
+        if e.kind is EventKind.REGION_SUBMIT and e.name == "event:click"
+    ]
+    assert submit.arg == "event"
+    _assert_one_label(submit.region, "event:click", {
         EventKind.REGION_SUBMIT, EventKind.ENQUEUE, EventKind.DEQUEUE,
         EventKind.EXEC_BEGIN, EventKind.EXEC_END,
     })
