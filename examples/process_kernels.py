@@ -22,7 +22,9 @@ from repro.core.errors import AwaitTimeoutError, RegionFailedError, WorkerCrashe
 
 POOL = 4
 CHUNKS = 4
-PRIME_LIMIT = 60_000
+BLOCK = 500
+PRIME_LIMIT = 150_000
+TRIALS = 3
 
 
 def count_primes(first: int, limit: int) -> int:
@@ -32,6 +34,17 @@ def count_primes(first: int, limit: int) -> int:
         if all(n % d for d in range(2, int(n ** 0.5) + 1)):
             count += 1
     return count
+
+
+def count_chunk(chunk: int) -> int:
+    """The primes in every ``CHUNKS``-th block of ``BLOCK`` numbers, from
+    block *chunk* on.  The chunks cost alike: a contiguous range costs more
+    the higher it lies, and striding single numbers by 4 would hand two
+    chunks only even numbers."""
+    return sum(
+        count_primes(lo, lo + BLOCK)
+        for lo in range(chunk * BLOCK, PRIME_LIMIT, CHUNKS * BLOCK)
+    )
 
 
 def crash_body() -> None:
@@ -52,14 +65,10 @@ def usable_cores() -> int:
 
 
 def timed_chunks(rt: PjRuntime, target: str) -> tuple[float, int]:
-    bounds = [
-        (i * PRIME_LIMIT // CHUNKS, (i + 1) * PRIME_LIMIT // CHUNKS)
-        for i in range(CHUNKS)
-    ]
     start = time.perf_counter()
     handles = [
-        run_on(target, count_primes, lo, hi, mode="nowait", runtime=rt)
-        for lo, hi in bounds
+        run_on(target, count_chunk, i, mode="nowait", runtime=rt)
+        for i in range(CHUNKS)
     ]
     total = sum(h.result(timeout=600) for h in handles)
     return time.perf_counter() - start, total
@@ -72,16 +81,16 @@ def main() -> None:
     rt.create_process_worker("procs", POOL)
 
     # --- GIL-free offload -------------------------------------------------
-    # Warm every process lane first (start-up cost is not the story).
-    warm = [
-        run_on("procs", count_primes, 0, 1000, mode="nowait", runtime=rt)
-        for _ in range(POOL)
-    ]
-    for h in warm:
-        h.result(timeout=600)
-
-    t_thread, primes_t = timed_chunks(rt, "threads")
-    t_proc, primes_p = timed_chunks(rt, "procs")
+    # One untimed section per side first: lane start-up and a cold host
+    # are not the story.  Then the best of TRIALS per side, alternating.
+    timed_chunks(rt, "procs")
+    timed_chunks(rt, "threads")
+    t_thread = t_proc = float("inf")
+    for _ in range(TRIALS):
+        elapsed, primes_t = timed_chunks(rt, "threads")
+        t_thread = min(t_thread, elapsed)
+        elapsed, primes_p = timed_chunks(rt, "procs")
+        t_proc = min(t_proc, elapsed)
     assert primes_t == primes_p, "backends disagree on the prime count"
     speedup = t_thread / t_proc
     print(f"primes below {PRIME_LIMIT}: {primes_t}")

@@ -8,8 +8,26 @@ deadlocks or silent drops.
 from __future__ import annotations
 
 
+def _rebuild(cls: type, args: tuple, state: dict, cause: BaseException | None) -> "PyjamaError":
+    exc = cls.__new__(cls, *args)
+    exc.args = args  # an OSError's (AwaitTimeoutError's) __new__ leaves them to __init__
+    exc.__dict__.update(state)
+    exc.__cause__ = cause
+    return exc
+
+
 class PyjamaError(Exception):
-    """Base class for all errors raised by :mod:`repro.core`."""
+    """Base class for all errors raised by :mod:`repro.core`.
+
+    Pickles as its type, ``args``, attributes and ``__cause__``, rebuilt
+    without ``__init__``: a subclass's ``__init__`` takes the parts its
+    message is made of, not the message, so calling it again would wrap
+    the message twice or fail for want of arguments.  A remote lane ships
+    a region's error this way.
+    """
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.args, self.__dict__, self.__cause__)
 
 
 class DirectiveSyntaxError(PyjamaError):

@@ -5,11 +5,19 @@ One per interpreter, started by the first lane that needs it.  It is
 ``exec``'d, single-threaded interpreter that forks a child per request and
 relays its exit code), run by a private :class:`ForkServer` instance whose
 command first puts the parent's ``sys.path`` in place and whose preload
-list is :mod:`repro.dist.worker`.  So a lane's open is one ``fork()`` plus
-the handshake, not a ``fork()`` plus the worker's imports, on every open
-and every restart.  ``forkserver.main``'s own ``sys_path`` argument is not
-used: 3.11 accepts it and ignores it, and a parent that reaches ``repro``
-only through ``sys.path.insert`` would get a server that preloads nothing.
+list is :mod:`repro.dist.worker` and this module (a lane's ``Process``
+pickle names :class:`_LaneProcess`).  Where cloudpickle is installed, the
+start-up message :class:`Popen` sends leaves out the parent's main module,
+which ``multiprocessing`` would have every worker run again as
+``__mp_main__``: a lane needs nothing from it, as cloudpickle ships
+everything from ``__main__`` by value.  So a worker goes from ``fork()`` to
+``worker_main`` with no import and no user code in between, and a lane's
+open is one ``fork()`` plus the handshake, on every open and every restart.
+Without cloudpickle, plain pickle names a ``__main__`` function by
+reference, so the worker still runs the parent's main module to find it.
+``forkserver.main``'s own ``sys_path`` argument is not used: 3.11 accepts
+it and ignores it, and a parent that reaches ``repro`` only through
+``sys.path.insert`` would get a server that preloads nothing.
 
 Nothing here is process-global in ``multiprocessing``: the stock fork
 server and its preload list (``set_forkserver_preload``) stay the
@@ -35,6 +43,8 @@ from multiprocessing import (
     spawn, util,
 )
 
+from . import wire
+
 __all__ = ["CONTEXT", "Popen"]
 
 
@@ -43,7 +53,8 @@ class _LaneServer(forkserver.ForkServer):
 
     def __init__(self) -> None:
         super().__init__()
-        self._preload_modules = ["repro.dist.worker"]  # this instance's list only
+        # This instance's list only; a worker unpickles a _LaneProcess.
+        self._preload_modules = ["repro.dist.worker", __name__]
         if hasattr(os, "register_at_fork"):  # POSIX, where the server runs
             os.register_at_fork(after_in_child=self._forget)
 
@@ -104,6 +115,9 @@ class Popen(popen_forkserver.Popen):
 
     def _launch(self, process_obj) -> None:
         prep_data = spawn.get_preparation_data(process_obj._name)
+        if wire.HAVE_CLOUDPICKLE:  # no worker runs it again (module docstring)
+            prep_data.pop("init_main_from_path", None)
+            prep_data.pop("init_main_from_name", None)
         buf = io.BytesIO()
         context.set_spawning_popen(self)
         try:

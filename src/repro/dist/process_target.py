@@ -17,10 +17,15 @@ server (:mod:`repro.dist.lane_server`), which the first process lane of an
 interpreter starts (one interpreter boot, which also imports
 :mod:`repro.dist.worker` and the few modules it uses, not the runtime) and
 every later lane, restart and target reuses.  A lane's open is then one
-``fork()`` plus the handshake.  A forked worker runs with ``sys.path`` and
-the working directory the parent has when the lane opens, but with the
-environment the lane server was started with: a variable the parent sets or
-changes after its first process lane opened does not reach later workers.
+``fork()`` plus the handshake: the worker imports nothing and, where
+cloudpickle is installed and unlike a ``spawn`` worker, does not run the
+parent's main module, so a value whose pickle names a ``__main__`` global by
+reference fails its region with
+:class:`~repro.core.errors.SerializationError`.  A forked worker runs with
+``sys.path`` and the working directory the parent has when the lane opens,
+but with the environment the lane server was started with: a variable the
+parent sets or changes after its first process lane opened does not reach
+later workers.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ reference under plain pickle and by value under cloudpickle alike.
 
 from __future__ import annotations
 
+import glob
 import os
 import sys
 import time
@@ -18,6 +19,17 @@ def start_state(variable):
     """What the worker started with: *variable* from its environment, its
     working directory and its ``sys.path``."""
     return os.environ.get(variable), os.getcwd(), list(sys.path)
+
+
+def meet(n):
+    """Return this worker's pid once *n* regions run at once, each on its
+    own lane: every call leaves a file in the working directory and waits
+    (30 s at most) for *n* of them."""
+    open(f"here-{os.getpid()}", "w").close()
+    deadline = time.monotonic() + 30
+    while len(glob.glob("here-*")) < n and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return os.getpid()
 
 
 def square(x):

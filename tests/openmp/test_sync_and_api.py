@@ -98,6 +98,13 @@ class TestAtomic:
         cell.value = 99
         assert cell.value == 99
 
+    def test_atomic_update_is_update(self):
+        cell = Atomic(0)
+        omp.parallel(lambda: [omp.atomic_update(cell, lambda v: v + 2) for _ in range(250)],
+                     num_threads=4)
+        assert cell.value == 2000
+        assert omp.atomic_update(cell, lambda v: v // 10) == 200 == cell.value
+
 
 class TestReductionTable:
     @pytest.mark.parametrize(
@@ -190,6 +197,34 @@ class TestRuntimeApi:
     def test_max_active_levels_validation(self):
         with pytest.raises(ValueError):
             omp.omp_set_max_active_levels(0)
+
+    @staticmethod
+    def _inner_team_sizes() -> list[list[int]]:
+        return omp.parallel(lambda: omp.parallel(omp.omp_get_num_threads, num_threads=2),
+                            num_threads=2)
+
+    def test_nested_flag_round_trips_and_gates_inner_teams(self):
+        assert omp.omp_get_nested() is True  # the default
+        try:
+            omp.omp_set_nested(False)
+            assert omp.omp_get_nested() is False
+            assert self._inner_team_sizes() == [[1], [1]]
+        finally:
+            omp.omp_set_nested(True)
+        assert omp.omp_get_nested() is True
+        assert self._inner_team_sizes() == [[2, 2], [2, 2]]
+
+    def test_max_active_levels_round_trips_and_caps_nesting(self):
+        old = omp.omp_get_max_active_levels()
+        assert old == 4  # the default
+        try:
+            omp.omp_set_max_active_levels(1)
+            assert omp.omp_get_max_active_levels() == 1
+            assert self._inner_team_sizes() == [[1], [1]]
+        finally:
+            omp.omp_set_max_active_levels(old)
+        assert omp.omp_get_max_active_levels() == old
+        assert self._inner_team_sizes() == [[2, 2], [2, 2]]
 
     def test_single_member_team_not_in_parallel(self):
         # omp_in_parallel is false for a serialised (size-1) region.
