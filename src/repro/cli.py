@@ -239,8 +239,8 @@ def cmd_cluster_worker(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"cannot listen on {args.listen}: {exc}", file=sys.stderr)
         return 2
-    print(announce_line(agent.host, agent.port), flush=True)
-    try:
+    try:  # a SIGINT right after the announce line is a stop too
+        print(announce_line(agent.host, agent.port), flush=True)
         agent.serve_forever()
     except KeyboardInterrupt:
         print("interrupted; stopping agent", file=sys.stderr)

@@ -27,34 +27,24 @@ Module map:
 See the "Cluster targets" section of ``docs/DISTRIBUTION.md``.
 """
 
-from .agent import AgentHandle, ClusterAgent, spawn_agent_process
-from .target import ClusterTarget
-from .transport import (
-    LoopbackTransport,
-    TcpTransport,
-    Transport,
-    TransportListener,
-    connect,
-    expect_hello,
-    listen,
-    loopback_pair,
-    parse_endpoint,
-    send_hello,
-)
+from .. import _reexport
 
-__all__ = [
-    "AgentHandle",
-    "ClusterAgent",
-    "ClusterTarget",
-    "LoopbackTransport",
-    "TcpTransport",
-    "Transport",
-    "TransportListener",
-    "connect",
-    "expect_hello",
-    "listen",
-    "loopback_pair",
-    "parse_endpoint",
-    "send_hello",
-    "spawn_agent_process",
-]
+_EXPORTS = {
+    "AgentHandle": ".agent",
+    "ClusterAgent": ".agent",
+    "ClusterTarget": ".target",
+    "LoopbackTransport": ".transport",
+    "TcpTransport": ".transport",
+    "Transport": ".transport",
+    "TransportListener": ".transport",
+    "connect": ".transport",
+    "expect_hello": ".transport",
+    "listen": ".transport",
+    "loopback_pair": ".transport",
+    "parse_endpoint": ".transport",
+    "send_hello": ".transport",
+    "spawn_agent_process": ".agent",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _reexport(globals(), _EXPORTS)

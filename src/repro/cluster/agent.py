@@ -28,20 +28,23 @@ unit, not an isolation unit — one agent dying takes all its slots with it,
 which is precisely the failure the parent-side shipper's reconnect and
 restart-budget machinery (and ``repro check --cluster``) exercises.
 
-:func:`spawn_agent_process` launches an agent as a subprocess on a
-kernel-assigned port and parses the announce line — the shared bring-up
-path of tests, the check harness and the benchmarks.
+:func:`spawn_agent_process` forks a loopback agent from this interpreter's
+lane server (:mod:`repro.dist.lane_server`) on a kernel-assigned port and
+reads the port back through a pipe — the shared bring-up path of tests,
+the check harness and the benchmarks, a fork instead of an interpreter
+boot.  The agent is the lane server's child, in no
+``multiprocessing.active_children()``; it never runs the creator's main
+module, prints nothing, and exits once the creator is gone.
 """
 
 from __future__ import annotations
 
-import collections
 import logging
 import os
 import re
-import subprocess
-import sys
+import signal
 import threading
+from multiprocessing import connection, parent_process
 from typing import Any
 
 from ..core.errors import ProtocolVersionError, RuntimeStateError
@@ -53,8 +56,8 @@ __all__ = ["ClusterAgent", "AgentHandle", "spawn_agent_process", "announce_line"
 
 _logger = logging.getLogger(__name__)
 
-#: Printed (flushed) by the CLI once the agent listens; parents parse the
-#: port out of it, so the format is part of the tooling contract.
+#: Printed (flushed) by ``cluster-worker`` once the agent listens; tools
+#: that start one parse the port out of it, so the format is a contract.
 _ANNOUNCE_RE = re.compile(r"listening on ([^\s:]+):(\d+)")
 
 
@@ -249,64 +252,51 @@ class ClusterAgent:
             self.tasks_executed += 1
 
 
-# ------------------------------------------------------------- subprocess
+# ---------------------------------------------------------- forked agents
 
 
 class AgentHandle:
-    """A spawned agent subprocess: endpoint + lifecycle control.
+    """A loopback agent forked from the lane server: endpoint + lifecycle.
 
     ``endpoint`` is the ``host:port`` string to hand to
     ``virtual_target_create_cluster``; :meth:`terminate` is the fault
     injection of choice (kills every slot the agent hosts at once).
     """
 
-    def __init__(self, process: subprocess.Popen, host: str, port: int) -> None:
-        self.process = process
+    def __init__(self, popen: Any, host: str, port: int) -> None:
+        self._popen = popen
         self.host = host
         self.port = port
-        self.output: collections.deque[str] = collections.deque(maxlen=200)
-        self._drain = threading.Thread(
-            target=self._drain_output, name=f"repro-agent-drain-{port}", daemon=True
-        )
-        self._drain.start()
 
     @property
     def pid(self) -> int:
-        return self.process.pid
+        return self._popen.pid
 
     @property
     def endpoint(self) -> str:
         return f"{self.host}:{self.port}"
 
     def alive(self) -> bool:
-        return self.process.poll() is None
+        return self._popen.poll() is None
 
     def terminate(self) -> None:
         """SIGTERM the agent process (all its slots die with it)."""
-        if self.alive():
-            self.process.terminate()
+        self._popen.terminate()
 
     def kill(self) -> None:
-        if self.alive():
-            self.process.kill()
+        self._popen.kill()
 
     def wait(self, timeout: float | None = 10.0) -> int | None:
-        try:
-            return self.process.wait(timeout)
-        except subprocess.TimeoutExpired:
-            return None
+        """The agent's exit code, or ``None`` if it still runs at *timeout*."""
+        return self._popen.wait(timeout)
 
     def close(self, timeout: float = 10.0) -> None:
         """Terminate (escalating to kill) and reap; always safe to call."""
         self.terminate()
         if self.wait(timeout) is None:  # pragma: no cover - stuck agent
             self.kill()
-            self.wait(timeout)
-        if self.process.stdout is not None:
-            try:
-                self.process.stdout.close()
-            except OSError:  # pragma: no cover
-                pass
+            self.wait(None)
+        self._popen.close()
 
     def __enter__(self) -> "AgentHandle":
         return self
@@ -314,17 +304,24 @@ class AgentHandle:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    def _drain_output(self) -> None:
-        # Keep consuming stdout so the agent never blocks on a full pipe;
-        # the bounded tail stays available for post-mortems.
-        stream = self.process.stdout
-        if stream is None:
-            return
-        try:
-            for line in stream:
-                self.output.append(line.rstrip("\n"))
-        except (OSError, ValueError):
-            pass
+
+def _serve_forked(host: str, max_slots: int | None, port_conn: Any) -> None:
+    """A forked agent's body: listen, send the port (or why not) back,
+    serve until the interpreter that spawned it is gone.  Its creator's
+    handle ends it; a Ctrl-C meant for the creator does not."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    null = os.open(os.devnull, os.O_WRONLY)  # never onto the creator's terminal
+    os.dup2(null, 1)
+    os.dup2(null, 2)
+    os.close(null)
+    try:
+        agent = ClusterAgent(host, 0, max_slots=max_slots).start()
+    except OSError as exc:
+        port_conn.send(f"cannot listen on {host}:0: {exc}")
+        return
+    port_conn.send(agent.port)
+    port_conn.close()
+    connection.wait([parent_process().sentinel])
 
 
 def spawn_agent_process(
@@ -333,56 +330,37 @@ def spawn_agent_process(
     startup_timeout: float = 30.0,
     max_slots: int | None = None,
 ) -> AgentHandle:
-    """Start ``python -m repro cluster-worker`` on a kernel-assigned port.
+    """Fork an agent from this interpreter's lane server on a kernel-assigned port.
 
-    Blocks until the agent prints its announce line (parsing the port out
-    of it) or *startup_timeout* elapses.  The child inherits this process's
-    environment plus a ``PYTHONPATH`` entry for the directory this ``repro``
-    package was imported from, so source checkouts work without installs.
+    Blocks until the agent sends its port back through a pipe or
+    *startup_timeout* elapses; the first call of an interpreter also boots
+    the lane server (:mod:`repro.dist.lane_server`).  The agent imports
+    what it serves itself, runs with ``sys.path`` and the working directory
+    this interpreter has now, prints nothing, is in no
+    ``multiprocessing.active_children()`` and exits once this interpreter
+    is gone or the returned handle is garbage-collected.
     """
-    import repro as _repro_pkg
+    from ..dist import lane_server
 
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(_repro_pkg.__file__)))
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH", "")
-    env["PYTHONPATH"] = (
-        pkg_root + (os.pathsep + existing if existing else "")
-    )
-    cmd = [sys.executable, "-m", "repro", "cluster-worker", "--listen", f"{host}:0"]
-    if max_slots is not None:
-        cmd += ["--slots", str(max_slots)]
-    process = subprocess.Popen(
-        cmd,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
-    )
-    assert process.stdout is not None
-    line = ""
-    announced = threading.Event()
-
-    def read_announce() -> None:
-        nonlocal line
-        line = process.stdout.readline()
-        announced.set()
-
-    reader = threading.Thread(target=read_announce, daemon=True)
-    reader.start()
-    if not announced.wait(startup_timeout) or not line:
-        process.terminate()
+    port_r, port_w = connection.Pipe(duplex=False)
+    with port_r:
+        with port_w:
+            popen = lane_server.fork_detached(_serve_forked, host, max_slots, port_w)
+        handle = AgentHandle(popen, host, 0)
         try:
-            process.wait(5.0)
-        except subprocess.TimeoutExpired:  # pragma: no cover
-            process.kill()
-        raise RuntimeStateError(
-            f"cluster-worker agent did not announce within {startup_timeout}s"
-        )
-    match = _ANNOUNCE_RE.search(line)
-    if match is None:
-        process.terminate()
-        process.wait(5.0)
-        raise RuntimeStateError(
-            f"cluster-worker agent printed {line!r} instead of an announce line"
-        )
-    return AgentHandle(process, match.group(1), int(match.group(2)))
+            if not port_r.poll(startup_timeout):
+                raise RuntimeStateError(
+                    f"cluster agent did not listen within {startup_timeout}s"
+                )
+            try:
+                handle.port = port_r.recv()
+            except EOFError:
+                raise RuntimeStateError(
+                    f"cluster agent exited with code {handle.wait(5.0)} before listening"
+                ) from None
+            if isinstance(handle.port, str):  # why it could not listen
+                raise RuntimeStateError(handle.port)
+        except BaseException:
+            handle.close()
+            raise
+    return handle

@@ -1,4 +1,5 @@
-"""The lane server: the process every process lane's worker is forked from.
+"""The lane server: the process every process lane's worker, and every
+loopback cluster agent, is forked from.
 
 One per interpreter, started by the first lane that needs it.  It is
 ``multiprocessing``'s own fork server loop (``forkserver.main``: a fresh,
@@ -26,7 +27,13 @@ embedder's.  A lane is still a ``multiprocessing.Process``, of
 one, so exit codes, ``sentinel``, ``terminate()``, ``join()`` and
 ``active_children()`` read as under the ``forkserver`` start method.  The
 server exits when every holder of its "alive" pipe is gone: the parent and
-the workers it forked.
+the children it forked.
+
+:func:`fork_detached` forks a child that is not a lane: a loopback cluster
+agent (:func:`repro.cluster.agent.spawn_agent_process`).  It is in no
+``active_children()`` and never runs the parent's main module.  It imports
+what it runs itself, so the preload list stays the worker's and the
+server's boot, which the first process lane pays, does not grow.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from multiprocessing import (
 
 from . import wire
 
-__all__ = ["CONTEXT", "Popen"]
+__all__ = ["CONTEXT", "Popen", "fork_detached"]
 
 
 class _LaneServer(forkserver.ForkServer):
@@ -113,9 +120,14 @@ _server = _LaneServer()
 class Popen(popen_forkserver.Popen):
     """``popen_forkserver.Popen``, asking the lane server."""
 
+    #: Whether the child runs this interpreter's main module again first: a
+    #: lane only needs it where plain pickle names ``__main__`` functions by
+    #: reference (module docstring).
+    _runs_main = not wire.HAVE_CLOUDPICKLE
+
     def _launch(self, process_obj) -> None:
         prep_data = spawn.get_preparation_data(process_obj._name)
-        if wire.HAVE_CLOUDPICKLE:  # no worker runs it again (module docstring)
+        if not self._runs_main:
             prep_data.pop("init_main_from_path", None)
             prep_data.pop("init_main_from_name", None)
         buf = io.BytesIO()
@@ -182,3 +194,23 @@ class _LaneServerContext(context.BaseContext):
 
 #: The start context of ``start_method="forkserver"`` process lanes.
 CONTEXT = _LaneServerContext()
+
+
+class _DetachedPopen(Popen):
+    _runs_main = False
+
+
+def fork_detached(target, *args) -> Popen:
+    """Fork ``target(*args)`` from the lane server as a process of its own.
+
+    The child is the server's, not a ``multiprocessing`` child of this
+    interpreter: it is in no ``active_children()``, so nothing that joins
+    those waits on it, and only the returned :class:`Popen` (``pid``,
+    ``poll()``, ``wait()``, ``terminate()``, ``kill()``, ``close()``)
+    reaches it.  It never runs this interpreter's main module, with or
+    without cloudpickle: *target* and *args* cross by reference in
+    ``multiprocessing``'s own pickle.  Inside it,
+    ``multiprocessing.parent_process().sentinel`` turns ready once this
+    interpreter is gone or the returned :class:`Popen` is closed.
+    """
+    return _DetachedPopen(_LaneProcess(target=target, args=args))

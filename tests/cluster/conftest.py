@@ -1,6 +1,6 @@
 """Fixtures for the cluster suite: spawned agents + child-leak guards.
 
-Cluster worker agents are ``subprocess.Popen`` children, invisible to the
+Cluster worker agents are forked from the lane server, invisible to the
 ``multiprocessing.active_children()`` guard the dist suite uses — so this
 conftest wraps :func:`repro.cluster.spawn_agent_process` to track every
 handle a test creates and fails the test if any agent process is still
@@ -30,8 +30,10 @@ def no_agent_process_leaks(monkeypatch):
         tracked.append(handle)
         return handle
 
-    monkeypatch.setattr(agent_mod, "spawn_agent_process", tracking_spawn)
+    # The package first: its lazy re-export would read the patched module
+    # and keep the wrapper as the value to restore.
     monkeypatch.setattr(cluster_pkg, "spawn_agent_process", tracking_spawn)
+    monkeypatch.setattr(agent_mod, "spawn_agent_process", tracking_spawn)
     yield
     leaked = [h.pid for h in tracked if h.alive()]
     for h in tracked:  # reap regardless, so one leak doesn't cascade
@@ -49,7 +51,7 @@ def no_agent_process_leaks(monkeypatch):
 
 @pytest.fixture()
 def agent():
-    """One spawned cluster-worker agent subprocess."""
+    """One spawned cluster-worker agent."""
     handle = cluster_pkg.spawn_agent_process()
     yield handle
     handle.close()

@@ -1,17 +1,25 @@
-"""The worker agent: handshake, task/ctrl protocol, subprocess bring-up."""
+"""The worker agent: handshake, task/ctrl protocol, forked and CLI bring-up."""
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
+import socket
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
-from repro.cluster.agent import ClusterAgent, announce_line
+from repro.cluster.agent import _ANNOUNCE_RE, ClusterAgent, announce_line
 from repro.cluster.transport import (
     connect, expect_hello, loopback_pair, parse_endpoint, send_hello,
 )
+from repro.core import PjRuntime
 from repro.core.errors import ProtocolVersionError
+from repro.core.region import TargetRegion
 from repro.dist import wire
 
 from tests.dist import bodies
@@ -239,3 +247,154 @@ class TestSpawnedAgent:
             tr.close()
         agent.close()
         assert not agent.alive()
+
+    def test_an_agent_is_no_child_of_its_creator(self, agent):
+        """Forked from the lane server: nothing that joins this process's
+        children (``benchmarks/e2e`` does, before each agent's close) waits
+        on it."""
+        assert agent.pid not in {c.pid for c in multiprocessing.active_children()}
+        assert _parent_of(agent.pid) != os.getpid()
+
+    def test_close_returns_within_a_second(self, agent):
+        t0 = time.monotonic()
+        agent.close()
+        assert time.monotonic() - t0 < 1.0
+        assert not agent.alive()
+        agent.close()  # again: a no-op
+
+    def test_terminate_ends_the_agent_and_wait_reports_it(self, agent):
+        pid = agent.pid
+        agent.terminate()
+        assert agent.wait(5.0) == -signal.SIGTERM
+        assert not agent.alive() and agent.pid == pid
+        assert _refused(agent.host, agent.port)
+
+    def test_a_creator_without_cloudpickle_runs_once_and_hears_nothing(self, tmp_path):
+        """The agent never runs the creator's main module, even where plain
+        pickle would have a process lane's worker run it, and prints
+        nothing onto the creator's stderr (here a refused hello, which the
+        agent logs as a warning)."""
+        done = _run_script(tmp_path, """
+            import os
+            import sys
+
+            sys.modules["cloudpickle"] = None  # import cloudpickle fails
+            with open("marks", "a") as marks:
+                marks.write(f"{os.getpid()}\\n")
+
+            from repro.cluster import connect, spawn_agent_process
+            from repro.core import PjRuntime
+            from repro.core.region import TargetRegion
+            from repro.dist import wire
+
+            agent = spawn_agent_process()
+            rt = PjRuntime()
+            try:
+                rt.create_cluster("c", [agent.endpoint], shards=1)
+                print(wire.HAVE_CLOUDPICKLE, rt.invoke_target_block(
+                    "c", TargetRegion(os.getpid), timeout=60).result() == agent.pid)
+                tr = connect(agent.host, agent.port)
+                tr.send(wire.HelloMsg(999, "task", "t", 0, {}))
+                tr.recv()
+                assert tr.poll(5.0)
+                try:
+                    tr.recv()
+                except EOFError:
+                    pass
+                tr.close()
+            finally:
+                rt.shutdown(wait=True)
+                agent.close()
+        """)
+        assert done.stdout.split() == ["False", "True"], done.stdout
+        assert len((tmp_path / "marks").read_text().split()) == 1
+        assert done.stderr == ""
+
+    def test_an_agent_goes_when_its_creator_is_killed(self, tmp_path):
+        script = tmp_path / "creator.py"
+        script.write_text(textwrap.dedent("""
+            import time
+            from repro.cluster import spawn_agent_process
+
+            agent = spawn_agent_process()
+            print(agent.pid, agent.port, flush=True)
+            time.sleep(60)
+        """))
+        creator = subprocess.Popen([sys.executable, str(script)], env=_env(),
+                                   stdout=subprocess.PIPE, text=True)
+        try:
+            pid, port = map(int, creator.stdout.readline().split())
+        finally:
+            creator.kill()
+            creator.wait()
+            creator.stdout.close()
+        # A leader that has exited reads as a zombie while its other threads
+        # still close the process's files: wait for the listener too.
+        assert _soon(lambda: _gone(pid) and _refused("127.0.0.1", port), 5.0), (
+            f"agent {pid} outlived its creator")
+
+
+class TestCliAgent:
+    def test_cluster_worker_announces_serves_and_exits_0_on_sigint(self):
+        """``python -m repro cluster-worker``, the agent of a real host."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "cluster-worker", "--listen", "127.0.0.1:0"],
+            env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        rt = PjRuntime()
+        try:
+            match = _ANNOUNCE_RE.search(proc.stdout.readline())
+            assert match is not None
+            rt.create_cluster("cli", [f"{match.group(1)}:{match.group(2)}"], shards=1)
+            assert rt.invoke_target_block(
+                "cli", TargetRegion(os.getpid), timeout=60.0).result() == proc.pid
+        finally:
+            rt.shutdown(wait=True)
+            proc.send_signal(signal.SIGINT)
+            try:
+                out, err = proc.communicate(timeout=10.0)
+            finally:
+                proc.kill()
+        assert proc.returncode == 0, err
+
+
+def _env() -> dict:
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__)))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _run_script(tmp_path, source: str) -> subprocess.CompletedProcess:
+    script = tmp_path / "scenario.py"
+    script.write_text(textwrap.dedent(source))
+    done = subprocess.run([sys.executable, str(script)], env=_env(), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=90)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+def _stat(pid: int) -> list[str]:
+    """The fields of ``/proc/<pid>/stat`` after the command name."""
+    with open(f"/proc/{pid}/stat") as f:
+        return f.read().rsplit(")", 1)[1].split()
+
+
+def _parent_of(pid: int) -> int:
+    return int(_stat(pid)[1])
+
+
+def _gone(pid: int) -> bool:
+    """No such process, or a zombie nobody has reaped yet."""
+    try:
+        return _stat(pid)[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def _refused(host: str, port: int) -> bool:
+    try:
+        socket.create_connection((host, port), timeout=1.0).close()
+    except OSError:
+        return True
+    return False

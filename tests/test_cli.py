@@ -170,6 +170,21 @@ class TestLazyImports:
         ).stdout
         assert out.strip() == "[]"
 
+    def test_an_agent_loads_none_of_the_client_side(self):
+        """A cluster agent, forked or ``cluster-worker``, serves regions:
+        it imports neither the cluster target nor the runtime behind it."""
+        probe = (
+            "import sys, repro.cluster.agent; print(sorted(m for m in ("
+            "'repro.cluster.target', 'repro.dist.remote_target', 'repro.core.targets')"
+            " if m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        ).stdout
+        assert out.strip() == "[]"
+
     @pytest.mark.parametrize("command", ["check", "explore"])
     def test_unknown_inject_mode_exits_2_naming_the_valid_ones(self, capsys, command):
         assert main([command, "--inject", "bogus"]) == 2
