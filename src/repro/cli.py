@@ -261,7 +261,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import json as _json
 
     from . import obs
-    from .serve import HttpServer, ServeConfig, export_trace
+    from .serve import HttpServer, ServeConfig
 
     if args.trace:
         obs.enable()
@@ -276,9 +276,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     def finish_trace() -> None:
         if args.trace:
-            n = export_trace(args.trace)
+            events = obs.session().events()
+            obs.write_chrome_trace(args.trace, events)
             obs.disable()
-            print(f"wrote {args.trace}: {n} event(s) "
+            print(f"wrote {args.trace}: {len(events)} event(s) "
                   "(open in https://ui.perfetto.dev or chrome://tracing)")
 
     async def serve_main() -> HttpServer:

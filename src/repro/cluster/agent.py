@@ -305,7 +305,11 @@ class AgentHandle:
         self.close()
 
 
-def _serve_forked(host: str, max_slots: int | None, port_conn: Any) -> None:
+#: How long the creator of a forked agent waits for its port.
+AGENT_STARTUP_TIMEOUT = 30.0
+
+
+def _serve_forked(port_conn: Any) -> None:
     """A forked agent's body: listen, send the port (or why not) back,
     serve until the interpreter that spawned it is gone.  Its creator's
     handle ends it; a Ctrl-C meant for the creator does not."""
@@ -315,28 +319,23 @@ def _serve_forked(host: str, max_slots: int | None, port_conn: Any) -> None:
     os.dup2(null, 2)
     os.close(null)
     try:
-        agent = ClusterAgent(host, 0, max_slots=max_slots).start()
+        agent = ClusterAgent().start()
     except OSError as exc:
-        port_conn.send(f"cannot listen on {host}:0: {exc}")
+        port_conn.send(f"cannot listen on loopback: {exc}")
         return
     port_conn.send(agent.port)
     port_conn.close()
     connection.wait([parent_process().sentinel])
 
 
-def spawn_agent_process(
-    host: str = "127.0.0.1",
-    *,
-    startup_timeout: float = 30.0,
-    max_slots: int | None = None,
-) -> AgentHandle:
-    """Fork an agent from this interpreter's lane server on a kernel-assigned port.
+def spawn_agent_process() -> AgentHandle:
+    """Fork an agent from this interpreter's lane server on a loopback port.
 
     Blocks until the agent sends its port back through a pipe or
-    *startup_timeout* elapses; the first call of an interpreter also boots
-    the lane server (:mod:`repro.dist.lane_server`).  The agent imports
-    what it serves itself, runs with ``sys.path`` and the working directory
-    this interpreter has now, prints nothing, is in no
+    :data:`AGENT_STARTUP_TIMEOUT` elapses; the first call of an interpreter
+    also boots the lane server (:mod:`repro.dist.lane_server`).  The agent
+    imports what it serves itself, runs with ``sys.path`` and the working
+    directory this interpreter has now, prints nothing, is in no
     ``multiprocessing.active_children()`` and exits once this interpreter
     is gone or the returned handle is garbage-collected.
     """
@@ -345,12 +344,12 @@ def spawn_agent_process(
     port_r, port_w = connection.Pipe(duplex=False)
     with port_r:
         with port_w:
-            popen = lane_server.fork_detached(_serve_forked, host, max_slots, port_w)
-        handle = AgentHandle(popen, host, 0)
+            popen = lane_server.fork_detached(_serve_forked, port_w)
+        handle = AgentHandle(popen, "127.0.0.1", 0)
         try:
-            if not port_r.poll(startup_timeout):
+            if not port_r.poll(AGENT_STARTUP_TIMEOUT):
                 raise RuntimeStateError(
-                    f"cluster agent did not listen within {startup_timeout}s"
+                    f"cluster agent did not listen within {AGENT_STARTUP_TIMEOUT}s"
                 )
             try:
                 handle.port = port_r.recv()

@@ -86,7 +86,7 @@ def virtual_target_create_process_worker(
     run outside this interpreter's GIL, so CPU-bound blocks scale with cores
     instead of serializing.  *options* forwards the arguments of
     :meth:`PjRuntime.create_process_worker` (``queue_capacity``,
-    ``rejection_policy``, ``start_method``, ``heartbeat_interval``).
+    ``rejection_policy``, ``heartbeat_interval``).
     """
     return (runtime or default_runtime()).create_process_worker(tname, m, **options)
 

@@ -23,6 +23,7 @@ from typing import Any, Callable
 
 from ..obs import EventKind
 from ..obs import recorder as _obs
+from ..obs.metrics import Tally
 from ..policy import StealRing
 from .directives import SchedulingMode
 from .errors import (
@@ -77,39 +78,18 @@ class PjRuntime:
         # join at registration and leave at shutdown.
         self._steal_ring = StealRing()
         # Observability: dispatch counters (inline = Algorithm 1 line 7,
-        # posted = line 8; per-mode tallies).  A dispatch books into its
-        # thread's own tally without a lock; ``counters`` sums the tallies
-        # and ``_retired``, where those of ended threads fold.
-        self._local = threading.local()
-        self._counters_lock = threading.RLock()
-        self._tallies: dict[threading.Thread, dict[str, int]] = {}
-        self._retired = dict.fromkeys(_COUNTERS, 0)
-
-    def _open_tally(self) -> dict[str, int]:
-        """The calling thread's tally, made at its first dispatch."""
-        tally = self._local.tally = dict.fromkeys(_COUNTERS, 0)
-        with self._counters_lock:
-            for ended in [t for t in self._tallies if not t.is_alive()]:
-                for k, v in self._tallies.pop(ended).items():
-                    self._retired[k] += v
-            self._tallies[threading.current_thread()] = tally
-        return tally
+        # posted = line 8; per-mode tallies), booked lock-free by each
+        # dispatching thread into its own book of ``_tally``.
+        self._tally = Tally(_COUNTERS)
+        self._books = self._tally.local
 
     @property
     def counters(self) -> dict[str, int]:
         """Dispatches since the last :meth:`reset_counters`, by kind."""
-        with self._counters_lock:
-            total = dict(self._retired)
-            for tally in self._tallies.values():
-                for k, v in tally.items():
-                    total[k] += v
-        return total
+        return self._tally.snapshot()
 
     def reset_counters(self) -> None:
-        # An offset, not zeroed tallies: only its own thread writes a tally.
-        with self._counters_lock:
-            for k, v in self.counters.items():
-                self._retired[k] -= v
+        self._tally.reset()
 
     # -------------------------------------------------------------- registry
 
@@ -171,7 +151,6 @@ class PjRuntime:
         *,
         queue_capacity: int | None = None,
         rejection_policy: str = "block",
-        start_method: str | None = None,
         heartbeat_interval: float = 1.0,
     ):
         """``virtual_target_create_process_worker(tname, m)``: a worker
@@ -191,7 +170,6 @@ class PjRuntime:
             max_workers,
             queue_capacity=queue_capacity,
             rejection_policy=rejection_policy,
-            start_method=start_method,
             heartbeat_interval=heartbeat_interval,
         )
         return self._register_new(target)
@@ -346,10 +324,7 @@ class PjRuntime:
                 _SUBMIT, target=name, region=region.seq,
                 name=region._trace_name(session.generation), arg=key,
             )
-        try:
-            tally = self._local.tally
-        except AttributeError:
-            tally = self._open_tally()
+        tally = self._books.counts
 
         # Affinity router (Algorithm 1 lines 6-7).  Inline elision applies
         # only to thread-backed targets: membership means the calling thread

@@ -31,6 +31,7 @@ from typing import Any, Callable
 from ..obs import EventKind
 from ..obs import recorder as _obs
 from ..obs.events import now_ns
+from ..obs.metrics import Tally
 from . import injection as _inj
 from .errors import (
     AwaitTimeoutError,
@@ -354,6 +355,12 @@ class VirtualTarget(abc.ABC):
     callable (an event posted by a higher layer) into one on admission.
     """
 
+    #: The lifecycle counters :attr:`stats` reports, in its order.
+    _STAT_KEYS: tuple[str, ...] = (
+        "posted", "rejected", "caller_runs", "cancelled_on_shutdown",
+        "barriers_ended_by_poll",
+    )
+
     def __init__(
         self,
         name: str,
@@ -377,18 +384,10 @@ class VirtualTarget(abc.ABC):
         # a tick to a read-modify-write race.  See ``_trace_depth``.
         self._depth_tick: tuple[int, Any] = (-1, None)
         self._shutdown = threading.Event()
-        self._stats_lock = threading.Lock()
-        self._stats: dict[str, int] = {
-            "posted": 0,
-            "rejected": 0,
-            "caller_runs": 0,
-            "cancelled_on_shutdown": 0,
-            "barriers_ended_by_poll": 0,
-        }
+        self._tally = Tally(self._STAT_KEYS)
 
     def _bump(self, key: str) -> None:
-        with self._stats_lock:
-            self._stats[key] += 1
+        self._tally.local.counts[key] += 1
 
     # ----------------------------------------------------------- membership
 
@@ -580,9 +579,8 @@ class VirtualTarget(abc.ABC):
     @property
     def stats(self) -> dict[str, int]:
         """Snapshot of lifecycle counters (plus the high-water mark)."""
-        with self._stats_lock:
-            snap = dict(self._stats)
-        snap["posted"] += self._queue.posted  # _stats: a remote lane's direct ships
+        snap = self._tally.snapshot()
+        snap["posted"] += self._queue.posted  # _tally: a remote lane's direct ships
         snap["high_water"] = self._queue.high_water
         return snap
 

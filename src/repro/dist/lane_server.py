@@ -192,7 +192,7 @@ class _LaneServerContext(context.BaseContext):
     Process = _LaneProcess
 
 
-#: The start context of ``start_method="forkserver"`` process lanes.
+#: The start context of process lanes when ``DEFAULT_START_METHOD`` is ``forkserver``.
 CONTEXT = _LaneServerContext()
 
 

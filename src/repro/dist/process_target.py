@@ -48,9 +48,8 @@ _logger = logging.getLogger(__name__)
 #: a thread that does not exist in the child.  ``forkserver`` forks from
 #: the lane server, such an interpreter that has already imported the
 #: worker: it copies no held lock, and it boots (and imports) once per
-#: parent instead of once per lane.  ``spawn`` and ``fork`` are
-#: ``multiprocessing``'s own; ``fork`` stays selectable for single-threaded
-#: embedders.
+#: parent instead of once per lane.  ``spawn`` is ``multiprocessing``'s
+#: own.  Read when a target is built, so a test may patch it.
 DEFAULT_START_METHOD = (
     "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
 )
@@ -142,11 +141,8 @@ class ProcessTarget(RemoteLaneTarget):
     :class:`~repro.dist.remote_target.RemoteLaneTarget`'s):
 
     max_workers:
-        Pool size — one worker process (and one shipper thread) per lane.
-    start_method:
-        :data:`DEFAULT_START_METHOD` (``forkserver``: fork from the lane
-        server, else ``spawn``: both safe under threads) / ``spawn`` /
-        ``fork``.
+        Pool size — one worker process (and one shipper thread) per lane,
+        started by :data:`DEFAULT_START_METHOD`.
     """
 
     kind = "process"
@@ -158,7 +154,6 @@ class ProcessTarget(RemoteLaneTarget):
         *,
         queue_capacity: int | None = None,
         rejection_policy: str = "block",
-        start_method: str | None = None,
         heartbeat_interval: float = 1.0,
     ) -> None:
         if max_workers < 1:
@@ -166,11 +161,12 @@ class ProcessTarget(RemoteLaneTarget):
                 f"process target needs at least 1 worker, got {max_workers}"
             )
         self.max_workers = max_workers
-        ctx = multiprocessing.get_context(start_method or DEFAULT_START_METHOD)
-        if ctx.get_start_method() == "forkserver":
+        if DEFAULT_START_METHOD == "forkserver":
             # Imported here: it needs fd passing, which a platform without
             # a fork server (where the default is ``spawn``) may lack.
             from .lane_server import CONTEXT as ctx
+        else:
+            ctx = multiprocessing.get_context(DEFAULT_START_METHOD)
         super().__init__(
             name,
             [_WorkerSlot(i, name, ctx) for i in range(max_workers)],

@@ -271,6 +271,7 @@ class RemoteLaneTarget(VirtualTarget):
     supports_inline = False   # different address space: elision would lie
     supports_pumping = False  # no parent thread is ever a member
     ships_on_caller = True
+    _STAT_KEYS = (*VirtualTarget._STAT_KEYS, "worker_crashes", "worker_restarts")
 
     #: Trace instants for a lane coming up / dying unasked / being retired.
     _EV_UP = EventKind.WORKER_SPAWN
@@ -310,8 +311,6 @@ class RemoteLaneTarget(VirtualTarget):
         )
         self.heartbeat_interval = heartbeat_interval
         self._hard_stop = threading.Event()
-        with self._stats_lock:
-            self._stats.update({"worker_crashes": 0, "worker_restarts": 0})
         self._slots = list(slots)
         for slot in self._slots:
             slot.thread = threading.Thread(

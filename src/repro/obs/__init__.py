@@ -40,7 +40,8 @@ _EXPORTS = {
     ), ".recorder"),
     **dict.fromkeys(("to_chrome_trace", "write_chrome_trace", "to_text_timeline"), ".exporters"),
     **dict.fromkeys((
-        "LatencyStats", "TargetMetrics", "TraceMetrics", "compute_metrics", "format_metrics",
+        "LatencyStats", "Tally", "TargetMetrics", "TraceMetrics", "compute_metrics",
+        "format_metrics",
     ), ".metrics"),
 }
 

@@ -1,8 +1,9 @@
-"""Latency aggregation over the trace-event stream.
+"""Counters, and latency aggregation over the trace-event stream.
 
-Where the runtime's point-in-time counters (``PjRuntime.counters``,
-``VirtualTarget.stats``) answer *how many*, this module answers *how long* —
-the quantities the paper's evaluation plots:
+:class:`Tally` is the one counter type: ``PjRuntime.counters``,
+``VirtualTarget.stats`` and the HTTP server's ``/stats`` counters all book
+into one.  They answer *how many*; the rest of this module answers *how
+long* — the quantities the paper's evaluation plots:
 
 * **queue wait** — ENQUEUE → DEQUEUE: how long a region sat in the target's
   FIFO (the dispatch-latency signal of Figures 1 and 7);
@@ -17,15 +18,72 @@ error; the streams the ring buffers keep are small enough to sort).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Hashable, Iterable
 
 from .events import EventKind, TraceEvent
 
 __all__ = [
-    "LatencyStats", "TargetMetrics", "TraceMetrics", "compute_metrics",
+    "LatencyStats", "Tally", "TargetMetrics", "TraceMetrics", "compute_metrics",
     "format_metrics", "percentile",
 ]
+
+
+class _Books(threading.local):
+    def __init__(self, tally: "Tally") -> None:  # on a thread's first read
+        self.counts = tally._open()
+
+
+class Tally:
+    """Exact counters that any number of threads book into without a lock.
+
+    Each thread books into its own plain ``dict``, ``tally.local.counts``
+    (made at the thread's first read, *keys* at 0): ``counts[key] += 1`` is
+    the whole booking, and :meth:`add` spells it for a key that may be new.
+    The book of an ended thread folds into a base when the next thread opens
+    one; :meth:`snapshot` sums the base and the books, and :meth:`reset`
+    subtracts the totals from the base, since only its thread writes a book.
+    """
+
+    __slots__ = ("local", "_keys", "_lock", "_books", "_base")
+
+    def __init__(self, keys: Iterable[Hashable] = ()) -> None:
+        self._keys = tuple(keys)
+        self._lock = threading.RLock()
+        self._books: dict[threading.Thread, dict] = {}
+        self._base = dict.fromkeys(self._keys, 0)
+        self.local = _Books(self)
+
+    def _open(self) -> dict:
+        counts = dict.fromkeys(self._keys, 0)
+        with self._lock:
+            for ended in [t for t in self._books if not t.is_alive()]:
+                for key, n in self._books.pop(ended).items():
+                    self._base[key] = self._base.get(key, 0) + n
+            self._books[threading.current_thread()] = counts
+        return counts
+
+    def add(self, key: Hashable) -> None:
+        counts = self.local.counts
+        counts[key] = counts.get(key, 0) + 1
+
+    def snapshot(self) -> dict:
+        """Totals since the last :meth:`reset`: *keys* first, in order,
+        then any other key booked."""
+        with self._lock:
+            total = dict(self._base)
+            # One C call per book: its thread may add a key meanwhile.
+            books = [counts.copy() for counts in self._books.values()]
+        for counts in books:
+            for key, n in counts.items():
+                total[key] = total.get(key, 0) + n
+        return total
+
+    def reset(self) -> None:
+        with self._lock:
+            for key, n in self.snapshot().items():
+                self._base[key] = self._base.get(key, 0) - n
 
 
 def percentile(samples: Iterable[float], pct: float) -> float:

@@ -36,6 +36,7 @@ import asyncio
 import json
 import logging
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -45,7 +46,7 @@ from ..adapters import as_future, register_asyncio_edt
 from ..core import PjRuntime, TargetRegion
 from ..core.errors import QueueFullError, RegionFailedError, WorkerCrashedError
 from ..kernels import crypt
-from .stats import ServerStats
+from ..obs.metrics import Tally, percentile
 
 __all__ = ["ServeConfig", "HttpServer", "encrypt_payload", "REASONS"]
 
@@ -56,6 +57,10 @@ ADMISSION_TIMEOUT = 0.5
 #: Largest request body accepted; a longer Content-Length is answered 413.
 MAX_REQUEST_BYTES = 1 << 20
 _DEADLINE = "request deadline"  # a timer's cancel message, not a teardown's
+#: Latency samples ``/stats`` keeps: one float per request would grow without
+#: bound, and every ``GET /stats`` sorts a copy.  8192 bounds that at ~64 KiB
+#: and about a millisecond, with ~80 samples above the p99 it reports.
+LATENCY_WINDOW = 8192
 
 REASONS = {
     200: "OK",
@@ -117,6 +122,37 @@ class ServeConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
 
 
+class _Counters(Tally):
+    """The server's counters, exact for its lifetime, and the latencies of
+    its last :data:`LATENCY_WINDOW` requests.  A snapshot is the counter
+    half of ``GET /stats``, each HTTP status (booked as an int) under
+    ``statuses``."""
+
+    __slots__ = ("latencies_s",)
+
+    def __init__(self) -> None:
+        super().__init__((
+            "connections", "requests", "rejected", "timeouts", "failures",
+            "draining_rejects", "bytes_in", "bytes_out",
+        ))
+        self.latencies_s: deque[float] = deque(maxlen=LATENCY_WINDOW)
+
+    def snapshot(self) -> dict[str, Any]:
+        counts = super().snapshot()
+        codes = sorted(k for k in counts if type(k) is int)
+        snap: dict[str, Any] = {k: counts.pop(k) for k in ("connections", "requests")}
+        snap["statuses"] = {str(code): counts.pop(code) for code in codes}
+        snap.update(counts)
+        lat = self.latencies_s.copy()
+        if lat:
+            snap["latency_ms"] = {
+                "p50": round(percentile(lat, 50.0) * 1e3, 3),
+                "p99": round(percentile(lat, 99.0) * 1e3, 3),
+                "max": round(max(lat) * 1e3, 3),
+            }
+        return snap
+
+
 @dataclass
 class _Conn:
     """Per-connection bookkeeping for the drain protocol."""
@@ -139,7 +175,7 @@ class HttpServer:
         self.config = config
         self.runtime = runtime if runtime is not None else PjRuntime()
         self._owns_runtime = runtime is None
-        self.stats = ServerStats()
+        self.stats = _Counters()
         self._server: asyncio.base_events.Server | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._conns: dict[int, _Conn] = {}
@@ -277,7 +313,7 @@ class HttpServer:
     ) -> None:
         conn = _Conn(writer)
         self._conns[id(conn)] = conn
-        self.stats.bump("connections")
+        self.stats.add("connections")
         try:
             while not self._stopped:
                 try:
@@ -351,7 +387,7 @@ class HttpServer:
         else:
             keep_alive = self._wants_keep_alive(request)
             if self._draining:
-                self.stats.bump("draining_rejects")
+                self.stats.add("draining_rejects")
                 status, payload = 503, b"server is draining"
                 keep_alive = False
             else:
@@ -366,11 +402,17 @@ class HttpServer:
             await writer.drain()
         except ConnectionError:
             keep_alive = False
-        self.stats.record(
-            status, time.monotonic() - t0,
-            bytes_in=len(request.get("body", b"")), bytes_out=len(out),
-        )
+        self._book(status, time.monotonic() - t0, len(request.get("body", b"")), len(out))
         return keep_alive
+
+    def _book(self, status: int, latency_s: float, bytes_in: int, bytes_out: int) -> None:
+        """Count one answered request."""
+        counts = self.stats.local.counts
+        counts["requests"] += 1
+        counts[status] = counts.get(status, 0) + 1
+        counts["bytes_in"] += bytes_in
+        counts["bytes_out"] += bytes_out
+        self.stats.latencies_s.append(latency_s)
 
     def _wants_keep_alive(self, request: dict[str, Any]) -> bool:
         tok = request["headers"].get("connection", "").lower()
@@ -451,7 +493,7 @@ class HttpServer:
                 timeout=ADMISSION_TIMEOUT,
             )
         except QueueFullError as exc:
-            self.stats.bump("rejected")
+            self.stats.add("rejected")
             return 503, str(exc).encode(), [
                 ("Retry-After", "0"),
                 ("X-Rejected-By", exc.name),
@@ -465,13 +507,13 @@ class HttpServer:
         except asyncio.CancelledError as exc:
             if exc.args != (_DEADLINE,):
                 raise  # the handler itself was cancelled
-            self.stats.bump("timeouts")
+            self.stats.add("timeouts")
             region.request_cancel()
             return (504,
                     f"encrypt exceeded {cfg.request_timeout:.1f}s".encode(),
                     [])
         except RegionFailedError as exc:  # RegionCancelledError included
-            self.stats.bump("failures")
+            self.stats.add("failures")
             if isinstance(exc.cause, WorkerCrashedError):
                 return (500, str(exc.cause).encode(),
                         [("X-Worker-Fault", "crash")])

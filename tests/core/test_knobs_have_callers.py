@@ -5,8 +5,10 @@ The supervision and serve limits below had no such caller and are now
 constants (``RemoteLaneTarget.max_restarts`` / ``heartbeat_misses`` /
 ``cancel_grace``, each lane strategy's ``open_timeout``, the module
 constants of ``repro.serve.server``, the OpenMP thread limit
-``repro.openmp.parallel.THREAD_LIMIT``); a test that needs another value
-patches the constant.  This gate keeps them, and the runtime ICVs that went
+``repro.openmp.parallel.THREAD_LIMIT``, a process lane's
+``repro.dist.process_target.DEFAULT_START_METHOD``, a forked agent's
+``repro.cluster.agent.AGENT_STARTUP_TIMEOUT``); a test that needs another
+value patches the constant.  This gate keeps them, and the runtime ICVs that went
 with them, from coming back as arguments.
 """
 
@@ -18,7 +20,7 @@ import pathlib
 
 import pytest
 
-from repro.cluster import ClusterTarget
+from repro.cluster import ClusterTarget, spawn_agent_process
 from repro.core import PjRuntime, WorkerTarget, api
 from repro.core.tags import TagRegistry
 from repro.dist import ProcessTarget, RemoteLaneTarget
@@ -31,7 +33,7 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 REMOVED_PARAMETERS = {
     "max_restarts", "heartbeat_misses", "cancel_grace", "spawn_timeout",
     "connect_timeout", "open_timeout", "daemon", "strict", "raise_on_error",
-    "admission_timeout", "max_request_bytes",
+    "admission_timeout", "max_request_bytes", "start_method", "startup_timeout",
 }
 
 
@@ -56,6 +58,7 @@ def test_default_target_is_the_only_icv():
     RemoteLaneTarget,
     api.wait_for,
     TagRegistry.wait,
+    spawn_agent_process,
 ], ids=lambda c: c.__qualname__)
 def test_no_removed_parameter_is_back(callable_):
     params = set(inspect.signature(callable_).parameters)

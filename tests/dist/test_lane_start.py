@@ -30,13 +30,13 @@ LATE = "REPRO_TEST_SET_AFTER_THE_FORK_SERVER_STARTED"
 def test_a_later_worker_follows_path_and_cwd_but_not_the_environment(monkeypatch, tmp_path):
     rt = PjRuntime()
     try:
-        rt.create_process_worker("first", 1, start_method="forkserver")
+        rt.create_process_worker("first", 1)
         rt.invoke_target_block("first", TargetRegion(os.getpid), timeout=60.0)
         # The fork server is up.  Change all three, then open another lane.
         monkeypatch.setenv(LATE, "1")
         monkeypatch.chdir(tmp_path)
         monkeypatch.syspath_prepend(str(tmp_path))
-        rt.create_process_worker("later", 1, start_method="forkserver")
+        rt.create_process_worker("later", 1)
         variable, cwd, path = rt.invoke_target_block(
             "later", TargetRegion(bodies.start_state, LATE), timeout=60.0
         ).result()

@@ -211,15 +211,14 @@ _SCENARIO = """
     import sys, time
     from repro.core import PjRuntime
     from repro.core.region import TargetRegion
-    from repro.dist import ProcessTarget
+    from repro.dist import ProcessTarget, process_target
     from tests.dist import bodies
 
     def main():
         ProcessTarget.max_restarts = 0
+        process_target.DEFAULT_START_METHOD = {method!r}
         rt = PjRuntime()
-        target = rt.create_process_worker(
-            "p", 2, heartbeat_interval=0.25, start_method={method!r}
-        )
+        target = rt.create_process_worker("p", 2, heartbeat_interval=0.25)
         big = bytes(range(256)) * 4096
         for _ in range(4):  # both lanes, both directions
             assert rt.invoke_target_block("p", TargetRegion(bodies.echo, big)).result() == big
@@ -250,14 +249,9 @@ _ENDINGS = {
 }
 
 
-# Under fork a worker has a resource tracker of its own; had it registered
-# the arenas it attached (as SharedMemory(name) does before Python 3.13),
-# that tracker would unlink the parent's segments, with a warning, as soon
-# as the worker exited.
 @pytest.mark.parametrize(
     "ending,method",
-    [(ending, method) for method in ("spawn", "forkserver") for ending in _ENDINGS]
-    + [("shutdown-wait", "fork")],
+    [(ending, method) for method in ("spawn", "forkserver") for ending in _ENDINGS],
 )
 def test_no_segment_and_no_tracker_warning_survive_the_runtime(ending, method, tmp_path):
     if method not in multiprocessing.get_all_start_methods():

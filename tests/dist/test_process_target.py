@@ -16,7 +16,7 @@ from repro.core.errors import (
     TargetExistsError,
 )
 from repro.core.region import TargetRegion
-from repro.dist import ProcessTarget
+from repro.dist import ProcessTarget, process_target
 from repro.dist.wire import HAVE_CLOUDPICKLE
 
 from . import bodies
@@ -208,12 +208,13 @@ class TestBackpressure:
 
 
 class TestSpawnStartMethod:
-    def test_spawn_round_trip_crash_and_respawn(self):
+    def test_spawn_round_trip_crash_and_respawn(self, monkeypatch):
         # spawn is the default only where there is no fork server, so this
         # keeps that path exercised on every platform that has one.
+        monkeypatch.setattr(process_target, "DEFAULT_START_METHOD", "spawn")
         rt = PjRuntime()
         try:
-            target = rt.create_process_worker("spawned", 1, start_method="spawn")
+            target = rt.create_process_worker("spawned", 1)
             assert target._slots[0]._ctx.get_start_method() == "spawn"
             assert rt.invoke_target_block(
                 "spawned", TargetRegion(bodies.square, 3), timeout=60.0

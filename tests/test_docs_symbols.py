@@ -3,12 +3,15 @@
 Docs drift silently: a renamed function or module keeps its markdown
 mentions until a reader trips over them.  This test extracts every
 ``repro.something[.more]`` reference from the documentation set and resolves
-it — import the longest importable module prefix, then getattr the rest.
+it — find the longest module prefix, then getattr the rest.  A module
+named whole is found without being imported, so naming ``repro.__main__``
+does not run the CLI.
 """
 
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import pathlib
 import re
 
@@ -38,20 +41,21 @@ def _documented_names() -> dict[str, list[str]]:
 
 
 def _resolve(dotted: str) -> None:
-    """Import/getattr *dotted*; raises if any component is missing."""
+    """Find/getattr *dotted*; raises if any component is missing."""
     parts = dotted.split(".")
-    obj = None
-    mod_end = 0
     for i in range(len(parts), 0, -1):
         try:
-            obj = importlib.import_module(".".join(parts[:i]))
-            mod_end = i
-            break
-        except ImportError:
+            spec = importlib.util.find_spec(".".join(parts[:i]))
+        except ImportError:  # a parent is not a package
             continue
-    if obj is None:
+        if spec is not None:
+            break
+    else:
         raise ImportError(f"no importable prefix of {dotted!r}")
-    for attr in parts[mod_end:]:
+    if i == len(parts):
+        return
+    obj = importlib.import_module(spec.name)
+    for attr in parts[i:]:
         obj = getattr(obj, attr)
 
 
@@ -81,6 +85,7 @@ def test_docs_mention_resolvable_symbols():
         "repro.bench.percentile",
         "repro.obs.enable",
         "repro.openmp.task",
+        "repro.__main__",
     ],
 )
 def test_key_api_names_resolve(dotted):
